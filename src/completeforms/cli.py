@@ -14,9 +14,9 @@ Three subcommands:
     Run one of the exhaustive or symbolic verification routines and report
     pass/fail.
 
-Exit codes: 0 success, 1 a verification ran and failed, 2 bad parameters or
-an exceeded enumeration budget, 3 the space has no recorded coordinate data
-for the request.
+Exit codes: 0 success, 1 a verification ran and failed, 2 bad parameters,
+an exceeded enumeration budget or an unwritable ``--svg`` path, 3 the space
+has no recorded coordinate data for the request.
 """
 
 from __future__ import annotations
@@ -235,8 +235,12 @@ def _cmd_chambers(parser, args) -> int:
     }
     if args.svg:
         document = chamber_svg(model, decomposition)
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(document)
+        try:
+            with open(args.svg, "w", encoding="utf-8") as handle:
+                handle.write(document)
+        except OSError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
     _emit(payload, args.format)
     return 0
 
@@ -244,32 +248,29 @@ def _cmd_chambers(parser, args) -> int:
 def _census_report(a: int, b: int, q: int, symmetric: bool) -> VerificationReport:
     census = determinantal.rank_census(a, b, q, symmetric=symmetric)
     if symmetric:
-        reference = determinantal.rank_census_reference(a, b, q, symmetric=True)
-        passed = census.counts == reference.counts
-        details = {
-            "counts": census.to_dict()["counts"],
-            "reference": reference.to_dict()["counts"],
+        key = "reference"
+        expected = {
+            r: determinantal.symmetric_rank_count_closed_form(a, r, q) for r in range(a + 1)
         }
-        counterexample = None if passed else details
     else:
+        key = "closed_form"
         expected = {
             r: determinantal.rank_count_closed_form(a, b, r, q)
             for r in range(min(a, b) + 1)
         }
-        observed = census.as_dict()
-        passed = observed == expected
-        details = {
-            "counts": {str(r): c for r, c in sorted(observed.items())},
-            "closed_form": {str(r): c for r, c in sorted(expected.items())},
-        }
-        counterexample = None if passed else details
+    observed = census.as_dict()
+    passed = observed == expected
+    details = {
+        "counts": {str(r): c for r, c in sorted(observed.items())},
+        key: {str(r): c for r, c in sorted(expected.items())},
+    }
     return VerificationReport(
         name="rank-census",
         parameters={"rows": a, "cols": b, "q": q, "symmetric": symmetric},
         passed=passed,
         counts={"matrices": census.total},
         details=details,
-        counterexample=counterexample,
+        counterexample=None if passed else details,
     )
 
 

@@ -1,23 +1,24 @@
 """Determinantal loci: exact invariants and exhaustive finite-field checks.
 
-The dimension and degree formulas are evaluated in exact arithmetic (the
-degree products are computed as Fractions and asserted integral).  The
-finite-field routines enumerate *every* matrix of the requested format over
-F_q; the census is vectorized with numpy in fixed-size chunks, while the two
-lemma verifications stay in plain Python because their interesting inputs
-are tiny.  All enumeration is bounded by ``ENUMERATION_BUDGET`` matrices.
+The dimension, degree and rank-count formulas are evaluated in exact
+arithmetic (the products are computed as Fractions and checked integral).
+The finite-field routines enumerate *every* matrix of the requested format
+over F_q, in numpy chunks of ``_CHUNK`` matrices.  The census and both lemma
+verifications share one rank kernel: it walks the combinations of the rows
+on a matrix's shorter side in Gray-code order, one row added per step (an
+XOR of bit masks over F_2), and reads the rank off the number of zero
+combinations.  All enumeration is bounded by ``ENUMERATION_BUDGET`` matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
 from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, NonPrimeField
+from .errors import BudgetExceeded, DimensionMismatch, InternalInconsistency, NonPrimeField
 from .reports import VerificationReport
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "veronese_secant_invariants",
     "rank_census",
     "rank_count_closed_form",
+    "symmetric_rank_count_closed_form",
     "verify_rank_minor_lemma",
     "verify_component_split",
 ]
@@ -45,6 +47,12 @@ def is_prime(q: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _integral(value: Fraction, what: str) -> int:
+    if value.denominator != 1:
+        raise InternalInconsistency("%s must be integral, got %s" % (what, value))
+    return int(value)
 
 
 # ------------------------------------------------------------ invariants
@@ -96,8 +104,7 @@ def segre_secant_invariants(n: int, m: int, h: int) -> SecantInvariants:
         deg = Fraction(1)
         for i in range(n - h + 1):
             deg *= Fraction(comb(m + 1 + i, n - i), comb(m + 1 - h + i, n - h - i))
-        assert deg.denominator == 1, "degree product must be integral"
-        degree = int(deg)
+        degree = _integral(deg, "degree product")
         fills = False
     return SecantInvariants("segre_secant", n, m, h, dim, degree, ambient, fills)
 
@@ -111,9 +118,7 @@ def veronese_secant_invariants(n: int, h: int) -> SecantInvariants:
     if not (1 <= h <= n + 1):
         raise ValueError("need 1 <= h <= n+1, got h=%d n=%d" % (h, n))
     ambient = (n + 1) * (n + 2) // 2 - 1
-    num = 2 * n * h - h * h + 3 * h - 2
-    assert num % 2 == 0
-    dim = num // 2
+    dim = _integral(Fraction(2 * n * h - h * h + 3 * h - 2, 2), "secant dimension")
     if h == n + 1:
         degree = 1
         fills = True
@@ -121,8 +126,7 @@ def veronese_secant_invariants(n: int, h: int) -> SecantInvariants:
         deg = Fraction(1)
         for i in range(n - h + 1):
             deg *= Fraction(comb(n + 1 + i, n + 1 - h - i), comb(2 * i + 1, i))
-        assert deg.denominator == 1, "degree product must be integral"
-        degree = int(deg)
+        degree = _integral(deg, "degree product")
         fills = False
     return SecantInvariants("veronese_secant", n, None, h, dim, degree, ambient, fills)
 
@@ -136,8 +140,26 @@ def rank_count_closed_form(a: int, b: int, r: int, q: int) -> int:
     total = Fraction(1)
     for i in range(r):
         total *= Fraction((q**a - q**i) * (q**b - q**i), q**r - q**i)
-    assert total.denominator == 1
-    return int(total)
+    return _integral(total, "rank count")
+
+
+def symmetric_rank_count_closed_form(n: int, r: int, q: int) -> int:
+    """Number of symmetric n x n matrices of rank exactly r over F_q.
+
+    MacWilliams, "Orthogonal matrices over finite fields", Amer. Math.
+    Monthly 76 (1969): prod_{i=1}^{r//2} q^(2i) / (q^(2i) - 1) times
+    prod_{i=0}^{r-1} (q^(n-i) - 1).
+    """
+    if not is_prime(q):
+        raise NonPrimeField("%d is not prime" % q)
+    if r < 0 or r > n:
+        return 0
+    total = Fraction(1)
+    for i in range(1, r // 2 + 1):
+        total *= Fraction(q ** (2 * i), q ** (2 * i) - 1)
+    for i in range(r):
+        total *= q ** (n - i) - 1
+    return _integral(total, "symmetric rank count")
 
 
 # ------------------------------------------------------------ census
@@ -188,146 +210,170 @@ def _census_preconditions(a: int, b: int, q: int, symmetric: bool) -> int:
     return count
 
 
-def _decode_chunk(lo: int, hi: int, q: int, a: int, b: int, symmetric: bool) -> np.ndarray:
-    """Matrices lo..hi-1 as an (hi-lo, a, b) uint8 array.
+# ------------------------------------------------------------ rank kernel
+#
+# A chunk of matrices is held as its rows: over F_2 row i is a uint32 bit
+# mask (bit j is entry (i, j)), over odd q it is a (b, n) digit array.  Every
+# rank the module needs is the rank of a slice of those rows or of the
+# matching columns, and one kernel computes them all.
+
+
+def _positions(a: int, b: int, symmetric: bool):
+    """Entry positions in index-digit order: row major, least significant first;
+    the symmetric encoding runs over the upper triangle only."""
+    return [(i, j) for i in range(a) for j in range(i if symmetric else 0, b)]
+
+
+def _chunks(total: int):
+    """Matrix indices 0..total-1 in int64 arrays of at most ``_CHUNK``."""
+    for lo in range(0, total, _CHUNK):
+        yield np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+
+
+def _decode_rows(t: np.ndarray, q: int, a: int, b: int, symmetric: bool) -> np.ndarray:
+    """Rows of matrices ``t``: an (a, n) uint32 mask array over F_2, else (a, b, n) digits.
 
     Index t encodes the entries as base-q digits, position (i, j) at digit
     i*b + j (row major, least significant first).  The symmetric encoding
     runs over the upper triangle in the same row-major order.
     """
-    t = np.arange(lo, hi, dtype=np.int64)
-    mats = np.zeros((hi - lo, a, b), dtype=np.uint8)
-    if symmetric:
-        pos = 0
-        for i in range(a):
-            for j in range(i, b):
-                digit = ((t // q**pos) % q).astype(np.uint8)
-                mats[:, i, j] = digit
-                mats[:, j, i] = digit
-                pos += 1
-    else:
-        for i in range(a):
-            for j in range(b):
-                digit = ((t // q ** (i * b + j)) % q).astype(np.uint8)
-                mats[:, i, j] = digit
-    return mats
+    if q == 2:
+        rows = np.zeros((a, len(t)), dtype=np.uint32)
+        if not symmetric:
+            for i in range(a):
+                rows[i] = (t >> (i * b)) & ((1 << b) - 1)
+            return rows
+        for pos, (i, j) in enumerate(_positions(a, b, True)):
+            bit = ((t >> pos) & 1).astype(np.uint32)
+            rows[i] |= bit << j
+            rows[j] |= bit << i
+        return rows
+    # uint8 holds the sum of two digits for q <= 127, which _ranks relies on
+    entries = np.empty((a, b, len(t)), dtype=np.min_scalar_type(2 * (q - 1)))
+    for i, j in _positions(a, b, symmetric):
+        t, entries[i, j] = np.divmod(t, q)
+        if symmetric:
+            entries[j, i] = entries[i, j]
+    return entries
 
 
-def _ranks_by_kernel_count(mats: np.ndarray, q: int) -> np.ndarray:
-    """Rank of each matrix in the batch, via the size of the left kernel.
+def _columns(rows: np.ndarray, q: int, count: int) -> np.ndarray:
+    """The first ``count`` columns of the matrices, in the layout of ``rows``."""
+    if q != 2:
+        return rows[:, :count].swapaxes(0, 1)
+    cols = np.zeros((count, rows.shape[1]), dtype=np.uint32)
+    for j in range(count):
+        for i, row in enumerate(rows):
+            cols[j] |= ((row >> j) & 1) << i
+    return cols
 
-    Works over the shorter side so the coefficient sweep stays at q^min(a,b)
-    vectors; the kernel of a rank-r matrix has exactly q^(s-r) elements.
+
+def _leading(rows: np.ndarray, q: int, k: int) -> np.ndarray:
+    """The leading k x k blocks of the matrices."""
+    if q == 2:
+        return rows[:k] & ((1 << k) - 1)
+    return rows[:k, :k]
+
+
+def _gray_steps(q: int, s: int) -> list[int]:
+    """Digit moved at each step of the modular q-ary Gray code on s digits.
+
+    Step j adds 1 (mod q) to the digit at the number of trailing zero base-q
+    digits of j, so the q^s - 1 steps visit every nonzero vector once.
     """
-    nmat, a, b = mats.shape
-    if a > b:
-        mats = np.swapaxes(mats, 1, 2)
-        a, b = b, a
-    mats16 = mats.astype(np.int16)
-    kernel_sizes = np.zeros(nmat, dtype=np.int64)
-    for coeffs in product(range(q), repeat=a):
-        x = np.array(coeffs, dtype=np.int16)
-        combo = np.tensordot(x, mats16, axes=([0], [1])) % q
-        kernel_sizes += ~combo.any(axis=1)
-    powers = q ** np.arange(a + 1, dtype=np.int64)
-    ranks = a - np.searchsorted(powers, kernel_sizes)
-    return ranks
+    steps = []
+    for j in range(1, q**s):
+        i = 0
+        while j % q == 0:
+            j //= q
+            i += 1
+        steps.append(i)
+    return steps
+
+
+def _ranks(lines: np.ndarray, q: int) -> np.ndarray:
+    """Rank of each matrix spanned by ``lines`` (first axis: the s lines).
+
+    Walks the q^s combinations of the lines in Gray-code order, one line
+    added per step, and counts the zero ones: the kernel of a rank-r
+    matrix has exactly q^(s-r) elements.
+    """
+    s = len(lines)
+    combo = np.zeros_like(lines[0])
+    kernel = np.ones(combo.shape[-1], dtype=np.min_scalar_type(q**s))
+    for i in _gray_steps(q, s):
+        if q == 2:
+            combo ^= lines[i]
+            kernel += combo == 0
+        else:
+            combo += lines[i]
+            # unsigned: combo - q wraps above combo exactly when combo < q
+            np.minimum(combo, combo - q, out=combo)
+            kernel += ~combo.any(axis=0)
+    powers = q ** np.arange(s + 1, dtype=np.int64)
+    return s - np.searchsorted(powers, kernel)
+
+
+def _full_ranks(rows: np.ndarray, q: int, a: int, b: int) -> np.ndarray:
+    """Ranks of the whole matrices, walked over the shorter side."""
+    return _ranks(rows if a <= b else _columns(rows, q, b), q)
+
+
+def _matrix(index: int, q: int, a: int, b: int, symmetric: bool) -> list[list[int]]:
+    """Matrix number ``index`` as nested lists, for a report."""
+    rows = _decode_rows(np.array([index], dtype=np.int64), q, a, b, symmetric)
+    if q == 2:
+        return [[int(r >> j) & 1 for j in range(b)] for r in rows[:, 0]]
+    return rows[:, :, 0].tolist()
 
 
 def rank_census(a: int, b: int, q: int, symmetric: bool = False) -> RankCensus:
     """Enumerate every a x b matrix over F_q and tally ranks.
 
-    The (non-symmetric) result must match :func:`rank_count_closed_form`
-    rank by rank; that comparison is this module's acceptance check.  The
-    symmetric census runs over all symmetric matrices instead, encoded by
-    their upper triangle.
+    The non-symmetric result must match :func:`rank_count_closed_form` and
+    the symmetric one (all symmetric matrices, encoded by their upper
+    triangle) :func:`symmetric_rank_count_closed_form`, rank by rank; those
+    comparisons are this module's acceptance checks.
     """
     total = _census_preconditions(a, b, q, symmetric)
     tallies = np.zeros(min(a, b) + 1, dtype=np.int64)
-    lo = 0
-    while lo < total:
-        hi = min(lo + _CHUNK, total)
-        mats = _decode_chunk(lo, hi, q, a, b, symmetric)
-        ranks = _ranks_by_kernel_count(mats, q)
+    for t in _chunks(total):
+        ranks = _full_ranks(_decode_rows(t, q, a, b, symmetric), q, a, b)
         tallies += np.bincount(ranks, minlength=len(tallies))
-        lo = hi
     counts = tuple((r, int(c)) for r, c in enumerate(tallies))
     return RankCensus(a, b, q, symmetric, counts)
 
 
-# ------------------------------------------------------------ small mod-q helpers
-
-def _decode_matrix(t: int, q: int, a: int, b: int, symmetric: bool = False) -> list[list[int]]:
-    m = [[0] * b for _ in range(a)]
-    if symmetric:
-        pos = 0
-        for i in range(a):
-            for j in range(i, b):
-                d = (t // q**pos) % q
-                m[i][j] = d
-                m[j][i] = d
-                pos += 1
-    else:
-        for i in range(a):
-            for j in range(b):
-                m[i][j] = (t // q ** (i * b + j)) % q
-    return m
-
-
-def _rank_mod(rows: list[list[int]], q: int) -> int:
-    m = [r[:] for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c] % q), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c], q - 2, q)
-        m[rank] = [(x * inv) % q for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] % q:
-                f = m[i][c]
-                m[i] = [(x - f * y) % q for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
-def _det_mod(rows: list[list[int]], q: int) -> int:
-    n = len(rows)
-    m = [r[:] for r in rows]
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] % q), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = (-det) % q
-        det = (det * m[c][c]) % q
-        inv = pow(m[c][c], q - 2, q)
-        for i in range(c + 1, n):
-            if m[i][c] % q:
-                f = (m[i][c] * inv) % q
-                m[i] = [(x - f * y) % q for x, y in zip(m[i], m[c])]
-    return det % q
-
-
-def rank_census_reference(a: int, b: int, q: int, symmetric: bool = False) -> RankCensus:
-    """Pure-Python rank census, one matrix at a time.
-
-    Much slower than :func:`rank_census` but shares none of its vectorized
-    rank code, so the two act as independent cross-checks of each other.
-    Subject to the same enumeration budget.
-    """
-    total = _census_preconditions(a, b, q, symmetric)
-    tallies = [0] * (min(a, b) + 1)
-    for t in range(total):
-        tallies[_rank_mod(_decode_matrix(t, q, a, b, symmetric), q)] += 1
-    return RankCensus(a, b, q, symmetric, tuple(enumerate(tallies)))
-
-
 # ------------------------------------------------------------ lemma checks
+
+def _lemma_preconditions(a: int, b: int, k: int, q: int, symmetric: bool) -> int:
+    if not (1 <= k <= min(a, b)):
+        raise ValueError("need 1 <= k <= min(a, b), got k=%d a=%d b=%d" % (k, a, b))
+    return _census_preconditions(a, b, q, symmetric)
+
+
+def _slice_flags(total: int, a: int, b: int, k: int, q: int, symmetric: bool):
+    """Per chunk: the indices and, for each matrix, rank <= k, leading k-minor
+    zero (leading block of rank < k), first k rows dependent and first k
+    columns dependent."""
+    for t in _chunks(total):
+        rows = _decode_rows(t, q, a, b, symmetric)
+        yield (
+            t,
+            _full_ranks(rows, q, a, b) <= k,
+            _ranks(_leading(rows, q, k), q) < k,
+            _ranks(rows[:k], q) < k,
+            _ranks(_columns(rows, q, k), q) < k,
+        )
+
+
+def _first(flags: np.ndarray) -> int | None:
+    return int(flags.argmax()) if flags.any() else None
+
+
+def _count(flags: np.ndarray, stop: int) -> int:
+    return int(np.count_nonzero(flags[:stop]))
+
 
 def verify_rank_minor_lemma(a: int, b: int, k: int, q: int) -> VerificationReport:
     """On the rank <= k locus, a vanishing leading k-minor forces degenerate slices.
@@ -336,29 +382,22 @@ def verify_rank_minor_lemma(a: int, b: int, k: int, q: int) -> VerificationRepor
     top-left k x k determinant vanishes has its first k rows dependent or its
     first k columns dependent.
     """
-    if not (1 <= k <= min(a, b)):
-        raise ValueError("need 1 <= k <= min(a, b), got k=%d a=%d b=%d" % (k, a, b))
-    total = _census_preconditions(a, b, q, False)
+    total = _lemma_preconditions(a, b, k, q, False)
     candidates = 0
     row_deg = 0
     col_deg = 0
     counterexample = None
-    for t in range(total):
-        m = _decode_matrix(t, q, a, b)
-        if _rank_mod(m, q) > k:
-            continue
-        top = [row[:k] for row in m[:k]]
-        if _det_mod(top, q) != 0:
-            continue
-        candidates += 1
-        rows_dep = _rank_mod(m[:k], q) < k
-        cols_dep = _rank_mod([[m[i][j] for i in range(a)] for j in range(k)], q) < k
-        if rows_dep:
-            row_deg += 1
-        if cols_dep:
-            col_deg += 1
-        if not rows_dep and not cols_dep:
-            counterexample = {"matrix": m, "index": t}
+    for t, low_rank, det_zero, rows_dep, cols_dep in _slice_flags(total, a, b, k, q, False):
+        cand = low_rank & det_zero
+        # counts stop at the first counterexample, which they include
+        first = _first(cand & ~rows_dep & ~cols_dep)
+        stop = len(t) if first is None else first + 1
+        candidates += _count(cand, stop)
+        row_deg += _count(cand & rows_dep, stop)
+        col_deg += _count(cand & cols_dep, stop)
+        if first is not None:
+            index = int(t[first])
+            counterexample = {"matrix": _matrix(index, q, a, b, False), "index": index}
             break
     return VerificationReport(
         name="rank-lemma",
@@ -384,52 +423,43 @@ def verify_component_split(
     the report tallies both pieces and their overlap.  In the symmetric case
     the two pieces coincide as sets.
     """
-    if not (1 <= k <= min(a, b)):
-        raise ValueError("need 1 <= k <= min(a, b), got k=%d a=%d b=%d" % (k, a, b))
-    total = _census_preconditions(a, b, q, symmetric)
-    locus = 0
-    det_zero = []
-    h1 = set()
-    h2 = set()
+    total = _lemma_preconditions(a, b, k, q, symmetric)
+    locus = det_zero = h1 = h2 = overlap = 0
+    asymmetric = None
     counterexample = None
-    for t in range(total):
-        m = _decode_matrix(t, q, a, b, symmetric)
-        if _rank_mod(m, q) > k:
-            continue
-        locus += 1
-        top = [row[:k] for row in m[:k]]
-        in_d = _det_mod(top, q) == 0
-        rows_dep = _rank_mod(m[:k], q) < k
-        cols_dep = _rank_mod([[m[i][j] for i in range(a)] for j in range(k)], q) < k
-        if in_d:
-            det_zero.append(t)
-        if rows_dep:
-            h1.add(t)
-        if cols_dep:
-            h2.add(t)
-        if in_d != (rows_dep or cols_dep):
-            counterexample = {"matrix": m, "index": t}
+    for t, low_rank, in_d, rows_dep, cols_dep in _slice_flags(total, a, b, k, q, symmetric):
+        # counts stop at the first counterexample, which they include
+        first = _first(low_rank & (in_d != (rows_dep | cols_dep)))
+        stop = len(t) if first is None else first + 1
+        locus += _count(low_rank, stop)
+        det_zero += _count(low_rank & in_d, stop)
+        h1 += _count(low_rank & rows_dep, stop)
+        h2 += _count(low_rank & cols_dep, stop)
+        overlap += _count(low_rank & rows_dep & cols_dep, stop)
+        if first is not None:
+            index = int(t[first])
+            counterexample = {"matrix": _matrix(index, q, a, b, symmetric), "index": index}
             break
-    passed = counterexample is None
-    if passed and symmetric and h1 != h2:
-        sym_diff = sorted(h1 ^ h2)
+        if symmetric and asymmetric is None:
+            split = _first(low_rank & (rows_dep != cols_dep))
+            asymmetric = None if split is None else int(t[split])
+    if counterexample is None and asymmetric is not None:
         counterexample = {
-            "matrix": _decode_matrix(sym_diff[0], q, a, b, symmetric),
-            "index": sym_diff[0],
+            "matrix": _matrix(asymmetric, q, a, b, symmetric),
+            "index": asymmetric,
             "reason": "asymmetric split in symmetric mode",
         }
-        passed = False
     return VerificationReport(
         name="component-split",
         parameters={"a": a, "b": b, "k": k, "q": q, "symmetric": symmetric},
-        passed=passed,
+        passed=counterexample is None,
         counts={
             "matrices": total,
             "rank_locus": locus,
-            "det_zero": len(det_zero),
-            "h1": len(h1),
-            "h2": len(h2),
-            "overlap": len(h1 & h2),
+            "det_zero": det_zero,
+            "h1": h1,
+            "h2": h2,
+            "overlap": overlap,
         },
         counterexample=counterexample,
     )

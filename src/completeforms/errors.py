@@ -48,3 +48,7 @@ class CoordinatesUnknown(LookupError):
 
 class OutOfScope(ValueError):
     """A query this package has no recorded answer for."""
+
+
+class InternalInconsistency(RuntimeError):
+    """An invariant of this package's own computation failed: a bug, not bad input."""

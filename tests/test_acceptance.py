@@ -20,6 +20,7 @@ from completeforms.determinantal import (
     rank_census,
     rank_count_closed_form,
     segre_secant_invariants,
+    symmetric_rank_count_closed_form,
     verify_component_split,
     verify_rank_minor_lemma,
     veronese_secant_invariants,
@@ -129,6 +130,18 @@ def test_criterion_04_rank_census_matches_closed_form():
                         assert census[r] == rank_count_closed_form(a, b, r, q), (a, b, q, r)
                     checked += 1
         assert checked == 101
+
+
+def test_symmetric_rank_census_matches_macwilliams_count():
+    with budget(5, "4 symmetric rank census vs MacWilliams' count"):
+        checked = 0
+        for q, largest in ((2, 5), (3, 4), (5, 3)):
+            for n in range(1, largest + 1):
+                census = rank_census(n, n, q, symmetric=True).as_dict()
+                for r in range(n + 1):
+                    assert census[r] == symmetric_rank_count_closed_form(n, r, q), (n, q, r)
+                checked += 1
+        assert checked == 12
 
 
 def test_criterion_05_rank_minor_lemma_and_component_split():

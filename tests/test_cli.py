@@ -201,6 +201,18 @@ def test_out_of_scope_spaces_exit_three(capsys):
         assert err.strip() == cli.OUT_OF_SCOPE_MESSAGE
 
 
+def test_unwritable_svg_path_exits_two_with_a_message(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "chambers.svg"
+    code, out, err = run_cli(
+        ["chambers", "--space", "Q", "--n", "4", "--h", "3", "--svg", str(target)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # goldens and determinism
 

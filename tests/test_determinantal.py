@@ -1,26 +1,35 @@
 """Tests for secant invariants and the finite-field enumeration routines.
 
-The census is checked against the classical closed-form count of fixed-rank
-matrices, and independently against a naive pure-Python rank computation on
-small formats.  Degree formulas are pinned by hand-computed classical values
-and by the three cross-identities that specialize them.
+The census is checked against the classical closed-form counts of fixed-rank
+matrices (MacWilliams' count for symmetric ones), and independently against a
+naive pure-Python rank computation on small formats.  The lemma checks are
+pinned by hand counts and by closed forms for their tallies.  Degree formulas
+are pinned by hand-computed classical values and by the three cross-identities
+that specialize them.
 """
 
-from math import comb
+from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
+from completeforms import determinantal
 from completeforms.determinantal import (
     RankCensus,
     rank_census,
-    rank_census_reference,
     rank_count_closed_form,
     segre_secant_invariants,
+    symmetric_rank_count_closed_form,
     verify_component_split,
     verify_rank_minor_lemma,
     veronese_secant_invariants,
 )
-from completeforms.errors import BudgetExceeded, DimensionMismatch, NonPrimeField
+from completeforms.errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    InternalInconsistency,
+    NonPrimeField,
+)
 
 
 # ---------------------------------------------------------------- invariants
@@ -75,6 +84,14 @@ def test_veronese_degree_cross_identities():
         assert veronese_secant_invariants(n, n).degree == n + 1
 
 
+def test_a_broken_integrality_invariant_raises_a_typed_error():
+    # raised explicitly, so it holds under python -O; not a ValueError, so
+    # the CLI never reports it as bad input
+    with pytest.raises(InternalInconsistency):
+        determinantal._integral(Fraction(3, 2), "a degree")
+    assert not issubclass(InternalInconsistency, ValueError)
+
+
 def test_invariants_preconditions():
     with pytest.raises(ValueError):
         segre_secant_invariants(3, 2, 1)  # needs n <= m
@@ -107,10 +124,16 @@ def naive_rank_mod(rows, q):
     return rank
 
 
-def naive_census(a, b, q):
+def naive_census(a, b, q, symmetric=False):
+    """Rank tally decoding each index on its own (only the upper triangle if symmetric)."""
+    positions = [(i, j) for i in range(a) for j in range(i if symmetric else 0, b)]
     counts = {}
-    for t in range(q ** (a * b)):
-        m = [[(t // q ** (i * b + j)) % q for j in range(b)] for i in range(a)]
+    for t in range(q ** len(positions)):
+        m = [[0] * b for _ in range(a)]
+        for pos, (i, j) in enumerate(positions):
+            m[i][j] = (t // q**pos) % q
+            if symmetric:
+                m[j][i] = m[i][j]
         r = naive_rank_mod(m, q)
         counts[r] = counts.get(r, 0) + 1
     return counts
@@ -158,9 +181,9 @@ def test_symmetric_census_totals_and_consistency():
 
 def test_reference_census_matches_the_vectorized_one():
     for a, b, q, symmetric in [(2, 3, 2, False), (2, 2, 5, False), (3, 3, 2, True), (2, 2, 3, True)]:
-        fast = rank_census(a, b, q, symmetric=symmetric)
-        slow = rank_census_reference(a, b, q, symmetric=symmetric)
-        assert fast.counts == slow.counts
+        fast = rank_census(a, b, q, symmetric=symmetric).as_dict()
+        naive = naive_census(a, b, q, symmetric)
+        assert fast == {r: naive.get(r, 0) for r in range(min(a, b) + 1)}
 
 
 def test_census_preconditions():
@@ -222,3 +245,128 @@ def test_lemma_preconditions():
         verify_rank_minor_lemma(2, 2, 3, 2)
     with pytest.raises(ValueError):
         verify_component_split(2, 2, 0, 2)
+
+
+# ---------------------------------------------------------------- chunked kernel
+#
+# The engine decodes matrices in chunks of determinantal._CHUNK; these tests
+# shrink the chunk so every call spans several chunks and ends with a
+# partial one, and pin the results to closed forms.
+
+
+def small_chunks(monkeypatch, total):
+    chunk = total // 3 + 1
+    assert total // chunk >= 2 and total % chunk
+    monkeypatch.setattr(determinantal, "_CHUNK", chunk)
+
+
+def gl_order(k, q):
+    return prod(q**k - q**i for i in range(k))
+
+
+def first_rows_dependent(a, b, k, q):
+    """a x b matrices of rank <= k whose first k rows have rank s < k: the other
+    a-k rows raise the rank by their image modulo the row space, of dimension
+    b-s, and are free inside it."""
+    return sum(
+        rank_count_closed_form(k, b, s, q)
+        * q ** (s * (a - k))
+        * sum(rank_count_closed_form(a - k, b - s, t - s, q) for t in range(s, k + 1))
+        for s in range(k)
+    )
+
+
+def split_closed_form(a, b, k, q, symmetric=False):
+    """Expected split tallies.  An invertible leading block A leaves rank k
+    only for the Schur-complement trailing block, so det_zero is the rank <= k
+    count minus |invertible A| times the free off-diagonal blocks; h1 and h2
+    lie inside det_zero and cover it."""
+    if symmetric:
+        locus = sum(symmetric_rank_count_closed_form(a, r, q) for r in range(k + 1))
+        det_zero = locus - symmetric_rank_count_closed_form(k, k, q) * q ** (k * (a - k))
+        return {"rank_locus": locus, "det_zero": det_zero, "h1": det_zero, "h2": det_zero,
+                "overlap": det_zero}
+    locus = sum(rank_count_closed_form(a, b, r, q) for r in range(k + 1))
+    det_zero = locus - gl_order(k, q) * q ** (k * (a - k) + k * (b - k))
+    h1 = first_rows_dependent(a, b, k, q)
+    h2 = first_rows_dependent(b, a, k, q)
+    return {"rank_locus": locus, "det_zero": det_zero, "h1": h1, "h2": h2,
+            "overlap": h1 + h2 - det_zero}
+
+
+# (1, 2, 131): digit sums no longer fit in uint8
+@pytest.mark.parametrize(
+    "a,b,q", [(5, 4, 2), (20, 1, 2), (4, 2, 3), (2, 3, 5), (3, 2, 5), (1, 2, 131)]
+)
+def test_chunked_census_matches_closed_form(a, b, q, monkeypatch):
+    small_chunks(monkeypatch, q ** (a * b))
+    census = rank_census(a, b, q).as_dict()
+    assert census == {r: rank_count_closed_form(a, b, r, q) for r in range(min(a, b) + 1)}
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (3, 3), (3, 5)])
+def test_chunked_symmetric_census_matches_closed_form(n, q, monkeypatch):
+    small_chunks(monkeypatch, q ** (n * (n + 1) // 2))
+    census = rank_census(n, n, q, symmetric=True).as_dict()
+    assert census == {r: symmetric_rank_count_closed_form(n, r, q) for r in range(n + 1)}
+
+
+@pytest.mark.parametrize("a,b,k,q", [(3, 3, 2, 3), (3, 4, 2, 2), (4, 3, 2, 2), (2, 3, 1, 5), (3, 3, 1, 2)])
+def test_chunked_lemma_and_split_match_closed_forms(a, b, k, q, monkeypatch):
+    small_chunks(monkeypatch, q ** (a * b))
+    want = split_closed_form(a, b, k, q)
+    lemma = verify_rank_minor_lemma(a, b, k, q)
+    assert lemma.passed
+    assert lemma.counts == {"matrices": q ** (a * b), "candidates": want["det_zero"],
+                            "rows_degenerate": want["h1"], "cols_degenerate": want["h2"]}
+    split = verify_component_split(a, b, k, q)
+    assert split.passed
+    assert split.counts == dict(want, matrices=q ** (a * b))
+
+
+@pytest.mark.parametrize("n,k,q", [(3, 2, 2), (3, 1, 3), (2, 1, 5)])
+def test_chunked_symmetric_split_matches_closed_form(n, k, q, monkeypatch):
+    small_chunks(monkeypatch, q ** (n * (n + 1) // 2))
+    split = verify_component_split(n, n, k, q, symmetric=True)
+    assert split.passed
+    assert split.counts == dict(split_closed_form(n, n, k, q, True), matrices=q ** (n * (n + 1) // 2))
+
+
+def forced_zero_minor(monkeypatch):
+    """Make every leading minor read as zero, so the first matrix of rank
+    <= k with independent first rows and columns becomes a counterexample."""
+    monkeypatch.setattr(determinantal, "_leading", lambda rows, q, k: rows[:k] * 0)
+    monkeypatch.setattr(determinantal, "_CHUNK", 1)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_counts_stop_at_the_first_counterexample(q, monkeypatch):
+    forced_zero_minor(monkeypatch)
+    # index 0 is the zero matrix (degenerate both ways); index 1 has entry
+    # (0, 0) = 1 and nothing else, a rank-one counterexample
+    lemma = verify_rank_minor_lemma(2, 2, 1, q)
+    assert not lemma.passed
+    assert lemma.counterexample == {"matrix": [[1, 0], [0, 0]], "index": 1}
+    assert lemma.counts == {"matrices": q**4, "candidates": 2, "rows_degenerate": 1,
+                            "cols_degenerate": 1}
+    split = verify_component_split(2, 2, 1, q)
+    assert not split.passed
+    assert split.counterexample == {"matrix": [[1, 0], [0, 0]], "index": 1}
+    assert split.counts == {"matrices": q**4, "rank_locus": 2, "det_zero": 2, "h1": 1,
+                            "h2": 1, "overlap": 1}
+
+
+def test_symmetric_split_reports_the_first_asymmetric_index(monkeypatch):
+    forced_zero_minor(monkeypatch)
+    monkeypatch.setattr(determinantal, "_columns", lambda rows, q, count: rows[:count] * 0)
+    # every first column now reads as dependent; index 1 ([[1, 0], [0, 0]])
+    # is the first matrix of the rank <= 1 locus whose first row is not
+    split = verify_component_split(2, 2, 1, 2, symmetric=True)
+    assert not split.passed
+    assert split.counterexample == {
+        "matrix": [[1, 0], [0, 0]],
+        "index": 1,
+        "reason": "asymmetric split in symmetric mode",
+    }
+    assert split.counts == {"matrices": 8, "rank_locus": 4, "det_zero": 4, "h1": 2, "h2": 4,
+                            "overlap": 2}
