@@ -22,9 +22,10 @@ has no recorded coordinate data for the request.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from typing import Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from . import determinantal, polynomials, spaces
 from .errors import CoordinatesUnknown, OutOfScope
@@ -33,26 +34,42 @@ from .reports import VerificationReport, jsonable
 
 OUT_OF_SCOPE_MESSAGE = "class coordinates are not available for this space"
 
-_SPACE_PARAMS = {
-    "C": ("n", "m", "h"),
-    "Q": ("n", "h"),
-    "secS": ("n", "m", "h", "k"),
-    "secV": ("n", "h", "k"),
-    "mbar-p": ("n",),
-    "mbar-pxp": ("n", "m"),
-    "mbar-gr": ("n",),
-}
+# --space name -> kind class, read off the catalog's kind table
+_SPACES = {entry.cli_name: cls for cls, entry in spaces._KINDS.items()}
 
-_CHECK_PARAMS = {
-    "rank-lemma": ("rows", "cols", "k", "q"),
-    "component-split": ("rows", "cols", "k", "q"),
-    "census": ("rows", "cols", "q"),
-    "tangent-cone": ("n", "m", "h", "k"),
-    "rh-solve": ("n",),
-    "knm-identity": ("n", "m"),
-}
 
-_CHECKS_WITH_SYMMETRIC = ("component-split", "census", "tangent-cone")
+class _Check(NamedTuple):
+    """One ``verify --check``: the flags it takes, and its runner."""
+
+    params: Tuple[str, ...]
+    takes_symmetric: bool
+    run: Callable[[argparse.Namespace], VerificationReport]
+
+
+_CHECKS = {
+    "rank-lemma": _Check(
+        ("rows", "cols", "k", "q"),
+        False,
+        lambda a: determinantal.verify_rank_minor_lemma(a.rows, a.cols, a.k, a.q),
+    ),
+    "component-split": _Check(
+        ("rows", "cols", "k", "q"),
+        True,
+        lambda a: determinantal.verify_component_split(
+            a.rows, a.cols, a.k, a.q, symmetric=a.symmetric
+        ),
+    ),
+    "census": _Check(
+        ("rows", "cols", "q"), True, lambda a: _census_report(a.rows, a.cols, a.q, a.symmetric)
+    ),
+    "tangent-cone": _Check(
+        ("n", "m", "h", "k"),
+        True,
+        lambda a: polynomials.verify_tangent_cone(a.n, a.m, a.h, a.k, symmetric=a.symmetric),
+    ),
+    "rh-solve": _Check(("n",), False, lambda a: spaces.verify_riemann_hurwitz(a.n)),
+    "knm-identity": _Check(("n", "m"), False, lambda a: spaces.sanity_check_knm(a.n, a.m)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_space_arguments(p):
-        p.add_argument("--space", required=True, choices=sorted(_SPACE_PARAMS))
+        p.add_argument("--space", required=True, choices=sorted(_SPACES))
         p.add_argument("--n", type=int)
         p.add_argument("--m", type=int)
         p.add_argument("--h", type=int)
@@ -78,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cham.add_argument("--svg", metavar="PATH", help="also draw a cross-section to PATH")
 
     p_ver = sub.add_parser("verify", help="run one verification routine")
-    p_ver.add_argument("--check", required=True, choices=sorted(_CHECK_PARAMS))
+    p_ver.add_argument("--check", required=True, choices=sorted(_CHECKS))
     p_ver.add_argument("--rows", type=int)
     p_ver.add_argument("--cols", type=int)
     p_ver.add_argument("--k", type=int)
@@ -91,30 +108,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kind_from_args(parser, args) -> spaces.SpaceKind:
-    needed = _SPACE_PARAMS[args.space]
-    values = {}
-    for name in ("n", "m", "h", "k"):
+def _check_flags(parser, args, what: str, needed, flags) -> None:
+    """Usage error unless exactly the ``needed`` ones among ``flags`` are given."""
+    for name in flags:
         given = getattr(args, name)
-        if name in needed:
-            if given is None:
-                parser.error("--space %s requires --%s" % (args.space, name))
-            values[name] = given
-        elif given is not None:
-            parser.error("--space %s does not take --%s" % (args.space, name))
-    if args.space == "C":
-        return spaces.Collineations(values["n"], values["m"], values["h"])
-    if args.space == "Q":
-        return spaces.Quadrics(values["n"], values["h"])
-    if args.space == "secS":
-        return spaces.SegreBlowup(values["n"], values["m"], values["h"], values["k"])
-    if args.space == "secV":
-        return spaces.VeroneseBlowup(values["n"], values["h"], values["k"])
-    if args.space == "mbar-p":
-        return spaces.KontsevichP(values["n"])
-    if args.space == "mbar-pxp":
-        return spaces.KontsevichPxP(values["n"], values["m"])
-    return spaces.KontsevichGr(values["n"])
+        if name in needed and given is None:
+            parser.error("%s requires --%s" % (what, name))
+        if name not in needed and given is not None:
+            parser.error("%s does not take --%s" % (what, name))
+
+
+def _kind_from_args(parser, args) -> spaces.SpaceKind:
+    cls = _SPACES[args.space]
+    needed = [f.name for f in dataclasses.fields(cls)]
+    _check_flags(parser, args, "--space %s" % args.space, needed, ("n", "m", "h", "k"))
+    return cls(**{name: getattr(args, name) for name in needed})
 
 
 # ---------------------------------------------------------------------------
@@ -131,23 +139,6 @@ def _envelope() -> Dict:
         "automorphisms": None,
         "verifications": None,
     }
-
-
-def _secant_summary(kind) -> Optional[Dict]:
-    try:
-        if isinstance(kind, (spaces.Collineations, spaces.SegreBlowup)):
-            return determinantal.segre_secant_invariants(kind.n, kind.m, kind.h).to_dict()
-        if isinstance(kind, (spaces.Quadrics, spaces.VeroneseBlowup)):
-            return determinantal.veronese_secant_invariants(kind.n, kind.h).to_dict()
-        if isinstance(kind, spaces.KontsevichP):
-            return determinantal.veronese_secant_invariants(kind.n, 3).to_dict()
-        if isinstance(kind, spaces.KontsevichPxP):
-            return determinantal.segre_secant_invariants(kind.n, kind.m, 2).to_dict()
-        if isinstance(kind, spaces.KontsevichGr):
-            return determinantal.veronese_secant_invariants(kind.n, 4).to_dict()
-    except ValueError:
-        return None
-    return None
 
 
 def _cone_entry(model, labels) -> Optional[Dict]:
@@ -168,6 +159,7 @@ def _space_sections(kind) -> Dict:
     model = spaces.build_model(kind)
     payload = _envelope()
     payload["space"] = model.to_dict()
+    secant = spaces._secant(kind)
     try:
         orbit = str(spaces.orbit_picard_group(kind))
     except OutOfScope:
@@ -177,7 +169,7 @@ def _space_sections(kind) -> Dict:
         "picard_rank": model.picard_rank,
         "boundary_count": len(model.boundary),
         "orbit_picard": orbit,
-        "secant": _secant_summary(kind),
+        "secant": secant.to_dict() if secant is not None else None,
         "stated_chamber_count": model.stated_chamber_count,
     }
     payload["cones"] = {
@@ -275,33 +267,12 @@ def _census_report(a: int, b: int, q: int, symmetric: bool) -> VerificationRepor
 
 
 def _cmd_verify(parser, args) -> int:
-    needed = _CHECK_PARAMS[args.check]
-    for name in ("rows", "cols", "k", "q", "n", "m", "h"):
-        given = getattr(args, name)
-        if name in needed:
-            if given is None:
-                parser.error("--check %s requires --%s" % (args.check, name))
-        elif given is not None:
-            parser.error("--check %s does not take --%s" % (args.check, name))
-    if args.symmetric and args.check not in _CHECKS_WITH_SYMMETRIC:
-        parser.error("--check %s does not take --symmetric" % args.check)
-
-    if args.check == "rank-lemma":
-        report = determinantal.verify_rank_minor_lemma(args.rows, args.cols, args.k, args.q)
-    elif args.check == "component-split":
-        report = determinantal.verify_component_split(
-            args.rows, args.cols, args.k, args.q, symmetric=args.symmetric
-        )
-    elif args.check == "census":
-        report = _census_report(args.rows, args.cols, args.q, args.symmetric)
-    elif args.check == "tangent-cone":
-        report = polynomials.verify_tangent_cone(
-            args.n, args.m, args.h, args.k, symmetric=args.symmetric
-        )
-    elif args.check == "rh-solve":
-        report = spaces.verify_riemann_hurwitz(args.n)
-    else:
-        report = spaces.sanity_check_knm(args.n, args.m)
+    check = _CHECKS[args.check]
+    what = "--check %s" % args.check
+    _check_flags(parser, args, what, check.params, ("rows", "cols", "k", "q", "n", "m", "h"))
+    if args.symmetric and not check.takes_symmetric:
+        parser.error("%s does not take --symmetric" % what)
+    report = check.run(args)
 
     payload = _envelope()
     payload["verifications"] = [report.to_dict()]

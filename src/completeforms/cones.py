@@ -25,9 +25,11 @@ from typing import Iterable, Sequence
 from .errors import (
     AmbientTooLarge,
     DimensionMismatch,
+    InternalInconsistency,
     NotFullDimensional,
     NotPointed,
 )
+from .lattice import _row_reduce
 
 __all__ = [
     "RationalCone",
@@ -65,29 +67,6 @@ def _dot(a: Sequence, b: Sequence) -> Fraction:
 
 def _neg(v: Vec) -> Vec:
     return tuple(-x for x in v)
-
-
-def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place row echelon form; returns (reduced rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
 
 
 def _rank(vectors: Sequence[Sequence]) -> int:
@@ -368,7 +347,8 @@ def gkz_decomposition(
             if cone.contains(probe):
                 walls.extend(cone.facet_normals)
         chamber = _cone_from_inequalities(walls, ambient_dim)
-        assert chamber is not None, "chamber collapsed around %s" % (probe,)
+        if chamber is None:
+            raise InternalInconsistency("chamber collapsed around %s" % (probe,))
         chambers.setdefault(chamber.rays, chamber)
 
     ordered = tuple(chambers[k] for k in sorted(chambers))

@@ -1,7 +1,9 @@
-"""Determinantal loci: exact invariants and exhaustive finite-field checks.
+"""Determinantal loci: exact rank counts and exhaustive finite-field checks.
 
-The dimension, degree and rank-count formulas are evaluated in exact
-arithmetic (the products are computed as Fractions and checked integral).
+The rank-count formulas are evaluated in exact arithmetic (the products are
+computed as Fractions and checked integral).  The secant dimension and
+degree formulas live in :mod:`completeforms.secants` and are re-exported
+here.
 The finite-field routines enumerate *every* matrix of the requested format
 over F_q, in numpy chunks of ``_CHUNK`` matrices.  The census and both lemma
 verifications share one rank kernel: it walks the combinations of the rows
@@ -14,12 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, InternalInconsistency, NonPrimeField
+from .errors import BudgetExceeded, DimensionMismatch, NonPrimeField
 from .reports import VerificationReport
+from .secants import (  # re-exported: the secant formulas live in .secants
+    SecantInvariants,
+    _integral,
+    segre_secant_invariants,
+    veronese_secant_invariants,
+)
 
 __all__ = [
     "SecantInvariants",
@@ -47,88 +54,6 @@ def is_prime(q: int) -> bool:
             return False
         d += 1
     return True
-
-
-def _integral(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise InternalInconsistency("%s must be integral, got %s" % (what, value))
-    return int(value)
-
-
-# ------------------------------------------------------------ invariants
-
-@dataclass(frozen=True)
-class SecantInvariants:
-    """Dimension and degree of a secant locus inside its ambient projective space."""
-
-    kind: str
-    n: int
-    m: int | None
-    h: int
-    dimension: int
-    degree: int
-    ambient_dimension: int
-    fills_ambient: bool
-
-    @property
-    def codimension(self) -> int:
-        return self.ambient_dimension - self.dimension
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "m": self.m,
-            "h": self.h,
-            "dimension": self.dimension,
-            "degree": self.degree,
-            "ambient_dimension": self.ambient_dimension,
-            "fills_ambient": self.fills_ambient,
-        }
-
-
-def segre_secant_invariants(n: int, m: int, h: int) -> SecantInvariants:
-    """Invariants of the h-th secant of a rank-one locus of (n+1) x (m+1) matrices.
-
-    Requires 1 <= h <= n+1 <= m+1.  At h = n+1 the locus fills the ambient
-    space of matrices up to scale.
-    """
-    if not (1 <= h <= n + 1 <= m + 1):
-        raise ValueError("need 1 <= h <= n+1 <= m+1, got h=%d n=%d m=%d" % (h, n, m))
-    ambient = (n + 1) * (m + 1) - 1
-    dim = h * (m + n + 2 - h) - 1
-    if h == n + 1:
-        degree = 1
-        fills = True
-    else:
-        deg = Fraction(1)
-        for i in range(n - h + 1):
-            deg *= Fraction(comb(m + 1 + i, n - i), comb(m + 1 - h + i, n - h - i))
-        degree = _integral(deg, "degree product")
-        fills = False
-    return SecantInvariants("segre_secant", n, m, h, dim, degree, ambient, fills)
-
-
-def veronese_secant_invariants(n: int, h: int) -> SecantInvariants:
-    """Invariants of the h-th secant of the degree-two embedding of P^n.
-
-    Same contract as the rectangular case with symmetric matrices: the
-    ambient space is quadratic forms in n+1 variables up to scale.
-    """
-    if not (1 <= h <= n + 1):
-        raise ValueError("need 1 <= h <= n+1, got h=%d n=%d" % (h, n))
-    ambient = (n + 1) * (n + 2) // 2 - 1
-    dim = _integral(Fraction(2 * n * h - h * h + 3 * h - 2, 2), "secant dimension")
-    if h == n + 1:
-        degree = 1
-        fills = True
-    else:
-        deg = Fraction(1)
-        for i in range(n - h + 1):
-            deg *= Fraction(comb(n + 1 + i, n + 1 - h - i), comb(2 * i + 1, i))
-        degree = _integral(deg, "degree product")
-        fills = False
-    return SecantInvariants("veronese_secant", n, None, h, dim, degree, ambient, fills)
 
 
 def rank_count_closed_form(a: int, b: int, r: int, q: int) -> int:

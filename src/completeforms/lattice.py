@@ -5,7 +5,9 @@ no floating point anywhere.  The two workhorses are :func:`smith_normal_form`,
 which returns the full ``(U, D, V)`` transform data, and :func:`cokernel`,
 which turns a relation matrix into a finitely generated abelian group
 descriptor.  Rational solving is deliberately strict: a system with a
-positive-dimensional solution space raises instead of picking a point.
+positive-dimensional solution space raises instead of picking a point.  One
+Gauss-Jordan routine, ``_row_reduce``, serves :func:`solve_rational` and the
+rank and kernel computations of :mod:`completeforms.cones`.
 """
 
 from __future__ import annotations
@@ -360,6 +362,29 @@ def cokernel(relations: IntegerMatrix) -> AbelianGroupDescriptor:
     return AbelianGroupDescriptor(free_rank=g - len(nonzero), invariant_factors=factors)
 
 
+def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """In-place row echelon form; returns (reduced rows, pivot column list)."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
 def _as_fraction_rows(a) -> list[list[Fraction]]:
     if isinstance(a, IntegerMatrix):
         return [[Fraction(x) for x in row] for row in a.entries]
@@ -382,34 +407,12 @@ def solve_rational(a, b: Sequence) -> RationalVector | None:
     if not rows:
         return RationalVector(())
     ncols = len(rows[0])
-    aug = [row[:] + [r] for row, r in zip(rows, rhs)]
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(aug)):
-            if aug[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][ncols] != 0:
-            return None
-    if len(pivot_cols) < ncols:
-        raise UnderDetermined(
-            "solution space has dimension %d" % (ncols - len(pivot_cols))
-        )
+    aug, pivots = _row_reduce([row[:] + [r] for row, r in zip(rows, rhs)])
+    if ncols in pivots:  # a pivot in the rhs column: 0 == nonzero
+        return None
+    if len(pivots) < ncols:
+        raise UnderDetermined("solution space has dimension %d" % (ncols - len(pivots)))
     x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivot_cols):
+    for i, c in enumerate(pivots):
         x[c] = aug[i][ncols]
     return RationalVector(tuple(x))

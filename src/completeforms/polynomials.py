@@ -20,6 +20,7 @@ from math import comb
 
 from .errors import DimensionMismatch, IndexOutOfRange, TooLarge
 from .reports import VerificationReport
+from .secants import segre_secant_invariants, veronese_secant_invariants
 
 __all__ = [
     "SparsePoly",
@@ -253,17 +254,6 @@ def shift_and_leading_form(p: SparsePoly, shifts: dict) -> SparsePoly:
     return p.shift(shifts).leading_form()
 
 
-def _segre_secant_dim(n: int, m: int, h: int) -> int:
-    # dim of the h-th secant of the product-of-lines image, capped at ambient
-    return min(h * (m + n + 2 - h) - 1, (n + 1) * (m + 1) - 1)
-
-
-def _veronese_secant_dim(n: int, h: int) -> int:
-    num = 2 * n * h - h * h + 3 * h - 2
-    assert num % 2 == 0
-    return min(num // 2, (n + 1) * (n + 2) // 2 - 1)
-
-
 def verify_tangent_cone(
     n: int,
     m: int,
@@ -323,7 +313,7 @@ def verify_tangent_cone(
             "kind": "veronese_secant",
             "n": n - k,
             "h": h - k,
-            "dimension": _veronese_secant_dim(n - k, h - k) if h > k else None,
+            "dimension": veronese_secant_invariants(n - k, h - k).dimension if h > k else None,
         }
     else:
         ambient = (n + 1) * (m + 1) - 1
@@ -333,7 +323,10 @@ def verify_tangent_cone(
             "n": n - k,
             "m": m - k,
             "h": h - k,
-            "dimension": _segre_secant_dim(n - k, m - k, h - k) if h > k else None,
+            # the secant formula wants the shorter side first; n > m is allowed here
+            "dimension": segre_secant_invariants(min(n, m) - k, max(n, m) - k, h - k).dimension
+            if h > k
+            else None,
         }
 
     return VerificationReport(

@@ -16,17 +16,24 @@ them.  A :class:`SpaceModel` packages what the package knows about one space:
 Coordinates exist for the rank <= 3 models that the cone machinery can chew
 on.  Every other kind still builds a model, it just answers
 ``CoordinatesUnknown``/``OutOfScope`` for the coordinate-dependent queries.
+
+Every space is a blow-up of a secant variety of a Segre or Veronese
+embedding, so a kind is a handful of facts, held in one entry of the private
+kind table ``_KINDS``: its command line name, the secant variety (which gives
+the dimension, see :mod:`completeforms.secants`), the model builder and the
+automorphism rule.  The parameter letters are the kind's dataclass fields.
+Adding a kind means adding its dataclass and one table entry.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cones import ChamberDecomposition, RationalCone, cone_from_rays, gkz_decomposition
-from .errors import CoordinatesUnknown, OutOfScope
+from .errors import CoordinatesUnknown, InternalInconsistency, OutOfScope
 from .groups import (
     GroupDescriptor,
     GroupProduct,
@@ -37,6 +44,7 @@ from .groups import (
 )
 from .lattice import AbelianGroupDescriptor, IntegerMatrix, cokernel, solve_rational
 from .reports import VerificationReport
+from .secants import SecantInvariants, segre_secant_invariants, veronese_secant_invariants
 
 __all__ = [
     "Collineations",
@@ -206,32 +214,36 @@ SpaceKind = Union[
 ]
 
 
+def _entry(kind: SpaceKind) -> "_Kind":
+    entry = _KINDS.get(type(kind))
+    if entry is None:
+        raise TypeError("not a space kind: %r" % (kind,))
+    return entry
+
+
 def space_name(kind: SpaceKind) -> str:
-    if isinstance(kind, Collineations):
-        return "C(%d,%d,%d)" % (kind.n, kind.m, kind.h)
-    if isinstance(kind, Quadrics):
-        return "Q(%d,%d)" % (kind.n, kind.h)
-    if isinstance(kind, SegreBlowup):
-        return "secS(%d,%d,%d;k=%d)" % (kind.n, kind.m, kind.h, kind.k)
-    if isinstance(kind, VeroneseBlowup):
-        return "secV(%d,%d;k=%d)" % (kind.n, kind.h, kind.k)
-    if isinstance(kind, KontsevichP):
-        return "mbar-p(%d)" % kind.n
-    if isinstance(kind, KontsevichPxP):
-        return "mbar-pxp(%d,%d)" % (kind.n, kind.m)
-    if isinstance(kind, KontsevichGr):
-        return "mbar-gr(%d)" % kind.n
-    raise TypeError("not a space kind: %r" % (kind,))
+    """The CLI name and parameters, e.g. ``C(2,3,2)``; the towers add ``;k=``."""
+
+    entry = _entry(kind)
+    params = kind_parameters(kind)
+    steps = ";k=%d" % params.pop("k") if "k" in params else ""
+    return "%s(%s%s)" % (entry.cli_name, ",".join(str(v) for v in params.values()), steps)
 
 
 def kind_parameters(kind: SpaceKind) -> Dict[str, int]:
     """The defining integers of a kind, keyed by their conventional letters."""
 
-    out = {}
-    for name in ("n", "m", "h", "k"):
-        if hasattr(kind, name):
-            out[name] = getattr(kind, name)
-    return out
+    return {f.name: getattr(kind, f.name) for f in fields(kind)}
+
+
+def _secant(kind: SpaceKind) -> Optional[SecantInvariants]:
+    """The secant variety the space blows up; None past the end of its range."""
+
+    entry = _entry(kind)
+    try:
+        return entry.secant(*entry.secant_args(kind))
+    except ValueError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +252,10 @@ def kind_parameters(kind: SpaceKind) -> Dict[str, int]:
 
 def _vec(*entries) -> Tuple[Fraction, ...]:
     return tuple(Fraction(e) for e in entries)
+
+
+def _labels(prefix: str, count: int) -> Tuple[str, ...]:
+    return tuple("%s%d" % (prefix, i) for i in range(1, count + 1))
 
 
 @dataclass(frozen=True)
@@ -287,53 +303,42 @@ class SpaceModel:
         rays = [self.class_coordinates(label) for label in labels]
         return cone_from_rays(rays, ambient_dim=len(self.basis))
 
-    def effective_cone(self) -> RationalCone:
-        if self.eff_generators is None:
+    def _generated_cone(self, labels, what: str) -> RationalCone:
+        if labels is None:
             raise CoordinatesUnknown(
-                "effective cone generators are not recorded for %s" % self.name
+                "%s cone generators are not recorded for %s" % (what, self.name)
             )
-        return self.cone_spanned_by(self.eff_generators)
+        return self.cone_spanned_by(labels)
+
+    def effective_cone(self) -> RationalCone:
+        return self._generated_cone(self.eff_generators, "effective")
 
     def nef_cone(self) -> RationalCone:
-        if self.nef_generators is None:
-            raise CoordinatesUnknown(
-                "nef cone generators are not recorded for %s" % self.name
-            )
-        return self.cone_spanned_by(self.nef_generators)
+        return self._generated_cone(self.nef_generators, "nef")
 
     def moving_cone(self) -> RationalCone:
-        if self.mov_generators is None:
-            raise CoordinatesUnknown(
-                "moving cone generators are not recorded for %s" % self.name
-            )
-        return self.cone_spanned_by(self.mov_generators)
+        return self._generated_cone(self.mov_generators, "moving")
 
     def to_dict(self) -> Dict:
-        classes = {
-            label: list(cls.coordinates) if cls.coordinates is not None else None
-            for label, cls in sorted(self.classes.items())
-        }
+        def listed(values):
+            return list(values) if values is not None else None
+
         return {
             "name": self.name,
             "parameters": kind_parameters(self.kind),
             "dimension": self.dimension,
             "picard_rank": self.picard_rank,
-            "basis": list(self.basis) if self.basis is not None else None,
-            "classes": classes,
+            "basis": listed(self.basis),
+            "classes": {
+                label: listed(cls.coordinates) for label, cls in sorted(self.classes.items())
+            },
             "boundary": list(self.boundary),
             "colors": list(self.colors),
-            "effective_generators": list(self.eff_generators)
-            if self.eff_generators is not None
-            else None,
-            "nef_generators": list(self.nef_generators)
-            if self.nef_generators is not None
-            else None,
-            "moving_generators": list(self.mov_generators)
-            if self.mov_generators is not None
-            else None,
-            "anticanonical": list(self.anticanonical.coordinates)
+            "effective_generators": listed(self.eff_generators),
+            "nef_generators": listed(self.nef_generators),
+            "moving_generators": listed(self.mov_generators),
+            "anticanonical": listed(self.anticanonical.coordinates)
             if self.anticanonical is not None
-            and self.anticanonical.coordinates is not None
             else None,
             "stated_chamber_count": self.stated_chamber_count,
             "automorphisms": str(self.automorphisms)
@@ -342,15 +347,7 @@ class SpaceModel:
         }
 
 
-def _classes(table: Dict[str, Tuple[Fraction, ...]]) -> Dict[str, DivisorClass]:
-    return {label: DivisorClass(label, coords) for label, coords in table.items()}
-
-
-def _label_only(labels) -> Dict[str, DivisorClass]:
-    return {label: DivisorClass(label, None) for label in labels}
-
-
-# -- automorphism tables ----------------------------------------------------
+# -- automorphism rules -----------------------------------------------------
 
 
 def _two_factor_group(n: int, m: int) -> GroupDescriptor:
@@ -359,527 +356,418 @@ def _two_factor_group(n: int, m: int) -> GroupDescriptor:
     return SemidirectLeft(SwapGroup(), GroupProduct(PGL(n + 1), PGL(n + 1)))
 
 
-def _automorphisms_or_none(kind: SpaceKind) -> Optional[GroupDescriptor]:
-    if isinstance(kind, (Collineations, SegreBlowup)):
-        n, m, h = kind.n, kind.m, kind.h
-        if h <= n:
-            return _two_factor_group(n, m)
-        # h == n+1: the ambient is a projective space of matrices.  The full
-        # tower carries the transpose swap; a partial tower does only when the
-        # missing centers are divisors and the space already equals the tower.
-        k = kind.k if isinstance(kind, SegreBlowup) else h - 1
-        complete = k == h - 1 or (n == m and k == n - 1)
-        if not complete:
-            return None
-        if n == 1 and m == 1:
-            return PGL(4)
-        if n < m:
-            return GroupProduct(PGL(n + 1), PGL(m + 1))
-        return SemidirectRight(
-            SemidirectLeft(SwapGroup(), GroupProduct(PGL(n + 1), PGL(n + 1))),
-            SwapGroup(),
-        )
-    if isinstance(kind, (Quadrics, VeroneseBlowup)):
-        n, h = kind.n, kind.h
-        if (n, h, getattr(kind, "k", None)) == (1, 3, 1):
-            return PGL(3)
-        if h <= n:
-            return PGL(n + 1)
-        k = kind.k if isinstance(kind, VeroneseBlowup) else h - 1
-        complete = k >= n - 1  # the final center is a divisor, so k = n-1 suffices
-        if not complete:
-            return None
-        if n == 1:
-            return PGL(3)
-        return SemidirectRight(PGL(n + 1), SwapGroup())
-    if isinstance(kind, KontsevichP):
-        if kind.n == 1:
-            return PGL(3)
-        if kind.n == 2:
-            return SemidirectRight(PGL(3), SwapGroup())
-        return PGL(kind.n + 1)
-    if isinstance(kind, KontsevichPxP):
-        n, m = kind.n, kind.m
-        if n == 1 and m == 1:
-            return PGL(4)
-        if n < m:
-            return GroupProduct(PGL(n + 1), PGL(m + 1))
-        return SemidirectLeft(SwapGroup(), GroupProduct(PGL(n + 1), PGL(n + 1)))
-    if isinstance(kind, KontsevichGr):
-        n = kind.n
-        if n == 2:
-            return SemidirectRight(PGL(3), SwapGroup())
-        if n == 3:
-            return SemidirectLeft(SwapGroup(), SemidirectLeft(SwapGroup(), PGL(4)))
-        return SemidirectLeft(SwapGroup(), PGL(n + 1))
-    raise TypeError("not a space kind: %r" % (kind,))
+def _steps(kind: SpaceKind) -> int:
+    """Blow-up steps performed: k for a partial tower, h-1 for the full one."""
+    return getattr(kind, "k", kind.h - 1)
+
+
+def _pair_automorphisms(kind) -> Optional[GroupDescriptor]:
+    """Collineation towers, full or partial."""
+    n, m, h = kind.n, kind.m, kind.h
+    if h <= n:
+        return _two_factor_group(n, m)
+    # h == n+1: the ambient is a projective space of matrices.  The full
+    # tower carries the transpose swap; a partial tower does only when the
+    # missing centers are divisors and the space already equals the tower.
+    k = _steps(kind)
+    if not (k == h - 1 or (n == m and k == n - 1)):
+        return None
+    if n == 1 and m == 1:
+        return PGL(4)
+    if n < m:
+        return GroupProduct(PGL(n + 1), PGL(m + 1))
+    return SemidirectRight(_two_factor_group(n, n), SwapGroup())
+
+
+def _symmetric_automorphisms(kind) -> Optional[GroupDescriptor]:
+    """Quadric towers, full or partial."""
+    n, h = kind.n, kind.h
+    if h <= n:
+        return PGL(n + 1)
+    if _steps(kind) < n - 1:  # the final center is a divisor, so k = n-1 suffices
+        return None
+    if n == 1:
+        return PGL(3)
+    return SemidirectRight(PGL(n + 1), SwapGroup())
+
+
+def _kontsevich_gr_automorphisms(kind: KontsevichGr) -> GroupDescriptor:
+    n = kind.n
+    if n == 2:
+        return SemidirectRight(PGL(3), SwapGroup())
+    if n == 3:
+        return SemidirectLeft(SwapGroup(), SemidirectLeft(SwapGroup(), PGL(4)))
+    return SemidirectLeft(SwapGroup(), PGL(n + 1))
 
 
 # -- model builders ---------------------------------------------------------
+#
+# A builder returns only what varies between spaces: ``rank``, ``boundary``,
+# and where known ``colors``, ``eff``/``nef``/``mov`` generator labels, a
+# ``basis`` (whose classes are the unit vectors) with the coordinates of the
+# other classes in ``table``, ``minus_k`` coordinates and the ``stated``
+# chamber count.  It gives ``dimension`` only where the secant range has
+# ended; :func:`build_model` assembles the rest.
 
 
-def _collineations_model(kind: Collineations) -> SpaceModel:
+def _collineations_model(kind: Collineations) -> dict:
     n, m, h = kind.n, kind.m, kind.h
-    dimension = h * (m + n + 2 - h) - 1
-    boundary = tuple("E%d" % i for i in range(1, h))
+    boundary = _labels("E", h - 1)
     if h <= n:
-        rank = h + 1
-        colors = ("H1", "H2") + tuple("D%d" % i for i in range(1, h))
-        eff = boundary + ("H1", "H2")
-        nef = tuple("D%d" % i for i in range(1, h)) + ("H1", "H2")
+        spec = dict(
+            rank=h + 1,
+            colors=("H1", "H2") + _labels("D", h - 1),
+            eff=boundary + ("H1", "H2"),
+            nef=_labels("D", h - 1) + ("H1", "H2"),
+        )
     elif h < m + 1:  # h == n+1 < m+1
-        rank = h
-        colors = tuple("D%d" % i for i in range(1, n + 2))
-        eff = boundary + ("D%d" % (n + 1),)
-        nef = colors
+        colors = _labels("D", n + 1)
+        spec = dict(rank=h, colors=colors, eff=boundary + ("D%d" % (n + 1),), nef=colors)
     else:  # h == n+1 == m+1
-        rank = h - 1
-        colors = tuple("D%d" % i for i in range(1, n + 1))
-        eff = boundary
-        nef = colors
+        colors = _labels("D", n)
+        spec = dict(rank=h - 1, colors=colors, eff=boundary, nef=colors)
+    spec["boundary"] = boundary
 
-    basis = None
-    table: Dict[str, Tuple[Fraction, ...]] = {}
-    mov = None
-    minus_k = None
-    stated = None
     if h == 1:
-        basis = ("H1", "H2")
-        table = {"H1": _vec(1, 0), "H2": _vec(0, 1)}
-        mov = nef
-        minus_k = _vec(n + 1, m + 1)
-        stated = 1
+        spec.update(
+            basis=("H1", "H2"),
+            mov=spec["nef"],
+            minus_k=_vec(n + 1, m + 1),
+            stated=1,
+        )
     elif h == 2 and n >= 2:
-        basis = ("H1", "H2", "E1")
         half = Fraction(1, 2)
-        table = {
-            "H1": _vec(1, 0, 0),
-            "H2": _vec(0, 1, 0),
-            "E1": _vec(0, 0, 1),
-            "D1": (half, half, half),
-            "D2": _vec(1, 1, 0),
-        }
-        mov = nef
-        minus_k = _vec(n + 1, m + 1, 2)
-        stated = 3
+        spec.update(
+            basis=("H1", "H2", "E1"),
+            table={"D1": (half, half, half), "D2": _vec(1, 1, 0)},
+            mov=spec["nef"],
+            minus_k=_vec(n + 1, m + 1, 2),
+            stated=3,
+        )
     elif h == 2 and n == 1 and m >= 2:
-        basis = ("D1", "E1")
-        table = {"D1": _vec(1, 0), "E1": _vec(0, 1), "D2": _vec(2, -1)}
-        minus_k = _vec(2 * m + 2, 1 - m)
-        stated = 2
+        spec.update(
+            basis=("D1", "E1"),
+            table={"D2": _vec(2, -1)},
+            minus_k=_vec(2 * m + 2, 1 - m),
+            stated=2,
+        )
     elif h == 2 and n == 1 and m == 1:
-        basis = ("D1",)
-        table = {"D1": _vec(1), "E1": _vec(2)}
-        minus_k = _vec(4)
-        stated = 1
-
-    classes = _classes(table) if basis is not None else _label_only(
-        set(boundary) | set(colors) | set(eff) | set(nef)
-    )
-    return SpaceModel(
-        kind=kind,
-        name=space_name(kind),
-        dimension=dimension,
-        picard_rank=rank,
-        basis=basis,
-        classes=classes,
-        boundary=boundary,
-        colors=colors,
-        eff_generators=eff,
-        nef_generators=nef,
-        mov_generators=mov,
-        anticanonical=DivisorClass("-K", minus_k) if minus_k is not None else None,
-        stated_chamber_count=stated,
-        automorphisms=_automorphisms_or_none(kind),
-    )
+        spec.update(basis=("D1",), table={"E1": _vec(2)}, minus_k=_vec(4), stated=1)
+    return spec
 
 
-def _quadrics_model(kind: Quadrics) -> SpaceModel:
+def _quadrics_model(kind: Quadrics) -> dict:
     n, h = kind.n, kind.h
-    dimension = (2 * n * h - h * h + 3 * h - 2) // 2
-    boundary = tuple("E%d" % i for i in range(1, h))
+    boundary = _labels("E", h - 1)
     if h <= n:
-        rank = h
-        colors = tuple("D%d" % i for i in range(1, h + 1))
-        eff = boundary + ("D%d" % h,)
-        nef = colors
+        colors = _labels("D", h)
+        spec = dict(rank=h, eff=boundary + ("D%d" % h,))
     else:  # h == n+1
-        rank = h - 1
-        colors = tuple("D%d" % i for i in range(1, n + 1))
-        eff = boundary
-        nef = colors
+        colors = _labels("D", n)
+        spec = dict(rank=h - 1, eff=boundary)
+    spec.update(boundary=boundary, colors=colors, nef=colors)
 
-    basis = None
-    table: Dict[str, Tuple[Fraction, ...]] = {}
-    mov = None
-    minus_k = None
-    stated = None
     if h == 3 and n >= 3:
-        basis = ("H", "E1", "E2")
-        table = {
-            "H": _vec(1, 0, 0),
-            "E1": _vec(0, 1, 0),
-            "E2": _vec(0, 0, 1),
-            "D1": _vec(1, 0, 0),
-            "D2": _vec(2, -1, 0),
-            "D3": _vec(3, -2, -1),
-        }
-        mov = nef
-        minus_k = (Fraction(3 * n + 3, 2), Fraction(1 - n), Fraction(3 - n, 2))
-        stated = 5
+        spec.update(
+            basis=("H", "E1", "E2"),
+            table={"D1": _vec(1, 0, 0), "D2": _vec(2, -1, 0), "D3": _vec(3, -2, -1)},
+            mov=colors,
+            minus_k=(Fraction(3 * n + 3, 2), Fraction(1 - n), Fraction(3 - n, 2)),
+            stated=5,
+        )
     elif h == 3 and n == 2:
-        basis = ("H", "E1")
-        table = {
-            "H": _vec(1, 0),
-            "E1": _vec(0, 1),
-            "E2": _vec(3, -2),
-            "D1": _vec(1, 0),
-            "D2": _vec(2, -1),
-        }
-        minus_k = _vec(6, -2)
-        stated = 3
+        spec.update(
+            basis=("H", "E1"),
+            table={"E2": _vec(3, -2), "D1": _vec(1, 0), "D2": _vec(2, -1)},
+            minus_k=_vec(6, -2),
+            stated=3,
+        )
     elif h == 2 and n == 1:
-        basis = ("H",)
-        table = {"H": _vec(1), "E1": _vec(2), "D1": _vec(1)}
-        minus_k = _vec(3)
-        stated = 1
-
-    classes = _classes(table) if basis is not None else _label_only(
-        set(boundary) | set(colors) | set(eff) | set(nef)
-    )
-    return SpaceModel(
-        kind=kind,
-        name=space_name(kind),
-        dimension=dimension,
-        picard_rank=rank,
-        basis=basis,
-        classes=classes,
-        boundary=boundary,
-        colors=colors,
-        eff_generators=eff,
-        nef_generators=nef,
-        mov_generators=mov,
-        anticanonical=DivisorClass("-K", minus_k) if minus_k is not None else None,
-        stated_chamber_count=stated,
-        automorphisms=_automorphisms_or_none(kind),
-    )
+        spec.update(
+            basis=("H",),
+            table={"E1": _vec(2), "D1": _vec(1)},
+            minus_k=_vec(3),
+            stated=1,
+        )
+    return spec
 
 
-def _symmetric_secant_dimension(n: int, h: int) -> int:
-    value = 2 * n * h - h * h + 3 * h - 2
-    assert value % 2 == 0
-    return value // 2
-
-
-def _veronese_blowup_model(kind: VeroneseBlowup) -> SpaceModel:
+def _veronese_blowup_model(kind: VeroneseBlowup) -> dict:
     n, h, k = kind.n, kind.h, kind.k
-    dimension = _symmetric_secant_dimension(n, h)
-    boundary = tuple("E%d" % i for i in range(1, k + 1))
-
+    boundary = _labels("E", k)
     if (n, h, k) == (1, 3, 1):
         # blow-up of the plane along a conic divisor: the plane itself
-        table = {"H": _vec(1), "D1": _vec(1), "E1": _vec(2)}
-        return SpaceModel(
-            kind=kind,
-            name=space_name(kind),
+        return dict(
             dimension=2,
-            picard_rank=1,
+            rank=1,
             basis=("H",),
-            classes=_classes(table),
-            boundary=("E1",),
+            table={"D1": _vec(1), "E1": _vec(2)},
+            boundary=boundary,
             colors=("D1",),
-            eff_generators=("E1",),
-            nef_generators=("D1",),
-            mov_generators=None,
-            anticanonical=DivisorClass("-K", _vec(3)),
-            stated_chamber_count=1,
-            automorphisms=_automorphisms_or_none(kind),
+            eff=("E1",),
+            nef=("D1",),
+            minus_k=_vec(3),
+            stated=1,
         )
+    spec = dict(rank=n if h > n and k == n else 1 + k, boundary=boundary)
 
-    if h <= n:
-        rank = 1 + k
-    elif k == n:
-        rank = n
-    else:
-        rank = 1 + k
-
-    basis = None
-    table = {}
-    colors: Tuple[str, ...] = ()
-    eff = nef = mov = None
-    minus_k = None
-    stated = None
     if h == 3 and k == 1 and n >= 2:
-        basis = ("H", "E1")
-        table = {
-            "H": _vec(1, 0),
-            "E1": _vec(0, 1),
-            "D1": _vec(1, 0),
-            "D2": _vec(2, -1),
-            "D3": _vec(3, -2),
-        }
-        colors = ("D1", "D2", "D3")
-        eff = ("E1", "D3")
-        nef = ("D1", "D2")
-        if n == 2:
-            minus_k = _vec(6, -2)
-        else:
-            minus_k = (Fraction(3 * n + 3, 2), Fraction(1 - n))
-        stated = 3
+        spec.update(
+            basis=("H", "E1"),
+            table={"D1": _vec(1, 0), "D2": _vec(2, -1), "D3": _vec(3, -2)},
+            colors=("D1", "D2", "D3"),
+            eff=("E1", "D3"),
+            nef=("D1", "D2"),
+            minus_k=_vec(6, -2) if n == 2 else (Fraction(3 * n + 3, 2), Fraction(1 - n)),
+            stated=3,
+        )
     elif h == 4 and k == 2 and n >= 3:
-        basis = ("H", "E1", "E2")
-        table = {
-            "H": _vec(1, 0, 0),
-            "E1": _vec(0, 1, 0),
-            "E2": _vec(0, 0, 1),
-            "D1": _vec(1, 0, 0),
-            "D2": _vec(2, -1, 0),
-            "D3": _vec(3, -2, -1),
-            "D4": _vec(4, -3, -2),
-            "P": _vec(6, -3, -2),
-        }
-        colors = ("D1", "D2", "D3", "D4")
-        eff = ("E1", "E2", "D4")
-        nef = ("D1", "D2", "D3")
-        mov = ("D1", "D2", "D3", "P")
-        if n == 3:
-            minus_k = _vec(10, -5, -2)
-        else:
-            minus_k = (
-                Fraction(2 * n + 2),
-                Fraction(-(3 * n - 2), 2),
-                Fraction(2 - n),
-            )
-        stated = 9
-
-    classes = _classes(table) if basis is not None else _label_only(boundary)
-    return SpaceModel(
-        kind=kind,
-        name=space_name(kind),
-        dimension=dimension,
-        picard_rank=rank,
-        basis=basis,
-        classes=classes,
-        boundary=boundary,
-        colors=colors,
-        eff_generators=eff,
-        nef_generators=nef,
-        mov_generators=mov,
-        anticanonical=DivisorClass("-K", minus_k) if minus_k is not None else None,
-        stated_chamber_count=stated,
-        automorphisms=_automorphisms_or_none(kind),
-    )
+        spec.update(
+            basis=("H", "E1", "E2"),
+            table={
+                "D1": _vec(1, 0, 0),
+                "D2": _vec(2, -1, 0),
+                "D3": _vec(3, -2, -1),
+                "D4": _vec(4, -3, -2),
+                "P": _vec(6, -3, -2),
+            },
+            colors=("D1", "D2", "D3", "D4"),
+            eff=("E1", "E2", "D4"),
+            nef=("D1", "D2", "D3"),
+            mov=("D1", "D2", "D3", "P"),
+            minus_k=_vec(10, -5, -2)
+            if n == 3
+            else (Fraction(2 * n + 2), Fraction(-(3 * n - 2), 2), Fraction(2 - n)),
+            stated=9,
+        )
+    return spec
 
 
-def _segre_blowup_model(kind: SegreBlowup) -> SpaceModel:
+def _segre_blowup_model(kind: SegreBlowup) -> dict:
     n, m, h, k = kind.n, kind.m, kind.h, kind.k
-    dimension = h * (m + n + 2 - h) - 1
-    boundary = tuple("E%d" % i for i in range(1, k + 1))
     if h <= n:
         rank = 2 + k
     elif n == m and k == n:
         rank = n
     else:
         rank = 1 + k
-    return SpaceModel(
-        kind=kind,
-        name=space_name(kind),
-        dimension=dimension,
-        picard_rank=rank,
-        basis=None,
-        classes=_label_only(boundary),
-        boundary=boundary,
-        colors=(),
-        eff_generators=None,
-        nef_generators=None,
-        mov_generators=None,
-        anticanonical=None,
-        stated_chamber_count=None,
-        automorphisms=_automorphisms_or_none(kind),
-    )
+    return dict(rank=rank, boundary=_labels("E", k))
 
 
-def _kontsevich_p_model(kind: KontsevichP) -> SpaceModel:
+def _kontsevich_p_model(kind: KontsevichP) -> dict:
     n = kind.n
-    dimension = 3 * n - 1
     if n == 1:
-        table = {"T": _vec(1), "Delta": _vec(2)}
-        return SpaceModel(
-            kind=kind,
-            name=space_name(kind),
+        return dict(
             dimension=2,
-            picard_rank=1,
+            rank=1,
             basis=("T",),
-            classes=_classes(table),
+            table={"Delta": _vec(2)},
             boundary=("Delta",),
             colors=("T",),
-            eff_generators=("Delta",),
-            nef_generators=("T",),
-            mov_generators=None,
-            anticanonical=DivisorClass("-K", _vec(3)),
-            stated_chamber_count=1,
-            automorphisms=_automorphisms_or_none(kind),
+            eff=("Delta",),
+            nef=("T",),
+            minus_k=_vec(3),
+            stated=1,
         )
-    table = {
-        "T": _vec(1, 0),
-        "Delta": _vec(0, 1),
-        "H": _vec(2, -1),
-        "Ddeg": (Fraction(3, 2), Fraction(-1)),
-    }
-    if n == 2:
-        minus_k = _vec(6, -2)
-    else:
-        minus_k = (Fraction(3 * n + 3, 2), Fraction(1 - n))
-    return SpaceModel(
-        kind=kind,
-        name=space_name(kind),
-        dimension=dimension,
-        picard_rank=2,
+    return dict(
+        rank=2,
         basis=("T", "Delta"),
-        classes=_classes(table),
+        table={"H": _vec(2, -1), "Ddeg": (Fraction(3, 2), Fraction(-1))},
         boundary=("Delta",),
         colors=("T", "H", "Ddeg"),
-        eff_generators=("Delta", "Ddeg"),
-        nef_generators=("T", "H"),
-        mov_generators=None,
-        anticanonical=DivisorClass("-K", minus_k),
-        stated_chamber_count=3,
-        automorphisms=_automorphisms_or_none(kind),
+        eff=("Delta", "Ddeg"),
+        nef=("T", "H"),
+        minus_k=_vec(6, -2) if n == 2 else (Fraction(3 * n + 3, 2), Fraction(1 - n)),
+        stated=3,
     )
 
 
-def _kontsevich_pxp_model(kind: KontsevichPxP) -> SpaceModel:
+def _kontsevich_pxp_model(kind: KontsevichPxP) -> dict:
     n, m = kind.n, kind.m
-    dimension = 2 * (n + m) - 1
     if n == 1 and m == 1:
-        table = {"Knm": _vec(1), "Delta": _vec(2)}
-        basis = ("Knm",)
-        colors = ("Knm",)
-        eff = ("Delta",)
-        nef = ("Knm",)
-        mov = None
-        minus_k = _vec(4)
-        rank = 1
-        stated = 1
-    elif n == 1:
-        table = {"Knm": _vec(1, 0), "Delta": _vec(0, 1), "Km": _vec(2, -1)}
-        basis = ("Knm", "Delta")
-        colors = ("Knm", "Km")
-        eff = ("Delta", "Km")
-        nef = ("Knm", "Km")
-        mov = None
-        minus_k = _vec(2 * m + 2, 1 - m)
-        rank = 2
-        stated = 2
-    else:
-        half = Fraction(1, 2)
-        table = {
-            "Kn": _vec(1, 0, 0),
-            "Km": _vec(0, 1, 0),
-            "Delta": _vec(0, 0, 1),
-            "Knm": (half, half, half),
-        }
-        basis = ("Kn", "Km", "Delta")
-        colors = ("Kn", "Km", "Knm")
-        eff = ("Delta", "Kn", "Km")
-        nef = ("Knm", "Kn", "Km")
-        mov = nef
-        minus_k = _vec(n + 1, m + 1, 2)
-        rank = 3
-        stated = 3
-    return SpaceModel(
-        kind=kind,
-        name=space_name(kind),
-        dimension=dimension,
-        picard_rank=rank,
-        basis=basis,
-        classes=_classes(table),
+        return dict(
+            rank=1,
+            basis=("Knm",),
+            table={"Delta": _vec(2)},
+            boundary=("Delta",),
+            colors=("Knm",),
+            eff=("Delta",),
+            nef=("Knm",),
+            minus_k=_vec(4),
+            stated=1,
+        )
+    if n == 1:
+        return dict(
+            rank=2,
+            basis=("Knm", "Delta"),
+            table={"Km": _vec(2, -1)},
+            boundary=("Delta",),
+            colors=("Knm", "Km"),
+            eff=("Delta", "Km"),
+            nef=("Knm", "Km"),
+            minus_k=_vec(2 * m + 2, 1 - m),
+            stated=2,
+        )
+    half = Fraction(1, 2)
+    return dict(
+        rank=3,
+        basis=("Kn", "Km", "Delta"),
+        table={"Knm": (half, half, half)},
         boundary=("Delta",),
-        colors=colors,
-        eff_generators=eff,
-        nef_generators=nef,
-        mov_generators=mov,
-        anticanonical=DivisorClass("-K", minus_k),
-        stated_chamber_count=stated,
-        automorphisms=_automorphisms_or_none(kind),
+        colors=("Kn", "Km", "Knm"),
+        eff=("Delta", "Kn", "Km"),
+        nef=("Knm", "Kn", "Km"),
+        mov=("Knm", "Kn", "Km"),
+        minus_k=_vec(n + 1, m + 1, 2),
+        stated=3,
     )
 
 
-def _kontsevich_gr_model(kind: KontsevichGr) -> SpaceModel:
+def _kontsevich_gr_model(kind: KontsevichGr) -> dict:
     n = kind.n
-    dimension = 4 * n - 3
-    if n == 2:
-        return SpaceModel(
-            kind=kind,
-            name=space_name(kind),
-            dimension=dimension,
-            picard_rank=2,
-            basis=None,
-            classes=_label_only(("Delta",)),
-            boundary=("Delta",),
-            colors=(),
-            eff_generators=None,
-            nef_generators=None,
-            mov_generators=None,
-            anticanonical=None,
-            stated_chamber_count=None,
-            automorphisms=_automorphisms_or_none(kind),
-        )
+    if n == 2:  # h = 4 > n+1 is past the Veronese secants, so give the dimension
+        return dict(dimension=5, rank=2, boundary=("Delta",))
     quarter = Fraction(1, 4)
     half = Fraction(1, 2)
     # Ddeg is pinned by pulling the fourth tangency class back along the
     # degree-two cover from the symmetric rank model; see the comparison
     # dictionary below.
-    table = {
-        "Hs11": _vec(1, 0, 0),
-        "Hs2": _vec(0, 1, 0),
-        "Delta": _vec(0, 0, 1),
-        "T": (half, half, half),
-        "Dunb": (3 * quarter, -quarter, -quarter),
-        "P": (3 * quarter, 3 * quarter, -quarter),
-        "Ddeg": (-half, Fraction(3, 2), -half),
-    }
-    if n >= 4:
-        minus_k = (Fraction(11 - n, 4), Fraction(3 * n - 1, 4), Fraction(7 - n, 4))
-        anticanonical = DivisorClass("-K", minus_k)
-    else:
-        anticanonical = None
-    return SpaceModel(
-        kind=kind,
-        name=space_name(kind),
-        dimension=dimension,
-        picard_rank=3,
+    return dict(
+        rank=3,
         basis=("Hs11", "Hs2", "Delta"),
-        classes=_classes(table),
+        table={
+            "T": (half, half, half),
+            "Dunb": (3 * quarter, -quarter, -quarter),
+            "P": (3 * quarter, 3 * quarter, -quarter),
+            "Ddeg": (-half, Fraction(3, 2), -half),
+        },
         boundary=("Delta",),
         colors=("Hs11", "Hs2", "T"),
-        eff_generators=("Dunb", "Ddeg", "Delta"),
-        nef_generators=("Hs11", "Hs2", "T"),
-        mov_generators=("Hs11", "Hs2", "T", "P"),
-        anticanonical=anticanonical,
-        stated_chamber_count=9,
-        automorphisms=_automorphisms_or_none(kind),
+        eff=("Dunb", "Ddeg", "Delta"),
+        nef=("Hs11", "Hs2", "T"),
+        mov=("Hs11", "Hs2", "T", "P"),
+        minus_k=(Fraction(11 - n, 4), Fraction(3 * n - 1, 4), Fraction(7 - n, 4))
+        if n >= 4
+        else None,
+        stated=9,
     )
 
 
-def build_model(kind: SpaceKind) -> SpaceModel:
-    """Assemble the catalog entry for one space kind."""
+# -- the kind table ---------------------------------------------------------
 
-    if isinstance(kind, Collineations):
-        return _collineations_model(kind)
-    if isinstance(kind, Quadrics):
-        return _quadrics_model(kind)
-    if isinstance(kind, SegreBlowup):
-        return _segre_blowup_model(kind)
-    if isinstance(kind, VeroneseBlowup):
-        return _veronese_blowup_model(kind)
-    if isinstance(kind, KontsevichP):
-        return _kontsevich_p_model(kind)
-    if isinstance(kind, KontsevichPxP):
-        return _kontsevich_pxp_model(kind)
-    if isinstance(kind, KontsevichGr):
-        return _kontsevich_gr_model(kind)
-    raise TypeError("not a space kind: %r" % (kind,))
+
+class _Kind(NamedTuple):
+    """What the catalog records about one kind of space.
+
+    ``secant(*secant_args(kind))`` is the secant variety the space blows up.
+    The parameter letters are the kind's dataclass fields.  The two
+    mapping-space kinds that are isomorphic to a form space take that
+    space's automorphism group.
+    """
+
+    cli_name: str
+    secant: Callable[..., SecantInvariants]
+    secant_args: Callable[[SpaceKind], tuple]
+    model: Callable[[SpaceKind], dict]
+    automorphisms: Callable[[SpaceKind], Optional[GroupDescriptor]]
+
+
+_KINDS: Dict[type, _Kind] = {
+    Collineations: _Kind(
+        "C",
+        segre_secant_invariants,
+        lambda s: (s.n, s.m, s.h),
+        _collineations_model,
+        _pair_automorphisms,
+    ),
+    Quadrics: _Kind(
+        "Q",
+        veronese_secant_invariants,
+        lambda s: (s.n, s.h),
+        _quadrics_model,
+        _symmetric_automorphisms,
+    ),
+    SegreBlowup: _Kind(
+        "secS",
+        segre_secant_invariants,
+        lambda s: (s.n, s.m, s.h),
+        _segre_blowup_model,
+        _pair_automorphisms,
+    ),
+    VeroneseBlowup: _Kind(
+        "secV",
+        veronese_secant_invariants,
+        lambda s: (s.n, s.h),
+        _veronese_blowup_model,
+        _symmetric_automorphisms,
+    ),
+    KontsevichP: _Kind(
+        "mbar-p",
+        veronese_secant_invariants,
+        lambda s: (s.n, 3),
+        _kontsevich_p_model,
+        lambda s: _symmetric_automorphisms(VeroneseBlowup(s.n, 3, 1)),
+    ),
+    KontsevichPxP: _Kind(
+        "mbar-pxp",
+        segre_secant_invariants,
+        lambda s: (s.n, s.m, 2),
+        _kontsevich_pxp_model,
+        lambda s: _pair_automorphisms(Collineations(s.n, s.m, 2)),
+    ),
+    KontsevichGr: _Kind(
+        "mbar-gr",
+        veronese_secant_invariants,
+        lambda s: (s.n, 4),
+        _kontsevich_gr_model,
+        _kontsevich_gr_automorphisms,
+    ),
+}
+
+
+def _coordinates(spec: dict) -> Dict[str, Tuple[Fraction, ...]]:
+    """Every class of a builder's spec: the basis classes are the unit vectors."""
+
+    basis = spec["basis"]
+    units = {b: _vec(*(int(i == j) for j in range(len(basis)))) for i, b in enumerate(basis)}
+    return {**units, **spec.get("table", {})}
+
+
+def build_model(kind: SpaceKind) -> SpaceModel:
+    """Assemble the catalog entry for one space kind.
+
+    The dimension is that of the secant variety the space blows up.  The
+    classes are the coordinate table when there is a basis, and otherwise
+    every boundary, color and cone-generator label without coordinates.
+    """
+
+    entry = _entry(kind)
+    spec = entry.model(kind)
+    basis = spec.get("basis")
+    colors = spec.get("colors", ())
+    eff, nef = spec.get("eff"), spec.get("nef")
+    if basis is not None:
+        classes = {label: DivisorClass(label, c) for label, c in _coordinates(spec).items()}
+    else:
+        labels = spec["boundary"] + colors + (eff or ()) + (nef or ())
+        classes = {label: DivisorClass(label) for label in labels}
+    minus_k = spec.get("minus_k")
+    return SpaceModel(
+        kind=kind,
+        name=space_name(kind),
+        dimension=spec["dimension"] if "dimension" in spec else _secant(kind).dimension,
+        picard_rank=spec["rank"],
+        basis=basis,
+        classes=classes,
+        boundary=spec["boundary"],
+        colors=colors,
+        eff_generators=eff,
+        nef_generators=nef,
+        mov_generators=spec.get("mov"),
+        anticanonical=DivisorClass("-K", minus_k) if minus_k is not None else None,
+        stated_chamber_count=spec.get("stated"),
+        automorphisms=entry.automorphisms(kind),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -918,34 +806,12 @@ def orbit_picard_group(kind: SpaceKind) -> AbelianGroupDescriptor:
 
     if isinstance(kind, Collineations):
         n, m, h = kind.n, kind.m, kind.h
+        rows = [[1, 0, 1], [0, 1, 1]]
         if h <= n:
-            relations = IntegerMatrix.from_rows(
-                [
-                    [1, 0, 1],
-                    [0, 1, 1],
-                    [1, 0, 0],
-                    [0, 1, 0],
-                    [0, 0, -h],
-                ]
-            )
-        elif h < m + 1:
-            relations = IntegerMatrix.from_rows(
-                [
-                    [1, 0, 1],
-                    [0, 1, 1],
-                    [0, 1, 0],
-                    [0, 0, -h],
-                ]
-            )
-        else:
-            relations = IntegerMatrix.from_rows(
-                [
-                    [1, 0, 1],
-                    [0, 1, 1],
-                    [0, 0, -h],
-                ]
-            )
-        return cokernel(relations)
+            rows.append([1, 0, 0])
+        if h <= m:
+            rows.append([0, 1, 0])
+        return cokernel(IntegerMatrix.from_rows(rows + [[0, 0, -h]]))
     if isinstance(kind, Quadrics):
         n, h = kind.n, kind.h
         if h <= n:
@@ -983,7 +849,10 @@ def mori_chambers(kind: SpaceKind) -> ChamberDecomposition:
     if model.nef_generators is not None:
         nef = model.nef_cone()
         matches = sum(1 for chamber in decomposition.chambers if chamber == nef)
-        assert matches == 1, "nef cone must appear as exactly one chamber"
+        if matches != 1:
+            raise InternalInconsistency(
+                "nef cone must appear as exactly one chamber, found %d" % matches
+            )
     return decomposition
 
 
@@ -1029,7 +898,7 @@ def classify_positivity(kind: SpaceKind) -> PositivityClass:
 
 
 def automorphism_group(kind: SpaceKind) -> GroupDescriptor:
-    group = _automorphisms_or_none(kind)
+    group = _entry(kind).automorphisms(kind)
     if group is None:
         raise OutOfScope(
             "the automorphism group of %s is not recorded for partial towers "
@@ -1103,52 +972,6 @@ def kontsevich_dictionary(kind: SpaceKind) -> ComparisonDictionary:
     rank model to the mapping space.
     """
 
-    if isinstance(kind, KontsevichP):
-        n = kind.n
-        target = VeroneseBlowup(n, 3, 1)
-        if n == 1:
-            entries = (
-                DictionaryEntry("T", "D1", _vec(1)),
-                DictionaryEntry("Delta", "E1", _vec(2)),
-            )
-            columns = (_vec(1),)
-        else:
-            entries = (
-                DictionaryEntry("T", "D1", _vec(1, 0)),
-                DictionaryEntry("H", "D2", _vec(2, -1)),
-                DictionaryEntry(
-                    "Ddeg", "(1/2)*D3", (Fraction(3, 2), Fraction(-1))
-                ),
-                DictionaryEntry("Delta", "E1", _vec(0, 1)),
-            )
-            columns = (_vec(1, 0), _vec(0, 1))  # images of T, Delta
-        return ComparisonDictionary(kind, target, entries, columns)
-    if isinstance(kind, KontsevichPxP):
-        n, m = kind.n, kind.m
-        target = Collineations(n, m, 2)
-        if n == 1 and m == 1:
-            entries = (
-                DictionaryEntry("Knm", "D1", _vec(1)),
-                DictionaryEntry("Delta", "E1", _vec(2)),
-            )
-            columns = (_vec(1),)
-        elif n == 1:
-            entries = (
-                DictionaryEntry("Knm", "D1", _vec(1, 0)),
-                DictionaryEntry("Km", "D2", _vec(2, -1)),
-                DictionaryEntry("Delta", "E1", _vec(0, 1)),
-            )
-            columns = (_vec(1, 0), _vec(0, 1))  # images of Knm, Delta
-        else:
-            half = Fraction(1, 2)
-            entries = (
-                DictionaryEntry("Kn", "H1", _vec(1, 0, 0)),
-                DictionaryEntry("Km", "H2", _vec(0, 1, 0)),
-                DictionaryEntry("Knm", "D1", (half, half, half)),
-                DictionaryEntry("Delta", "E1", _vec(0, 0, 1)),
-            )
-            columns = (_vec(1, 0, 0), _vec(0, 1, 0), _vec(0, 0, 1))
-        return ComparisonDictionary(kind, target, entries, columns)
     if isinstance(kind, KontsevichGr):
         n = kind.n
         if n < 3:
@@ -1176,9 +999,31 @@ def kontsevich_dictionary(kind: SpaceKind) -> ComparisonDictionary:
             _vec(0, 0, 1),
         )
         return ComparisonDictionary(source, kind, entries, columns)
-    raise OutOfScope(
-        "comparison dictionaries are recorded for the mapping-space kinds only"
-    )
+    if isinstance(kind, KontsevichP):
+        target = VeroneseBlowup(kind.n, 3, 1)
+        if kind.n == 1:
+            pairs = (("T", "D1"), ("Delta", "E1"))
+        else:
+            pairs = (("T", "D1"), ("H", "D2"), ("Ddeg", "(1/2)*D3"), ("Delta", "E1"))
+    elif isinstance(kind, KontsevichPxP):
+        target = Collineations(kind.n, kind.m, 2)
+        if kind.n == 1 and kind.m == 1:
+            pairs = (("Knm", "D1"), ("Delta", "E1"))
+        elif kind.n == 1:
+            pairs = (("Knm", "D1"), ("Km", "D2"), ("Delta", "E1"))
+        else:
+            pairs = (("Kn", "H1"), ("Km", "H2"), ("Knm", "D1"), ("Delta", "E1"))
+    else:
+        raise OutOfScope(
+            "comparison dictionaries are recorded for the mapping-space kinds only"
+        )
+    # Both isomorphisms are written in matching bases: every class keeps its
+    # coordinate vector under its form-space name.
+    spec = _entry(kind).model(kind)
+    coordinates = _coordinates(spec)
+    entries = tuple(DictionaryEntry(src, dst, coordinates[src]) for src, dst in pairs)
+    columns = tuple(coordinates[label] for label in spec["basis"])
+    return ComparisonDictionary(kind, target, entries, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -1206,7 +1051,8 @@ def riemann_hurwitz_coefficients(n: int) -> Tuple[Fraction, ...]:
         [dictionary.matrix_columns[j][i] for j in range(3)] for i in range(3)
     ]
     solution = solve_rational(rows, rhs)
-    assert solution is not None
+    if solution is None:
+        raise InternalInconsistency("the double-cover relation has no solution")
     return tuple(solution)
 
 

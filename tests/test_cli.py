@@ -1,9 +1,10 @@
 """End-to-end tests for the command line front end.
 
 The golden files under tests/goldens/ pin the exact bytes the CLI emits for
-three representative chamber queries.  If an intentional change to the payload
-layout breaks these, regenerate the goldens with the commands named in each
-test and review the diff by hand.
+three representative chamber queries (JSON and SVG) and for seven
+``invariants`` queries, one per space kind.  If an intentional change to the
+payload layout breaks these, regenerate the goldens with the commands named
+in each test and review the diff by hand.
 """
 
 import json
@@ -223,7 +224,30 @@ GOLDEN_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("stem,argv", GOLDEN_COMMANDS, ids=[s for s, _ in GOLDEN_COMMANDS])
+# Together these cover every kind, a kind without coordinates (secS, mbar-gr
+# at n = 2), a secant past its range ("secant": null) and a kind whose
+# automorphism group is not recorded ("automorphisms": null).
+INVARIANTS_GOLDEN_COMMANDS = [
+    ("invariants_c_n2_m3_h2", ["invariants", "--space", "C", "--n", "2", "--m", "3", "--h", "2"]),
+    ("invariants_q_n3_h2", ["invariants", "--space", "Q", "--n", "3", "--h", "2"]),
+    (
+        "invariants_secs_n3_m5_h4_k2",
+        ["invariants", "--space", "secS", "--n", "3", "--m", "5", "--h", "4", "--k", "2"],
+    ),
+    (
+        "invariants_secv_n1_h3_k1",
+        ["invariants", "--space", "secV", "--n", "1", "--h", "3", "--k", "1"],
+    ),
+    ("invariants_mbar_p_n1", ["invariants", "--space", "mbar-p", "--n", "1"]),
+    ("invariants_mbar_pxp_n2_m2", ["invariants", "--space", "mbar-pxp", "--n", "2", "--m", "2"]),
+    ("invariants_mbar_gr_n2", ["invariants", "--space", "mbar-gr", "--n", "2"]),
+]
+JSON_GOLDEN_COMMANDS = GOLDEN_COMMANDS + INVARIANTS_GOLDEN_COMMANDS
+
+
+@pytest.mark.parametrize(
+    "stem,argv", JSON_GOLDEN_COMMANDS, ids=[s for s, _ in JSON_GOLDEN_COMMANDS]
+)
 def test_json_output_matches_the_golden_byte_for_byte(stem, argv, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0

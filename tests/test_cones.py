@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from completeforms import cones
 from completeforms.cones import (
     ChamberDecomposition,
     cone_from_rays,
@@ -24,6 +25,7 @@ from completeforms.cones import (
 from completeforms.errors import (
     AmbientTooLarge,
     DimensionMismatch,
+    InternalInconsistency,
     NotFullDimensional,
     NotPointed,
 )
@@ -233,3 +235,10 @@ def test_degenerate_configuration_rejected():
 def test_non_pointed_configuration_rejected():
     with pytest.raises(NotPointed):
         gkz_decomposition([(1, 0), (-1, 0), (0, 1)])
+
+
+def test_a_collapsed_chamber_raises_a_typed_error(monkeypatch):
+    """The chamber invariant holds under python -O: no bare assert guards it."""
+    monkeypatch.setattr(cones, "_cone_from_inequalities", lambda normals, ambient_dim: None)
+    with pytest.raises(InternalInconsistency):
+        gkz_decomposition([(1, 0), (0, 1)])

@@ -1,10 +1,13 @@
 """Tests for the space catalog: invariants, cones, chambers, dictionaries."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from completeforms.errors import CoordinatesUnknown, OutOfScope
+from completeforms import spaces
+from completeforms.errors import CoordinatesUnknown, InternalInconsistency, OutOfScope
 from completeforms.groups import (
     GroupProduct,
     PGL,
@@ -338,6 +341,12 @@ def test_chambers_out_of_scope_cases():
         mori_chambers(SegreBlowup(3, 4, 3, 1))
 
 
+def test_a_nef_cone_missing_from_the_chambers_raises_a_typed_error(monkeypatch):
+    monkeypatch.setattr(spaces.SpaceModel, "nef_cone", lambda model: model.effective_cone())
+    with pytest.raises(InternalInconsistency):
+        mori_chambers(Quadrics(4, 3))
+
+
 # ---------------------------------------------------------------------------
 # anticanonical classes and positivity
 
@@ -543,6 +552,12 @@ def test_product_identity_is_symmetric_in_the_two_factors():
     assert backward == {"Kn": Fraction(4), "Km": Fraction(1), "Knm": Fraction(4)}
 
 
+def test_an_unsolvable_double_cover_relation_raises_a_typed_error(monkeypatch):
+    monkeypatch.setattr(spaces, "solve_rational", lambda rows, rhs: None)
+    with pytest.raises(InternalInconsistency):
+        riemann_hurwitz_coefficients(4)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -557,3 +572,19 @@ def test_model_to_dict_round_trips_through_plain_types():
     no_coords = build_model(Quadrics(5, 4)).to_dict()
     assert no_coords["basis"] is None
     assert no_coords["anticanonical"] is None
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+
+
+@pytest.mark.parametrize("module", ["completeforms.spaces", "completeforms.cones"])
+def test_the_catalog_layers_import_without_numpy(module):
+    """Only the finite-field enumeration needs numpy; the catalog never loads it."""
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, %s; print('numpy' in sys.modules)" % module],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
