@@ -6,12 +6,17 @@ normals.  A cone that is not full dimensional also carries the +/- pair of
 normals cutting out its linear span, which makes strict containment queries
 return False for such cones without any special casing.
 
-The chamber decomposition follows the classical fan-from-a-vector-
-configuration recipe: slice the support cone by every hyperplane spanned by
-the configuration, then merge the resulting cells into maximal chambers (two
-cells belong to the same chamber exactly when they lie in the same subset
-cones of the configuration).  Everything is exact; ambient dimension is
-capped at 4, far beyond what the applications here need.
+Cones, rays, normals and the elimination behind rank and kernel are all
+integer (fraction-free, see :mod:`completeforms.lattice`); only a caller's
+rational input point or rays meet :class:`fractions.Fraction`.
+
+The chamber decomposition is the chamber complex of the configuration W
+(Billera-Filliman-Sturmfels 1990; Gelfand-Kapranov-Zelevinsky 1994): slice
+the support cone by every hyperplane spanned by W, then merge the resulting
+cells into maximal chambers, the chamber of a cell being the intersection of
+the *basis* cones (cones over d linearly independent vectors of W) that
+contain it.  Everything is exact; ambient dimension is capped at 4, far
+beyond what the applications here need.
 """
 
 from __future__ import annotations
@@ -52,39 +57,48 @@ def primitive_vector(v: Iterable) -> Vec:
     >>> primitive_vector((Fraction(3, 2), Fraction(-9, 2)))
     (1, -3)
     """
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
-        raise ValueError("zero vector has no primitive representative")
-    denom = lcm(*(x.denominator for x in fracs))
-    ints = [int(x * denom) for x in fracs]
+    v = tuple(v)
+    if all(isinstance(x, int) for x in v):
+        ints = v
+    else:
+        fracs = [Fraction(x) for x in v]
+        denom = lcm(*(x.denominator for x in fracs))
+        ints = [int(x * denom) for x in fracs]
     g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)
 
 
-def _dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+def _dot(a: Sequence, b: Sequence):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def _neg(v: Vec) -> Vec:
     return tuple(-x for x in v)
 
 
-def _rank(vectors: Sequence[Sequence]) -> int:
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    return len(_row_reduce(rows)[1])
+def _rank(vectors: Sequence[Vec]) -> int:
+    return len(_row_reduce([list(v) for v in vectors])[1])
 
 
-def _kernel_basis(vectors: Sequence[Sequence], dim: int) -> list[Vec]:
-    """Primitive basis of {x : v . x == 0 for all v}, in a fixed order."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rows, pivots = _row_reduce(rows)
-    free = [c for c in range(dim) if c not in pivots]
+def _kernel_basis(vectors: Sequence[Vec], dim: int) -> list[Vec]:
+    """Primitive basis of {x : v . x == 0 for all v}, in a fixed order.
+
+    The vectors are integer; the basis vector of free column ``fc`` has
+    ``x[fc] = L`` with L the lcm of the pivots, which makes every other
+    entry an integer.
+    """
+    rows, pivots = _row_reduce([list(v) for v in vectors])
+    scale = lcm(*(rows[r][pc] for r, pc in enumerate(pivots)))
     basis = []
-    for fc in free:
-        x = [Fraction(0)] * dim
-        x[fc] = Fraction(1)
+    for fc in range(dim):
+        if fc in pivots:
+            continue
+        x = [0] * dim
+        x[fc] = scale
         for r, pc in enumerate(pivots):
-            x[pc] = -rows[r][fc]
+            x[pc] = -rows[r][fc] * scale // rows[r][pc]
         basis.append(primitive_vector(x))
     return basis
 
@@ -152,7 +166,7 @@ def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int | None = None) -> 
             )
     prim: list[Vec] = []
     for r in raw:
-        if all(Fraction(x) == 0 for x in r):
+        if not any(r):
             continue
         p = primitive_vector(r)
         if p not in prim:
@@ -176,8 +190,6 @@ def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int | None = None) -> 
     else:
         candidates: list[Vec] = []
         for subset in combinations(prim, s - 1):
-            if _rank(subset) != s - 1:
-                continue
             kern = _kernel_basis(list(subset) + complement, ambient_dim)
             if len(kern) != 1:
                 continue
@@ -234,8 +246,6 @@ def _cone_from_inequalities(normals: Sequence[Vec], ambient_dim: int) -> Rationa
             uniq.append(p)
     extremes: list[Vec] = []
     for subset in combinations(uniq, ambient_dim - 1):
-        if _rank(subset) != ambient_dim - 1:
-            continue
         kern = _kernel_basis(subset, ambient_dim)
         if len(kern) != 1:
             continue
@@ -280,12 +290,16 @@ class ChamberDecomposition:
 def gkz_decomposition(
     vectors: Iterable[Sequence], ambient_dim: int | None = None
 ) -> ChamberDecomposition:
-    """Chamber decomposition of cone(W) induced by the subset cones of W.
+    """Chamber decomposition of cone(W): the chamber complex of W (BFS 1990).
 
     Two interior points lie in the same chamber exactly when they lie in the
     same set of full-dimensional cones spanned by subsets of W.  Implemented
-    by slicing the support along every hyperplane spanned by W and merging
-    cells with equal membership signatures.
+    by slicing the support along every hyperplane spanned by W and taking, for
+    each cell, the intersection of the basis cones (d-subsets of W of full
+    rank) containing an interior point of it.  Basis cones suffice: that point
+    lies on no spanned hyperplane, so by Caratheodory it lies in cone(S) only
+    if it lies in cone(B) for some basis B in S.  Cells with equal basis-cone
+    signatures give one chamber.
     """
     w = [primitive_vector(v) for v in vectors]
     dedup: list[Vec] = []
@@ -305,8 +319,6 @@ def gkz_decomposition(
 
     hyperplanes: list[Vec] = []
     for subset in combinations(w, ambient_dim - 1):
-        if _rank(subset) != ambient_dim - 1:
-            continue
         kern = _kernel_basis(subset, ambient_dim)
         if len(kern) != 1:
             continue
@@ -330,22 +342,20 @@ def gkz_decomposition(
                     new_cells.append(piece)
         cells = new_cells
 
-    # Full-dimensional subset cones of the configuration, deduplicated.
-    subset_cones: dict[tuple[Vec, ...], RationalCone] = {}
-    for size in range(ambient_dim, len(w) + 1):
-        for subset in combinations(w, size):
-            if _rank(subset) < ambient_dim:
-                continue
-            cone = cone_from_rays(subset, ambient_dim)
-            subset_cones.setdefault(cone.rays, cone)
-
+    basis_cones = [
+        cone_from_rays(basis, ambient_dim)
+        for basis in combinations(w, ambient_dim)
+        if _rank(basis) == ambient_dim
+    ]
     chambers: dict[tuple[Vec, ...], RationalCone] = {}
+    signatures: set[tuple[int, ...]] = set()
     for cell in cells:
         probe = tuple(sum(col) for col in zip(*cell.rays))
-        walls: list[Vec] = []
-        for cone in subset_cones.values():
-            if cone.contains(probe):
-                walls.extend(cone.facet_normals)
+        signature = tuple(i for i, cone in enumerate(basis_cones) if cone.contains(probe))
+        if signature in signatures:
+            continue
+        signatures.add(signature)
+        walls = [n for i in signature for n in basis_cones[i].facet_normals]
         chamber = _cone_from_inequalities(walls, ambient_dim)
         if chamber is None:
             raise InternalInconsistency("chamber collapsed around %s" % (probe,))

@@ -6,14 +6,16 @@ which returns the full ``(U, D, V)`` transform data, and :func:`cokernel`,
 which turns a relation matrix into a finitely generated abelian group
 descriptor.  Rational solving is deliberately strict: a system with a
 positive-dimensional solution space raises instead of picking a point.  One
-Gauss-Jordan routine, ``_row_reduce``, serves :func:`solve_rational` and the
-rank and kernel computations of :mod:`completeforms.cones`.
+fraction-free elimination routine on integer rows, ``_row_reduce``, serves
+:func:`solve_rational` (after clearing denominators) and the rank and kernel
+computations of :mod:`completeforms.cones`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, UnderDetermined
@@ -362,24 +364,35 @@ def cokernel(relations: IntegerMatrix) -> AbelianGroupDescriptor:
     return AbelianGroupDescriptor(free_rank=g - len(nonzero), invariant_factors=factors)
 
 
-def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place row echelon form; returns (reduced rows, pivot column list)."""
+def _row_reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced row echelon form of integer rows, in place.
+
+    Each elimination step replaces row i by ``p*row_i - f*row_r``, where ``p``
+    is the pivot of row r and ``f`` the entry of row i in the pivot column,
+    and then divides row i by the gcd of its entries.  Returns the rows and
+    the pivot columns: row r has its pivot in column ``pivots[r]`` and a zero
+    in every other pivot column, and the rows past ``len(pivots)`` are zero.
+    Every row stays a nonzero multiple of the row that Gauss-Jordan over the
+    rationals would give, so the pivots are the same.
+    """
     if not rows:
         return rows, []
     ncols = len(rows[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -407,12 +420,16 @@ def solve_rational(a, b: Sequence) -> RationalVector | None:
     if not rows:
         return RationalVector(())
     ncols = len(rows[0])
-    aug, pivots = _row_reduce([row[:] + [r] for row, r in zip(rows, rhs)])
+    aug = []
+    for row, r in zip(rows, rhs):
+        scale = lcm(*(x.denominator for x in row), r.denominator)
+        aug.append([int(x * scale) for x in row] + [int(r * scale)])
+    aug, pivots = _row_reduce(aug)
     if ncols in pivots:  # a pivot in the rhs column: 0 == nonzero
         return None
     if len(pivots) < ncols:
         raise UnderDetermined("solution space has dimension %d" % (ncols - len(pivots)))
     x = [Fraction(0)] * ncols
     for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
+        x[c] = Fraction(aug[i][ncols], aug[i][c])
     return RationalVector(tuple(x))

@@ -307,7 +307,7 @@ def verify_tangent_cone(
                 break
 
     if symmetric:
-        ambient = (n + 1) * (n + 2) // 2 - 1
+        ambient = veronese_secant_invariants(n, h).ambient_dimension
         vertex_dim = ambient - (n - k + 1) * (n - k + 2) // 2
         base = {
             "kind": "veronese_secant",
@@ -316,7 +316,7 @@ def verify_tangent_cone(
             "dimension": veronese_secant_invariants(n - k, h - k).dimension if h > k else None,
         }
     else:
-        ambient = (n + 1) * (m + 1) - 1
+        ambient = segre_secant_invariants(min(n, m), max(n, m), h).ambient_dimension
         vertex_dim = n * m + n + m - (m + 1 - k) * (n + 1 - k)
         base = {
             "kind": "segre_secant",

@@ -7,6 +7,9 @@ payload layout breaks these, regenerate the goldens with the commands named
 in each test and review the diff by hand.
 """
 
+import contextlib
+import dataclasses
+import io
 import json
 import shlex
 import subprocess
@@ -14,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from completeforms import cli
 from completeforms.reports import VerificationReport
@@ -310,3 +315,66 @@ def test_every_readme_command_exits_zero(tmp_path, monkeypatch, capsys):
         code = cli.main(shlex.split(command)[1:])
         capsys.readouterr()
         assert code == 0, command
+
+
+# ---------------------------------------------------------------------------
+# fuzz over a bounded parameter box
+
+
+def _exit_code(argv):
+    """Run the CLI in process; return (exit code, stdout).  Any other exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _fuzz_argv(data, needed, names, values):
+    """Flags for ``needed``, with one flag of ``names`` sometimes added or dropped."""
+    flip = data.draw(st.one_of(st.none(), st.sampled_from(names)))
+    argv = []
+    for name in names:
+        if (name in needed) != (name == flip):
+            argv += ["--%s" % name, str(data.draw(values[name]))]
+    return argv
+
+
+def _assert_documented_exit(argv, fmt):
+    code, out = _exit_code(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code == 0 and fmt == "json":
+        json.loads(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["invariants", "chambers"]),
+    space=st.sampled_from(sorted(cli._SPACES)),
+    fmt=st.sampled_from(["json", "markdown"]),
+    data=st.data(),
+)
+def test_fuzzed_space_commands_exit_with_a_documented_code(command, space, fmt, data):
+    needed = [f.name for f in dataclasses.fields(cli._SPACES[space])]
+    values = dict.fromkeys("nmhk", st.integers(-1, 5))
+    argv = [command, "--space", space] + _fuzz_argv(data, needed, "nmhk", values)
+    _assert_documented_exit(argv + ["--format", fmt], fmt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    check=st.sampled_from(sorted(cli._CHECKS)),
+    symmetric=st.booleans(),
+    fmt=st.sampled_from(["json", "markdown"]),
+    data=st.data(),
+)
+def test_fuzzed_verify_checks_exit_with_a_documented_code(check, symmetric, fmt, data):
+    values = dict.fromkeys(("rows", "cols", "k", "h"), st.integers(-1, 3))
+    values.update(n=st.integers(-1, 4), m=st.integers(-1, 4), q=st.sampled_from([2, 3]))
+    names = ("rows", "cols", "k", "q", "n", "m", "h")
+    argv = ["verify", "--check", check] + _fuzz_argv(data, cli._CHECKS[check].params, names, values)
+    if symmetric:
+        argv.append("--symmetric")
+    _assert_documented_exit(argv + ["--format", fmt], fmt)

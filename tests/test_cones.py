@@ -4,17 +4,21 @@ Membership is cross-checked by an oracle that samples random nonnegative
 rational combinations of the generators; duality and the rays->facets->rays
 round trip are checked structurally.  The chamber counts for the fixed
 configurations below were worked out by hand (the 2d ones can be read off a
-picture, the 3d ones by listing the slicing hyperplanes).
+picture, the 3d ones by listing the slicing hyperplanes).  Chamber
+decompositions are also checked against a basis-cone oracle that decides
+membership by Cramer's rule and shares no code with the package.
 """
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from completeforms import cones
+from completeforms import cones, spaces
 from completeforms.cones import (
     ChamberDecomposition,
     cone_from_rays,
@@ -37,8 +41,52 @@ def test_primitive_vector_normalizes_scale_not_direction():
     assert primitive_vector((2, -4)) == (1, -2)
     assert primitive_vector((Fraction(3, 2), Fraction(-9, 2))) == (1, -3)
     assert primitive_vector((-1, 2)) == (-1, 2)
+    assert primitive_vector((2, Fraction(1, 2))) == (4, 1)
+    assert primitive_vector((0, 6, -9)) == (0, 2, -3)
     with pytest.raises(ValueError):
         primitive_vector((0, 0))
+
+
+def fraction_rank(vectors):
+    """Rank by Gaussian elimination over Fraction, independent of lattice._row_reduce."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+integer_vectors = st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=5)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_vectors)
+def test_integer_rank_agrees_with_fraction_elimination(vectors):
+    assert cones._rank(vectors) == fraction_rank(vectors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_vectors)
+def test_kernel_basis_is_primitive_orthogonal_and_complete(vectors):
+    dim = len(vectors[0])
+    kernel = cones._kernel_basis(vectors, dim)
+    assert len(kernel) == dim - fraction_rank(vectors)
+    for x in kernel:
+        assert all(isinstance(c, int) for c in x)
+        assert math.gcd(*x) == 1
+        for v in vectors:
+            assert sum(a * b for a, b in zip(v, x)) == 0
+    if kernel:
+        assert fraction_rank(kernel) == len(kernel)
 
 
 # ---------------------------------------------------------------- construction
@@ -242,3 +290,135 @@ def test_a_collapsed_chamber_raises_a_typed_error(monkeypatch):
     monkeypatch.setattr(cones, "_cone_from_inequalities", lambda normals, ambient_dim: None)
     with pytest.raises(InternalInconsistency):
         gkz_decomposition([(1, 0), (0, 1)])
+
+
+def test_integer_configurations_never_build_fractions(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction built for integer input")
+
+    monkeypatch.setattr(cones, "Fraction", refuse)
+    gkz_decomposition([(1, 0, 0), (2, -1, 0), (3, -2, -1), (0, 1, 0), (0, 0, 1)])
+
+
+def test_no_subset_larger_than_a_basis_is_enumerated(monkeypatch):
+    sizes = []
+
+    def recording(items, r):
+        sizes.append(r)
+        return combinations(items, r)
+
+    monkeypatch.setattr(cones, "combinations", recording)
+    gkz_decomposition([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 2, 3)])
+    assert sizes and max(sizes) <= 3
+
+
+# ---------------------------------------------------------------- chamber oracle
+
+def laplace_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def cramer_signs(w, point):
+    """For each basis of w (an index tuple), numbers with the signs of point's Cramer coefficients.
+
+    The coefficient of basis vector j is det(basis with vector j replaced by
+    point) / det(basis), so its sign is that of the product of the two.
+    """
+    point = list(point)
+    for basis in combinations(range(len(w)), len(point)):
+        rows = [list(w[i]) for i in basis]
+        base = laplace_det(rows)
+        if base != 0:
+            yield basis, [
+                laplace_det(rows[:j] + [point] + rows[j + 1 :]) * base for j in range(len(rows))
+            ]
+
+
+def basis_signature(w, point):
+    """The bases of w whose cone holds point in its interior.
+
+    A point on the boundary of a basis cone has no well-defined signature.
+    """
+    inside = set()
+    for basis, signs in cramer_signs(w, point):
+        assert min(signs) != 0, "%s is on the boundary of the cone over %s" % (point, basis)
+        if min(signs) > 0:
+            inside.add(basis)
+    return frozenset(inside)
+
+
+def generic_support_points(w, count, rng):
+    """Positive combinations of w that lie on no hyperplane spanned by w."""
+    points = []
+    for _ in range(50 * count):
+        coeffs = [rng.randint(1, 20) for _ in w]
+        p = [sum(c * v[i] for c, v in zip(coeffs, w)) for i in range(len(w[0]))]
+        if all(0 not in signs for _, signs in cramer_signs(w, p)):
+            points.append(p)
+            if len(points) == count:
+                return points
+    raise AssertionError("no generic points found")
+
+
+def strictly_inside(chamber, point):
+    return all(sum(a * b for a, b in zip(n, point)) > 0 for n in chamber.facet_normals)
+
+
+def random_configuration(ambient, size, seed):
+    rng = random.Random("chamber-oracle:%d:%d:%d" % (ambient, size, seed))
+    return [
+        tuple([rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(ambient - 1)])
+        for _ in range(size)
+    ]
+
+
+def kind_configuration(kind):
+    """The integer vectors that spaces.mori_chambers decomposes, scaled to clear denominators."""
+    model = spaces.build_model(kind)
+    vectors = []
+    for label in tuple(model.boundary) + tuple(model.colors):
+        coords = model.class_coordinates(label)
+        scale = math.lcm(*(Fraction(c).denominator for c in coords))
+        vectors.append(tuple(int(c * scale) for c in coords))
+    return vectors
+
+
+ORACLE_CASES = [
+    ("random", (ambient, size, seed))
+    for ambient, size in ((3, 5), (3, 6), (4, 5))
+    for seed in range(2)
+] + [
+    ("kind", kind)
+    for kind in (
+        spaces.Quadrics(4, 3),
+        spaces.Collineations(2, 2, 2),
+        spaces.VeroneseBlowup(4, 4, 2),
+    )
+]
+
+
+@pytest.mark.parametrize("source, spec", ORACLE_CASES, ids=str)
+def test_chambers_match_the_basis_cone_oracle(source, spec):
+    if source == "random":
+        w = random_configuration(*spec)
+        dec = gkz_decomposition(w)
+    else:
+        w = kind_configuration(spec)
+        dec = spaces.mori_chambers(spec)
+    signatures = []
+    for chamber in dec.chambers:
+        interior = [sum(col) for col in zip(*chamber.rays)]
+        signature = basis_signature(w, interior)
+        assert signature, chamber
+        signatures.append(signature)
+    assert len(set(signatures)) == len(signatures)
+
+    for point in generic_support_points(w, 32, random.Random(repr(spec))):
+        owners = [i for i, chamber in enumerate(dec.chambers) if strictly_inside(chamber, point)]
+        assert len(owners) == 1, point
+        assert basis_signature(w, point) == signatures[owners[0]], point

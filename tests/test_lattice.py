@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from completeforms.errors import DimensionMismatch, UnderDetermined
@@ -256,6 +256,24 @@ def test_solve_rational_accepts_integer_matrix():
 def test_solve_rational_rejects_mismatched_rhs():
     with pytest.raises(DimensionMismatch):
         solve_rational([[1, 0]], [1, 2])
+
+
+mixed_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(mixed_fractions, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(mixed_fractions, min_size=n, max_size=n),
+    )
+))
+def test_solve_rational_recovers_x_from_a_times_x(system):
+    """The fraction-free elimination clears mixed denominators row by row."""
+    a, x = system
+    assume(det_by_permutation_expansion(a) != 0)
+    b = [sum(aij * xj for aij, xj in zip(row, x)) for row in a]
+    assert solve_rational(a, b) == RationalVector.of(*x)
 
 
 # ---------------------------------------------------------------- vectors
