@@ -6,6 +6,14 @@ normals.  A cone that is not full dimensional also carries the +/- pair of
 normals cutting out its linear span, which makes strict containment queries
 return False for such cones without any special casing.
 
+Only :func:`cone_from_rays` enumerates: it finds the facets of cone(V) among
+the hyperplanes spanned by V.  Every other description is its transpose.  For
+a full-dimensional pointed cone the extreme rays of the dual are the facet
+normals and vice versa, so :func:`dual_cone` swaps the two tuples.  The cone
+{x : N.x >= 0} of a set of normals N spanning the ambient space has interior
+exactly when cone(N) is pointed (Gordan's theorem), and it is then the dual
+of cone(N) (Fukuda-Prodon 1996; Ziegler 1995, section 1.4).
+
 Cones, rays, normals and the elimination behind rank and kernel are all
 integer (fraction-free, see :mod:`completeforms.lattice`); only a caller's
 rational input point or rays meet :class:`fractions.Fraction`.
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AmbientTooLarge,
@@ -147,6 +155,21 @@ class RationalCone:
         return "Cone(rays=%s)" % (", ".join(str(r) for r in self.rays),)
 
 
+def _spanned_hyperplanes(vectors: Sequence[Vec], complement: list[Vec], dim: int) -> Iterator[Vec]:
+    """Yield the primitive normal of each hyperplane spanned by ``vectors``.
+
+    The hyperplanes live in the span of ``vectors``, whose orthogonal
+    complement has the basis ``complement``: each normal is the one kernel
+    vector of s - 1 of the vectors together with the complement, s being the
+    dimension of the span.  Dependent subsets are skipped; a normal spanned
+    by several subsets is yielded once for each.
+    """
+    for subset in combinations(vectors, dim - len(complement) - 1):
+        kern = _kernel_basis(list(subset) + complement, dim)
+        if len(kern) == 1:
+            yield kern[0]
+
+
 def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int | None = None) -> RationalCone:
     """Build the canonical form of the cone spanned by the given rays.
 
@@ -164,13 +187,7 @@ def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int | None = None) -> 
             raise DimensionMismatch(
                 "ray of length %d in ambient dimension %d" % (len(r), ambient_dim)
             )
-    prim: list[Vec] = []
-    for r in raw:
-        if not any(r):
-            continue
-        p = primitive_vector(r)
-        if p not in prim:
-            prim.append(p)
+    prim = list(dict.fromkeys(primitive_vector(r) for r in raw if any(r)))
 
     if not prim:
         span_normals = [tuple(1 if i == j else 0 for j in range(ambient_dim)) for i in range(ambient_dim)]
@@ -178,90 +195,49 @@ def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int | None = None) -> 
         return RationalCone(ambient_dim, (), normals)
 
     complement = _kernel_basis(prim, ambient_dim)
-    s = ambient_dim - len(complement)
-
-    if s == 1:
-        base = prim[0]
-        for r in prim[1:]:
-            if r == _neg(base):
-                raise NotPointed("rays %s and %s span a line" % (base, r))
-        in_span = [base]
-        extremes = [base]
-    else:
-        candidates: list[Vec] = []
-        for subset in combinations(prim, s - 1):
-            kern = _kernel_basis(list(subset) + complement, ambient_dim)
-            if len(kern) != 1:
-                continue
-            n = kern[0]
-            signs = [_dot(n, r) for r in prim]
-            if all(x >= 0 for x in signs):
-                oriented = n
-            elif all(x <= 0 for x in signs):
-                oriented = _neg(n)
-            else:
-                continue
-            if oriented not in candidates:
-                candidates.append(oriented)
-        if not candidates or _rank(candidates) < s:
-            raise NotPointed("cone spanned by %s contains a line" % (prim,))
-        in_span = sorted(candidates)
-        extremes = []
-        for r in prim:
-            active = [n for n in in_span if _dot(n, r) == 0]
-            if _rank(active + complement) >= ambient_dim - 1:
-                extremes.append(r)
-
-    normals = list(in_span)
-    for w in complement:
-        normals.append(w)
-        normals.append(_neg(w))
+    candidates = set()
+    for n in _spanned_hyperplanes(prim, complement, ambient_dim):
+        signs = [_dot(n, r) for r in prim]
+        if all(x >= 0 for x in signs):
+            candidates.add(n)
+        elif all(x <= 0 for x in signs):
+            candidates.add(_neg(n))
+    in_span = sorted(candidates)
+    if _rank(in_span) < ambient_dim - len(complement):
+        raise NotPointed("cone spanned by %s contains a line" % (prim,))
+    extremes = [
+        r
+        for r in prim
+        if _rank([n for n in in_span if _dot(n, r) == 0] + complement) >= ambient_dim - 1
+    ]
+    normals = in_span + complement + [_neg(w) for w in complement]
     return RationalCone(ambient_dim, tuple(sorted(extremes)), tuple(sorted(normals)))
 
 
 def dual_cone(cone: RationalCone) -> RationalCone:
-    """Dual of a full-dimensional pointed cone.
-
-    The dual's extreme rays are the facet normals of the input, so for such
-    cones dual(dual(c)) == c.
-    """
+    """Dual of a full-dimensional pointed cone: its rays and facet normals swapped."""
     if not cone.is_full_dimensional:
         raise NotFullDimensional(
             "dual implemented for full-dimensional cones only (dimension %d of %d)"
             % (cone.dimension, cone.ambient_dim)
         )
-    return cone_from_rays(cone.facet_normals, cone.ambient_dim)
+    return RationalCone(cone.ambient_dim, cone.facet_normals, cone.rays)
 
 
 def _cone_from_inequalities(normals: Sequence[Vec], ambient_dim: int) -> RationalCone | None:
-    """Cone {x : n . x >= 0 for all n}, or None when not full dimensional.
+    """Cone {x : n . x >= 0 for all n}, or None when it has no interior.
 
-    Only valid when the result is pointed (the callers always include the
-    facet normals of a pointed support cone, which guarantees that).
+    It has interior exactly when cone(normals) is pointed, and is then the
+    dual of that cone.  This needs the normals to span the ambient space,
+    and they do: every caller passes the facet normals of RationalCones,
+    which span it (a cone of less than full dimension carries the +/- normals
+    of its span).
     """
-    uniq: list[Vec] = []
-    for n in normals:
-        p = primitive_vector(n)
-        if p not in uniq:
-            uniq.append(p)
-    extremes: list[Vec] = []
-    for subset in combinations(uniq, ambient_dim - 1):
-        kern = _kernel_basis(subset, ambient_dim)
-        if len(kern) != 1:
-            continue
-        v = kern[0]
-        signs = [_dot(n, v) for n in uniq]
-        if all(x >= 0 for x in signs):
-            pass
-        elif all(x <= 0 for x in signs):
-            v = _neg(v)
-        else:
-            continue
-        if v not in extremes:
-            extremes.append(v)
-    if _rank(extremes) < ambient_dim:
+    try:
+        polar = cone_from_rays(normals, ambient_dim)
+    except NotPointed:
         return None
-    return cone_from_rays(extremes, ambient_dim)
+    return RationalCone(ambient_dim, polar.facet_normals, polar.rays)
 
 
 @dataclass(frozen=True)
@@ -279,12 +255,7 @@ class ChamberDecomposition:
 
     @property
     def rays(self) -> tuple[Vec, ...]:
-        seen: list[Vec] = []
-        for c in self.chambers:
-            for r in c.rays:
-                if r not in seen:
-                    seen.append(r)
-        return tuple(sorted(seen))
+        return tuple(sorted({r for c in self.chambers for r in c.rays}))
 
 
 def gkz_decomposition(
@@ -301,12 +272,7 @@ def gkz_decomposition(
     if it lies in cone(B) for some basis B in S.  Cells with equal basis-cone
     signatures give one chamber.
     """
-    w = [primitive_vector(v) for v in vectors]
-    dedup: list[Vec] = []
-    for v in w:
-        if v not in dedup:
-            dedup.append(v)
-    w = dedup
+    w = list(dict.fromkeys(primitive_vector(v) for v in vectors))
     if ambient_dim is None:
         ambient_dim = len(w[0]) if w else 0
     if ambient_dim > 4:
@@ -317,16 +283,11 @@ def gkz_decomposition(
     if not support.is_full_dimensional:
         raise NotFullDimensional("the configuration does not span the ambient space")
 
-    hyperplanes: list[Vec] = []
-    for subset in combinations(w, ambient_dim - 1):
-        kern = _kernel_basis(subset, ambient_dim)
-        if len(kern) != 1:
-            continue
-        n = kern[0]
-        canon = n if next(x for x in n if x != 0) > 0 else _neg(n)
-        if canon not in hyperplanes:
-            hyperplanes.append(canon)
-    hyperplanes.sort()
+    # each spanned hyperplane once, its normal's first nonzero entry positive
+    hyperplanes = sorted({
+        n if next(x for x in n if x) > 0 else _neg(n)
+        for n in _spanned_hyperplanes(w, [], ambient_dim)
+    })
 
     cells = [support]
     for n in hyperplanes:

@@ -61,7 +61,13 @@ def _barycentric(ray, support_rays) -> Tuple[Fraction, ...]:
     return tuple(w / total for w in weights)
 
 
-def _svg_header(title: str) -> List[str]:
+def _svg_header(model: SpaceModel, decomposition: ChamberDecomposition) -> List[str]:
+    count = decomposition.chamber_count
+    title = "%s chamber decomposition (%d chamber%s)" % (
+        model.name,
+        count,
+        "" if count == 1 else "s",
+    )
     return [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 %d %d">' % (_WIDTH, _HEIGHT),
         '<rect width="%d" height="%d" fill="#ffffff"/>' % (_WIDTH, _HEIGHT),
@@ -83,11 +89,7 @@ def _triangle_svg(model: SpaceModel, decomposition: ChamberDecomposition) -> str
         return x, y
 
     labels = _ray_labels(model)
-    title = "%s chamber decomposition (%d chambers)" % (
-        model.name,
-        decomposition.chamber_count,
-    )
-    parts = _svg_header(title)
+    parts = _svg_header(model, decomposition)
     for index, chamber in enumerate(decomposition.chambers):
         points = [to_plane(ray) for ray in chamber.rays]
         cx = sum(p[0] for p in points) / len(points)
@@ -119,11 +121,10 @@ def _bar_svg(model: SpaceModel, decomposition: ChamberDecomposition) -> str:
     support_rays = decomposition.support.rays
     labels = _ray_labels(model)
     left, right, y0, height = 60.0, 540.0, 190.0, 30.0
+    parts = _svg_header(model, decomposition)
 
     if len(support_rays) == 1:
         # a single ray: the whole effective cone is one chamber
-        title = "%s chamber decomposition (1 chamber)" % model.name
-        parts = _svg_header(title)
         parts.append(
             '<rect x="%s" y="%s" width="%s" height="%s" fill="%s" '
             'fill-opacity="0.55" stroke="#333333"/>'
@@ -138,21 +139,11 @@ def _bar_svg(model: SpaceModel, decomposition: ChamberDecomposition) -> str:
         return "\n".join(parts) + "\n"
 
     def parameter(ray) -> Fraction:
-        s1, s2 = support_rays
-        rows = [[s1[i], s2[i]] for i in range(2)]
-        weights = solve_rational(rows, list(ray))
-        if weights is None or any(w < 0 for w in weights):
-            raise OutOfScope("a chamber ray falls outside the support segment")
-        return weights[1] / (weights[0] + weights[1])
+        return _barycentric(ray, support_rays)[1]
 
     def x_of(t: Fraction) -> float:
         return left + float(t) * (right - left)
 
-    title = "%s chamber decomposition (%d chambers)" % (
-        model.name,
-        decomposition.chamber_count,
-    )
-    parts = _svg_header(title)
     intervals = sorted(
         (min(parameter(r) for r in chamber.rays), max(parameter(r) for r in chamber.rays))
         for chamber in decomposition.chambers

@@ -226,6 +226,9 @@ GOLDEN_COMMANDS = [
     ("chambers_q_n4", ["chambers", "--space", "Q", "--n", "4", "--h", "3"]),
     ("chambers_c_n2_m2", ["chambers", "--space", "C", "--n", "2", "--m", "2", "--h", "2"]),
     ("chambers_secv_n4", ["chambers", "--space", "secV", "--n", "4", "--h", "4", "--k", "2"]),
+    # the bar drawings of rank two and rank one
+    ("chambers_q_n2_h3", ["chambers", "--space", "Q", "--n", "2", "--h", "3"]),
+    ("chambers_mbar_p_n1", ["chambers", "--space", "mbar-p", "--n", "1"]),
 ]
 
 
@@ -267,6 +270,14 @@ def test_svg_output_matches_the_golden_byte_for_byte(stem, argv, tmp_path, capsy
     assert code == 0
     golden = (GOLDENS / (stem + ".svg")).read_bytes()
     assert target.read_bytes() == golden
+
+
+def test_a_one_chamber_bar_title_is_singular(tmp_path, capsys):
+    target = tmp_path / "picture.svg"
+    argv = ["chambers", "--space", "C", "--n", "1", "--m", "1", "--h", "1", "--svg", str(target)]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "C(1,1,1) chamber decomposition (1 chamber)</text>" in target.read_text(encoding="utf-8")
 
 
 def test_repeated_runs_are_byte_identical(capsys):

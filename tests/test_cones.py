@@ -1,8 +1,10 @@
 """Tests for rational cones and chamber decompositions.
 
 Membership is cross-checked by an oracle that samples random nonnegative
-rational combinations of the generators; duality and the rays->facets->rays
-round trip are checked structurally.  The chamber counts for the fixed
+rational combinations of the generators.  dual_cone only swaps rays and facet
+normals, so it is checked against cone_from_rays of the facet normals, which
+enumerates them; intersections are checked against a vertex enumeration
+written here with Laplace determinants.  The chamber counts for the fixed
 configurations below were worked out by hand (the 2d ones can be read off a
 picture, the 3d ones by listing the slicing hyperplanes).  Chamber
 decompositions are also checked against a basis-cone oracle that decides
@@ -202,13 +204,18 @@ def test_dual_is_an_involution():
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)],
     ]:
         c = cone_from_rays(rays)
-        assert dual_cone(dual_cone(c)) == c
+        dual = cone_from_rays(c.facet_normals, c.ambient_dim)
+        assert dual_cone(c) == dual
+        assert cone_from_rays(dual.facet_normals, c.ambient_dim) == c
 
 
 def test_round_trip_rays_to_facets_to_rays():
-    # rebuilding a cone from its facet normals' dual recovers the same rays
+    # the cone over the facet normals of the cone over the facet normals is
+    # the cone itself, each step enumerated from scratch
     c = cone_from_rays([(1, 0, 0), (2, -1, 0), (3, -2, -1)])
-    again = dual_cone(dual_cone(c))
+    dual = cone_from_rays(c.facet_normals)
+    assert dual_cone(c) == dual
+    again = cone_from_rays(dual.facet_normals)
     assert again.rays == c.rays
     assert again.facet_normals == c.facet_normals
 
@@ -224,7 +231,7 @@ def test_random_plane_cones_contain_their_generators(rays):
         if r != (0, 0):
             assert c.contains(r)
     if c.is_full_dimensional:
-        assert dual_cone(dual_cone(c)) == c
+        assert dual_cone(c) == cone_from_rays(c.facet_normals, 2)
 
 
 # ---------------------------------------------------------------- chambers
@@ -422,3 +429,67 @@ def test_chambers_match_the_basis_cone_oracle(source, spec):
         owners = [i for i, chamber in enumerate(dec.chambers) if strictly_inside(chamber, point)]
         assert len(owners) == 1, point
         assert basis_signature(w, point) == signatures[owners[0]], point
+
+
+# ---------------------------------------------------------------- intersection oracle
+
+def primitive(v):
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def vertex_enumeration(normals, dim):
+    """(rays, facet normals) of {x : n . x >= 0 for all n}, or None without interior.
+
+    Each candidate ray is the cofactor vector of dim - 1 normals, which is
+    zero exactly when they are dependent, kept with the sign that satisfies
+    every inequality.  The normals span R^dim here, so the cone is pointed
+    and has interior exactly when its rays span R^dim; its facets are the
+    normals vanishing on dim - 1 independent rays.
+    """
+    normals = sorted({primitive(n) for n in normals})
+    rays = set()
+    for subset in combinations(normals, dim - 1):
+        x = [(-1) ** j * laplace_det([n[:j] + n[j + 1 :] for n in subset]) for j in range(dim)]
+        if not any(x):
+            continue
+        signs = [dot(n, x) for n in normals]
+        if min(signs) >= 0:
+            rays.add(primitive(x))
+        elif max(signs) <= 0:
+            rays.add(primitive([-c for c in x]))
+    if fraction_rank(rays) < dim:
+        return None
+    facets = [n for n in normals if fraction_rank([r for r in rays if dot(n, r) == 0]) == dim - 1]
+    return tuple(sorted(rays)), tuple(sorted(facets))
+
+
+def random_pointed_cone(rng, dim):
+    while True:
+        count = rng.randint(1, dim + 2)
+        low = rng.choice((0, -3))
+        rays = [tuple([rng.randint(low, 3)] + [rng.randint(-3, 3) for _ in range(dim - 1)]) for _ in range(count)]
+        try:
+            return cone_from_rays(rays, dim)
+        except NotPointed:
+            continue
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_intersection_matches_a_vertex_enumeration(dim):
+    rng = random.Random("intersection-oracle:%d" % dim)
+    outcomes = set()
+    for _ in range(40):
+        a, b = random_pointed_cone(rng, dim), random_pointed_cone(rng, dim)
+        expected = vertex_enumeration(a.facet_normals + b.facet_normals, dim)
+        meet = a.intersection(b)
+        if expected is None:
+            assert meet is None, (a, b)
+        else:
+            assert (meet.rays, meet.facet_normals) == expected, (a, b)
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
