@@ -147,6 +147,8 @@ class RationalCone:
         """Intersection cone, or None when it is not full dimensional."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("cones live in different ambient spaces")
+        if not (self.is_full_dimensional and other.is_full_dimensional):
+            return None
         return _cone_from_inequalities(
             self.facet_normals + other.facet_normals, self.ambient_dim
         )
@@ -297,10 +299,9 @@ def gkz_decomposition(
             if all(x >= 0 for x in sides) or all(x <= 0 for x in sides):
                 new_cells.append(cell)
                 continue
+            # rays lie strictly on both sides, so both halves have interior
             for half in (n, _neg(n)):
-                piece = _cone_from_inequalities(cell.facet_normals + (half,), ambient_dim)
-                if piece is not None:
-                    new_cells.append(piece)
+                new_cells.append(_cone_from_inequalities(cell.facet_normals + (half,), ambient_dim))
         cells = new_cells
 
     basis_cones = [

@@ -30,6 +30,14 @@ def _fmt(value: float) -> str:
     return "%.2f" % value
 
 
+def _text(x: str, y: str, content: str, size: int = 12) -> str:
+    """A centred label at already formatted coordinates."""
+    return (
+        '<text x="%s" y="%s" text-anchor="middle" font-family="sans-serif" '
+        'font-size="%d">%s</text>' % (x, y, size, content)
+    )
+
+
 def _ray_labels(model: SpaceModel) -> Dict[Tuple[Fraction, ...], str]:
     """Map primitive ray directions to the lexicographically first class name."""
 
@@ -71,8 +79,7 @@ def _svg_header(model: SpaceModel, decomposition: ChamberDecomposition) -> List[
     return [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 %d %d">' % (_WIDTH, _HEIGHT),
         '<rect width="%d" height="%d" fill="#ffffff"/>' % (_WIDTH, _HEIGHT),
-        '<text x="%d" y="24" text-anchor="middle" font-family="sans-serif" '
-        'font-size="15">%s</text>' % (_WIDTH // 2, title),
+        _text(str(_WIDTH // 2), "24", title, size=15),
     ]
 
 
@@ -109,10 +116,7 @@ def _triangle_svg(model: SpaceModel, decomposition: ChamberDecomposition) -> str
         norm = math.hypot(dx, dy) or 1.0
         lx, ly = x + 18 * dx / norm, y + 18 * dy / norm
         parts.append('<circle cx="%s" cy="%s" r="3" fill="#222222"/>' % (_fmt(x), _fmt(y)))
-        parts.append(
-            '<text x="%s" y="%s" text-anchor="middle" font-family="sans-serif" '
-            'font-size="12">%s</text>' % (_fmt(lx), _fmt(ly), _label_for(ray, labels))
-        )
+        parts.append(_text(_fmt(lx), _fmt(ly), _label_for(ray, labels)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -123,17 +127,18 @@ def _bar_svg(model: SpaceModel, decomposition: ChamberDecomposition) -> str:
     left, right, y0, height = 60.0, 540.0, 190.0, 30.0
     parts = _svg_header(model, decomposition)
 
-    if len(support_rays) == 1:
-        # a single ray: the whole effective cone is one chamber
-        parts.append(
+    def chamber_rect(x_low: float, x_high: float, index: int) -> str:
+        return (
             '<rect x="%s" y="%s" width="%s" height="%s" fill="%s" '
             'fill-opacity="0.55" stroke="#333333"/>'
-            % (_fmt(left), _fmt(y0), _fmt(right - left), _fmt(height), PALETTE[0])
+            % (_fmt(x_low), _fmt(y0), _fmt(x_high - x_low), _fmt(height), PALETTE[index % len(PALETTE)])
         )
+
+    if len(support_rays) == 1:
+        # a single ray: the whole effective cone is one chamber
+        parts.append(chamber_rect(left, right, 0))
         parts.append(
-            '<text x="%s" y="%s" text-anchor="middle" font-family="sans-serif" '
-            'font-size="12">%s</text>'
-            % (_fmt((left + right) / 2), _fmt(y0 + 55), _label_for(support_rays[0], labels))
+            _text(_fmt((left + right) / 2), _fmt(y0 + 55), _label_for(support_rays[0], labels))
         )
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
@@ -149,17 +154,7 @@ def _bar_svg(model: SpaceModel, decomposition: ChamberDecomposition) -> str:
         for chamber in decomposition.chambers
     )
     for index, (t_low, t_high) in enumerate(intervals):
-        parts.append(
-            '<rect x="%s" y="%s" width="%s" height="%s" fill="%s" '
-            'fill-opacity="0.55" stroke="#333333"/>'
-            % (
-                _fmt(x_of(t_low)),
-                _fmt(y0),
-                _fmt(x_of(t_high) - x_of(t_low)),
-                _fmt(height),
-                PALETTE[index % len(PALETTE)],
-            )
-        )
+        parts.append(chamber_rect(x_of(t_low), x_of(t_high), index))
     for ray in decomposition.rays:
         t = parameter(ray)
         x = x_of(t)
@@ -167,10 +162,7 @@ def _bar_svg(model: SpaceModel, decomposition: ChamberDecomposition) -> str:
             '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#222222" stroke-width="1"/>'
             % (_fmt(x), _fmt(y0 - 8), _fmt(x), _fmt(y0 + height + 8))
         )
-        parts.append(
-            '<text x="%s" y="%s" text-anchor="middle" font-family="sans-serif" '
-            'font-size="12">%s</text>' % (_fmt(x), _fmt(y0 + height + 26), _label_for(ray, labels))
-        )
+        parts.append(_text(_fmt(x), _fmt(y0 + height + 26), _label_for(ray, labels)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -17,12 +17,19 @@ Coordinates exist for the rank <= 3 models that the cone machinery can chew
 on.  Every other kind still builds a model, it just answers
 ``CoordinatesUnknown``/``OutOfScope`` for the coordinate-dependent queries.
 
-Every space is a blow-up of a secant variety of a Segre or Veronese
-embedding, so a kind is a handful of facts, held in one entry of the private
-kind table ``_KINDS``: its command line name, the secant variety (which gives
-the dimension, see :mod:`completeforms.secants`), the model builder and the
-automorphism rule.  The parameter letters are the kind's dataclass fields.
-Adding a kind means adding its dataclass and one table entry.
+Every complete-form space is a blow-up of a secant variety of a Segre or
+Veronese embedding, and every degree-two mapping space either coincides with
+one of them (its *twin*: ``mbar-p`` with ``secV(n,3;k=1)``, ``mbar-pxp`` with
+``C(n,m,2)``) or double-covers one (its *cover*: ``mbar-gr`` over
+``secV(n,4;k=2)``).  So a kind is a handful of facts, held in one entry of
+the private kind table ``_KINDS``: its command line name, the model builder,
+the secant variety (which gives the dimension, see
+:mod:`completeforms.secants`) and the automorphism rule, or else the twin
+that supplies both, the cover, and the two values the one parameter rule
+reads (the lowest ``n`` and an admitted degenerate tuple).  The parameter
+letters are the kind's dataclass fields.  Everything else a kind knows, such
+as its orbit Picard relations or comparison dictionary, is written by its
+model builder.  Adding a kind means adding its dataclass and one table entry.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cones import ChamberDecomposition, RationalCone, cone_from_rays, gkz_decomposition
 from .errors import CoordinatesUnknown, InternalInconsistency, OutOfScope
@@ -86,41 +94,32 @@ def _require_int(value, label):
         raise TypeError("%s must be an int, got %r" % (label, value))
 
 
+class _CheckedParameters:
+    """Base of the kind dataclasses: the parameters are checked on construction."""
+
+    def __post_init__(self):
+        _check_parameters(self)
+
+
 @dataclass(frozen=True)
-class Collineations:
+class Collineations(_CheckedParameters):
     """Space of complete collineations between spaces of dimensions n and m."""
 
     n: int
     m: int
     h: int
 
-    def __post_init__(self):
-        for name in ("n", "m", "h"):
-            _require_int(getattr(self, name), name)
-        if not (1 <= self.n <= self.m):
-            raise ValueError("collineations require 1 <= n <= m")
-        if not (1 <= self.h <= self.n + 1):
-            raise ValueError("collineations require 1 <= h <= n+1")
-
 
 @dataclass(frozen=True)
-class Quadrics:
+class Quadrics(_CheckedParameters):
     """Space of complete quadrics of bounded rank on an n-dimensional space."""
 
     n: int
     h: int
 
-    def __post_init__(self):
-        _require_int(self.n, "n")
-        _require_int(self.h, "h")
-        if self.n < 1:
-            raise ValueError("quadrics require n >= 1")
-        if not (1 <= self.h <= self.n + 1):
-            raise ValueError("quadrics require 1 <= h <= n+1")
-
 
 @dataclass(frozen=True)
-class SegreBlowup:
+class SegreBlowup(_CheckedParameters):
     """Partial blow-up of a matrix rank locus: k of the h-1 steps performed."""
 
     n: int
@@ -128,19 +127,9 @@ class SegreBlowup:
     h: int
     k: int
 
-    def __post_init__(self):
-        for name in ("n", "m", "h", "k"):
-            _require_int(getattr(self, name), name)
-        if not (1 <= self.n <= self.m):
-            raise ValueError("rank-locus blow-ups require 1 <= n <= m")
-        if not (1 <= self.h <= self.n + 1):
-            raise ValueError("rank-locus blow-ups require 1 <= h <= n+1")
-        if not (1 <= self.k <= self.h - 1):
-            raise ValueError("rank-locus blow-ups require 1 <= k <= h-1")
-
 
 @dataclass(frozen=True)
-class VeroneseBlowup:
+class VeroneseBlowup(_CheckedParameters):
     """Partial blow-up of a symmetric rank locus.
 
     The degenerate triple (1, 3, 1) is admitted: the symmetric rank locus
@@ -152,55 +141,27 @@ class VeroneseBlowup:
     h: int
     k: int
 
-    def __post_init__(self):
-        for name in ("n", "h", "k"):
-            _require_int(getattr(self, name), name)
-        if (self.n, self.h, self.k) == (1, 3, 1):
-            return
-        if self.n < 1:
-            raise ValueError("symmetric rank-locus blow-ups require n >= 1")
-        if not (1 <= self.h <= self.n + 1):
-            raise ValueError("symmetric rank-locus blow-ups require 1 <= h <= n+1")
-        if not (1 <= self.k <= self.h - 1):
-            raise ValueError("symmetric rank-locus blow-ups require 1 <= k <= h-1")
-
 
 @dataclass(frozen=True)
-class KontsevichP:
+class KontsevichP(_CheckedParameters):
     """Stable degree-two rational maps to projective n-space."""
 
     n: int
 
-    def __post_init__(self):
-        _require_int(self.n, "n")
-        if self.n < 1:
-            raise ValueError("stable map spaces require n >= 1")
-
 
 @dataclass(frozen=True)
-class KontsevichPxP:
+class KontsevichPxP(_CheckedParameters):
     """Stable bidegree-(1,1) rational maps to a product of projective spaces."""
 
     n: int
     m: int
 
-    def __post_init__(self):
-        _require_int(self.n, "n")
-        _require_int(self.m, "m")
-        if not (1 <= self.n <= self.m):
-            raise ValueError("product stable map spaces require 1 <= n <= m")
-
 
 @dataclass(frozen=True)
-class KontsevichGr:
+class KontsevichGr(_CheckedParameters):
     """Stable degree-two rational maps to the Grassmannian of lines."""
 
     n: int
-
-    def __post_init__(self):
-        _require_int(self.n, "n")
-        if self.n < 2:
-            raise ValueError("Grassmannian stable map spaces require n >= 2")
 
 
 SpaceKind = Union[
@@ -236,14 +197,54 @@ def kind_parameters(kind: SpaceKind) -> Dict[str, int]:
     return {f.name: getattr(kind, f.name) for f in fields(kind)}
 
 
+def _check_parameters(kind: SpaceKind) -> None:
+    """The one parameter rule, applied to whichever letters the kind has.
+
+    Every parameter is an int; ``n`` is at least the kind's lowest value,
+    ``n <= m``, ``1 <= h <= n+1`` and ``1 <= k <= h-1``.  The kind's admitted
+    parameter tuple, if it has one, passes as it is.
+    """
+
+    entry = _entry(kind)
+    params = kind_parameters(kind)
+    for letter, value in params.items():
+        _require_int(value, letter)
+    if tuple(params.values()) == entry.admitted:
+        return
+    n, m, h, k = (params.get(letter) for letter in "nmhk")
+    if n < entry.lowest_n:
+        rule = "n >= %d" % entry.lowest_n
+    elif m is not None and n > m:
+        rule = "n <= m"
+    elif h is not None and not 1 <= h <= n + 1:
+        rule = "1 <= h <= n+1"
+    elif k is not None and not 1 <= k <= h - 1:
+        rule = "1 <= k <= h-1"
+    else:
+        return
+    raise ValueError("%s requires %s" % (entry.cli_name, rule))
+
+
+def _form_space(kind: SpaceKind) -> SpaceKind:
+    """The kind itself, or the form space that a mapping-space kind coincides with."""
+
+    twin = _entry(kind).twin
+    return kind if twin is None else twin(kind)
+
+
 def _secant(kind: SpaceKind) -> Optional[SecantInvariants]:
     """The secant variety the space blows up; None past the end of its range."""
 
-    entry = _entry(kind)
+    form = _form_space(kind)
     try:
-        return entry.secant(*entry.secant_args(kind))
+        return _entry(form).secant(form)
     except ValueError:
         return None
+
+
+def _automorphisms(kind: SpaceKind) -> Optional[GroupDescriptor]:
+    form = _form_space(kind)
+    return _entry(form).automorphisms(form)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +274,7 @@ class SpaceModel:
     dimension: int
     picard_rank: int
     basis: Optional[Tuple[str, ...]]
-    classes: Dict[str, DivisorClass]
+    classes: Mapping[str, DivisorClass]  # read-only
     boundary: Tuple[str, ...]
     colors: Tuple[str, ...]
     eff_generators: Optional[Tuple[str, ...]]
@@ -407,12 +408,17 @@ def _kontsevich_gr_automorphisms(kind: KontsevichGr) -> GroupDescriptor:
 # ``basis`` (whose classes are the unit vectors) with the coordinates of the
 # other classes in ``table``, ``minus_k`` coordinates and the ``stated``
 # chamber count.  It gives ``dimension`` only where the secant range has
-# ended; :func:`build_model` assembles the rest.
+# ended; :func:`build_model` assembles the rest.  The complete-form builders
+# add the ``orbit`` Picard relations, and the mapping-space builders the
+# ``dictionary`` rule: (class, twin class label) pairs for an isomorphism,
+# (cover class, coefficient, class) triples for a pullback.
 
 
 def _collineations_model(kind: Collineations) -> dict:
     n, m, h = kind.n, kind.m, kind.h
     boundary = _labels("E", h - 1)
+    # relations of the dense orbit's Picard group (see orbit_picard_group):
+    # one more row for each side of dimension at least h
     if h <= n:
         spec = dict(
             rank=h + 1,
@@ -420,13 +426,16 @@ def _collineations_model(kind: Collineations) -> dict:
             eff=boundary + ("H1", "H2"),
             nef=_labels("D", h - 1) + ("H1", "H2"),
         )
+        sides = [[1, 0, 0], [0, 1, 0]]
     elif h < m + 1:  # h == n+1 < m+1
         colors = _labels("D", n + 1)
         spec = dict(rank=h, colors=colors, eff=boundary + ("D%d" % (n + 1),), nef=colors)
+        sides = [[0, 1, 0]]
     else:  # h == n+1 == m+1
         colors = _labels("D", n)
         spec = dict(rank=h - 1, colors=colors, eff=boundary, nef=colors)
-    spec["boundary"] = boundary
+        sides = []
+    spec.update(boundary=boundary, orbit=[[1, 0, 1], [0, 1, 1]] + sides + [[0, 0, -h]])
 
     if h == 1:
         spec.update(
@@ -461,10 +470,10 @@ def _quadrics_model(kind: Quadrics) -> dict:
     boundary = _labels("E", h - 1)
     if h <= n:
         colors = _labels("D", h)
-        spec = dict(rank=h, eff=boundary + ("D%d" % h,))
+        spec = dict(rank=h, eff=boundary + ("D%d" % h,), orbit=[[2], [-h]])
     else:  # h == n+1
         colors = _labels("D", n)
-        spec = dict(rank=h - 1, eff=boundary)
+        spec = dict(rank=h - 1, eff=boundary, orbit=[[1, 2], [0, -h]])
     spec.update(boundary=boundary, colors=colors, nef=colors)
 
     if h == 3 and n >= 3:
@@ -568,6 +577,7 @@ def _kontsevich_p_model(kind: KontsevichP) -> dict:
             nef=("T",),
             minus_k=_vec(3),
             stated=1,
+            dictionary=(("T", "D1"), ("Delta", "E1")),
         )
     return dict(
         rank=2,
@@ -579,6 +589,7 @@ def _kontsevich_p_model(kind: KontsevichP) -> dict:
         nef=("T", "H"),
         minus_k=_vec(6, -2) if n == 2 else (Fraction(3 * n + 3, 2), Fraction(1 - n)),
         stated=3,
+        dictionary=(("T", "D1"), ("H", "D2"), ("Ddeg", "(1/2)*D3"), ("Delta", "E1")),
     )
 
 
@@ -595,6 +606,7 @@ def _kontsevich_pxp_model(kind: KontsevichPxP) -> dict:
             nef=("Knm",),
             minus_k=_vec(4),
             stated=1,
+            dictionary=(("Knm", "D1"), ("Delta", "E1")),
         )
     if n == 1:
         return dict(
@@ -607,6 +619,7 @@ def _kontsevich_pxp_model(kind: KontsevichPxP) -> dict:
             nef=("Knm", "Km"),
             minus_k=_vec(2 * m + 2, 1 - m),
             stated=2,
+            dictionary=(("Knm", "D1"), ("Km", "D2"), ("Delta", "E1")),
         )
     half = Fraction(1, 2)
     return dict(
@@ -620,6 +633,7 @@ def _kontsevich_pxp_model(kind: KontsevichPxP) -> dict:
         mov=("Knm", "Kn", "Km"),
         minus_k=_vec(n + 1, m + 1, 2),
         stated=3,
+        dictionary=(("Kn", "H1"), ("Km", "H2"), ("Knm", "D1"), ("Delta", "E1")),
     )
 
 
@@ -630,8 +644,7 @@ def _kontsevich_gr_model(kind: KontsevichGr) -> dict:
     quarter = Fraction(1, 4)
     half = Fraction(1, 2)
     # Ddeg is pinned by pulling the fourth tangency class back along the
-    # degree-two cover from the symmetric rank model; see the comparison
-    # dictionary below.
+    # degree-two cover from the symmetric rank model: D4 goes to Ddeg below.
     return dict(
         rank=3,
         basis=("Hs11", "Hs2", "Delta"),
@@ -650,6 +663,17 @@ def _kontsevich_gr_model(kind: KontsevichGr) -> dict:
         if n >= 4
         else None,
         stated=9,
+        # the pullback of each class of the cover: a multiple of a class here
+        dictionary=(
+            ("H", 1, "Hs11"),
+            ("E1", 2, "Dunb"),
+            ("E2", 1, "Delta"),
+            ("D1", 1, "Hs11"),
+            ("D2", 1, "T"),
+            ("D3", 1, "Hs2"),
+            ("D4", 1, "Ddeg"),
+            ("P", 2, "P"),
+        ),
     )
 
 
@@ -659,68 +683,66 @@ def _kontsevich_gr_model(kind: KontsevichGr) -> dict:
 class _Kind(NamedTuple):
     """What the catalog records about one kind of space.
 
-    ``secant(*secant_args(kind))`` is the secant variety the space blows up.
-    The parameter letters are the kind's dataclass fields.  The two
-    mapping-space kinds that are isomorphic to a form space take that
-    space's automorphism group.
+    ``secant(kind)`` is the secant variety the space blows up and
+    ``automorphisms(kind)`` its automorphism group (None where unrecorded).
+    A mapping-space kind isomorphic to a form space names that space as its
+    ``twin`` and takes the twin's secant and automorphisms instead.  A kind
+    that double-covers a form space names it as its ``cover``: its chambers
+    and positivity are known only through the cover, and its comparison
+    dictionary is the pullback from it.  The parameter letters are the
+    kind's dataclass fields, checked by one rule (:func:`_check_parameters`)
+    that reads ``lowest_n`` and lets the ``admitted`` tuple pass.
     """
 
     cli_name: str
-    secant: Callable[..., SecantInvariants]
-    secant_args: Callable[[SpaceKind], tuple]
     model: Callable[[SpaceKind], dict]
-    automorphisms: Callable[[SpaceKind], Optional[GroupDescriptor]]
+    secant: Optional[Callable[[SpaceKind], SecantInvariants]] = None
+    automorphisms: Optional[Callable[[SpaceKind], Optional[GroupDescriptor]]] = None
+    twin: Optional[Callable[[SpaceKind], SpaceKind]] = None
+    cover: Optional[Callable[[SpaceKind], SpaceKind]] = None
+    lowest_n: int = 1
+    admitted: Optional[Tuple[int, ...]] = None
 
 
 _KINDS: Dict[type, _Kind] = {
     Collineations: _Kind(
         "C",
-        segre_secant_invariants,
-        lambda s: (s.n, s.m, s.h),
         _collineations_model,
+        lambda s: segre_secant_invariants(s.n, s.m, s.h),
         _pair_automorphisms,
     ),
     Quadrics: _Kind(
         "Q",
-        veronese_secant_invariants,
-        lambda s: (s.n, s.h),
         _quadrics_model,
+        lambda s: veronese_secant_invariants(s.n, s.h),
         _symmetric_automorphisms,
     ),
     SegreBlowup: _Kind(
         "secS",
-        segre_secant_invariants,
-        lambda s: (s.n, s.m, s.h),
         _segre_blowup_model,
+        lambda s: segre_secant_invariants(s.n, s.m, s.h),
         _pair_automorphisms,
     ),
     VeroneseBlowup: _Kind(
         "secV",
-        veronese_secant_invariants,
-        lambda s: (s.n, s.h),
         _veronese_blowup_model,
+        lambda s: veronese_secant_invariants(s.n, s.h),
         _symmetric_automorphisms,
+        admitted=(1, 3, 1),
     ),
     KontsevichP: _Kind(
-        "mbar-p",
-        veronese_secant_invariants,
-        lambda s: (s.n, 3),
-        _kontsevich_p_model,
-        lambda s: _symmetric_automorphisms(VeroneseBlowup(s.n, 3, 1)),
+        "mbar-p", _kontsevich_p_model, twin=lambda s: VeroneseBlowup(s.n, 3, 1)
     ),
     KontsevichPxP: _Kind(
-        "mbar-pxp",
-        segre_secant_invariants,
-        lambda s: (s.n, s.m, 2),
-        _kontsevich_pxp_model,
-        lambda s: _pair_automorphisms(Collineations(s.n, s.m, 2)),
+        "mbar-pxp", _kontsevich_pxp_model, twin=lambda s: Collineations(s.n, s.m, 2)
     ),
     KontsevichGr: _Kind(
         "mbar-gr",
-        veronese_secant_invariants,
-        lambda s: (s.n, 4),
         _kontsevich_gr_model,
+        lambda s: veronese_secant_invariants(s.n, 4),
         _kontsevich_gr_automorphisms,
+        cover=lambda s: VeroneseBlowup(s.n, 4, 2),
+        lowest_n=2,
     ),
 }
 
@@ -741,8 +763,7 @@ def build_model(kind: SpaceKind) -> SpaceModel:
     every boundary, color and cone-generator label without coordinates.
     """
 
-    entry = _entry(kind)
-    spec = entry.model(kind)
+    spec = _entry(kind).model(kind)
     basis = spec.get("basis")
     colors = spec.get("colors", ())
     eff, nef = spec.get("eff"), spec.get("nef")
@@ -758,7 +779,7 @@ def build_model(kind: SpaceKind) -> SpaceModel:
         dimension=spec["dimension"] if "dimension" in spec else _secant(kind).dimension,
         picard_rank=spec["rank"],
         basis=basis,
-        classes=classes,
+        classes=MappingProxyType(classes),
         boundary=spec["boundary"],
         colors=colors,
         eff_generators=eff,
@@ -766,7 +787,7 @@ def build_model(kind: SpaceKind) -> SpaceModel:
         mov_generators=spec.get("mov"),
         anticanonical=DivisorClass("-K", minus_k) if minus_k is not None else None,
         stated_chamber_count=spec.get("stated"),
-        automorphisms=entry.automorphisms(kind),
+        automorphisms=_automorphisms(kind),
     )
 
 
@@ -801,35 +822,24 @@ def orbit_picard_group(kind: SpaceKind) -> AbelianGroupDescriptor:
     The dense orbit of a two-sided or quadric compactification has Picard
     group presented by the characters of its generating line bundles modulo
     the relations coming from the top and bottom determinants and the scaling
-    weight.  Only the complete-form kinds carry this presentation.
+    weight.  Only the complete-form kinds carry this presentation; their
+    model builders write the relations.
     """
 
-    if isinstance(kind, Collineations):
-        n, m, h = kind.n, kind.m, kind.h
-        rows = [[1, 0, 1], [0, 1, 1]]
-        if h <= n:
-            rows.append([1, 0, 0])
-        if h <= m:
-            rows.append([0, 1, 0])
-        return cokernel(IntegerMatrix.from_rows(rows + [[0, 0, -h]]))
-    if isinstance(kind, Quadrics):
-        n, h = kind.n, kind.h
-        if h <= n:
-            relations = IntegerMatrix.from_rows([[2], [-h]])
-        else:
-            relations = IntegerMatrix.from_rows([[1, 2], [0, -h]])
-        return cokernel(relations)
-    raise OutOfScope(
-        "orbit Picard groups are computed for the complete collineation and "
-        "quadric kinds only"
-    )
+    relations = _entry(kind).model(kind).get("orbit")
+    if relations is None:
+        raise OutOfScope(
+            "orbit Picard groups are computed for the complete collineation and "
+            "quadric kinds only"
+        )
+    return cokernel(IntegerMatrix.from_rows(relations))
 
 
 def mori_chambers(kind: SpaceKind) -> ChamberDecomposition:
     """Chamber decomposition of the effective cone from boundary and color classes."""
 
     model = build_model(kind)
-    if isinstance(kind, KontsevichGr):
+    if _entry(kind).cover is not None:
         raise OutOfScope(
             "the chamber decomposition of %s is only known through its "
             "degree-two cover of the symmetric rank model" % model.name
@@ -875,7 +885,7 @@ class PositivityClass(enum.Enum):
 def classify_positivity(kind: SpaceKind) -> PositivityClass:
     """Place the anticanonical class relative to the nef and effective cones."""
 
-    if isinstance(kind, KontsevichGr):
+    if _entry(kind).cover is not None:
         raise OutOfScope(
             "positivity for the Grassmannian mapping space is read off its "
             "degree-two cover, not classified directly"
@@ -898,7 +908,7 @@ def classify_positivity(kind: SpaceKind) -> PositivityClass:
 
 
 def automorphism_group(kind: SpaceKind) -> GroupDescriptor:
-    group = _entry(kind).automorphisms(kind)
+    group = _automorphisms(kind)
     if group is None:
         raise OutOfScope(
             "the automorphism group of %s is not recorded for partial towers "
@@ -967,63 +977,35 @@ def kontsevich_dictionary(kind: SpaceKind) -> ComparisonDictionary:
     """Class-lattice dictionary tying a mapping space to its form-space twin.
 
     For the projective and product targets the dictionary is an isomorphism
-    written from the mapping space to the rank model; for the Grassmannian it
-    is the pullback along the degree-two cover, written from the symmetric
-    rank model to the mapping space.
+    written from the mapping space to its twin; for the Grassmannian it is
+    the pullback along the degree-two cover, written from the cover to the
+    mapping space, each image a multiple of a mapping-space class.
     """
 
-    if isinstance(kind, KontsevichGr):
-        n = kind.n
-        if n < 3:
-            raise OutOfScope(
-                "the pullback dictionary needs the rank-three coordinate "
-                "models, which start at n = 3"
-            )
-        source = VeroneseBlowup(n, 4, 2)
-        half = Fraction(1, 2)
-        entries = (
-            DictionaryEntry("H", "Hs11", _vec(1, 0, 0)),
-            DictionaryEntry("E1", "2*Dunb", (Fraction(3, 2), -half, -half)),
-            DictionaryEntry("E2", "Delta", _vec(0, 0, 1)),
-            DictionaryEntry("D1", "Hs11", _vec(1, 0, 0)),
-            DictionaryEntry("D2", "T", (half, half, half)),
-            DictionaryEntry("D3", "Hs2", _vec(0, 1, 0)),
-            DictionaryEntry("D4", "Ddeg", (-half, Fraction(3, 2), -half)),
-            DictionaryEntry(
-                "P", "2*P", (Fraction(3, 2), Fraction(3, 2), -half)
-            ),
-        )
-        columns = (  # images of H, E1, E2
-            _vec(1, 0, 0),
-            (Fraction(3, 2), -half, -half),
-            _vec(0, 0, 1),
-        )
-        return ComparisonDictionary(source, kind, entries, columns)
-    if isinstance(kind, KontsevichP):
-        target = VeroneseBlowup(kind.n, 3, 1)
-        if kind.n == 1:
-            pairs = (("T", "D1"), ("Delta", "E1"))
-        else:
-            pairs = (("T", "D1"), ("H", "D2"), ("Ddeg", "(1/2)*D3"), ("Delta", "E1"))
-    elif isinstance(kind, KontsevichPxP):
-        target = Collineations(kind.n, kind.m, 2)
-        if kind.n == 1 and kind.m == 1:
-            pairs = (("Knm", "D1"), ("Delta", "E1"))
-        elif kind.n == 1:
-            pairs = (("Knm", "D1"), ("Km", "D2"), ("Delta", "E1"))
-        else:
-            pairs = (("Kn", "H1"), ("Km", "H2"), ("Knm", "D1"), ("Delta", "E1"))
-    else:
-        raise OutOfScope(
-            "comparison dictionaries are recorded for the mapping-space kinds only"
-        )
-    # Both isomorphisms are written in matching bases: every class keeps its
-    # coordinate vector under its form-space name.
-    spec = _entry(kind).model(kind)
+    entry = _entry(kind)
+    spec = entry.model(kind)
+    rule = spec.get("dictionary")
+    if rule is None:
+        raise OutOfScope("no comparison dictionary is recorded for %s" % space_name(kind))
     coordinates = _coordinates(spec)
-    entries = tuple(DictionaryEntry(src, dst, coordinates[src]) for src, dst in pairs)
-    columns = tuple(coordinates[label] for label in spec["basis"])
-    return ComparisonDictionary(kind, target, entries, columns)
+    if entry.twin is not None:
+        # the isomorphism is written in matching bases: every class keeps its
+        # coordinate vector under its form-space name
+        entries = tuple(DictionaryEntry(src, dst, coordinates[src]) for src, dst in rule)
+        columns = tuple(coordinates[label] for label in spec["basis"])
+        return ComparisonDictionary(kind, entry.twin(kind), entries, columns)
+    source = entry.cover(kind)
+    entries = tuple(
+        DictionaryEntry(
+            src,
+            dst if c == 1 else "%d*%s" % (c, dst),
+            tuple(c * x for x in coordinates[dst]),
+        )
+        for src, c, dst in rule
+    )
+    images = {e.source: e.image for e in entries}
+    columns = tuple(images[label] for label in _entry(source).model(source)["basis"])
+    return ComparisonDictionary(source, kind, entries, columns)
 
 
 # ---------------------------------------------------------------------------

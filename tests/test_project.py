@@ -1,8 +1,10 @@
-"""Checks on the project as a whole: the demos run, and src/ holds no assert.
+"""Checks on the project as a whole: the demos run, and two lints on src/.
 
 Invariants in the package must hold under ``python -O``, which strips
-``assert`` statements, so they raise typed errors instead; the lint below
-keeps it that way.
+``assert`` statements, so they raise typed errors instead; the first lint
+keeps it that way.  Everything the catalog knows per space kind lives in its
+kind table and model builders, so ``spaces`` never tests a kind's class; the
+second lint keeps it that way.
 """
 
 import ast
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import completeforms
+from completeforms import spaces
 
 PACKAGE = Path(completeforms.__file__).parent
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
@@ -45,4 +48,18 @@ def test_no_assert_in_the_package():
         for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_spaces_never_dispatches_on_a_kind_class():
+    kinds = {cls.__name__ for cls in spaces._KINDS}
+    tree = ast.parse(Path(spaces.__file__).read_text(encoding="utf-8"))
+    found = [
+        "spaces.py:%d" % node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("isinstance", "issubclass")
+        and kinds & {name.id for name in ast.walk(node.args[1]) if isinstance(name, ast.Name)}
+    ]
+    assert len(kinds) == 7
     assert found == []

@@ -1,5 +1,7 @@
 """Tests for the space catalog: invariants, cones, chambers, dictionaries."""
 
+import dataclasses
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +19,7 @@ from completeforms.groups import (
 )
 from completeforms.spaces import (
     Collineations,
+    DivisorClass,
     KontsevichGr,
     KontsevichP,
     KontsevichPxP,
@@ -73,6 +76,30 @@ def test_kind_validation_rejects_bad_parameters():
         KontsevichGr(1)
     with pytest.raises(TypeError):
         Quadrics(3.0, 2)
+
+
+# the bounds each kind was written with, one inequality chain per kind
+STATED_BOUNDS = {
+    Collineations: lambda n, m, h: 1 <= n <= m and 1 <= h <= n + 1,
+    Quadrics: lambda n, h: n >= 1 and 1 <= h <= n + 1,
+    SegreBlowup: lambda n, m, h, k: 1 <= n <= m and 1 <= h <= n + 1 and 1 <= k <= h - 1,
+    VeroneseBlowup: lambda n, h, k: (n, h, k) == (1, 3, 1)
+    or (n >= 1 and 1 <= h <= n + 1 and 1 <= k <= h - 1),
+    KontsevichP: lambda n: n >= 1,
+    KontsevichPxP: lambda n, m: 1 <= n <= m,
+    KontsevichGr: lambda n: n >= 2,
+}
+
+
+@pytest.mark.parametrize("cls", list(STATED_BOUNDS), ids=lambda cls: cls.__name__)
+def test_a_kind_constructs_exactly_when_its_stated_bounds_hold(cls):
+    arity = len(dataclasses.fields(cls))
+    for values in itertools.product(range(-1, 7), repeat=arity):
+        if STATED_BOUNDS[cls](*values):
+            assert dataclasses.astuple(cls(*values)) == values
+        else:
+            with pytest.raises(ValueError):
+                cls(*values)
 
 
 def test_degenerate_symmetric_triple_is_admitted():
@@ -492,6 +519,30 @@ def test_grassmannian_pullback_dictionary():
     assert phi.inverse_apply(gr.classes["Hs2"].coordinates) == F(3, -2, -1)
 
 
+def scaled_class(model, target):
+    """Coordinates of a dictionary target such as ``D1``, ``2*P`` or ``(1/2)*D3``."""
+    scalar, _, label = target.rpartition("*")
+    return tuple(Fraction(scalar.strip("()") or 1) * c for c in model.class_coordinates(label))
+
+
+def test_every_dictionary_image_agrees_with_the_other_model():
+    for n in range(3, 9):
+        phi = kontsevich_dictionary(KontsevichGr(n))
+        cover = build_model(VeroneseBlowup(n, 4, 2))
+        assert phi.source == cover.kind
+        for entry in phi.entries:
+            assert entry.image == phi.apply(cover.class_coordinates(entry.source)), (n, entry)
+    twins = [(KontsevichP(n), VeroneseBlowup(n, 3, 1)) for n in range(1, 7)]
+    twins += [
+        (KontsevichPxP(n, m), Collineations(n, m, 2)) for n in range(1, 7) for m in range(n, 7)
+    ]
+    for kind, twin in twins:
+        psi = kontsevich_dictionary(kind)
+        assert psi.target == twin
+        for entry in psi.entries:
+            assert entry.image == scaled_class(build_model(twin), entry.target), (kind, entry)
+
+
 def test_dictionary_out_of_scope_cases():
     with pytest.raises(OutOfScope):
         kontsevich_dictionary(KontsevichGr(2))
@@ -572,6 +623,13 @@ def test_model_to_dict_round_trips_through_plain_types():
     no_coords = build_model(Quadrics(5, 4)).to_dict()
     assert no_coords["basis"] is None
     assert no_coords["anticanonical"] is None
+
+
+def test_a_built_model_cannot_be_changed():
+    model = build_model(Quadrics(4, 3))
+    with pytest.raises(TypeError):
+        model.classes["X"] = DivisorClass("X", F(1, 1, 1))
+    assert "X" not in model.classes
 
 
 # ---------------------------------------------------------------------------
