@@ -122,15 +122,16 @@ def _census_preconditions(a: int, b: int, q: int, symmetric: bool) -> int:
         raise ValueError("matrix format must be positive, got %dx%d" % (a, b))
     if symmetric and a != b:
         raise DimensionMismatch("symmetric census needs a == b, got %d != %d" % (a, b))
-    if not is_prime(q):
-        raise NonPrimeField(
-            "%d is not prime; enumeration over prime fields only (2, 3, 5 in practice)" % q
-        )
+    # the budget first: it bounds q by 2^24, so trial division takes at most 4096 steps
     npos = a * (a + 1) // 2 if symmetric else a * b
     count = q**npos
     if count > ENUMERATION_BUDGET:
         raise BudgetExceeded(
             "would enumerate %d matrices, budget is %d" % (count, ENUMERATION_BUDGET)
+        )
+    if not is_prime(q):
+        raise NonPrimeField(
+            "%d is not prime; enumeration over prime fields only (2, 3, 5 in practice)" % q
         )
     return count
 
@@ -246,10 +247,12 @@ def _full_ranks(rows: np.ndarray, q: int, a: int, b: int) -> np.ndarray:
 
 def _matrix(index: int, q: int, a: int, b: int, symmetric: bool) -> list[list[int]]:
     """Matrix number ``index`` as nested lists, for a report."""
-    rows = _decode_rows(np.array([index], dtype=np.int64), q, a, b, symmetric)
-    if q == 2:
-        return [[int(r >> j) & 1 for j in range(b)] for r in rows[:, 0]]
-    return rows[:, :, 0].tolist()
+    matrix = [[0] * b for _ in range(a)]
+    for i, j in _positions(a, b, symmetric):
+        index, matrix[i][j] = divmod(index, q)
+        if symmetric:
+            matrix[j][i] = matrix[i][j]
+    return matrix
 
 
 def rank_census(a: int, b: int, q: int, symmetric: bool = False) -> RankCensus:

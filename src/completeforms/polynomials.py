@@ -5,7 +5,8 @@ positions (i, j) and (j, i) name the same variable, canonically stored with
 i <= j.  Coefficients are Fractions, monomials are stored sparsely, and the
 printing order is graded lex so that reprs are stable.
 
-The main consumers are the symbolic minors of :func:`minor_det` and the
+The main consumers are the symbolic minors of :func:`minor_det`, built by
+the Leibniz formula (a k x k minor has k! terms, hence the 5x5 cap), and the
 tangent-cone comparison :func:`verify_tangent_cone`, which shifts a batch of
 minors to a distinguished point and compares each lowest-degree homogeneous
 part against the complementary minor of the residual block.
@@ -13,9 +14,10 @@ part against the complementary minor of the residual block.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import comb
 
 from .errors import DimensionMismatch, IndexOutOfRange, TooLarge
@@ -202,6 +204,19 @@ class SparsePoly:
         return " ".join(pieces)
 
 
+def _index_set(indices, top: int, label: str) -> list[int]:
+    """The indices sorted, each a distinct int in 0..top."""
+    out = list(indices)
+    for i in out:
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise TypeError("%s index must be an int, got %r" % (label, i))
+        if i < 0 or i > top:
+            raise IndexOutOfRange("%s %d outside 0..%d" % (label, i, top))
+    if len(set(out)) != len(out):
+        raise DimensionMismatch("repeated %s index in %r" % (label, out))
+    return sorted(out)
+
+
 def minor_det(
     n: int,
     m: int,
@@ -211,12 +226,13 @@ def minor_det(
 ) -> SparsePoly:
     """Symbolic determinant of the submatrix of a generic (n+1) x (m+1) matrix.
 
-    Rows and columns are 0-based subsets of equal size, capped at 5x5 (the
-    sizes this package ever needs; beyond that the term count explodes).  In
-    symmetric mode the variables satisfy z(i,j) == z(j,i) and n must equal m.
+    Rows and columns are sets of distinct 0-based ints of equal size.  The
+    Leibniz formula gives one signed monomial per permutation of the columns,
+    so a k x k minor has k! terms and the size is capped at 5x5.  In symmetric
+    mode z(i,j) == z(j,i), so mirrored monomials merge, and n must equal m.
     """
-    rows = sorted({int(i) for i in row_set})
-    cols = sorted({int(j) for j in col_set})
+    rows = _index_set(row_set, n, "row")
+    cols = _index_set(col_set, m, "column")
     if symmetric and n != m:
         raise DimensionMismatch("symmetric mode needs a square format, got %d != %d" % (n, m))
     if len(rows) != len(cols):
@@ -225,28 +241,15 @@ def minor_det(
         )
     if len(rows) > MAX_MINOR_SIZE:
         raise TooLarge("minor size %d exceeds the %dx%d cap" % (len(rows), MAX_MINOR_SIZE, MAX_MINOR_SIZE))
-    for i in rows:
-        if i < 0 or i > n:
-            raise IndexOutOfRange("row %d outside 0..%d" % (i, n))
-    for j in cols:
-        if j < 0 or j > m:
-            raise IndexOutOfRange("column %d outside 0..%d" % (j, m))
-    if not rows:
-        return SparsePoly.constant(1)
 
-    def expand(rs: tuple[int, ...], cs: tuple[int, ...]) -> SparsePoly:
-        if len(rs) == 1:
-            return SparsePoly.variable(rs[0], cs[0], symmetric)
-        total = SparsePoly.zero()
-        r0 = rs[0]
-        rest = rs[1:]
-        for pos, c in enumerate(cs):
-            sub = expand(rest, cs[:pos] + cs[pos + 1 :])
-            term = SparsePoly.variable(r0, c, symmetric) * sub
-            total = total + (term if pos % 2 == 0 else -term)
-        return total
-
-    return expand(tuple(rows), tuple(cols))
+    terms: dict[Monomial, int] = {}
+    for perm in permutations(cols):
+        # cols is sorted, so the inversions of perm are those of the permutation
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        powers = Counter(matrix_variable(i, j, symmetric) for i, j in zip(rows, perm))
+        mono = tuple(sorted(powers.items()))
+        terms[mono] = terms.get(mono, 0) + sign
+    return SparsePoly.from_dict(terms)
 
 
 def shift_and_leading_form(p: SparsePoly, shifts: dict) -> SparsePoly:
@@ -279,32 +282,26 @@ def verify_tangent_cone(
         )
 
     shifts = {(i, i): 1 for i in range(k)}
-    size = h + 1
     checked = 0
     counterexample = None
-    free_rows = range(k, n + 1)
-    free_cols = range(k, m + 1)
     prefix = tuple(range(k))
-
-    if size <= min(n, m) + 1:
-        for extra_rows in combinations(free_rows, size - k):
-            for extra_cols in combinations(free_cols, size - k):
-                rows = prefix + extra_rows
-                cols = prefix + extra_cols
-                full = minor_det(n, m, rows, cols, symmetric)
-                lead = shift_and_leading_form(full, shifts)
-                expected = minor_det(n, m, extra_rows, extra_cols, symmetric)
-                if lead != expected and lead != -expected:
-                    counterexample = {
-                        "rows": list(rows),
-                        "cols": list(cols),
-                        "leading_form": str(lead),
-                        "expected_minor": str(expected),
-                    }
-                    break
-                checked += 1
-            if counterexample:
-                break
+    # at h = min(n, m) + 1 one side has no (h+1-k)-subset, so nothing is checked
+    extra = h + 1 - k
+    pairs = product(combinations(range(k, n + 1), extra), combinations(range(k, m + 1), extra))
+    for extra_rows, extra_cols in pairs:
+        rows = prefix + extra_rows
+        cols = prefix + extra_cols
+        lead = shift_and_leading_form(minor_det(n, m, rows, cols, symmetric), shifts)
+        expected = minor_det(n, m, extra_rows, extra_cols, symmetric)
+        if lead != expected and lead != -expected:
+            counterexample = {
+                "rows": list(rows),
+                "cols": list(cols),
+                "leading_form": str(lead),
+                "expected_minor": str(expected),
+            }
+            break
+        checked += 1
 
     if symmetric:
         ambient = veronese_secant_invariants(n, h).ambient_dimension

@@ -1028,14 +1028,10 @@ def riemann_hurwitz_coefficients(n: int) -> Tuple[Fraction, ...]:
     gr = build_model(KontsevichGr(n))
     target = gr.anticanonical.coordinates
     branch = gr.class_coordinates("Dunb")
-    rhs = [t + b for t, b in zip(target, branch)]
-    rows = [
-        [dictionary.matrix_columns[j][i] for j in range(3)] for i in range(3)
-    ]
-    solution = solve_rational(rows, rhs)
-    if solution is None:
-        raise InternalInconsistency("the double-cover relation has no solution")
-    return tuple(solution)
+    try:
+        return dictionary.inverse_apply([t + b for t, b in zip(target, branch)])
+    except ValueError as exc:
+        raise InternalInconsistency("the double-cover relation has no unique solution") from exc
 
 
 def verify_riemann_hurwitz(n: int) -> VerificationReport:

@@ -196,6 +196,15 @@ def test_composite_field_size_exits_two(capsys):
     assert "prime" in err
 
 
+def test_a_huge_field_size_exits_two_without_trial_division(capsys):
+    code, out, err = run_cli(
+        ["verify", "--check", "census", "--rows", "1", "--cols", "1", "--q", str(10**18 + 3)],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert "budget" in err
+
+
 def test_out_of_scope_spaces_exit_three(capsys):
     for argv in [
         ["chambers", "--space", "mbar-gr", "--n", "4"],

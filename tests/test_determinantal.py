@@ -11,6 +11,7 @@ that specialize them.
 from fractions import Fraction
 from math import comb, prod
 
+import numpy as np
 import pytest
 
 from completeforms import determinantal
@@ -195,6 +196,12 @@ def test_census_preconditions():
         rank_census(2, 3, 2, symmetric=True)
     with pytest.raises(BudgetExceeded):
         rank_census(5, 5, 3)
+    # the budget bounds q by 2^24 before trial division, which would run for
+    # hours on a prime near 10^18
+    with pytest.raises(BudgetExceeded):
+        rank_census(1, 1, 10**18 + 3)
+    with pytest.raises(BudgetExceeded):
+        verify_rank_minor_lemma(1, 1, 1, 10**18 + 3)
     with pytest.raises(ValueError):
         rank_census(0, 2, 2)
 
@@ -370,3 +377,18 @@ def test_symmetric_split_reports_the_first_asymmetric_index(monkeypatch):
     }
     assert split.counts == {"matrices": 8, "rank_locus": 4, "det_zero": 4, "h1": 2, "h2": 4,
                             "overlap": 2}
+
+
+@pytest.mark.parametrize("a,b,q,symmetric", [(2, 3, 2, False), (2, 3, 3, False),
+                                             (2, 2, 2, True), (2, 2, 3, True)])
+def test_reported_matrix_matches_the_decoded_rows(a, b, q, symmetric):
+    # the counterexample decoder is pure Python; the kernel decodes in numpy
+    npos = a * (a + 1) // 2 if symmetric else a * b
+    t = np.arange(q**npos, dtype=np.int64)
+    rows = determinantal._decode_rows(t, q, a, b, symmetric)
+    for index in range(q**npos):
+        if q == 2:
+            decoded = [[int(r >> j) & 1 for j in range(b)] for r in rows[:, index]]
+        else:
+            decoded = rows[:, :, index].tolist()
+        assert determinantal._matrix(index, q, a, b, symmetric) == decoded

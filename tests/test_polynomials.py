@@ -8,12 +8,14 @@ That coefficient must agree with the claimed leading form evaluated at the
 direction vector, for every direction.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from completeforms.errors import DimensionMismatch, IndexOutOfRange, TooLarge
+from completeforms.lattice import IntegerMatrix
 from completeforms.polynomials import (
     SparsePoly,
     minor_det,
@@ -121,6 +123,42 @@ def test_minor_size_cap_and_index_checks():
         minor_det(2, 2, [0, 1], [0])
     with pytest.raises(DimensionMismatch):
         minor_det(1, 2, [0], [0], symmetric=True)
+    # a repeated index is not read as a smaller minor: the 2x2 submatrix on
+    # rows (0, 0) has determinant 0, not z01
+    with pytest.raises(DimensionMismatch):
+        minor_det(1, 1, [0, 0], [1, 1])
+    with pytest.raises(DimensionMismatch):
+        minor_det(2, 2, [0, 1], [2, 2])
+    # nor is a float or a bool truncated or read as an index
+    with pytest.raises(TypeError):
+        minor_det(2, 2, [0.7, 1], [0, 2])
+    with pytest.raises(TypeError):
+        minor_det(2, 2, [0, 1], [True, 2])
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("size", range(6))
+def test_minor_matches_the_bareiss_determinant_at_random_points(size, symmetric):
+    # oracle: lattice's fraction-free elimination on the same integer submatrix
+    rng = random.Random(100 * size + symmetric)
+    for _ in range(6):
+        point = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
+        if symmetric:
+            point = [[point[min(i, j)][max(i, j)] for j in range(6)] for i in range(6)]
+        rows = rng.sample(range(6), size)
+        cols = rows if symmetric and rng.random() < 0.5 else rng.sample(range(6), size)
+        p = minor_det(5, 5, rows, cols, symmetric)
+        values = {(i, j): point[i][j] for i in range(6) for j in range(6)}
+        sub = IntegerMatrix.from_rows([[point[i][j] for j in sorted(cols)] for i in sorted(rows)])
+        assert p.evaluate(values) == sub.determinant()
+
+
+@pytest.mark.parametrize("size", range(6))
+def test_general_minor_has_one_unit_term_per_permutation(size):
+    p = minor_det(5, 5, range(size), range(6 - size, 6))
+    assert len(p.terms) == math.factorial(size)
+    # each term is a product of size distinct entries with coefficient +-1
+    assert all(abs(c) == 1 and len(mono) == size for mono, c in p.terms)
 
 
 def test_polynomial_ring_operations():
