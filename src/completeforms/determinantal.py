@@ -122,18 +122,17 @@ def _census_preconditions(a: int, b: int, q: int, symmetric: bool) -> int:
         raise ValueError("matrix format must be positive, got %dx%d" % (a, b))
     if symmetric and a != b:
         raise DimensionMismatch("symmetric census needs a == b, got %d != %d" % (a, b))
-    # the budget first: it bounds q by 2^24, so trial division takes at most 4096 steps
+    # budget before primality (q <= 2^24: trial division is short); no q**npos past 24 positions
     npos = a * (a + 1) // 2 if symmetric else a * b
-    count = q**npos
-    if count > ENUMERATION_BUDGET:
+    if abs(q) >= 2 and (npos >= ENUMERATION_BUDGET.bit_length() or q**npos > ENUMERATION_BUDGET):
         raise BudgetExceeded(
-            "would enumerate %d matrices, budget is %d" % (count, ENUMERATION_BUDGET)
+            "would enumerate %d^%d matrices, budget is %d" % (q, npos, ENUMERATION_BUDGET)
         )
     if not is_prime(q):
         raise NonPrimeField(
             "%d is not prime; enumeration over prime fields only (2, 3, 5 in practice)" % q
         )
-    return count
+    return q**npos
 
 
 # ------------------------------------------------------------ rank kernel

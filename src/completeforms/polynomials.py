@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import comb
 
 from .errors import DimensionMismatch, IndexOutOfRange, TooLarge
@@ -241,7 +241,6 @@ def minor_det(
         )
     if len(rows) > MAX_MINOR_SIZE:
         raise TooLarge("minor size %d exceeds the %dx%d cap" % (len(rows), MAX_MINOR_SIZE, MAX_MINOR_SIZE))
-
     terms: dict[Monomial, int] = {}
     for perm in permutations(cols):
         # cols is sorted, so the inversions of perm are those of the permutation
@@ -285,9 +284,14 @@ def verify_tangent_cone(
     checked = 0
     counterexample = None
     prefix = tuple(range(k))
-    # at h = min(n, m) + 1 one side has no (h+1-k)-subset, so nothing is checked
     extra = h + 1 - k
-    pairs = product(combinations(range(k, n + 1), extra), combinations(range(k, m + 1), extra))
+    # lazy, so an oversized first minor raises TooLarge at once; at h = min(n, m) + 1
+    # one side has no (h+1-k)-subset, and no row subset is walked
+    pairs = (
+        (r, c)
+        for r in (combinations(range(k, n + 1), extra) if h <= min(n, m) else ())
+        for c in combinations(range(k, m + 1), extra)
+    )
     for extra_rows, extra_cols in pairs:
         rows = prefix + extra_rows
         cols = prefix + extra_cols

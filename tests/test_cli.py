@@ -205,6 +205,15 @@ def test_a_huge_field_size_exits_two_without_trial_division(capsys):
     assert "budget" in err
 
 
+def test_an_oversized_tangent_cone_minor_exits_two(capsys):
+    code, out, err = run_cli(
+        ["verify", "--check", "tangent-cone", "--n", "40", "--m", "40", "--h", "20", "--k", "1"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_out_of_scope_spaces_exit_three(capsys):
     for argv in [
         ["chambers", "--space", "mbar-gr", "--n", "4"],

@@ -202,6 +202,11 @@ def test_census_preconditions():
         rank_census(1, 1, 10**18 + 3)
     with pytest.raises(BudgetExceeded):
         verify_rank_minor_lemma(1, 1, 1, 10**18 + 3)
+    # a huge format is refused without computing q**(a*b), composite q or not
+    with pytest.raises(BudgetExceeded):
+        rank_census(100000, 100000, 4)
+    with pytest.raises(BudgetExceeded):
+        rank_census(100000, 100000, 3, symmetric=True)
     with pytest.raises(ValueError):
         rank_census(0, 2, 2)
 

@@ -233,6 +233,16 @@ def test_tangent_cone_full_rank_point_has_no_minors_left():
     rep = verify_tangent_cone(1, 2, 2, 1)
     assert rep.passed
     assert rep.counts["minors_checked"] == 0
+    # the long side alone has C(300, 5) subsets; none of them may be walked
+    rep = verify_tangent_cone(300, 3, 4, 1)
+    assert rep.passed
+    assert rep.counts["minors_checked"] == 0
+
+
+def test_tangent_cone_oversized_minor_fails_before_listing_subsets():
+    # C(40, 20) ~ 1.4e11 row subsets: the first 21x21 minor must raise at once
+    with pytest.raises(TooLarge):
+        verify_tangent_cone(40, 40, 20, 1)
 
 
 def test_tangent_cone_precondition_errors():
