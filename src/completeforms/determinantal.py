@@ -44,15 +44,31 @@ ENUMERATION_BUDGET = 1 << 24
 _CHUNK = 1 << 18
 
 
+# The least composite that is a strong pseudoprime to every prime base up to 41
+# (Sorenson and Webster 2017); up to 37 it would be 318665857834031151167461.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BASES_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(q: int) -> bool:
-    """Trial-division primality check, plenty for single-digit moduli."""
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
+    """Deterministic Miller-Rabin on the prime bases 2..41, exact for q < 3.3e24."""
+    if q >= _PRIME_BASES_EXACT_BELOW:
+        raise ValueError(
+            "primality is decided only below %d, got %d" % (_PRIME_BASES_EXACT_BELOW, q)
+        )
+    if q < 2 or any(q % a == 0 for a in _PRIME_BASES):
+        return q in _PRIME_BASES
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 == d * 2^s with d odd
+    for a in _PRIME_BASES:
+        x = pow(a, (q - 1) >> s, q)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == q - 1:
+                break
+            x = x * x % q
+        else:
             return False
-        d += 1
     return True
 
 
@@ -122,7 +138,7 @@ def _census_preconditions(a: int, b: int, q: int, symmetric: bool) -> int:
         raise ValueError("matrix format must be positive, got %dx%d" % (a, b))
     if symmetric and a != b:
         raise DimensionMismatch("symmetric census needs a == b, got %d != %d" % (a, b))
-    # budget before primality (q <= 2^24: trial division is short); no q**npos past 24 positions
+    # budget before primality, so any q is refused by size; no q**npos past 24 positions
     npos = a * (a + 1) // 2 if symmetric else a * b
     if abs(q) >= 2 and (npos >= ENUMERATION_BUDGET.bit_length() or q**npos > ENUMERATION_BUDGET):
         raise BudgetExceeded(

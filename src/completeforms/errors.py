@@ -31,7 +31,7 @@ class IndexOutOfRange(IndexError):
 
 
 class TooLarge(ValueError):
-    """A symbolic determinant request beyond the supported 5x5 cap."""
+    """A symbolic determinant beyond the 5x5 cap, or a tangent-cone walk beyond its term cap."""
 
 
 class NonPrimeField(ValueError):

@@ -4,11 +4,14 @@ Everything here runs on Python ints and :class:`fractions.Fraction`; there is
 no floating point anywhere.  The two workhorses are :func:`smith_normal_form`,
 which returns the full ``(U, D, V)`` transform data, and :func:`cokernel`,
 which turns a relation matrix into a finitely generated abelian group
-descriptor.  Rational solving is deliberately strict: a system with a
-positive-dimensional solution space raises instead of picking a point.  One
-fraction-free elimination routine on integer rows, ``_row_reduce``, serves
-:func:`solve_rational` (after clearing denominators) and the rank and kernel
-computations of :mod:`completeforms.cones`.
+descriptor.  The normal form reduces one integer tableau
+``[[M, I_rows], [I_cols, 0]]``, so each row operation reaches ``U`` and each
+column operation reaches ``V`` by being applied once.  Rational solving is
+deliberately strict: a system with a positive-dimensional solution space
+raises instead of picking a point.  One fraction-free elimination routine on
+integer rows, ``_row_reduce``, serves :func:`solve_rational` (after clearing
+denominators) and the rank and kernel computations of
+:mod:`completeforms.cones`.
 """
 
 from __future__ import annotations
@@ -238,24 +241,6 @@ class SmithNormalForm:
         return tuple(self.d[i, i] for i in range(min(self.d.rows, self.d.cols)))
 
 
-def _select_pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
-    """Smallest nonzero entry by absolute value in the trailing submatrix.
-
-    Ties break toward the lowest (row, col) pair, which keeps the whole
-    reduction deterministic.
-    """
-    best = None
-    best_key = None
-    for i in range(t, len(a)):
-        for j in range(t, len(a[0])):
-            if a[i][j] != 0:
-                key = (abs(a[i][j]), i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-    return best
-
-
 def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
@@ -264,89 +249,56 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     ``det(u), det(v) in {+1, -1}``.  Pivoting always picks the smallest
     nonzero entry in absolute value (ties by lowest row, then column), so the
     output is a deterministic function of the input.
+
+    The reduction runs on one tableau ``tab = [[m, I_rows], [I_cols, 0]]``: an
+    operation on its first ``rows`` rows acts on ``m`` and records itself in
+    ``u`` (top right), one on its first ``cols`` columns acts on ``m`` and
+    records itself in ``v`` (bottom left), and ``d`` is the top-left block.
     """
     rows, cols = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
+    tab = [list(a + e) for a, e in zip(m.entries, IntegerMatrix.identity(rows).entries)]
+    tab += [list(e) + [0] * rows for e in IntegerMatrix.identity(cols).entries]
 
     def add_row(src, dst, c):
-        # row_dst += c * row_src
-        for j in range(cols):
-            a[dst][j] += c * a[src][j]
-        for j in range(rows):
-            u[dst][j] += c * u[src][j]
+        tab[dst] = [x + c * y for x, y in zip(tab[dst], tab[src])]
 
     def add_col(src, dst, c):
-        for row in a:
+        for row in tab:
             row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     for t in range(min(rows, cols)):
         while True:
-            pos = _select_pivot(a, t)
-            if pos is None:
+            trailing = ((i, j, x) for i in range(t, rows) for j, x in enumerate(tab[i][t:cols], t))
+            pivot = min(((abs(x), i, j) for i, j, x in trailing if x), default=None)
+            if pivot is None:
                 break
-            if pos != (t, t):
-                if pos[0] != t:
-                    swap_rows(t, pos[0])
-                if pos[1] != t:
-                    swap_cols(t, pos[1])
-            if a[t][t] < 0:
-                negate_row(t)
-            p = a[t][t]
-            dirty = False
+            _, i, j = pivot
+            tab[t], tab[i] = tab[i], tab[t]
+            for row in tab:
+                row[t], row[j] = row[j], row[t]
+            if tab[t][t] < 0:
+                tab[t] = [-x for x in tab[t]]
+            p = tab[t][t]
             for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // p
-                    if q:
-                        add_row(t, i, -q)
-                    if a[i][t] != 0:
-                        dirty = True
+                add_row(t, i, -(tab[i][t] // p))
             for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // p
-                    if q:
-                        add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        dirty = True
-            if dirty:
+                add_col(t, j, -(tab[t][j] // p))
+            if any(tab[i][t] for i in range(t + 1, rows)) or any(tab[t][t + 1 : cols]):
                 continue
             # Row and column are clear; force the divisibility chain by folding
-            # in any entry the pivot does not divide yet.
-            stray = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % p != 0:
-                        stray = i
-                        break
-                if stray is not None:
-                    break
+            # in the first lower row with an entry the pivot does not divide.
+            stray = next(
+                (i for i in range(t + 1, rows) if any(x % p for x in tab[i][t + 1 : cols])), None
+            )
             if stray is None:
                 break
             add_row(stray, t, 1)
-        if pos is None:
-            break
 
-    du = IntegerMatrix(tuple(tuple(r) for r in u))
-    dd = IntegerMatrix(tuple(tuple(r) for r in a))
-    dv = IntegerMatrix(tuple(tuple(r) for r in v))
-    return SmithNormalForm(du, dd, dv)
+    return SmithNormalForm(
+        u=IntegerMatrix(tuple(tuple(row[cols:]) for row in tab[:rows])),
+        d=IntegerMatrix(tuple(tuple(row[:cols]) for row in tab[:rows])),
+        v=IntegerMatrix(tuple(tuple(row[:cols]) for row in tab[rows:])),
+    )
 
 
 def cokernel(relations: IntegerMatrix) -> AbelianGroupDescriptor:
@@ -420,6 +372,8 @@ def solve_rational(a, b: Sequence) -> RationalVector | None:
     if not rows:
         return RationalVector(())
     ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise DimensionMismatch("ragged rows in matrix literal")
     aug = []
     for row, r in zip(rows, rhs):
         scale = lcm(*(x.denominator for x in row), r.denominator)

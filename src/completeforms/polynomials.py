@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 
 from .errors import DimensionMismatch, IndexOutOfRange, TooLarge
 from .reports import VerificationReport
@@ -36,6 +36,8 @@ Var = tuple[int, int]
 Monomial = tuple[tuple[Var, int], ...]
 
 MAX_MINOR_SIZE = 5
+# cap on the Leibniz terms a tangent-cone check builds: minor pairs times (h+1)!
+MAX_TANGENT_TERMS = 10**5
 
 
 def matrix_variable(i: int, j: int, symmetric: bool = False) -> Var:
@@ -271,7 +273,8 @@ def verify_tangent_cone(
     must equal, up to sign, the complementary (h+1-k)-minor of the trailing
     block.  That identity is what exhibits the tangent cone as a cone over a
     smaller secant, and the report also carries the predicted vertex
-    dimension and the label of that smaller secant.
+    dimension and the label of that smaller secant.  A walk of more than
+    ``MAX_TANGENT_TERMS`` Leibniz terms raises :class:`TooLarge` up front.
     """
     if symmetric and n != m:
         raise DimensionMismatch("symmetric mode needs n == m, got %d != %d" % (n, m))
@@ -285,11 +288,22 @@ def verify_tangent_cone(
     counterexample = None
     prefix = tuple(range(k))
     extra = h + 1 - k
-    # lazy, so an oversized first minor raises TooLarge at once; at h = min(n, m) + 1
-    # one side has no (h+1-k)-subset, and no row subset is walked
+    # at h = min(n, m) + 1 one side has no (h+1-k)-subset, and the other side's
+    # subsets, possibly C(300, 4) of them, are never walked.  Past the minor cap
+    # the first minor would raise, so the pairs are counted only below it,
+    # where the count is cheap for any n and m.
+    walked = h <= min(n, m)
+    if walked and (
+        h + 1 > MAX_MINOR_SIZE
+        or comb(n + 1 - k, extra) * comb(m + 1 - k, extra) * factorial(h + 1) > MAX_TANGENT_TERMS
+    ):
+        raise TooLarge(
+            "a tangent-cone walk is capped at %dx%d minors and %d Leibniz terms, got h = %d"
+            % (MAX_MINOR_SIZE, MAX_MINOR_SIZE, MAX_TANGENT_TERMS, h)
+        )
     pairs = (
         (r, c)
-        for r in (combinations(range(k, n + 1), extra) if h <= min(n, m) else ())
+        for r in (combinations(range(k, n + 1), extra) if walked else ())
         for c in combinations(range(k, m + 1), extra)
     )
     for extra_rows, extra_cols in pairs:

@@ -8,6 +8,7 @@ scheduling noise.
 """
 
 import json
+import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -115,6 +116,75 @@ def test_criterion_03_degree_and_dimension_cross_checks():
                 assert isinstance(inv.dimension, int)
                 assert 0 <= inv.dimension <= inv.ambient_dimension, (n, h)
                 assert inv.fills_ambient == (inv.dimension == inv.ambient_dimension)
+
+
+# Terracini's lemma: the affine cone over the h-th secant is the image of
+# (A, B) -> A B (Segre) or A -> A A^T (Veronese) with inner size h, so its
+# dimension is the rank of the differential at a general point.  The rank is
+# taken mod a large prime at a seeded random point; it never exceeds the
+# generic rank, and a second seed rules out an unlucky point.
+_ORACLE_PRIME = 2**31 - 1
+
+
+def _rank_mod_p(rows):
+    rows = [[x % _ORACLE_PRIME for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, _ORACLE_PRIME)
+        top = [x * inv % _ORACLE_PRIME for x in rows[rank]]
+        rows[rank] = top
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [(x - f * y) % _ORACLE_PRIME for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def _terracini_dimension(n, m, h, symmetric, seed):
+    """Rank of the differential of the secant parametrization, minus 1."""
+    rng = random.Random(seed)
+    a = [[rng.randrange(_ORACLE_PRIME) for _ in range(h)] for _ in range(n + 1)]
+    if symmetric:
+        # d(A A^T)[i][j] = sum_l dA[i][l] A[j][l] + A[i][l] dA[j][l], for i <= j
+        jacobian = [
+            [
+                (a[j][l] if k == i else 0) + (a[i][l] if k == j else 0)
+                for k in range(n + 1)
+                for l in range(h)
+            ]
+            for i in range(n + 1)
+            for j in range(i, n + 1)
+        ]
+    else:
+        b = [[rng.randrange(_ORACLE_PRIME) for _ in range(m + 1)] for _ in range(h)]
+        # d(A B)[i][j] = sum_l dA[i][l] B[l][j] + A[i][l] dB[l][j]
+        jacobian = [
+            [b[l][j] if k == i else 0 for k in range(n + 1) for l in range(h)]
+            + [a[i][l] if k == j else 0 for l in range(h) for k in range(m + 1)]
+            for i in range(n + 1)
+            for j in range(m + 1)
+        ]
+    return _rank_mod_p(jacobian) - 1
+
+
+def _terracini_agrees(n, m, h, symmetric, dimension):
+    return any(_terracini_dimension(n, m, h, symmetric, seed) == dimension for seed in (1, 2))
+
+
+def test_secant_dimensions_match_terracini_oracle():
+    with budget(1, "secant dimensions by Terracini's lemma"):
+        for n in range(1, 7):
+            for h in range(1, n + 2):
+                for m in range(n, 7):
+                    dim = segre_secant_invariants(n, m, h).dimension
+                    assert _terracini_agrees(n, m, h, False, dim), (n, m, h)
+                dim = veronese_secant_invariants(n, h).dimension
+                assert _terracini_agrees(n, n, h, True, dim), (n, h)
 
 
 def test_criterion_04_rank_census_matches_closed_form():

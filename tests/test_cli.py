@@ -214,6 +214,16 @@ def test_an_oversized_tangent_cone_minor_exits_two(capsys):
     assert err.startswith("error: ")
 
 
+def test_a_long_tangent_cone_walk_exits_two(capsys):
+    # C(40, 4)^2 ~ 8.4e8 pairs of 5x5 minors, each within the minor cap
+    code, out, err = run_cli(
+        ["verify", "--check", "tangent-cone", "--n", "40", "--m", "40", "--h", "4", "--k", "1"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert "cap" in err
+
+
 def test_out_of_scope_spaces_exit_three(capsys):
     for argv in [
         ["chambers", "--space", "mbar-gr", "--n", "4"],

@@ -9,7 +9,7 @@ that specialize them.
 """
 
 from fractions import Fraction
-from math import comb, prod
+from math import comb, isqrt, prod
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ import pytest
 from completeforms import determinantal
 from completeforms.determinantal import (
     RankCensus,
+    is_prime,
     rank_census,
     rank_count_closed_form,
     segre_secant_invariants,
@@ -196,8 +197,7 @@ def test_census_preconditions():
         rank_census(2, 3, 2, symmetric=True)
     with pytest.raises(BudgetExceeded):
         rank_census(5, 5, 3)
-    # the budget bounds q by 2^24 before trial division, which would run for
-    # hours on a prime near 10^18
+    # the budget bounds q by 2^24 before the primality check
     with pytest.raises(BudgetExceeded):
         rank_census(1, 1, 10**18 + 3)
     with pytest.raises(BudgetExceeded):
@@ -209,6 +209,30 @@ def test_census_preconditions():
         rank_census(100000, 100000, 3, symmetric=True)
     with pytest.raises(ValueError):
         rank_census(0, 2, 2)
+
+
+def _trial_division_is_prime(q):
+    return q >= 2 and all(q % d for d in range(2, isqrt(q) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [q for q in range(-5, 10**5 + 1) if is_prime(q) != _trial_division_is_prime(q)] == []
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_bounds_its_range():
+    # 561 is a Carmichael number; the others are the least strong
+    # pseudoprimes to the first 1, 2, 3, 4, 5, 6, 7, 9 and 12 prime bases
+    for q in (561, 2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(q), q
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1) and is_prime(10**18 + 3)
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)
+
+
+def test_closed_forms_take_a_huge_prime_at_once():
+    assert rank_count_closed_form(1, 1, 1, 10**18 + 3) == 10**18 + 2
+    assert symmetric_rank_count_closed_form(1, 1, 10**18 + 3) == 10**18 + 2
 
 
 def test_census_dataclass_shape():

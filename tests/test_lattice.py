@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from completeforms import spaces
 from completeforms.errors import DimensionMismatch, UnderDetermined
 from completeforms.lattice import (
     AbelianGroupDescriptor,
@@ -156,6 +157,48 @@ def test_snf_is_deterministic():
     assert a.v.entries == b.v.entries
 
 
+# Exact (u, d, v) triples: U and V are part of the public result, so the
+# pivot order that determines them must not drift.
+PINNED_TRANSFORMS = {
+    "demo": (
+        [[2, 2, 0], [2, 8, 6], [0, 6, 18]],
+        ((1, 0, 0), (-1, 1, 0), (1, -1, 1)),
+        ((2, 0, 0), (0, 6, 0), (0, 0, 12)),
+        ((1, -1, 1), (0, 1, -1), (0, 0, 1)),
+    ),
+    "Collineations(2, 3, 2) orbit relations": (
+        [[1, 0, 1], [0, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, -2]],
+        ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 0, -1, 0, 0), (1, -1, -1, 1, 0), (2, 0, -2, 0, 1)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0), (0, 0, 0)),
+        ((1, 0, -1), (0, 1, -1), (0, 0, 1)),
+    ),
+    "Quadrics(4, 3) orbit relations": ([[2], [-3]], ((2, 1), (-3, -2)), ((1,), (0,)), ((1,),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRANSFORMS))
+def test_snf_transforms_are_pinned(name):
+    rows, u, d, v = PINNED_TRANSFORMS[name]
+    snf = smith_normal_form(IntegerMatrix.from_rows(rows))
+    assert (snf.u.entries, snf.d.entries, snf.v.entries) == (u, d, v)
+
+
+def test_pinned_relation_matrices_are_the_orbit_relations(monkeypatch):
+    seen = []
+
+    def recording_cokernel(relations):
+        seen.append([list(row) for row in relations.entries])
+        return cokernel(relations)
+
+    monkeypatch.setattr(spaces, "cokernel", recording_cokernel)
+    spaces.orbit_picard_group(spaces.Collineations(2, 3, 2))
+    spaces.orbit_picard_group(spaces.Quadrics(4, 3))
+    assert seen == [
+        PINNED_TRANSFORMS["Collineations(2, 3, 2) orbit relations"][0],
+        PINNED_TRANSFORMS["Quadrics(4, 3) orbit relations"][0],
+    ]
+
+
 # ---------------------------------------------------------------- cokernel
 
 def test_cokernel_single_column_torsion_and_free():
@@ -256,6 +299,19 @@ def test_solve_rational_accepts_integer_matrix():
 def test_solve_rational_rejects_mismatched_rhs():
     with pytest.raises(DimensionMismatch):
         solve_rational([[1, 0]], [1, 2])
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ([[2, 0], [0, 1, 5]], [2, 1]),
+        ([[1], [1, 2]], [1, 1]),
+        ([[1, 2], [1]], [1, 1]),
+    ],
+)
+def test_solve_rational_rejects_ragged_rows(a, b):
+    with pytest.raises(DimensionMismatch):
+        solve_rational(a, b)
 
 
 mixed_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))

@@ -17,6 +17,7 @@ import pytest
 from completeforms.errors import DimensionMismatch, IndexOutOfRange, TooLarge
 from completeforms.lattice import IntegerMatrix
 from completeforms.polynomials import (
+    MAX_TANGENT_TERMS,
     SparsePoly,
     minor_det,
     shift_and_leading_form,
@@ -243,6 +244,18 @@ def test_tangent_cone_oversized_minor_fails_before_listing_subsets():
     # C(40, 20) ~ 1.4e11 row subsets: the first 21x21 minor must raise at once
     with pytest.raises(TooLarge):
         verify_tangent_cone(40, 40, 20, 1)
+
+
+def test_tangent_cone_walk_is_capped_by_its_term_count():
+    # the heaviest case in use: 25 pairs of 5x5 minors, 3,000 Leibniz terms
+    rep = verify_tangent_cone(5, 5, 4, 1)
+    assert rep.passed and rep.counts["minors_checked"] == 25
+    assert 25 * 120 <= MAX_TANGENT_TERMS
+    with pytest.raises(TooLarge):
+        verify_tangent_cone(40, 40, 4, 1)
+    # past the minor cap nothing is counted: C(10^6, 5*10^5) alone takes seconds
+    with pytest.raises(TooLarge):
+        verify_tangent_cone(10**6, 10**6, 5 * 10**5, 1)
 
 
 def test_tangent_cone_precondition_errors():
