@@ -5,11 +5,13 @@ computed as Fractions and checked integral).  The secant dimension and
 degree formulas live in :mod:`completeforms.secants` and are re-exported
 here.
 The finite-field routines enumerate *every* matrix of the requested format
-over F_q, in numpy chunks of ``_CHUNK`` matrices.  The census and both lemma
-verifications share one rank kernel: it walks the combinations of the rows
-on a matrix's shorter side in Gray-code order, one row added per step (an
-XOR of bit masks over F_2), and reads the rank off the number of zero
-combinations.  All enumeration is bounded by ``ENUMERATION_BUDGET`` matrices.
+over F_q, in numpy chunks of ``_CHUNK`` matrices.  The census and the lemma
+checks share one rank kernel: it walks the combinations of the rows on a
+matrix's shorter side in Gray-code order, one row added per step (an XOR of
+bit masks over F_2), and reads the rank off the number of zero combinations.
+Both lemma checks are one walk: dependent first rows or columns always make
+the leading minor vanish, so the rank-minor lemma is the forward half of the
+component split.  All enumeration is bounded by ``ENUMERATION_BUDGET`` matrices.
 """
 
 from __future__ import annotations
@@ -289,33 +291,49 @@ def rank_census(a: int, b: int, q: int, symmetric: bool = False) -> RankCensus:
 
 # ------------------------------------------------------------ lemma checks
 
-def _lemma_preconditions(a: int, b: int, k: int, q: int, symmetric: bool) -> int:
+_SPLIT_COUNTS = ("rank_locus", "det_zero", "h1", "h2", "overlap")
+
+
+def _split_tallies(a: int, b: int, k: int, q: int, symmetric: bool):
+    """Walk every matrix once and tally the split on the rank <= k locus.
+
+    Per matrix the flags are: rank <= k, leading k-minor zero (leading block
+    of rank < k), first k rows dependent (H1) and first k columns dependent
+    (H2).  The walk stops at the first matrix of the locus where the minor
+    vanishes but neither slice is dependent, or the other way round; the
+    counts include it.  Returns the matrix total, the counts by
+    ``_SPLIT_COUNTS`` and a counterexample: that matrix, else in symmetric
+    mode the first matrix of the locus with H1 != H2, else None.
+    """
     if not (1 <= k <= min(a, b)):
         raise ValueError("need 1 <= k <= min(a, b), got k=%d a=%d b=%d" % (k, a, b))
-    return _census_preconditions(a, b, q, symmetric)
-
-
-def _slice_flags(total: int, a: int, b: int, k: int, q: int, symmetric: bool):
-    """Per chunk: the indices and, for each matrix, rank <= k, leading k-minor
-    zero (leading block of rank < k), first k rows dependent and first k
-    columns dependent."""
+    total = _census_preconditions(a, b, q, symmetric)
+    tallies = np.zeros(len(_SPLIT_COUNTS), dtype=np.int64)
+    failure = asymmetric = None
     for t in _chunks(total):
         rows = _decode_rows(t, q, a, b, symmetric)
-        yield (
-            t,
-            _full_ranks(rows, q, a, b) <= k,
-            _ranks(_leading(rows, q, k), q) < k,
-            _ranks(rows[:k], q) < k,
-            _ranks(_columns(rows, q, k), q) < k,
-        )
-
-
-def _first(flags: np.ndarray) -> int | None:
-    return int(flags.argmax()) if flags.any() else None
-
-
-def _count(flags: np.ndarray, stop: int) -> int:
-    return int(np.count_nonzero(flags[:stop]))
+        low_rank = _full_ranks(rows, q, a, b) <= k
+        det_zero = _ranks(_leading(rows, q, k), q) < k
+        h1 = _ranks(rows[:k], q) < k
+        h2 = _ranks(_columns(rows, q, k), q) < k
+        wrong = low_rank & (det_zero != (h1 | h2))
+        stop = int(wrong.argmax()) + 1 if wrong.any() else len(t)
+        flags = np.array([low_rank, det_zero, h1, h2, h1 & h2])[:, :stop]
+        tallies += np.count_nonzero(flags & low_rank[:stop], axis=1)
+        if wrong[stop - 1]:
+            failure = int(t[stop - 1])
+            break
+        if symmetric and asymmetric is None:
+            split = low_rank & (h1 != h2)
+            asymmetric = int(t[split.argmax()]) if split.any() else None
+    counts = dict(zip(_SPLIT_COUNTS, map(int, tallies)))
+    index = asymmetric if failure is None else failure
+    if index is None:
+        return total, counts, None
+    counterexample = {"matrix": _matrix(index, q, a, b, symmetric), "index": index}
+    if failure is None:
+        counterexample["reason"] = "asymmetric split in symmetric mode"
+    return total, counts, counterexample
 
 
 def verify_rank_minor_lemma(a: int, b: int, k: int, q: int) -> VerificationReport:
@@ -323,34 +341,21 @@ def verify_rank_minor_lemma(a: int, b: int, k: int, q: int) -> VerificationRepor
 
     Exhaustively checks: every a x b matrix over F_q of rank at most k whose
     top-left k x k determinant vanishes has its first k rows dependent or its
-    first k columns dependent.
+    first k columns dependent.  This is the forward inclusion of
+    :func:`verify_component_split`, read off the same walk: the candidates
+    are its ``det_zero`` matrices, the degenerate ones its ``h1`` and ``h2``,
+    and it fails where the split fails.
     """
-    total = _lemma_preconditions(a, b, k, q, False)
-    candidates = 0
-    row_deg = 0
-    col_deg = 0
-    counterexample = None
-    for t, low_rank, det_zero, rows_dep, cols_dep in _slice_flags(total, a, b, k, q, False):
-        cand = low_rank & det_zero
-        # counts stop at the first counterexample, which they include
-        first = _first(cand & ~rows_dep & ~cols_dep)
-        stop = len(t) if first is None else first + 1
-        candidates += _count(cand, stop)
-        row_deg += _count(cand & rows_dep, stop)
-        col_deg += _count(cand & cols_dep, stop)
-        if first is not None:
-            index = int(t[first])
-            counterexample = {"matrix": _matrix(index, q, a, b, False), "index": index}
-            break
+    total, counts, counterexample = _split_tallies(a, b, k, q, False)
     return VerificationReport(
         name="rank-lemma",
         parameters={"a": a, "b": b, "k": k, "q": q},
         passed=counterexample is None,
         counts={
             "matrices": total,
-            "candidates": candidates,
-            "rows_degenerate": row_deg,
-            "cols_degenerate": col_deg,
+            "candidates": counts["det_zero"],
+            "rows_degenerate": counts["h1"],
+            "cols_degenerate": counts["h2"],
         },
         counterexample=counterexample,
     )
@@ -366,43 +371,11 @@ def verify_component_split(
     the report tallies both pieces and their overlap.  In the symmetric case
     the two pieces coincide as sets.
     """
-    total = _lemma_preconditions(a, b, k, q, symmetric)
-    locus = det_zero = h1 = h2 = overlap = 0
-    asymmetric = None
-    counterexample = None
-    for t, low_rank, in_d, rows_dep, cols_dep in _slice_flags(total, a, b, k, q, symmetric):
-        # counts stop at the first counterexample, which they include
-        first = _first(low_rank & (in_d != (rows_dep | cols_dep)))
-        stop = len(t) if first is None else first + 1
-        locus += _count(low_rank, stop)
-        det_zero += _count(low_rank & in_d, stop)
-        h1 += _count(low_rank & rows_dep, stop)
-        h2 += _count(low_rank & cols_dep, stop)
-        overlap += _count(low_rank & rows_dep & cols_dep, stop)
-        if first is not None:
-            index = int(t[first])
-            counterexample = {"matrix": _matrix(index, q, a, b, symmetric), "index": index}
-            break
-        if symmetric and asymmetric is None:
-            split = _first(low_rank & (rows_dep != cols_dep))
-            asymmetric = None if split is None else int(t[split])
-    if counterexample is None and asymmetric is not None:
-        counterexample = {
-            "matrix": _matrix(asymmetric, q, a, b, symmetric),
-            "index": asymmetric,
-            "reason": "asymmetric split in symmetric mode",
-        }
+    total, counts, counterexample = _split_tallies(a, b, k, q, symmetric)
     return VerificationReport(
         name="component-split",
         parameters={"a": a, "b": b, "k": k, "q": q, "symmetric": symmetric},
         passed=counterexample is None,
-        counts={
-            "matrices": total,
-            "rank_locus": locus,
-            "det_zero": det_zero,
-            "h1": h1,
-            "h2": h2,
-            "overlap": overlap,
-        },
+        counts={"matrices": total, **counts},
         counterexample=counterexample,
     )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 
@@ -45,11 +45,4 @@ class VerificationReport:
     counterexample: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": jsonable(self.parameters),
-            "passed": self.passed,
-            "counts": jsonable(self.counts),
-            "details": jsonable(self.details),
-            "counterexample": jsonable(self.counterexample),
-        }
+        return jsonable(asdict(self))

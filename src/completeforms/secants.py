@@ -9,7 +9,7 @@ checked integral.  This module needs no numpy: the catalog imports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
 
@@ -46,16 +46,7 @@ class SecantInvariants:
         return self.ambient_dimension - self.dimension
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "m": self.m,
-            "h": self.h,
-            "dimension": self.dimension,
-            "degree": self.degree,
-            "ambient_dimension": self.ambient_dimension,
-            "fills_ambient": self.fills_ambient,
-        }
+        return asdict(self)
 
 
 def segre_secant_invariants(n: int, m: int, h: int) -> SecantInvariants:

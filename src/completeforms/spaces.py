@@ -50,7 +50,13 @@ from .groups import (
     SemidirectRight,
     SwapGroup,
 )
-from .lattice import AbelianGroupDescriptor, IntegerMatrix, cokernel, solve_rational
+from .lattice import (
+    AbelianGroupDescriptor,
+    IntegerMatrix,
+    _coerce_fraction,
+    cokernel,
+    solve_rational,
+)
 from .reports import VerificationReport
 from .secants import SecantInvariants, segre_secant_invariants, veronese_secant_invariants
 
@@ -943,7 +949,7 @@ class ComparisonDictionary:
     matrix_columns: Tuple[Tuple[Fraction, ...], ...]
 
     def apply(self, coordinates: Sequence) -> Tuple[Fraction, ...]:
-        coords = [Fraction(c) for c in coordinates]
+        coords = [_coerce_fraction(c) for c in coordinates]
         if len(coords) != len(self.matrix_columns):
             raise ValueError(
                 "expected %d source coordinates, got %d"
@@ -961,7 +967,7 @@ class ComparisonDictionary:
             [self.matrix_columns[j][i] for j in range(len(self.matrix_columns))]
             for i in range(len(self.matrix_columns[0]))
         ]
-        solution = solve_rational(rows, [Fraction(c) for c in coordinates])
+        solution = solve_rational(rows, coordinates)
         if solution is None:
             raise ValueError("the class does not come from the source lattice")
         return tuple(solution)

@@ -187,6 +187,45 @@ def test_secant_dimensions_match_terracini_oracle():
                 assert _terracini_agrees(n, n, h, True, dim), (n, h)
 
 
+# Herzog-Trung (1992): the degree of the rank <= h locus of (n+1) x (m+1)
+# matrices counts families of h non-intersecting lattice paths, which the
+# Lindstrom-Gessel-Viennot lemma turns into det[C(n+m+2-i-j, n+1-i)] for
+# i, j = 1..h.  The determinant is taken by exact elimination here, with no
+# product formula, so it shares nothing with the secant formulas.
+def _det(matrix):
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        pivot = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for i in range(col + 1, len(rows)):
+            f = rows[i][col] / rows[col][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return det
+
+
+def _lattice_path_degree(n, m, h):
+    size = range(1, h + 1)
+    return _det([[comb(n + m + 2 - i - j, n + 1 - i) for j in size] for i in size])
+
+
+def test_segre_degrees_match_lattice_path_oracle():
+    with budget(1, "Segre secant degrees by non-intersecting lattice paths"):
+        checked = 0
+        for n in range(1, 9):
+            for m in range(n, 9):
+                for h in range(1, n + 2):
+                    want = _lattice_path_degree(n, m, h)
+                    assert segre_secant_invariants(n, m, h).degree == want, (n, m, h)
+                    checked += 1
+        assert checked == 156
+
+
 def test_criterion_04_rank_census_matches_closed_form():
     with budget(30, "4 rank census vs closed form"):
         checked = 0

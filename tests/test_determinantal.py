@@ -392,6 +392,26 @@ def test_counts_stop_at_the_first_counterexample(q, monkeypatch):
                             "h2": 1, "overlap": 1}
 
 
+def identity_minor(rows, q, k):
+    """Leading blocks that are all the identity, so no leading minor vanishes."""
+    n = rows.shape[-1]
+    if q == 2:
+        return np.array([np.full(n, 1 << i, dtype=rows.dtype) for i in range(k)])
+    return np.repeat(np.eye(k, dtype=rows.dtype)[:, :, None], n, axis=2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_lemma_fails_when_dependent_slices_keep_the_minor(q, monkeypatch):
+    # the zero matrix has dependent first rows and columns, so its minor must
+    # vanish; a kernel that reads it as nonzero is caught at index 0
+    monkeypatch.setattr(determinantal, "_leading", identity_minor)
+    lemma = verify_rank_minor_lemma(2, 2, 1, q)
+    assert not lemma.passed
+    assert lemma.counterexample == {"matrix": [[0, 0], [0, 0]], "index": 0}
+    assert lemma.counts == {"matrices": q**4, "candidates": 0, "rows_degenerate": 1,
+                            "cols_degenerate": 1}
+
+
 def test_symmetric_split_reports_the_first_asymmetric_index(monkeypatch):
     forced_zero_minor(monkeypatch)
     monkeypatch.setattr(determinantal, "_columns", lambda rows, q, count: rows[:count] * 0)

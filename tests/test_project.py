@@ -1,10 +1,12 @@
-"""Checks on the project as a whole: the demos run, and two lints on src/.
+"""Checks on the project as a whole: the demos run, and three lints on src/.
 
 Invariants in the package must hold under ``python -O``, which strips
 ``assert`` statements, so they raise typed errors instead; the first lint
 keeps it that way.  Everything the catalog knows per space kind lives in its
 kind table and model builders, so ``spaces`` never tests a kind's class; the
-second lint keeps it that way.
+second lint keeps it that way.  The finite-field checks walk the matrices in
+two places only, the census and the one walk behind both lemma checks; the
+third lint keeps it that way.
 """
 
 import ast
@@ -63,3 +65,16 @@ def test_spaces_never_dispatches_on_a_kind_class():
     ]
     assert len(kinds) == 7
     assert found == []
+
+
+def test_matrices_are_walked_only_by_the_census_and_the_split_tally():
+    found = set()
+    for module in sorted(PACKAGE.glob("*.py")):
+        for statement in ast.parse(module.read_text(encoding="utf-8")).body:
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Call) and "_chunks" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    found.add("%s.%s" % (module.stem, getattr(statement, "name", "<module>")))
+    assert found == {"determinantal.rank_census", "determinantal._split_tallies"}

@@ -543,6 +543,17 @@ def test_every_dictionary_image_agrees_with_the_other_model():
             assert entry.image == scaled_class(build_model(twin), entry.target), (kind, entry)
 
 
+def test_dictionaries_refuse_floats():
+    # a float would enter as its binary expansion: 0.1 is 3602879701896397/2^55
+    psi = kontsevich_dictionary(KontsevichP(3))
+    with pytest.raises(TypeError):
+        psi.apply((0.1, 0))
+    with pytest.raises(TypeError):
+        psi.inverse_apply((0.1, 0))
+    assert psi.apply((Fraction(1, 10), 0)) == (Fraction(1, 10), Fraction(0))
+    assert psi.inverse_apply(("1/10", 0)) == (Fraction(1, 10), Fraction(0))
+
+
 def test_dictionary_out_of_scope_cases():
     with pytest.raises(OutOfScope):
         kontsevich_dictionary(KontsevichGr(2))
