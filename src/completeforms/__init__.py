@@ -8,10 +8,10 @@ The package is organized bottom up:
   chamber decompositions of a cone relative to a finite vector configuration.
 - :mod:`completeforms.polynomials` - sparse exact polynomials in matrix
   entries, symbolic minors, and the tangent-cone leading-form check.
-- :mod:`completeforms.secants` - dimension and degree of the secant
-  varieties every catalog space blows up.
-- :mod:`completeforms.determinantal` - rank counts of determinantal loci and
-  exhaustive finite-field verifications.
+- :mod:`completeforms.secants` - every closed form: secant dimensions and
+  degrees, rank counts over F_q and the primality test; no numpy.
+- :mod:`completeforms.determinantal` - exhaustive finite-field enumeration
+  of determinantal loci and the verifications built on it.
 - :mod:`completeforms.spaces` - the catalog of compactified spaces of forms:
   Picard data, boundary and color classes, cone generators, chamber counts,
   positivity classification, automorphism groups and comparison dictionaries.

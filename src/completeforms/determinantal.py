@@ -1,9 +1,7 @@
-"""Determinantal loci: exact rank counts and exhaustive finite-field checks.
+"""Determinantal loci: exhaustive finite-field enumeration.
 
-The rank-count formulas are evaluated in exact arithmetic (the products are
-computed as Fractions and checked integral).  The secant dimension and
-degree formulas live in :mod:`completeforms.secants` and are re-exported
-here.
+Every closed form lives in :mod:`completeforms.secants` and is re-exported
+here; this module only enumerates.
 The finite-field routines enumerate *every* matrix of the requested format
 over F_q, in numpy chunks of ``_CHUNK`` matrices.  The census and the lemma
 checks share one rank kernel: it walks the combinations of the rows on a
@@ -17,16 +15,17 @@ component split.  All enumeration is bounded by ``ENUMERATION_BUDGET`` matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, NonPrimeField
 from .reports import VerificationReport
-from .secants import (  # re-exported: the secant formulas live in .secants
+from .secants import (  # re-exported: every closed form lives in .secants
     SecantInvariants,
-    _integral,
+    is_prime,
+    rank_count_closed_form,
     segre_secant_invariants,
+    symmetric_rank_count_closed_form,
     veronese_secant_invariants,
 )
 
@@ -44,65 +43,6 @@ __all__ = [
 
 ENUMERATION_BUDGET = 1 << 24
 _CHUNK = 1 << 18
-
-
-# The least composite that is a strong pseudoprime to every prime base up to 41
-# (Sorenson and Webster 2017); up to 37 it would be 318665857834031151167461.
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIME_BASES_EXACT_BELOW = 3317044064679887385961981
-
-
-def is_prime(q: int) -> bool:
-    """Deterministic Miller-Rabin on the prime bases 2..41, exact for q < 3.3e24."""
-    if q >= _PRIME_BASES_EXACT_BELOW:
-        raise ValueError(
-            "primality is decided only below %d, got %d" % (_PRIME_BASES_EXACT_BELOW, q)
-        )
-    if q < 2 or any(q % a == 0 for a in _PRIME_BASES):
-        return q in _PRIME_BASES
-    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 == d * 2^s with d odd
-    for a in _PRIME_BASES:
-        x = pow(a, (q - 1) >> s, q)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == q - 1:
-                break
-            x = x * x % q
-        else:
-            return False
-    return True
-
-
-def rank_count_closed_form(a: int, b: int, r: int, q: int) -> int:
-    """Number of a x b matrices of rank exactly r over F_q, by the classical count."""
-    if not is_prime(q):
-        raise NonPrimeField("%d is not prime" % q)
-    if r < 0 or r > min(a, b):
-        return 0
-    total = Fraction(1)
-    for i in range(r):
-        total *= Fraction((q**a - q**i) * (q**b - q**i), q**r - q**i)
-    return _integral(total, "rank count")
-
-
-def symmetric_rank_count_closed_form(n: int, r: int, q: int) -> int:
-    """Number of symmetric n x n matrices of rank exactly r over F_q.
-
-    MacWilliams, "Orthogonal matrices over finite fields", Amer. Math.
-    Monthly 76 (1969): prod_{i=1}^{r//2} q^(2i) / (q^(2i) - 1) times
-    prod_{i=0}^{r-1} (q^(n-i) - 1).
-    """
-    if not is_prime(q):
-        raise NonPrimeField("%d is not prime" % q)
-    if r < 0 or r > n:
-        return 0
-    total = Fraction(1)
-    for i in range(1, r // 2 + 1):
-        total *= Fraction(q ** (2 * i), q ** (2 * i) - 1)
-    for i in range(r):
-        total *= q ** (n - i) - 1
-    return _integral(total, "symmetric rank count")
 
 
 # ------------------------------------------------------------ census

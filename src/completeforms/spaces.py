@@ -58,7 +58,12 @@ from .lattice import (
     solve_rational,
 )
 from .reports import VerificationReport
-from .secants import SecantInvariants, segre_secant_invariants, veronese_secant_invariants
+from .secants import (
+    SecantInvariants,
+    _require_int,
+    segre_secant_invariants,
+    veronese_secant_invariants,
+)
 
 __all__ = [
     "Collineations",
@@ -93,11 +98,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # space kinds
-
-
-def _require_int(value, label):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError("%s must be an int, got %r" % (label, value))
 
 
 class _CheckedParameters:
@@ -207,14 +207,14 @@ def _check_parameters(kind: SpaceKind) -> None:
     """The one parameter rule, applied to whichever letters the kind has.
 
     Every parameter is an int; ``n`` is at least the kind's lowest value,
-    ``n <= m``, ``1 <= h <= n+1`` and ``1 <= k <= h-1``.  The kind's admitted
-    parameter tuple, if it has one, passes as it is.
+    ``n <= m <= 1000`` (past that a secant degree product takes seconds),
+    ``1 <= h <= n+1`` and ``1 <= k <= h-1``.  The kind's admitted parameter
+    tuple, if it has one, passes as it is.
     """
 
     entry = _entry(kind)
     params = kind_parameters(kind)
-    for letter, value in params.items():
-        _require_int(value, letter)
+    _require_int(**params)
     if tuple(params.values()) == entry.admitted:
         return
     n, m, h, k = (params.get(letter) for letter in "nmhk")
@@ -222,6 +222,8 @@ def _check_parameters(kind: SpaceKind) -> None:
         rule = "n >= %d" % entry.lowest_n
     elif m is not None and n > m:
         rule = "n <= m"
+    elif (n if m is None else m) > 1000:
+        rule = "n <= 1000" if m is None else "n, m <= 1000"
     elif h is not None and not 1 <= h <= n + 1:
         rule = "1 <= h <= n+1"
     elif k is not None and not 1 <= k <= h - 1:
@@ -1027,7 +1029,7 @@ def riemann_hurwitz_coefficients(n: int) -> Tuple[Fraction, ...]:
     mapping-space anticanonical class is on record.
     """
 
-    _require_int(n, "n")
+    _require_int(n=n)
     if not (4 <= n <= 10):
         raise ValueError("the double-cover solve is set up for 4 <= n <= 10")
     dictionary = kontsevich_dictionary(KontsevichGr(n))
@@ -1067,8 +1069,7 @@ def sanity_check_knm(n: int, m: int) -> VerificationReport:
     model's anticanonical class.
     """
 
-    _require_int(n, "n")
-    _require_int(m, "m")
+    _require_int(n=n, m=m)
     if n < 1 or m < 1:
         raise ValueError("the product identity requires n, m >= 1")
     den = 2 * n + 2 * m + 4

@@ -226,6 +226,46 @@ def test_segre_degrees_match_lattice_path_oracle():
         assert checked == 156
 
 
+# Conca (1994): the degree of the rank <= h locus of symmetric (n+1) x (n+1)
+# matrices counts families of h vertex-disjoint lattice paths in the triangle
+# 1 <= i <= j <= n+1.  Path t starts at (t, n+1), steps to (i+1, j) or
+# (i, j-1), and ends at its first diagonal point.  The families are counted
+# by brute force, with no product formula.
+def _triangle_paths(i, j):
+    if i == j:
+        return [((i, j),)]
+    # from i < j both steps stay in the triangle
+    return [((i, j),) + rest for step in ((i + 1, j), (i, j - 1)) for rest in _triangle_paths(*step)]
+
+
+def _disjoint_families(path_sets, used=frozenset()):
+    if not path_sets:
+        return 1
+    return sum(
+        _disjoint_families(path_sets[1:], used.union(path))
+        for path in path_sets[0]
+        if used.isdisjoint(path)
+    )
+
+
+def _triangle_path_degree(n, h):
+    return _disjoint_families([_triangle_paths(t, n + 1) for t in range(1, h + 1)])
+
+
+def test_veronese_degrees_match_lattice_path_oracle():
+    with budget(1, "Veronese secant degrees by non-intersecting lattice paths"):
+        checked = 0
+        for n in range(1, 7):
+            # the oracle is pinned on the classical ends before it is trusted
+            assert _triangle_path_degree(n, 1) == 2**n
+            assert _triangle_path_degree(n, n) == n + 1
+            for h in range(1, n + 2):
+                want = _triangle_path_degree(n, h)
+                assert veronese_secant_invariants(n, h).degree == want, (n, h)
+                checked += 1
+        assert checked == 27
+
+
 def test_criterion_04_rank_census_matches_closed_form():
     with budget(30, "4 rank census vs closed form"):
         checked = 0

@@ -188,6 +188,12 @@ def test_domain_errors_exit_two_with_a_message(capsys):
     assert err.startswith("error: ")
 
 
+def test_an_oversized_space_exits_two(capsys):
+    code, out, err = run_cli(["invariants", "--space", "Q", "--n", "1001", "--h", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert "n <= 1000" in err
+
+
 def test_composite_field_size_exits_two(capsys):
     code, _, err = run_cli(
         ["verify", "--check", "census", "--rows", "2", "--cols", "2", "--q", "4"], capsys

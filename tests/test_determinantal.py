@@ -14,7 +14,7 @@ from math import comb, isqrt, prod
 import numpy as np
 import pytest
 
-from completeforms import determinantal
+from completeforms import determinantal, secants
 from completeforms.determinantal import (
     RankCensus,
     is_prime,
@@ -90,7 +90,7 @@ def test_a_broken_integrality_invariant_raises_a_typed_error():
     # raised explicitly, so it holds under python -O; not a ValueError, so
     # the CLI never reports it as bad input
     with pytest.raises(InternalInconsistency):
-        determinantal._integral(Fraction(3, 2), "a degree")
+        secants._integral(Fraction(3, 2), "a degree")
     assert not issubclass(InternalInconsistency, ValueError)
 
 
@@ -101,6 +101,28 @@ def test_invariants_preconditions():
         segre_secant_invariants(2, 3, 4)
     with pytest.raises(ValueError):
         veronese_secant_invariants(2, 0)
+
+
+# every closed form with a valid argument tuple; each argument in turn is
+# replaced by an equal float and by a bool
+CLOSED_FORMS = [
+    (is_prime, (2,)),
+    (rank_count_closed_form, (2, 3, 1, 3)),
+    (symmetric_rank_count_closed_form, (2, 1, 3)),
+    (segre_secant_invariants, (1, 2, 1)),
+    (veronese_secant_invariants, (2, 1)),
+]
+
+
+@pytest.mark.parametrize("bad", [float, bool], ids=["float", "bool"])
+@pytest.mark.parametrize("form, args", CLOSED_FORMS, ids=[f.__name__ for f, _ in CLOSED_FORMS])
+def test_closed_forms_take_only_ints(form, args, bad):
+    form(*args)
+    for position in range(len(args)):
+        wrong = list(args)
+        wrong[position] = bad(args[position])
+        with pytest.raises(TypeError):
+            form(*wrong)
 
 
 # ---------------------------------------------------------------- census

@@ -1,4 +1,4 @@
-"""Checks on the project as a whole: the demos run, and three lints on src/.
+"""Checks on the project as a whole: the demos run, and four lints on src/.
 
 Invariants in the package must hold under ``python -O``, which strips
 ``assert`` statements, so they raise typed errors instead; the first lint
@@ -6,7 +6,8 @@ keeps it that way.  Everything the catalog knows per space kind lives in its
 kind table and model builders, so ``spaces`` never tests a kind's class; the
 second lint keeps it that way.  The finite-field checks walk the matrices in
 two places only, the census and the one walk behind both lemma checks; the
-third lint keeps it that way.
+third lint keeps it that way.  Only that enumeration needs numpy, so the
+fourth lint keeps numpy out of every other module.
 """
 
 import ast
@@ -78,3 +79,18 @@ def test_matrices_are_walked_only_by_the_census_and_the_split_tally():
                 ):
                     found.add("%s.%s" % (module.stem, getattr(statement, "name", "<module>")))
     assert found == {"determinantal.rank_census", "determinantal._split_tallies"}
+
+
+def test_only_the_enumeration_imports_numpy():
+    found = set()
+    for module in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.add(module.stem)
+    assert found == {"determinantal"}

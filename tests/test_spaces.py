@@ -76,6 +76,12 @@ def test_kind_validation_rejects_bad_parameters():
         KontsevichGr(1)
     with pytest.raises(TypeError):
         Quadrics(3.0, 2)
+    # n and m are capped: past 1000 a secant degree product alone takes seconds
+    assert (Quadrics(1000, 2).n, Collineations(2, 1000, 2).m) == (1000, 1000)
+    with pytest.raises(ValueError, match="n <= 1000"):
+        Quadrics(1001, 2)
+    with pytest.raises(ValueError, match="n, m <= 1000"):
+        Collineations(2, 1001, 2)
 
 
 # the bounds each kind was written with, one inequality chain per kind
@@ -647,13 +653,21 @@ def test_a_built_model_cannot_be_changed():
 # import footprint
 
 
-@pytest.mark.parametrize("module", ["completeforms.spaces", "completeforms.cones"])
+# each layer is imported, and the closed forms are also evaluated, in a fresh
+# interpreter; none of it may load numpy
+NUMPY_FREE = {
+    "completeforms.spaces": "",
+    "completeforms.cones": "",
+    "completeforms.secants": "completeforms.secants.rank_count_closed_form(2, 3, 1, 3); "
+    "completeforms.secants.symmetric_rank_count_closed_form(3, 2, 5); "
+    "completeforms.secants.is_prime(10**18 + 3); ",
+}
+
+
+@pytest.mark.parametrize("module", list(NUMPY_FREE))
 def test_the_catalog_layers_import_without_numpy(module):
     """Only the finite-field enumeration needs numpy; the catalog never loads it."""
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, %s; print('numpy' in sys.modules)" % module],
-        capture_output=True,
-        text=True,
-    )
+    code = "import sys, %s; %sprint('numpy' in sys.modules)" % (module, NUMPY_FREE[module])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
