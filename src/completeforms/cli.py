@@ -14,9 +14,14 @@ Three subcommands:
     Run one of the exhaustive or symbolic verification routines and report
     pass/fail.
 
+Only the checks that enumerate matrices (``census``, ``rank-lemma`` and
+``component-split``) import :mod:`completeforms.determinantal`, and with it
+numpy; every other command starts without it.
+
 Exit codes: 0 success, 1 a verification ran and failed, 2 bad parameters,
-an exceeded enumeration budget or an unwritable ``--svg`` path, 3 the space
-has no recorded coordinate data for the request.
+an exceeded enumeration budget, an unwritable ``--svg`` path or an output
+that cannot be written, 3 the space has no recorded coordinate data for the
+request.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
-from . import determinantal, polynomials, spaces
+from . import polynomials, secants, spaces
 from .errors import CoordinatesUnknown, OutOfScope
 from .rendering import chamber_svg, markdown_report
 from .reports import VerificationReport, jsonable
@@ -36,6 +42,13 @@ OUT_OF_SCOPE_MESSAGE = "class coordinates are not available for this space"
 
 # --space name -> kind class, read off the catalog's kind table
 _SPACES = {entry.cli_name: cls for cls, entry in spaces._KINDS.items()}
+
+
+def _determinantal():
+    """The finite-field enumeration, imported on first use: it loads numpy."""
+    from . import determinantal
+
+    return determinantal
 
 
 class _Check(NamedTuple):
@@ -50,12 +63,12 @@ _CHECKS = {
     "rank-lemma": _Check(
         ("rows", "cols", "k", "q"),
         False,
-        lambda a: determinantal.verify_rank_minor_lemma(a.rows, a.cols, a.k, a.q),
+        lambda a: _determinantal().verify_rank_minor_lemma(a.rows, a.cols, a.k, a.q),
     ),
     "component-split": _Check(
         ("rows", "cols", "k", "q"),
         True,
-        lambda a: determinantal.verify_component_split(
+        lambda a: _determinantal().verify_component_split(
             a.rows, a.cols, a.k, a.q, symmetric=a.symmetric
         ),
     ),
@@ -191,6 +204,7 @@ def _emit(payload: Dict, fmt: str) -> None:
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         print(markdown_report(data), end="")
+    sys.stdout.flush()  # here a write error reaches main, not the flush at exit
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +252,16 @@ def _cmd_chambers(parser, args) -> int:
 
 
 def _census_report(a: int, b: int, q: int, symmetric: bool) -> VerificationReport:
-    census = determinantal.rank_census(a, b, q, symmetric=symmetric)
+    census = _determinantal().rank_census(a, b, q, symmetric=symmetric)
     if symmetric:
         key = "reference"
         expected = {
-            r: determinantal.symmetric_rank_count_closed_form(a, r, q) for r in range(a + 1)
+            r: secants.symmetric_rank_count_closed_form(a, r, q) for r in range(a + 1)
         }
     else:
         key = "closed_form"
         expected = {
-            r: determinantal.rank_count_closed_form(a, b, r, q)
+            r: secants.rank_count_closed_form(a, b, r, q)
             for r in range(min(a, b) + 1)
         }
     observed = census.as_dict()
@@ -293,6 +307,12 @@ def main(argv=None) -> int:
         print(OUT_OF_SCOPE_MESSAGE, file=sys.stderr)
         return 3
     except (ValueError, TypeError, IndexError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except OSError as exc:  # the output cannot be written: a closed pipe, a full disk
+        if isinstance(exc, BrokenPipeError):
+            # nobody reads the pipe; the interpreter's flush at exit writes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -251,6 +252,38 @@ def test_unwritable_svg_path_exits_two_with_a_message(tmp_path, capsys):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not target.exists()
+
+
+def _cli_subprocess(argv, stdout):
+    return subprocess.run(
+        [sys.executable, "-m", "completeforms.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _assert_one_error_line(result):
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_a_full_stdout_exits_two_with_a_message():
+    with open("/dev/full", "w") as full:
+        result = _cli_subprocess(["invariants", "--space", "Q", "--n", "4", "--h", "3"], full)
+    _assert_one_error_line(result)
+
+
+def test_a_closed_stdout_pipe_exits_two_with_a_message():
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command writes
+    try:
+        result = _cli_subprocess(["verify", "--check", "rh-solve", "--n", "4"], write)
+    finally:
+        os.close(write)
+    _assert_one_error_line(result)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Checks on the project as a whole: the demos run, and four lints on src/.
+"""Checks on the project as a whole: the demos and the README's Python
+examples run, and five lints on src/.
 
 Invariants in the package must hold under ``python -O``, which strips
 ``assert`` statements, so they raise typed errors instead; the first lint
@@ -7,13 +8,17 @@ kind table and model builders, so ``spaces`` never tests a kind's class; the
 second lint keeps it that way.  The finite-field checks walk the matrices in
 two places only, the census and the one walk behind both lemma checks; the
 third lint keeps it that way.  Only that enumeration needs numpy, so the
-fourth lint keeps numpy out of every other module.
+fourth lint keeps numpy out of every other module, and the fifth keeps every
+module from importing ``determinantal`` when it is itself imported.
 """
 
 import ast
+import io
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -22,7 +27,8 @@ import completeforms
 from completeforms import spaces
 
 PACKAGE = Path(completeforms.__file__).parent
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
@@ -42,6 +48,33 @@ def test_demo_runs(script, tmp_path):
 
 def test_the_demos_are_found():
     assert len(DEMOS) == 5
+
+
+def test_the_readme_python_examples_run_and_show_their_values():
+    """Runs every ``python`` block of the README; ``expr  # literal`` lines must hold."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    shown = []
+    for block in blocks:
+        comments = {
+            token.start[0]: token.string[1:].strip()
+            for token in tokenize.generate_tokens(io.StringIO(block).readline)
+            if token.type == tokenize.COMMENT
+        }
+        namespace: dict = {}
+        for statement in ast.parse(block).body:
+            if not isinstance(statement, ast.Expr):
+                exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+                continue
+            value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+            try:
+                expected = ast.literal_eval(comments.get(statement.lineno, ""))
+            except (ValueError, SyntaxError):
+                continue
+            assert value == expected, ast.unparse(statement)
+            shown.append(expected)
+    assert len(blocks) == 2
+    assert shown == [11, 3, "Z", 5, "FANO"]
 
 
 def test_no_assert_in_the_package():
@@ -94,3 +127,26 @@ def test_only_the_enumeration_imports_numpy():
             if any(name.split(".")[0] == "numpy" for name in names):
                 found.add(module.stem)
     assert found == {"determinantal"}
+
+
+def test_no_module_imports_the_enumeration_when_it_is_imported():
+    """``determinantal`` loads numpy, so the rest import it inside a function, if at all."""
+    found = set()
+    for module in sorted(PACKAGE.glob("*.py")):
+        pending = list(ast.parse(module.read_text(encoding="utf-8")).body)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [
+                    "%s.%s" % (node.module or "", alias.name) for alias in node.names
+                ]
+            else:
+                pending.extend(ast.iter_child_nodes(node))
+                continue
+            if any(name.split(".")[-1] == "determinantal" for name in names):
+                found.add(module.stem)
+    assert found == set()

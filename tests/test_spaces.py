@@ -653,21 +653,52 @@ def test_a_built_model_cannot_be_changed():
 # import footprint
 
 
-# each layer is imported, and the closed forms are also evaluated, in a fresh
-# interpreter; none of it may load numpy
+def _cli_runs(commands):
+    """Code that runs each command through ``cli.main`` in process, stdout discarded."""
+    return (
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [completeforms.cli.main(c.split()) for c in %r]\n"
+        "if codes != [0] * len(codes):\n"
+        "    raise SystemExit(codes)" % (commands,)
+    )
+
+
+# each layer is imported, and the closed forms and the numpy-free commands are
+# also run, in a fresh interpreter; none of it may load numpy
 NUMPY_FREE = {
     "completeforms.spaces": "",
     "completeforms.cones": "",
     "completeforms.secants": "completeforms.secants.rank_count_closed_form(2, 3, 1, 3); "
     "completeforms.secants.symmetric_rank_count_closed_form(3, 2, 5); "
     "completeforms.secants.is_prime(10**18 + 3); ",
+    "completeforms.cli": _cli_runs(
+        [
+            "invariants --space Q --n 4 --h 3",
+            "chambers --space secV --n 4 --h 4 --k 2",
+            "verify --check tangent-cone --n 3 --m 3 --h 3 --k 1 --symmetric",
+            "verify --check rh-solve --n 4",
+            "verify --check knm-identity --n 2 --m 3",
+        ]
+    ),
 }
+
+
+def _numpy_loaded(module, code):
+    """Whether numpy is loaded after importing ``module`` and running ``code``."""
+    code = "import sys, %s\n%s\nprint('numpy' in sys.modules)" % (module, code)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
 
 
 @pytest.mark.parametrize("module", list(NUMPY_FREE))
 def test_the_catalog_layers_import_without_numpy(module):
     """Only the finite-field enumeration needs numpy; the catalog never loads it."""
-    code = "import sys, %s; %sprint('numpy' in sys.modules)" % (module, NUMPY_FREE[module])
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert _numpy_loaded(module, NUMPY_FREE[module]) == "False"
+
+
+def test_the_numpy_probe_sees_a_census_load_numpy():
+    """The positive control: an enumerating check loads numpy, and the probe says so."""
+    census = _cli_runs(["verify --check census --rows 2 --cols 2 --q 2"])
+    assert _numpy_loaded("completeforms.cli", census) == "True"
