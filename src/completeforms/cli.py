@@ -310,9 +310,8 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:  # the output cannot be written: a closed pipe, a full disk
-        if isinstance(exc, BrokenPipeError):
-            # nobody reads the pipe; the interpreter's flush at exit writes to devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # bytes still buffered go to devnull at the interpreter's flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
