@@ -16,7 +16,8 @@ Three subcommands:
 
 Only the checks that enumerate matrices (``census``, ``rank-lemma`` and
 ``component-split``) import :mod:`completeforms.determinantal`, and with it
-numpy; every other command starts without it.
+numpy, and only once the request is within the enumeration budget; every
+other command starts without it.
 
 Exit codes: 0 success, 1 a verification ran and failed, 2 bad parameters,
 an exceeded enumeration budget, an unwritable ``--svg`` path or an output
@@ -44,8 +45,10 @@ OUT_OF_SCOPE_MESSAGE = "class coordinates are not available for this space"
 _SPACES = {entry.cli_name: cls for cls, entry in spaces._KINDS.items()}
 
 
-def _determinantal():
-    """The finite-field enumeration, imported on first use: it loads numpy."""
+def _determinantal(a: int, b: int, q: int, symmetric: bool):
+    """The finite-field enumeration, imported once the request passes its
+    preconditions: it loads numpy, and a refused request need not."""
+    secants._census_preconditions(a, b, q, symmetric)
     from . import determinantal
 
     return determinantal
@@ -63,12 +66,14 @@ _CHECKS = {
     "rank-lemma": _Check(
         ("rows", "cols", "k", "q"),
         False,
-        lambda a: _determinantal().verify_rank_minor_lemma(a.rows, a.cols, a.k, a.q),
+        lambda a: _determinantal(a.rows, a.cols, a.q, False).verify_rank_minor_lemma(
+            a.rows, a.cols, a.k, a.q
+        ),
     ),
     "component-split": _Check(
         ("rows", "cols", "k", "q"),
         True,
-        lambda a: _determinantal().verify_component_split(
+        lambda a: _determinantal(a.rows, a.cols, a.q, a.symmetric).verify_component_split(
             a.rows, a.cols, a.k, a.q, symmetric=a.symmetric
         ),
     ),
@@ -252,7 +257,7 @@ def _cmd_chambers(parser, args) -> int:
 
 
 def _census_report(a: int, b: int, q: int, symmetric: bool) -> VerificationReport:
-    census = _determinantal().rank_census(a, b, q, symmetric=symmetric)
+    census = _determinantal(a, b, q, symmetric).rank_census(a, b, q, symmetric=symmetric)
     if symmetric:
         key = "reference"
         expected = {

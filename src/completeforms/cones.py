@@ -7,12 +7,14 @@ normals cutting out its linear span, which makes strict containment queries
 return False for such cones without any special casing.
 
 Only :func:`cone_from_rays` enumerates: it finds the facets of cone(V) among
-the hyperplanes spanned by V.  Every other description is its transpose.  For
-a full-dimensional pointed cone the extreme rays of the dual are the facet
-normals and vice versa, so :func:`dual_cone` swaps the two tuples.  The cone
-{x : N.x >= 0} of a set of normals N spanning the ambient space has interior
-exactly when cone(N) is pointed (Gordan's theorem), and it is then the dual
-of cone(N) (Fukuda-Prodon 1996; Ziegler 1995, section 1.4).
+the hyperplanes spanned by V.  For a full-dimensional pointed cone the
+extreme rays of the dual are the facet normals and vice versa, so
+:func:`dual_cone` swaps the two tuples (Ziegler 1995, section 1.4).  Every
+other cone is cut from a full-dimensional cone that already carries both
+descriptions, one half-space at a time: a cut is one double-description step
+(Motzkin et al. 1953; Fukuda-Prodon 1996), which keeps the rays on the
+nonnegative side, adds one ray where each 2-face crosses the hyperplane, and
+keeps the facets that still bound the cut cone.
 
 Cones, rays, normals and the elimination behind rank and kernel are all
 integer (fraction-free, see :mod:`completeforms.lattice`); only a caller's
@@ -149,9 +151,7 @@ class RationalCone:
             raise DimensionMismatch("cones live in different ambient spaces")
         if not (self.is_full_dimensional and other.is_full_dimensional):
             return None
-        return _cone_from_inequalities(
-            self.facet_normals + other.facet_normals, self.ambient_dim
-        )
+        return _cut_all(self, other.facet_normals)
 
     def __str__(self) -> str:
         return "Cone(rays=%s)" % (", ".join(str(r) for r in self.rays),)
@@ -226,20 +226,54 @@ def dual_cone(cone: RationalCone) -> RationalCone:
     return RationalCone(cone.ambient_dim, cone.facet_normals, cone.rays)
 
 
-def _cone_from_inequalities(normals: Sequence[Vec], ambient_dim: int) -> RationalCone | None:
-    """Cone {x : n . x >= 0 for all n}, or None when it has no interior.
+def _cut(cone: RationalCone, normal: Vec) -> RationalCone | None:
+    """The cone {x in cone : normal . x >= 0}, or None when it has no interior.
 
-    It has interior exactly when cone(normals) is pointed, and is then the
-    dual of that cone.  This needs the normals to span the ambient space,
-    and they do: every caller passes the facet normals of RationalCones,
-    which span it (a cone of less than full dimension carries the +/- normals
-    of its span).
+    One double-description step (Motzkin et al. 1953; Fukuda-Prodon 1996) on
+    a full-dimensional cone and a primitive normal.  The rays on the
+    nonnegative side stay; each pair of rays strictly on opposite sides that
+    spans a 2-face of the cone adds the point where that face meets the
+    hyperplane.  A pair spans a 2-face when it shares at least d - 2 tight
+    facets and no third ray is tight on all of them.  The old facets that
+    stay are those tight at some ray strictly on the positive side, and the
+    hyperplane is the new one.
     """
-    try:
-        polar = cone_from_rays(normals, ambient_dim)
-    except NotPointed:
+    signs = [_dot(normal, r) for r in cone.rays]
+    if min(signs) >= 0:
+        return cone
+    if max(signs) <= 0:
         return None
-    return RationalCone(ambient_dim, polar.facet_normals, polar.rays)
+    # tight[i]: bit j set when ray i lies on facet j
+    tight = [
+        sum(1 << j for j, f in enumerate(cone.facet_normals) if _dot(f, r) == 0)
+        for r in cone.rays
+    ]
+    plus = [i for i, s in enumerate(signs) if s > 0]
+    minus = [i for i, s in enumerate(signs) if s < 0]
+    rays = [r for r, s in zip(cone.rays, signs) if s >= 0]
+    for p in plus:
+        for m in minus:
+            common = tight[p] & tight[m]
+            if common.bit_count() >= cone.ambient_dim - 2 and not any(
+                t & common == common for i, t in enumerate(tight) if i != p and i != m
+            ):
+                rays.append(primitive_vector(
+                    signs[p] * x - signs[m] * y for x, y in zip(cone.rays[m], cone.rays[p])
+                ))
+    kept = 0
+    for p in plus:
+        kept |= tight[p]
+    facets = [f for j, f in enumerate(cone.facet_normals) if kept >> j & 1] + [normal]
+    return RationalCone(cone.ambient_dim, tuple(sorted(rays)), tuple(sorted(facets)))
+
+
+def _cut_all(cone: RationalCone, normals: Iterable[Vec]) -> RationalCone | None:
+    """:func:`_cut` by each normal in turn; None once a cut leaves no interior."""
+    for n in normals:
+        cone = _cut(cone, n)
+        if cone is None:
+            return None
+    return cone
 
 
 @dataclass(frozen=True)
@@ -293,16 +327,9 @@ def gkz_decomposition(
 
     cells = [support]
     for n in hyperplanes:
-        new_cells = []
-        for cell in cells:
-            sides = [_dot(n, r) for r in cell.rays]
-            if all(x >= 0 for x in sides) or all(x <= 0 for x in sides):
-                new_cells.append(cell)
-                continue
-            # rays lie strictly on both sides, so both halves have interior
-            for half in (n, _neg(n)):
-                new_cells.append(_cone_from_inequalities(cell.facet_normals + (half,), ambient_dim))
-        cells = new_cells
+        # a cell on one side of the hyperplane has no interior on the other
+        halves = (n, _neg(n))
+        cells = [p for cell in cells for half in halves if (p := _cut(cell, half)) is not None]
 
     basis_cones = [
         cone_from_rays(basis, ambient_dim)
@@ -317,8 +344,8 @@ def gkz_decomposition(
         if signature in signatures:
             continue
         signatures.add(signature)
-        walls = [n for i in signature for n in basis_cones[i].facet_normals]
-        chamber = _cone_from_inequalities(walls, ambient_dim)
+        walls = [n for i in signature[1:] for n in basis_cones[i].facet_normals]
+        chamber = _cut_all(basis_cones[signature[0]], walls) if signature else None
         if chamber is None:
             raise InternalInconsistency("chamber collapsed around %s" % (probe,))
         chambers.setdefault(chamber.rays, chamber)

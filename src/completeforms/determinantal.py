@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, NonPrimeField
 from .reports import VerificationReport
-from .secants import (  # re-exported: every closed form lives in .secants
+from .secants import (  # re-exported: every closed form and the budget live in .secants
+    ENUMERATION_BUDGET,
     SecantInvariants,
+    _census_preconditions,
     is_prime,
     rank_count_closed_form,
     segre_secant_invariants,
@@ -41,7 +42,6 @@ __all__ = [
     "verify_component_split",
 ]
 
-ENUMERATION_BUDGET = 1 << 24
 _CHUNK = 1 << 18
 
 
@@ -73,24 +73,6 @@ class RankCensus:
             "counts": {str(r): c for r, c in self.counts},
             "total": self.total,
         }
-
-
-def _census_preconditions(a: int, b: int, q: int, symmetric: bool) -> int:
-    if a < 1 or b < 1:
-        raise ValueError("matrix format must be positive, got %dx%d" % (a, b))
-    if symmetric and a != b:
-        raise DimensionMismatch("symmetric census needs a == b, got %d != %d" % (a, b))
-    # budget before primality, so any q is refused by size; no q**npos past 24 positions
-    npos = a * (a + 1) // 2 if symmetric else a * b
-    if abs(q) >= 2 and (npos >= ENUMERATION_BUDGET.bit_length() or q**npos > ENUMERATION_BUDGET):
-        raise BudgetExceeded(
-            "would enumerate %d^%d matrices, budget is %d" % (q, npos, ENUMERATION_BUDGET)
-        )
-    if not is_prime(q):
-        raise NonPrimeField(
-            "%d is not prime; enumeration over prime fields only (2, 3, 5 in practice)" % q
-        )
-    return q**npos
 
 
 # ------------------------------------------------------------ rank kernel

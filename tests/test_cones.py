@@ -3,10 +3,10 @@
 Membership is cross-checked by an oracle that samples random nonnegative
 rational combinations of the generators.  dual_cone only swaps rays and facet
 normals, so it is checked against cone_from_rays of the facet normals, which
-enumerates them; intersections are checked against a vertex enumeration
-written here with Laplace determinants.  The chamber counts for the fixed
-configurations below were worked out by hand (the 2d ones can be read off a
-picture, the 3d ones by listing the slicing hyperplanes).  Chamber
+enumerates them; intersections and single cuts are checked against a vertex
+enumeration written here with Laplace determinants.  The chamber counts for
+the fixed configurations below were worked out by hand (the 2d ones can be
+read off a picture, the 3d ones by listing the slicing hyperplanes).  Chamber
 decompositions are also checked against a basis-cone oracle that decides
 membership by Cramer's rule and shares no code with the package.
 """
@@ -292,11 +292,44 @@ def test_non_pointed_configuration_rejected():
         gkz_decomposition([(1, 0), (-1, 0), (0, 1)])
 
 
+def counted_cone_from_rays(monkeypatch):
+    """Patch cones.cone_from_rays to record its rays; returns the record."""
+    calls = []
+    real = cones.cone_from_rays
+
+    def counting(rays, ambient_dim=None):
+        calls.append(rays)
+        return real(rays, ambient_dim)
+
+    monkeypatch.setattr(cones, "cone_from_rays", counting)
+    return calls
+
+
 def test_a_collapsed_chamber_raises_a_typed_error(monkeypatch):
-    """The chamber invariant holds under python -O: no bare assert guards it."""
-    monkeypatch.setattr(cones, "_cone_from_inequalities", lambda normals, ambient_dim: None)
+    """The chamber invariant holds under python -O: no bare assert guards it.
+
+    The cells are sliced for real; once the basis cones are built, every cut
+    of the chamber assembly collapses.  The chamber between (1, 1) and
+    (0, 1) lies in two basis cones, so its assembly cuts.
+    """
+    built = counted_cone_from_rays(monkeypatch)
+    real_cut = cones._cut
+    monkeypatch.setattr(
+        cones, "_cut", lambda cone, normal: None if len(built) > 1 else real_cut(cone, normal)
+    )
     with pytest.raises(InternalInconsistency):
-        gkz_decomposition([(1, 0), (0, 1)])
+        gkz_decomposition([(1, 0), (1, 1), (0, 1)])
+
+
+@pytest.mark.parametrize("ambient, size", [(3, 6), (4, 5)])
+def test_only_the_support_and_the_basis_cones_are_enumerated(monkeypatch, ambient, size):
+    """Slicing and chamber assembly cut the cones they have; they never enumerate."""
+    w = list(dict.fromkeys(primitive(v) for v in random_configuration(ambient, size, 0)))
+    bases = [b for b in combinations(w, ambient) if fraction_rank(b) == ambient]
+    calls = counted_cone_from_rays(monkeypatch)
+    dec = gkz_decomposition(w)
+    assert dec.chamber_count > 1
+    assert len(calls) == 1 + len(bases)
 
 
 def test_integer_configurations_never_build_fractions(monkeypatch):
@@ -493,3 +526,52 @@ def test_intersection_matches_a_vertex_enumeration(dim):
             assert (meet.rays, meet.facet_normals) == expected, (a, b)
         outcomes.add(expected is None)
     assert outcomes == {True, False}
+
+
+def random_normal(rng, dim):
+    while True:
+        n = [rng.randint(-3, 3) for _ in range(dim)]
+        if any(n):
+            return primitive(n)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_a_cut_matches_a_vertex_enumeration(dim):
+    """One Motzkin step against enumerating the cone's facets plus the half-space."""
+    rng = random.Random("cut-oracle:%d" % dim)
+    outcomes = set()
+    for _ in range(60):
+        a = random_pointed_cone(rng, dim)
+        if not a.is_full_dimensional:
+            continue
+        n = random_normal(rng, dim)
+        expected = vertex_enumeration(a.facet_normals + (n,), dim)
+        cut = cones._cut(a, n)
+        if expected is None:
+            assert cut is None, (a, n)
+            outcomes.add("empty")
+        else:
+            assert (cut.rays, cut.facet_normals) == expected, (a, n)
+            outcomes.add("unchanged" if cut == a else "cut")
+    assert outcomes == {"unchanged", "empty", "cut"}
+
+
+def test_a_cut_skips_ray_pairs_that_share_facets_but_no_edge():
+    """Below ambient 6 two rays sharing d - 2 facets always span a 2-face.
+
+    The cone over (square) x (square pyramid) in ambient 6 has rays
+    (v, apex) for the square's vertices v; opposite ones share the pyramid's
+    four side facets but span no 2-face, since the other two rays lie on
+    the same facets.  The cut x1 >= 0 separates such a pair.
+    """
+    corners = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    sides = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    pyramid_vertices = [(x, y, 0) for x, y in corners] + [(0, 0, 1)]
+    rays = [(1, a, b) + v for a, b in corners for v in pyramid_vertices]
+    square = [(1, -a, -b, 0, 0, 0) for a, b in sides]
+    pyramid = [(0, 0, 0, 0, 0, 1)] + [(1, 0, 0, -a, -b, -1) for a, b in sides]
+    cone = cones.RationalCone(6, tuple(sorted(rays)), tuple(sorted(square + pyramid)))
+    n = (0, 1, 0, 0, 0, 0)
+    cut = cones._cut(cone, n)
+    assert (cut.rays, cut.facet_normals) == vertex_enumeration(cone.facet_normals + (n,), 6)
+    assert (1, 0, 0, 0, 0, 1) not in cut.rays

@@ -1,5 +1,5 @@
 """Checks on the project as a whole: the demos and the README's Python
-examples run, and five lints on src/.
+examples run, and six lints on src/.
 
 Invariants in the package must hold under ``python -O``, which strips
 ``assert`` statements, so they raise typed errors instead; the first lint
@@ -9,7 +9,10 @@ second lint keeps it that way.  The finite-field checks walk the matrices in
 two places only, the census and the one walk behind both lemma checks; the
 third lint keeps it that way.  Only that enumeration needs numpy, so the
 fourth lint keeps numpy out of every other module, and the fifth keeps every
-module from importing ``determinantal`` when it is itself imported.
+module from importing ``determinantal`` when it is itself imported.  In
+``cones`` only the spanned hyperplanes and the basis cones come from subsets
+of vectors; every other cone is cut from one it already has, and the sixth
+lint keeps it that way.
 """
 
 import ast
@@ -24,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import completeforms
-from completeforms import spaces
+from completeforms import cones, spaces
 
 PACKAGE = Path(completeforms.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -150,3 +153,20 @@ def test_no_module_imports_the_enumeration_when_it_is_imported():
             if any(name.split(".")[-1] == "determinantal" for name in names):
                 found.add(module.stem)
     assert found == set()
+
+
+def test_cones_takes_subsets_only_for_hyperplanes_and_basis_cones():
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = where + (node.name,)
+        elif isinstance(node, ast.Assign):
+            where = where + tuple(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.Name) and node.id == "combinations":
+            found.append(".".join(where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(Path(cones.__file__).read_text(encoding="utf-8")), ())
+    assert sorted(found) == ["_spanned_hyperplanes", "gkz_decomposition.basis_cones"]

@@ -654,18 +654,20 @@ def test_a_built_model_cannot_be_changed():
 
 
 def _cli_runs(commands):
-    """Code that runs each command through ``cli.main`` in process, stdout discarded."""
+    """Code that runs each command through ``cli.main`` in process, stdout
+    discarded, and fails unless each exits with its code in ``commands``."""
     return (
         "import contextlib, io\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [completeforms.cli.main(c.split()) for c in %r]\n"
-        "if codes != [0] * len(codes):\n"
-        "    raise SystemExit(codes)" % (commands,)
+        "    codes = {c: completeforms.cli.main(c.split()) for c in %r}\n"
+        "if codes != %r:\n"
+        "    raise SystemExit(codes)" % (list(commands), commands)
     )
 
 
-# each layer is imported, and the closed forms and the numpy-free commands are
-# also run, in a fresh interpreter; none of it may load numpy
+# each layer is imported, and the closed forms, the numpy-free commands and a
+# census the budget refuses are also run, in a fresh interpreter; none of it
+# may load numpy
 NUMPY_FREE = {
     "completeforms.spaces": "",
     "completeforms.cones": "",
@@ -673,13 +675,14 @@ NUMPY_FREE = {
     "completeforms.secants.symmetric_rank_count_closed_form(3, 2, 5); "
     "completeforms.secants.is_prime(10**18 + 3); ",
     "completeforms.cli": _cli_runs(
-        [
-            "invariants --space Q --n 4 --h 3",
-            "chambers --space secV --n 4 --h 4 --k 2",
-            "verify --check tangent-cone --n 3 --m 3 --h 3 --k 1 --symmetric",
-            "verify --check rh-solve --n 4",
-            "verify --check knm-identity --n 2 --m 3",
-        ]
+        {
+            "invariants --space Q --n 4 --h 3": 0,
+            "chambers --space secV --n 4 --h 4 --k 2": 0,
+            "verify --check tangent-cone --n 3 --m 3 --h 3 --k 1 --symmetric": 0,
+            "verify --check rh-solve --n 4": 0,
+            "verify --check knm-identity --n 2 --m 3": 0,
+            "verify --check census --rows 5 --cols 5 --q 2": 2,
+        }
     ),
 }
 
@@ -700,5 +703,5 @@ def test_the_catalog_layers_import_without_numpy(module):
 
 def test_the_numpy_probe_sees_a_census_load_numpy():
     """The positive control: an enumerating check loads numpy, and the probe says so."""
-    census = _cli_runs(["verify --check census --rows 2 --cols 2 --q 2"])
+    census = _cli_runs({"verify --check census --rows 2 --cols 2 --q 2": 0})
     assert _numpy_loaded("completeforms.cli", census) == "True"
