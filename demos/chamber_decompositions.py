@@ -8,7 +8,7 @@ ending with the SVG cross-section the command line tool draws.
 
 from completeforms.cones import cone_from_rays, gkz_decomposition
 from completeforms.rendering import chamber_svg
-from completeforms.spaces import Quadrics, build_model, mori_chambers
+from completeforms.spaces import Quadrics, build_model
 
 # Start in the plane.  The cone over (1,0) and (1,2) contains (1,1) strictly
 # and touches (1,0) only on the boundary.
@@ -30,9 +30,8 @@ for chamber in decomposition.chambers:
 # The same machinery applied to a catalog space.  The rank-three space of
 # complete quadric surfaces decomposes into five chambers, one of which is
 # the nef cone.
-kind = Quadrics(4, 3)
-model = build_model(kind)
-decomposition = mori_chambers(kind)
+model = build_model(Quadrics(4, 3))
+decomposition = model.chambers()
 print("Q(4,3) chambers:", decomposition.chamber_count)
 assert decomposition.chamber_count == 5
 

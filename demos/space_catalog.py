@@ -15,7 +15,6 @@ from completeforms.spaces import (
     SegreBlowup,
     VeroneseBlowup,
     build_model,
-    classify_positivity,
     orbit_picard_group,
 )
 from completeforms.errors import OutOfScope
@@ -36,7 +35,7 @@ print("%-14s %5s %5s %9s %20s" % ("space", "dim", "rank", "boundary", "positivit
 for kind in SAMPLE:
     model = build_model(kind)
     try:
-        positivity = classify_positivity(kind).value
+        positivity = model.positivity().value
     except OutOfScope:
         positivity = "-"
     print(

@@ -173,13 +173,11 @@ def _cone_entry(model, labels) -> Optional[Dict]:
     return entry
 
 
-def _space_sections(kind) -> Dict:
-    model = spaces.build_model(kind)
+def _space_sections(model: spaces.SpaceModel) -> Dict:
     payload = _envelope()
     payload["space"] = model.to_dict()
-    secant = spaces._secant(kind)
     try:
-        orbit = str(spaces.orbit_picard_group(kind))
+        orbit = str(spaces.orbit_picard_group(model.kind))
     except OutOfScope:
         orbit = None
     payload["invariants"] = {
@@ -187,7 +185,7 @@ def _space_sections(kind) -> Dict:
         "picard_rank": model.picard_rank,
         "boundary_count": len(model.boundary),
         "orbit_picard": orbit,
-        "secant": secant.to_dict() if secant is not None else None,
+        "secant": model.secant.to_dict() if model.secant is not None else None,
         "stated_chamber_count": model.stated_chamber_count,
     }
     payload["cones"] = {
@@ -196,7 +194,7 @@ def _space_sections(kind) -> Dict:
         "moving": _cone_entry(model, model.mov_generators),
     }
     try:
-        payload["positivity"] = spaces.classify_positivity(kind).value
+        payload["positivity"] = model.positivity().value
     except (OutOfScope, CoordinatesUnknown):
         payload["positivity"] = None
     payload["automorphisms"] = payload["space"]["automorphisms"]
@@ -217,21 +215,18 @@ def _emit(payload: Dict, fmt: str) -> None:
 
 
 def _cmd_invariants(parser, args) -> int:
-    kind = _kind_from_args(parser, args)
-    payload = _space_sections(kind)
-    _emit(payload, args.format)
+    _emit(_space_sections(spaces.build_model(_kind_from_args(parser, args))), args.format)
     return 0
 
 
 def _cmd_chambers(parser, args) -> int:
-    kind = _kind_from_args(parser, args)
-    model = spaces.build_model(kind)
-    decomposition = spaces.mori_chambers(kind)
+    model = spaces.build_model(_kind_from_args(parser, args))
+    decomposition = model.chambers()
     try:
         nef = model.nef_cone()
     except CoordinatesUnknown:
         nef = None
-    payload = _space_sections(kind)
+    payload = _space_sections(model)
     payload["chambers"] = {
         "count": decomposition.chamber_count,
         "rays": [list(r) for r in decomposition.rays],

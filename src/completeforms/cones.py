@@ -11,10 +11,10 @@ the hyperplanes spanned by V.  For a full-dimensional pointed cone the
 extreme rays of the dual are the facet normals and vice versa, so
 :func:`dual_cone` swaps the two tuples (Ziegler 1995, section 1.4).  Every
 other cone is cut from a full-dimensional cone that already carries both
-descriptions, one half-space at a time: a cut is one double-description step
-(Motzkin et al. 1953; Fukuda-Prodon 1996), which keeps the rays on the
-nonnegative side, adds one ray where each 2-face crosses the hyperplane, and
-keeps the facets that still bound the cut cone.
+descriptions, one hyperplane at a time: a split is one double-description
+step (Motzkin et al. 1953; Fukuda-Prodon 1996) giving both halves, each with
+the rays on its side, the facets still bounding it, and the rays (shared by
+both) where 2-faces cross the hyperplane.  Cells keep both halves of a split.
 
 Cones, rays, normals and the elimination behind rank and kernel are all
 integer (fraction-free, see :mod:`completeforms.lattice`); only a caller's
@@ -135,9 +135,10 @@ class RationalCone:
         A cone of less than full dimension has empty interior, and its +/-
         span normals make every strict query come back False.
         """
-        if len(tuple(point)) != self.ambient_dim:
+        point = tuple(point)
+        if len(point) != self.ambient_dim:
             raise DimensionMismatch(
-                "point of length %d in ambient dimension %d" % (len(tuple(point)), self.ambient_dim)
+                "point of length %d in ambient dimension %d" % (len(point), self.ambient_dim)
             )
         for n in self.facet_normals:
             s = _dot(n, point)
@@ -226,23 +227,23 @@ def dual_cone(cone: RationalCone) -> RationalCone:
     return RationalCone(cone.ambient_dim, cone.facet_normals, cone.rays)
 
 
-def _cut(cone: RationalCone, normal: Vec) -> RationalCone | None:
-    """The cone {x in cone : normal . x >= 0}, or None when it has no interior.
+def _split(cone: RationalCone, normal: Vec) -> tuple[RationalCone | None, RationalCone | None]:
+    """The halves of the cone where normal . x >= 0 and where it is <= 0.
 
-    One double-description step (Motzkin et al. 1953; Fukuda-Prodon 1996) on
-    a full-dimensional cone and a primitive normal.  The rays on the
-    nonnegative side stay; each pair of rays strictly on opposite sides that
-    spans a 2-face of the cone adds the point where that face meets the
-    hyperplane.  A pair spans a 2-face when it shares at least d - 2 tight
-    facets and no third ray is tight on all of them.  The old facets that
-    stay are those tight at some ray strictly on the positive side, and the
-    hyperplane is the new one.
+    Either half is None when it has no interior.  One double-description
+    step (Motzkin et al. 1953; Fukuda-Prodon 1996) on a full-dimensional
+    cone and a primitive normal.  Each half keeps the rays on its side of
+    the hyperplane, and both share the rays where the 2-faces of the cone
+    cross it: a pair of rays strictly on opposite sides spans a 2-face when
+    it shares at least d - 2 tight facets and no third ray is tight on all
+    of them.  A half keeps the old facets tight at some ray strictly on its
+    side, and adds the hyperplane, facing inward.
     """
     signs = [_dot(normal, r) for r in cone.rays]
     if min(signs) >= 0:
-        return cone
+        return cone, None
     if max(signs) <= 0:
-        return None
+        return None, cone
     # tight[i]: bit j set when ray i lies on facet j
     tight = [
         sum(1 << j for j, f in enumerate(cone.facet_normals) if _dot(f, r) == 0)
@@ -250,27 +251,34 @@ def _cut(cone: RationalCone, normal: Vec) -> RationalCone | None:
     ]
     plus = [i for i, s in enumerate(signs) if s > 0]
     minus = [i for i, s in enumerate(signs) if s < 0]
-    rays = [r for r, s in zip(cone.rays, signs) if s >= 0]
+    crossings = []
     for p in plus:
         for m in minus:
             common = tight[p] & tight[m]
             if common.bit_count() >= cone.ambient_dim - 2 and not any(
                 t & common == common for i, t in enumerate(tight) if i != p and i != m
             ):
-                rays.append(primitive_vector(
+                crossings.append(primitive_vector(
                     signs[p] * x - signs[m] * y for x, y in zip(cone.rays[m], cone.rays[p])
                 ))
-    kept = 0
-    for p in plus:
-        kept |= tight[p]
-    facets = [f for j, f in enumerate(cone.facet_normals) if kept >> j & 1] + [normal]
-    return RationalCone(cone.ambient_dim, tuple(sorted(rays)), tuple(sorted(facets)))
+
+    def half(sign: int) -> RationalCone:
+        kept = 0
+        for t, s in zip(tight, signs):
+            if s * sign > 0:
+                kept |= t
+        rays = [r for r, s in zip(cone.rays, signs) if s * sign >= 0] + crossings
+        facets = [f for j, f in enumerate(cone.facet_normals) if kept >> j & 1]
+        facets.append(normal if sign > 0 else _neg(normal))
+        return RationalCone(cone.ambient_dim, tuple(sorted(rays)), tuple(sorted(facets)))
+
+    return half(1), half(-1)
 
 
 def _cut_all(cone: RationalCone, normals: Iterable[Vec]) -> RationalCone | None:
-    """:func:`_cut` by each normal in turn; None once a cut leaves no interior."""
+    """The upper half of :func:`_split` by each normal in turn; None once it has no interior."""
     for n in normals:
-        cone = _cut(cone, n)
+        cone = _split(cone, n)[0]
         if cone is None:
             return None
     return cone
@@ -328,8 +336,7 @@ def gkz_decomposition(
     cells = [support]
     for n in hyperplanes:
         # a cell on one side of the hyperplane has no interior on the other
-        halves = (n, _neg(n))
-        cells = [p for cell in cells for half in halves if (p := _cut(cell, half)) is not None]
+        cells = [half for cell in cells for half in _split(cell, n) if half is not None]
 
     basis_cones = [
         cone_from_rays(basis, ambient_dim)

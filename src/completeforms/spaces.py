@@ -6,12 +6,17 @@ iterated blow-ups of secant varieties of Segre and Veronese embeddings, and
 three flavors of genus-zero degree-two mapping spaces that coincide with
 them.  A :class:`SpaceModel` packages what the package knows about one space:
 
-* numerical invariants (dimension, Picard/class rank),
+* numerical invariants (dimension, Picard/class rank) and the secant
+  variety the space blows up,
 * named divisor classes with exact rational coordinates when a small-rank
   coordinate model is available,
 * generating labels for the effective, nef, and (when known) moving cones,
+  and the chamber decomposition of the effective cone,
 * the anticanonical class and a positivity classification,
 * the symbolic automorphism group.
+
+One model answers every question about its space; module-level queries
+such as :func:`mori_chambers` build one with :func:`build_model` and ask it.
 
 Coordinates exist for the rank <= 3 models that the cone machinery can chew
 on.  Every other kind still builds a model, it just answers
@@ -240,16 +245,6 @@ def _form_space(kind: SpaceKind) -> SpaceKind:
     return kind if twin is None else twin(kind)
 
 
-def _secant(kind: SpaceKind) -> Optional[SecantInvariants]:
-    """The secant variety the space blows up; None past the end of its range."""
-
-    form = _form_space(kind)
-    try:
-        return _entry(form).secant(form)
-    except ValueError:
-        return None
-
-
 def _automorphisms(kind: SpaceKind) -> Optional[GroupDescriptor]:
     form = _form_space(kind)
     return _entry(form).automorphisms(form)
@@ -280,6 +275,7 @@ class SpaceModel:
     kind: SpaceKind
     name: str
     dimension: int
+    secant: Optional[SecantInvariants]  # the secant variety blown up; None past its range
     picard_rank: int
     basis: Optional[Tuple[str, ...]]
     classes: Mapping[str, DivisorClass]  # read-only
@@ -327,6 +323,58 @@ class SpaceModel:
 
     def moving_cone(self) -> RationalCone:
         return self._generated_cone(self.mov_generators, "moving")
+
+    def chambers(self) -> ChamberDecomposition:
+        """Chamber decomposition of the effective cone from boundary and color classes."""
+
+        if _entry(self.kind).cover is not None:
+            raise OutOfScope(
+                "the chamber decomposition of %s is only known through its "
+                "degree-two cover of the symmetric rank model" % self.name
+            )
+        if self.basis is None:
+            raise CoordinatesUnknown(
+                "class coordinates are not available for %s" % self.name
+            )
+        labels = tuple(self.boundary) + tuple(self.colors)
+        missing = [lb for lb in labels if self.classes.get(lb) is None]
+        if not labels or missing:
+            raise OutOfScope(
+                "chamber decomposition input classes are not recorded for %s" % self.name
+            )
+        vectors = [self.class_coordinates(lb) for lb in labels]
+        decomposition = gkz_decomposition(vectors, ambient_dim=len(self.basis))
+        if self.nef_generators is not None:
+            nef = self.nef_cone()
+            matches = sum(1 for chamber in decomposition.chambers if chamber == nef)
+            if matches != 1:
+                raise InternalInconsistency(
+                    "nef cone must appear as exactly one chamber, found %d" % matches
+                )
+        return decomposition
+
+    def positivity(self) -> "PositivityClass":
+        """Place the anticanonical class relative to the nef and effective cones."""
+
+        if _entry(self.kind).cover is not None:
+            raise OutOfScope(
+                "positivity for the Grassmannian mapping space is read off its "
+                "degree-two cover, not classified directly"
+            )
+        if self.anticanonical is None or self.anticanonical.coordinates is None:
+            raise OutOfScope(
+                "the anticanonical class of %s is not recorded" % self.name
+            )
+        point = self.anticanonical.coordinates
+        nef = self.nef_cone()
+        eff = self.effective_cone()
+        if nef.contains(point, strict=True):
+            return PositivityClass.FANO
+        if nef.contains(point) and eff.contains(point, strict=True):
+            return PositivityClass.WEAK_FANO
+        if eff.contains(point, strict=True):
+            return PositivityClass.LOG_FANO_NUMERICAL
+        return PositivityClass.NOT_BIG
 
     def to_dict(self) -> Dict:
         def listed(values):
@@ -766,12 +814,19 @@ def _coordinates(spec: dict) -> Dict[str, Tuple[Fraction, ...]]:
 def build_model(kind: SpaceKind) -> SpaceModel:
     """Assemble the catalog entry for one space kind.
 
-    The dimension is that of the secant variety the space blows up.  The
-    classes are the coordinate table when there is a basis, and otherwise
-    every boundary, color and cone-generator label without coordinates.
+    The secant variety the space blows up is evaluated here, once, and kept
+    as ``secant`` (None past the end of its range, where the builder gives
+    the dimension); the dimension is the secant's.  The classes are the
+    coordinate table when there is a basis, and otherwise every boundary,
+    color and cone-generator label without coordinates.
     """
 
     spec = _entry(kind).model(kind)
+    form = _form_space(kind)
+    try:
+        secant = _entry(form).secant(form)
+    except ValueError:
+        secant = None
     basis = spec.get("basis")
     colors = spec.get("colors", ())
     eff, nef = spec.get("eff"), spec.get("nef")
@@ -784,7 +839,8 @@ def build_model(kind: SpaceKind) -> SpaceModel:
     return SpaceModel(
         kind=kind,
         name=space_name(kind),
-        dimension=spec["dimension"] if "dimension" in spec else _secant(kind).dimension,
+        dimension=spec["dimension"] if "dimension" in spec else secant.dimension,
+        secant=secant,
         picard_rank=spec["rank"],
         basis=basis,
         classes=MappingProxyType(classes),
@@ -844,34 +900,7 @@ def orbit_picard_group(kind: SpaceKind) -> AbelianGroupDescriptor:
 
 
 def mori_chambers(kind: SpaceKind) -> ChamberDecomposition:
-    """Chamber decomposition of the effective cone from boundary and color classes."""
-
-    model = build_model(kind)
-    if _entry(kind).cover is not None:
-        raise OutOfScope(
-            "the chamber decomposition of %s is only known through its "
-            "degree-two cover of the symmetric rank model" % model.name
-        )
-    if model.basis is None:
-        raise CoordinatesUnknown(
-            "class coordinates are not available for %s" % model.name
-        )
-    labels = tuple(model.boundary) + tuple(model.colors)
-    missing = [lb for lb in labels if model.classes.get(lb) is None]
-    if not labels or missing:
-        raise OutOfScope(
-            "chamber decomposition input classes are not recorded for %s" % model.name
-        )
-    vectors = [model.class_coordinates(lb) for lb in labels]
-    decomposition = gkz_decomposition(vectors, ambient_dim=len(model.basis))
-    if model.nef_generators is not None:
-        nef = model.nef_cone()
-        matches = sum(1 for chamber in decomposition.chambers if chamber == nef)
-        if matches != 1:
-            raise InternalInconsistency(
-                "nef cone must appear as exactly one chamber, found %d" % matches
-            )
-    return decomposition
+    return build_model(kind).chambers()
 
 
 def anticanonical_class(kind: SpaceKind) -> DivisorClass:
@@ -891,28 +920,7 @@ class PositivityClass(enum.Enum):
 
 
 def classify_positivity(kind: SpaceKind) -> PositivityClass:
-    """Place the anticanonical class relative to the nef and effective cones."""
-
-    if _entry(kind).cover is not None:
-        raise OutOfScope(
-            "positivity for the Grassmannian mapping space is read off its "
-            "degree-two cover, not classified directly"
-        )
-    model = build_model(kind)
-    if model.anticanonical is None or model.anticanonical.coordinates is None:
-        raise OutOfScope(
-            "the anticanonical class of %s is not recorded" % model.name
-        )
-    point = model.anticanonical.coordinates
-    nef = model.nef_cone()
-    eff = model.effective_cone()
-    if nef.contains(point, strict=True):
-        return PositivityClass.FANO
-    if nef.contains(point) and eff.contains(point, strict=True):
-        return PositivityClass.WEAK_FANO
-    if eff.contains(point, strict=True):
-        return PositivityClass.LOG_FANO_NUMERICAL
-    return PositivityClass.NOT_BIG
+    return build_model(kind).positivity()
 
 
 def automorphism_group(kind: SpaceKind) -> GroupDescriptor:

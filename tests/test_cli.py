@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from completeforms import cli
+from completeforms import cli, spaces
 from completeforms.reports import VerificationReport
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -106,6 +106,44 @@ def test_markdown_format_renders_a_report(capsys):
     assert code == 0
     assert out.startswith("# Q(4,3)")
     assert "| class rank | 3 |" in out
+
+
+@pytest.fixture
+def catalog_calls(monkeypatch):
+    """Count the models built and the secants evaluated through ``spaces``."""
+    calls = {"build_model": 0, "secant": 0}
+
+    def count(name, key):
+        real = getattr(spaces, name)
+
+        def counting(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(spaces, name, counting)
+
+    count("build_model", "build_model")
+    count("segre_secant_invariants", "secant")
+    count("veronese_secant_invariants", "secant")
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        "invariants --space Q --n 6 --h 2",
+        "invariants --space mbar-pxp --n 2 --m 3",
+        "chambers --space secV --n 6 --h 4 --k 2",
+        "chambers --space C --n 2 --m 3 --h 2",
+    ],
+)
+def test_a_space_query_builds_one_model_and_evaluates_one_secant(
+    command, fmt, catalog_calls, capsys
+):
+    code, out, _ = run_cli(command.split() + ["--format", fmt], capsys)
+    assert code == 0 and out
+    assert catalog_calls == {"build_model": 1, "secant": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,16 @@ def test_containment_of_fractional_points():
     assert not nef.contains((6, -2, 0), strict=True)
 
 
+def test_containment_of_a_point_given_as_an_iterator():
+    """The point is read once: a generator is not used up by the length check."""
+    c = cone_from_rays([(1, 0), (1, 1)])
+    assert not c.contains(iter((0, 1)))
+    assert not c.contains(x for x in (0, 1))
+    assert c.contains((x for x in (2, 1)), strict=True)
+    with pytest.raises(DimensionMismatch):
+        c.contains(x for x in (1, 0, 0))
+
+
 def test_containment_dimension_check():
     c = cone_from_rays([(1, 0)])
     with pytest.raises(DimensionMismatch):
@@ -308,14 +318,16 @@ def counted_cone_from_rays(monkeypatch):
 def test_a_collapsed_chamber_raises_a_typed_error(monkeypatch):
     """The chamber invariant holds under python -O: no bare assert guards it.
 
-    The cells are sliced for real; once the basis cones are built, every cut
-    of the chamber assembly collapses.  The chamber between (1, 1) and
-    (0, 1) lies in two basis cones, so its assembly cuts.
+    The cells are sliced for real; once the basis cones are built, every
+    split of the chamber assembly leaves no half.  The chamber between
+    (1, 1) and (0, 1) lies in two basis cones, so its assembly cuts.
     """
     built = counted_cone_from_rays(monkeypatch)
-    real_cut = cones._cut
+    real_split = cones._split
     monkeypatch.setattr(
-        cones, "_cut", lambda cone, normal: None if len(built) > 1 else real_cut(cone, normal)
+        cones,
+        "_split",
+        lambda cone, normal: (None, None) if len(built) > 1 else real_split(cone, normal),
     )
     with pytest.raises(InternalInconsistency):
         gkz_decomposition([(1, 0), (1, 1), (0, 1)])
@@ -537,7 +549,8 @@ def random_normal(rng, dim):
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_a_cut_matches_a_vertex_enumeration(dim):
-    """One Motzkin step against enumerating the cone's facets plus the half-space."""
+    """One Motzkin step, both halves, against enumerating the cone's facets
+    plus the half-space by ``n`` and by ``-n``."""
     rng = random.Random("cut-oracle:%d" % dim)
     outcomes = set()
     for _ in range(60):
@@ -545,14 +558,14 @@ def test_a_cut_matches_a_vertex_enumeration(dim):
         if not a.is_full_dimensional:
             continue
         n = random_normal(rng, dim)
-        expected = vertex_enumeration(a.facet_normals + (n,), dim)
-        cut = cones._cut(a, n)
-        if expected is None:
-            assert cut is None, (a, n)
-            outcomes.add("empty")
-        else:
-            assert (cut.rays, cut.facet_normals) == expected, (a, n)
-            outcomes.add("unchanged" if cut == a else "cut")
+        for half, normal in zip(cones._split(a, n), (n, cones._neg(n))):
+            expected = vertex_enumeration(a.facet_normals + (normal,), dim)
+            if expected is None:
+                assert half is None, (a, normal)
+                outcomes.add("empty")
+            else:
+                assert (half.rays, half.facet_normals) == expected, (a, normal)
+                outcomes.add("unchanged" if half == a else "cut")
     assert outcomes == {"unchanged", "empty", "cut"}
 
 
@@ -572,6 +585,6 @@ def test_a_cut_skips_ray_pairs_that_share_facets_but_no_edge():
     pyramid = [(0, 0, 0, 0, 0, 1)] + [(1, 0, 0, -a, -b, -1) for a, b in sides]
     cone = cones.RationalCone(6, tuple(sorted(rays)), tuple(sorted(square + pyramid)))
     n = (0, 1, 0, 0, 0, 0)
-    cut = cones._cut(cone, n)
+    cut = cones._split(cone, n)[0]
     assert (cut.rays, cut.facet_normals) == vertex_enumeration(cone.facet_normals + (n,), 6)
     assert (1, 0, 0, 0, 0, 1) not in cut.rays

@@ -1,5 +1,5 @@
 """Checks on the project as a whole: the demos and the README's Python
-examples run, and six lints on src/.
+examples run, and seven lints on src/.
 
 Invariants in the package must hold under ``python -O``, which strips
 ``assert`` statements, so they raise typed errors instead; the first lint
@@ -12,7 +12,9 @@ fourth lint keeps numpy out of every other module, and the fifth keeps every
 module from importing ``determinantal`` when it is itself imported.  In
 ``cones`` only the spanned hyperplanes and the basis cones come from subsets
 of vectors; every other cone is cut from one it already has, and the sixth
-lint keeps it that way.
+lint keeps it that way.  The command line reads what it shows of a space off
+one model, whose secant ``spaces`` evaluates, so it reads no private name of
+``spaces`` but the kind table; the seventh lint keeps it that way.
 """
 
 import ast
@@ -170,3 +172,13 @@ def test_cones_takes_subsets_only_for_hyperplanes_and_basis_cones():
 
     visit(ast.parse(Path(cones.__file__).read_text(encoding="utf-8")), ())
     assert sorted(found) == ["_spanned_hyperplanes", "gkz_decomposition.basis_cones"]
+
+
+def test_the_cli_reads_no_private_name_of_spaces_but_the_kind_table():
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "spaces":
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("spaces"):
+            names.update(alias.name for alias in node.names)
+    assert sorted(name for name in names if name.startswith("_")) == ["_KINDS"]

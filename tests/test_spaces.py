@@ -17,6 +17,7 @@ from completeforms.groups import (
     SemidirectRight,
     SwapGroup,
 )
+from completeforms.secants import segre_secant_invariants, veronese_secant_invariants
 from completeforms.spaces import (
     Collineations,
     DivisorClass,
@@ -147,6 +148,48 @@ def test_mapping_space_dimensions_match_their_form_space_twins():
             build_model(KontsevichGr(n)).dimension
             == build_model(VeroneseBlowup(n, 4, 2)).dimension
         )
+
+
+# the secant variety of each kind's form space, written out per kind
+FORM_SECANTS = {
+    Collineations: lambda s: segre_secant_invariants(s.n, s.m, s.h),
+    SegreBlowup: lambda s: segre_secant_invariants(s.n, s.m, s.h),
+    Quadrics: lambda s: veronese_secant_invariants(s.n, s.h),
+    VeroneseBlowup: lambda s: veronese_secant_invariants(s.n, s.h),
+    KontsevichP: lambda s: veronese_secant_invariants(s.n, 3),
+    KontsevichPxP: lambda s: segre_secant_invariants(s.n, s.m, 2),
+    KontsevichGr: lambda s: veronese_secant_invariants(s.n, 4),
+}
+
+
+def every_kind_up_to(top):
+    """Every kind whose parameters pass the parameter rule, with n <= m <= top."""
+    for cls in FORM_SECANTS:
+        letters = [f.name for f in dataclasses.fields(cls)]
+        for values in itertools.product(range(1, top + 2), repeat=len(letters)):
+            try:
+                kind = cls(*values)
+            except ValueError:
+                continue
+            if getattr(kind, "m", kind.n) <= top:
+                yield kind
+
+
+def test_a_model_keeps_the_secant_of_its_form_space():
+    without = []
+    for kind in every_kind_up_to(5):
+        model = build_model(kind)
+        try:
+            expected = FORM_SECANTS[type(kind)](kind)
+        except ValueError:
+            expected = None
+        assert model.secant == expected, kind
+        if expected is None:
+            without.append(kind)
+            assert "dimension" in spaces._KINDS[type(kind)].model(kind), kind
+        else:
+            assert model.dimension == expected.dimension, kind
+    assert without == [VeroneseBlowup(1, 3, 1), KontsevichP(1), KontsevichGr(2)]
 
 
 # ---------------------------------------------------------------------------
