@@ -136,6 +136,8 @@ class IntegerMatrix:
 
 
 def _coerce_fraction(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floats are not accepted, use Fraction or int")
     return Fraction(x)

@@ -10,6 +10,15 @@ the Leibniz formula (a k x k minor has k! terms, hence the 5x5 cap), and the
 tangent-cone comparison :func:`verify_tangent_cone`, which shifts a batch of
 minors to a distinguished point and compares each lowest-degree homogeneous
 part against the complementary minor of the residual block.
+
+Both walk many terms, so the inner loops avoid repeated work.  The Leibniz
+formula reads one sign table per minor size, each permutation of
+``range(size)`` with its sign, built once and mapped through the column set
+of every minor of that size.  :meth:`SparsePoly.shift` expands a monomial in
+one pass: unshifted variables are copied as they are, the binomial factors
+C(e, t) s^(e-t) of a shifted variable are computed once per exponent, and
+each produced monomial is sorted once.  Values enter as ints or Fractions;
+floats are refused rather than read as binary fractions.
 """
 
 from __future__ import annotations
@@ -17,10 +26,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import cache
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from .errors import DimensionMismatch, IndexOutOfRange, TooLarge
+from .lattice import _coerce_fraction
 from .reports import VerificationReport
 from .secants import segre_secant_invariants, veronese_secant_invariants
 
@@ -40,8 +51,17 @@ MAX_MINOR_SIZE = 5
 MAX_TANGENT_TERMS = 10**5
 
 
+def _check_index(i, label: str) -> None:
+    """Refuse an index that is not an int; a bool is refused too."""
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise TypeError("%s index must be an int, got %r" % (label, i))
+
+
 def matrix_variable(i: int, j: int, symmetric: bool = False) -> Var:
-    """Canonical variable name for matrix position (i, j)."""
+    """Canonical variable name for matrix position (i, j); i and j are ints."""
+    if type(i) is not int or type(j) is not int:
+        _check_index(i, "row")
+        _check_index(j, "column")
     if i < 0 or j < 0:
         raise IndexOutOfRange("negative matrix position (%d, %d)" % (i, j))
     if symmetric and i > j:
@@ -67,6 +87,17 @@ def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
+@cache
+def _signed_permutations(size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each permutation of range(size) with its sign: the Leibniz terms of a
+    size x size determinant.  A constant per size, at most MAX_MINOR_SIZE + 1
+    entries."""
+    return tuple(
+        (perm, (-1) ** sum(a > b for a, b in combinations(perm, 2)))
+        for perm in permutations(range(size))
+    )
+
+
 @dataclass(frozen=True)
 class SparsePoly:
     """Immutable sparse polynomial with Fraction coefficients."""
@@ -75,10 +106,8 @@ class SparsePoly:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SparsePoly":
-        clean = tuple(
-            sorted((m, Fraction(c)) for m, c in d.items() if Fraction(c) != 0)
-        )
-        return cls(clean)
+        coeffs = ((m, _coerce_fraction(c)) for m, c in d.items())
+        return cls(tuple(sorted((m, c) for m, c in coeffs if c != 0)))
 
     @classmethod
     def zero(cls) -> "SparsePoly":
@@ -86,7 +115,7 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, c) -> "SparsePoly":
-        c = Fraction(c)
+        c = _coerce_fraction(c)
         return cls(((tuple(), c),)) if c != 0 else cls(())
 
     @classmethod
@@ -126,7 +155,7 @@ class SparsePoly:
         return SparsePoly.from_dict(d)
 
     def scale(self, c) -> "SparsePoly":
-        c = Fraction(c)
+        c = _coerce_fraction(c)
         if c == 0:
             return SparsePoly.zero()
         return SparsePoly(tuple((m, c * co) for m, co in self.terms))
@@ -138,7 +167,9 @@ class SparsePoly:
         """Lowest-degree homogeneous component (the whole poly if homogeneous)."""
         if self.is_zero:
             return self
-        return self.homogeneous_part(self.low_degree())
+        degrees = [_mono_degree(m) for m, _ in self.terms]
+        low = min(degrees)
+        return SparsePoly(tuple(t for t, d in zip(self.terms, degrees) if d == low))
 
     def shift(self, shifts: dict) -> "SparsePoly":
         """Substitute z_v -> z_v + shifts[v] for each shifted variable.
@@ -146,30 +177,43 @@ class SparsePoly:
         Uses the binomial expansion per variable power, so the cost stays
         proportional to the number of produced terms.
         """
-        moved = {matrix_variable(*v): Fraction(c) for v, c in shifts.items()}
+        moved = {matrix_variable(*v): _coerce_fraction(c) for v, c in shifts.items()}
+        moved = {v: c for v, c in moved.items() if c}
+        # (z + s)^e contributes C(e,t) s^(e-t) z^t; one list per (v, e) met
+        expansions: dict[tuple[Var, int], list] = {}
         out: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms:
-            expansions = [((), coeff)]
+            fixed = []
+            choices = []
             for v, e in mono:
-                s = moved.get(v)
-                if s is None or s == 0:
-                    expansions = [(_mono_mul(m, ((v, e),)), c) for m, c in expansions]
+                if v not in moved:
+                    fixed.append((v, e))
                     continue
-                new = []
-                for m, c in expansions:
-                    for t in range(e + 1):
-                        # (z + s)^e contributes C(e,t) s^(e-t) z^t
-                        factor = comb(e, t) * s ** (e - t)
-                        grown = _mono_mul(m, ((v, t),)) if t else m
-                        new.append((grown, c * factor))
-                expansions = new
-            for m, c in expansions:
-                out[m] = out.get(m, Fraction(0)) + c
+                choice = expansions.get((v, e))
+                if choice is None:
+                    s = moved[v]
+                    choice = expansions[v, e] = [
+                        (((v, t),) if t else (), comb(e, t) * s ** (e - t)) for t in range(e + 1)
+                    ]
+                choices.append(choice)
+            if not choices:
+                prev = out.get(mono)
+                out[mono] = coeff if prev is None else prev + coeff
+                continue
+            for picks in product(*choices):
+                grown = list(fixed)
+                c = coeff
+                for power, factor in picks:
+                    grown += power
+                    c *= factor
+                m = tuple(sorted(grown))
+                prev = out.get(m)
+                out[m] = c if prev is None else prev + c
         return SparsePoly.from_dict(out)
 
     def evaluate(self, assignment: dict) -> Fraction:
         """Evaluate at a point; unassigned variables are an error."""
-        point = {matrix_variable(*v): Fraction(c) for v, c in assignment.items()}
+        point = {matrix_variable(*v): _coerce_fraction(c) for v, c in assignment.items()}
         total = Fraction(0)
         for mono, coeff in self.terms:
             val = coeff
@@ -210,8 +254,7 @@ def _index_set(indices, top: int, label: str) -> list[int]:
     """The indices sorted, each a distinct int in 0..top."""
     out = list(indices)
     for i in out:
-        if not isinstance(i, int) or isinstance(i, bool):
-            raise TypeError("%s index must be an int, got %r" % (label, i))
+        _check_index(i, label)
         if i < 0 or i > top:
             raise IndexOutOfRange("%s %d outside 0..%d" % (label, i, top))
     if len(set(out)) != len(out):
@@ -243,11 +286,11 @@ def minor_det(
         )
     if len(rows) > MAX_MINOR_SIZE:
         raise TooLarge("minor size %d exceeds the %dx%d cap" % (len(rows), MAX_MINOR_SIZE, MAX_MINOR_SIZE))
+    # grid[a][b] names the entry in row rows[a] and column cols[b]
+    grid = [[matrix_variable(i, j, symmetric) for j in cols] for i in rows]
     terms: dict[Monomial, int] = {}
-    for perm in permutations(cols):
-        # cols is sorted, so the inversions of perm are those of the permutation
-        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
-        powers = Counter(matrix_variable(i, j, symmetric) for i, j in zip(rows, perm))
+    for perm, sign in _signed_permutations(len(rows)):
+        powers = Counter([line[p] for line, p in zip(grid, perm)])
         mono = tuple(sorted(powers.items()))
         terms[mono] = terms.get(mono, 0) + sign
     return SparsePoly.from_dict(terms)

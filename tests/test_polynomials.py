@@ -14,11 +14,15 @@ from fractions import Fraction
 
 import pytest
 
+from completeforms import cli
 from completeforms.errors import DimensionMismatch, IndexOutOfRange, TooLarge
 from completeforms.lattice import IntegerMatrix
 from completeforms.polynomials import (
+    MAX_MINOR_SIZE,
     MAX_TANGENT_TERMS,
     SparsePoly,
+    _signed_permutations,
+    matrix_variable,
     minor_det,
     shift_and_leading_form,
     verify_tangent_cone,
@@ -162,6 +166,47 @@ def test_general_minor_has_one_unit_term_per_permutation(size):
     assert all(abs(c) == 1 and len(mono) == size for mono, c in p.terms)
 
 
+def cycle_count(perm):
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return cycles
+
+
+@pytest.mark.parametrize("size", range(MAX_MINOR_SIZE + 1))
+def test_the_sign_table_holds_every_permutation_with_its_cycle_sign(size):
+    table = _signed_permutations(size)
+    assert len(table) == math.factorial(size)
+    assert len({perm for perm, _ in table}) == len(table)
+    for perm, sign in table:
+        assert sorted(perm) == list(range(size))
+        assert sign == (-1) ** (size - cycle_count(perm))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_shift_moves_the_evaluation_point(seed):
+    # oracle: p(z + s) at x is p at the point x + s, for rational, negative
+    # and zero shifts of 1-3 variables; symmetric minors have squared variables
+    rng = random.Random(seed)
+    for _ in range(10):
+        symmetric = rng.random() < 0.6
+        size = rng.randint(1, 4)
+        rows = rng.sample(range(5), size)
+        cols = rows if symmetric and rng.random() < 0.5 else rng.sample(range(5), size)
+        p = minor_det(4, 4, rows, cols, symmetric)
+        names = variables_of(p)
+        moved = rng.sample(names, rng.randint(1, min(3, len(names))))
+        shifts = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for v in moved}
+        point = {v: Fraction(rng.randint(-6, 6)) for v in names}
+        moved_point = {v: x + shifts.get(v, 0) for v, x in point.items()}
+        assert p.shift(shifts).evaluate(point) == p.evaluate(moved_point)
+
+
 def test_polynomial_ring_operations():
     x = SparsePoly.variable(0, 0)
     y = SparsePoly.variable(0, 1)
@@ -191,6 +236,59 @@ def test_leading_form_of_shifted_three_minor():
     p = minor_det(2, 2, [0, 1, 2], [0, 1, 2])
     lead = shift_and_leading_form(p, {(0, 0): 1})
     assert lead == minor_det(2, 2, [1, 2], [1, 2])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: matrix_variable(0.5, 1),
+        lambda: matrix_variable(True, 0),
+        lambda: matrix_variable(0, False),
+        lambda: SparsePoly.variable(0.5, 1),
+        lambda: SparsePoly.variable(1, True, symmetric=True),
+        lambda: minor_det(1, 1, [0, 1], [0, 1]).shift({(0.0, 0): 1}),
+        lambda: minor_det(1, 1, [0, 1], [0, 1]).evaluate(
+            {(True, 0): 1, (0, 0): 1, (0, 1): 1, (1, 1): 1}
+        ),
+    ],
+    ids=["float", "bool-row", "bool-column", "variable", "symmetric-variable", "shift", "evaluate"],
+)
+def test_a_matrix_position_must_be_an_int(call):
+    # a float or bool key would otherwise name a variable, (True, 0) == (1, 0)
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_a_matrix_position_is_canonical_and_nonnegative():
+    assert matrix_variable(2, 1) == (2, 1)
+    assert matrix_variable(2, 1, symmetric=True) == (1, 2)
+    with pytest.raises(IndexOutOfRange):
+        matrix_variable(-1, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: SparsePoly.from_dict({(((0, 0), 1),): 0.1}),
+        lambda p: SparsePoly.constant(0.5),
+        lambda p: p.scale(0.1),
+        lambda p: p.shift({(0, 0): 0.1}),
+        lambda p: p.evaluate({(0, 0): 0.5, (0, 1): 1, (1, 0): 1, (1, 1): 1}),
+    ],
+    ids=["from_dict", "constant", "scale", "shift", "evaluate"],
+)
+def test_a_float_value_is_refused_not_read_as_a_binary_fraction(call):
+    # 0.1 would become 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        call(minor_det(2, 2, [0, 1], [0, 1]))
+
+
+def test_exact_values_are_accepted_where_floats_are_refused():
+    p = minor_det(2, 2, [0, 1], [0, 1])
+    tenth = Fraction(1, 10)
+    assert SparsePoly.from_dict({(): tenth}) == SparsePoly.constant(tenth)
+    assert p.scale(tenth).shift({(0, 0): tenth}) == p.shift({(0, 0): tenth}).scale(tenth)
+    assert p.evaluate({(0, 0): tenth, (0, 1): 1, (1, 0): 2, (1, 1): 3}) == Fraction(-17, 10)
 
 
 def test_string_rendering_is_graded_lex():
@@ -256,6 +354,18 @@ def test_tangent_cone_walk_is_capped_by_its_term_count():
     # past the minor cap nothing is counted: C(10^6, 5*10^5) alone takes seconds
     with pytest.raises(TooLarge):
         verify_tangent_cone(10**6, 10**6, 5 * 10**5, 1)
+
+
+def test_a_tangent_cone_check_without_the_shift_fails(monkeypatch):
+    # negative control: with the shift a no-op the leading form is the whole
+    # minor, so the very first pair is a counterexample
+    monkeypatch.setattr(SparsePoly, "shift", lambda self, shifts: self)
+    rep = verify_tangent_cone(3, 3, 2, 1)
+    assert not rep.passed
+    assert rep.counts["minors_checked"] == 0
+    assert (rep.counterexample["rows"], rep.counterexample["cols"]) == ([0, 1, 2], [0, 1, 2])
+    argv = ["verify", "--check", "tangent-cone", "--n", "3", "--m", "3", "--h", "2", "--k", "1"]
+    assert cli.main(argv) == 1
 
 
 def test_tangent_cone_precondition_errors():
