@@ -222,22 +222,15 @@ def _cmd_invariants(parser, args) -> int:
 def _cmd_chambers(parser, args) -> int:
     model = spaces.build_model(_kind_from_args(parser, args))
     decomposition = model.chambers()
-    try:
-        nef = model.nef_cone()
-    except CoordinatesUnknown:
-        nef = None
     payload = _space_sections(model)
+    # a chamber is full dimensional, so its sorted extreme rays determine it
+    nef = payload["cones"]["nef"] and payload["cones"]["nef"]["rays"]
+    chambers = [[list(r) for r in chamber.rays] for chamber in decomposition.chambers]
     payload["chambers"] = {
         "count": decomposition.chamber_count,
         "rays": [list(r) for r in decomposition.rays],
         "hyperplanes": [list(h) for h in decomposition.hyperplane_normals],
-        "chambers": [
-            {
-                "rays": [list(r) for r in chamber.rays],
-                "is_nef": nef is not None and chamber == nef,
-            }
-            for chamber in decomposition.chambers
-        ],
+        "chambers": [{"rays": rays, "is_nef": rays == nef} for rays in chambers],
     }
     if args.svg:
         document = chamber_svg(model, decomposition)

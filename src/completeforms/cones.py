@@ -18,7 +18,9 @@ both) where 2-faces cross the hyperplane.  Cells keep both halves of a split.
 
 Cones, rays, normals and the elimination behind rank and kernel are all
 integer (fraction-free, see :mod:`completeforms.lattice`); only a caller's
-rational input point or rays meet :class:`fractions.Fraction`.
+rational input point or rays meet :class:`fractions.Fraction`.  Rays are ints
+or Fractions; a float or a bool is refused by the rational rule of
+:mod:`completeforms.lattice` rather than read as a binary fraction.
 
 The chamber decomposition is the chamber complex of the configuration W
 (Billera-Filliman-Sturmfels 1990; Gelfand-Kapranov-Zelevinsky 1994): slice
@@ -32,7 +34,6 @@ beyond what the applications here need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
@@ -44,7 +45,7 @@ from .errors import (
     NotFullDimensional,
     NotPointed,
 )
-from .lattice import _row_reduce
+from .lattice import _coerce_fraction, _row_reduce
 
 __all__ = [
     "RationalCone",
@@ -64,14 +65,15 @@ def primitive_vector(v: Iterable) -> Vec:
     Direction is preserved, so (2, -4) and (1, -2) map to the same output but
     (-1, 2) does not.
 
+    >>> from fractions import Fraction
     >>> primitive_vector((Fraction(3, 2), Fraction(-9, 2)))
     (1, -3)
     """
     v = tuple(v)
-    if all(isinstance(x, int) for x in v):
+    if all(type(x) is int for x in v):
         ints = v
     else:
-        fracs = [Fraction(x) for x in v]
+        fracs = [_coerce_fraction(x) for x in v]
         denom = lcm(*(x.denominator for x in fracs))
         ints = [int(x * denom) for x in fracs]
     g = gcd(*ints)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import _require_int
 from .reports import VerificationReport
 from .secants import (  # re-exported: every closed form and the budget live in .secants
     ENUMERATION_BUDGET,
@@ -227,6 +228,7 @@ def _split_tallies(a: int, b: int, k: int, q: int, symmetric: bool):
     ``_SPLIT_COUNTS`` and a counterexample: that matrix, else in symmetric
     mode the first matrix of the locus with H1 != H2, else None.
     """
+    _require_int(k=k)
     if not (1 <= k <= min(a, b)):
         raise ValueError("need 1 <= k <= min(a, b), got k=%d a=%d b=%d" % (k, a, b))
     total = _census_preconditions(a, b, q, symmetric)

@@ -12,6 +12,12 @@ raises instead of picking a point.  One fraction-free elimination routine on
 integer rows, ``_row_reduce``, serves :func:`solve_rational` (after clearing
 denominators) and the rank and kernel computations of
 :mod:`completeforms.cones`.
+
+This bottom layer is also the one home of the package's two input rules.
+``_require_int`` is the int rule: a named value is an int and not a bool.
+``_coerce_fraction`` is the rational rule: an int or a Fraction becomes a
+Fraction, and a float (a binary fraction) or a bool is refused.  Every other
+module calls these two and checks no type of its own.
 """
 
 from __future__ import annotations
@@ -34,6 +40,13 @@ __all__ = [
 ]
 
 
+def _require_int(**values) -> None:
+    """The int rule: each named value is an int and not a bool."""
+    for label, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError("%s must be an int, got %r" % (label, value))
+
+
 @dataclass(frozen=True)
 class IntegerMatrix:
     """Immutable dense matrix with integer entries, stored row major."""
@@ -41,23 +54,17 @@ class IntegerMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.entries:
-            width = len(self.entries[0])
-            for row in self.entries:
-                if len(row) != width:
-                    raise DimensionMismatch("ragged rows in matrix literal")
+        width = len(self.entries[0]) if self.entries else 0
+        for row in self.entries:
+            if len(row) != width:
+                raise DimensionMismatch("ragged rows in matrix literal")
+            for x in row:
+                if type(x) is not int:
+                    _require_int(entry=x)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntegerMatrix":
-        data = []
-        for row in rows:
-            out = []
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError("integer matrix entries must be ints, got %r" % (x,))
-                out.append(x)
-            data.append(tuple(out))
-        return cls(tuple(data))
+        return cls(tuple(tuple(row) for row in rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
@@ -136,10 +143,11 @@ class IntegerMatrix:
 
 
 def _coerce_fraction(x) -> Fraction:
+    """The rational rule: an int or a Fraction, as a Fraction; a float or a bool is refused."""
     if type(x) is Fraction:
         return x
-    if isinstance(x, float):
-        raise TypeError("floats are not accepted, use Fraction or int")
+    if isinstance(x, (float, bool)):
+        raise TypeError("a rational value must be an int or a Fraction, got %r" % (x,))
     return Fraction(x)
 
 

@@ -18,7 +18,9 @@ of every minor of that size.  :meth:`SparsePoly.shift` expands a monomial in
 one pass: unshifted variables are copied as they are, the binomial factors
 C(e, t) s^(e-t) of a shifted variable are computed once per exponent, and
 each produced monomial is sorted once.  Values enter as ints or Fractions;
-floats are refused rather than read as binary fractions.
+floats and bools are refused rather than read as binary fractions.  The
+matrix format, the indices and the tangent-cone parameters are ints and not
+bools; both rules live in :mod:`completeforms.lattice`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from .errors import DimensionMismatch, IndexOutOfRange, TooLarge
-from .lattice import _coerce_fraction
+from .lattice import _coerce_fraction, _require_int
 from .reports import VerificationReport
 from .secants import segre_secant_invariants, veronese_secant_invariants
 
@@ -51,17 +53,10 @@ MAX_MINOR_SIZE = 5
 MAX_TANGENT_TERMS = 10**5
 
 
-def _check_index(i, label: str) -> None:
-    """Refuse an index that is not an int; a bool is refused too."""
-    if not isinstance(i, int) or isinstance(i, bool):
-        raise TypeError("%s index must be an int, got %r" % (label, i))
-
-
 def matrix_variable(i: int, j: int, symmetric: bool = False) -> Var:
     """Canonical variable name for matrix position (i, j); i and j are ints."""
     if type(i) is not int or type(j) is not int:
-        _check_index(i, "row")
-        _check_index(j, "column")
+        _require_int(row=i, column=j)
     if i < 0 or j < 0:
         raise IndexOutOfRange("negative matrix position (%d, %d)" % (i, j))
     if symmetric and i > j:
@@ -254,7 +249,7 @@ def _index_set(indices, top: int, label: str) -> list[int]:
     """The indices sorted, each a distinct int in 0..top."""
     out = list(indices)
     for i in out:
-        _check_index(i, label)
+        _require_int(**{label: i})
         if i < 0 or i > top:
             raise IndexOutOfRange("%s %d outside 0..%d" % (label, i, top))
     if len(set(out)) != len(out):
@@ -276,6 +271,7 @@ def minor_det(
     so a k x k minor has k! terms and the size is capped at 5x5.  In symmetric
     mode z(i,j) == z(j,i), so mirrored monomials merge, and n must equal m.
     """
+    _require_int(n=n, m=m)
     rows = _index_set(row_set, n, "row")
     cols = _index_set(col_set, m, "column")
     if symmetric and n != m:
@@ -319,6 +315,7 @@ def verify_tangent_cone(
     dimension and the label of that smaller secant.  A walk of more than
     ``MAX_TANGENT_TERMS`` Leibniz terms raises :class:`TooLarge` up front.
     """
+    _require_int(n=n, m=m, h=h, k=k)
     if symmetric and n != m:
         raise DimensionMismatch("symmetric mode needs n == m, got %d != %d" % (n, m))
     if not (1 <= k <= h <= min(n, m) + 1):

@@ -16,7 +16,7 @@ def jsonable(value):
         if value.denominator == 1:
             return str(value.numerator)
         return "%d/%d" % (value.numerator, value.denominator)
-    if isinstance(value, bool) or isinstance(value, int) or value is None:
+    if isinstance(value, int) or value is None:
         return value
     if isinstance(value, str):
         return value

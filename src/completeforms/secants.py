@@ -6,7 +6,8 @@ dimension and degree live here, with the rank counts over F_q that check the
 enumeration in :mod:`completeforms.determinantal`.  Every degree and count is
 one exact product of Fractions, checked integral.  The enumeration's budget
 and preconditions live here too, so a request is refused before numpy is
-loaded.  This module needs no numpy.
+loaded.  Every integer parameter passes the int rule of
+:mod:`completeforms.lattice`.  This module needs no numpy.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 from math import comb, prod
 
 from .errors import BudgetExceeded, DimensionMismatch, InternalInconsistency, NonPrimeField
+from .lattice import _require_int
 
 __all__ = [
     "SecantInvariants",
@@ -24,13 +26,6 @@ __all__ = [
     "rank_count_closed_form",
     "symmetric_rank_count_closed_form",
 ]
-
-
-def _require_int(**values) -> None:
-    """The one int rule: each named value is an int and not a bool."""
-    for label, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError("%s must be an int, got %r" % (label, value))
 
 
 def _integral(value: Fraction, what: str) -> int:
@@ -134,6 +129,7 @@ def _census_preconditions(a: int, b: int, q: int, symmetric: bool) -> int:
     Checks the format, then the budget, then q's primality, so that a
     request is refused before anything that enumerates is imported.
     """
+    _require_int(a=a, b=b, q=q)
     if a < 1 or b < 1:
         raise ValueError("matrix format must be positive, got %dx%d" % (a, b))
     if symmetric and a != b:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from completeforms import cli, spaces
+from completeforms import cli, cones, spaces
 from completeforms.reports import VerificationReport
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -110,21 +110,24 @@ def test_markdown_format_renders_a_report(capsys):
 
 @pytest.fixture
 def catalog_calls(monkeypatch):
-    """Count the models built and the secants evaluated through ``spaces``."""
-    calls = {"build_model": 0, "secant": 0}
+    """Count the models built and the secants evaluated through ``spaces``, and
+    the cones enumerated from rays through ``spaces`` and ``cones``."""
+    calls = {"build_model": 0, "secant": 0, "cone_from_rays": 0}
 
-    def count(name, key):
-        real = getattr(spaces, name)
+    def count(module, name, key):
+        real = getattr(module, name)
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls[key] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(spaces, name, counting)
+        monkeypatch.setattr(module, name, counting)
 
-    count("build_model", "build_model")
-    count("segre_secant_invariants", "secant")
-    count("veronese_secant_invariants", "secant")
+    count(spaces, "build_model", "build_model")
+    count(spaces, "segre_secant_invariants", "secant")
+    count(spaces, "veronese_secant_invariants", "secant")
+    count(spaces, "cone_from_rays", "cone_from_rays")
+    count(cones, "cone_from_rays", "cone_from_rays")
     return calls
 
 
@@ -143,7 +146,19 @@ def test_a_space_query_builds_one_model_and_evaluates_one_secant(
 ):
     code, out, _ = run_cli(command.split() + ["--format", fmt], capsys)
     assert code == 0 and out
-    assert catalog_calls == {"build_model": 1, "secant": 1}
+    assert (catalog_calls["build_model"], catalog_calls["secant"]) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "command, built",
+    [("chambers --space secV --n 4 --h 4 --k 2", 25), ("chambers --space Q --n 4 --h 3", 16)],
+)
+def test_chambers_reads_the_nef_rays_off_the_cone_section(command, built, catalog_calls, capsys):
+    """The nef flag compares rays already in the payload; no cone is built for it."""
+    code, out, _ = run_cli(command.split(), capsys)
+    assert code == 0
+    assert [c["is_nef"] for c in json.loads(out)["chambers"]["chambers"]].count(True) == 1
+    assert catalog_calls["cone_from_rays"] == built
 
 
 # ---------------------------------------------------------------------------

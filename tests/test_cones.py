@@ -348,7 +348,7 @@ def test_integer_configurations_never_build_fractions(monkeypatch):
     def refuse(*args):
         raise AssertionError("Fraction built for integer input")
 
-    monkeypatch.setattr(cones, "Fraction", refuse)
+    monkeypatch.setattr(cones, "_coerce_fraction", refuse)
     gkz_decomposition([(1, 0, 0), (2, -1, 0), (3, -2, -1), (0, 1, 0), (0, 0, 1)])
 
 

@@ -7,6 +7,7 @@ enumerates every minor by brute force, so it is slow but unarguable.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from completeforms import spaces
+from completeforms.cones import cone_from_rays, gkz_decomposition, primitive_vector
+from completeforms.determinantal import rank_census, verify_rank_minor_lemma
 from completeforms.errors import DimensionMismatch, UnderDetermined
 from completeforms.lattice import (
     AbelianGroupDescriptor,
@@ -23,6 +26,7 @@ from completeforms.lattice import (
     smith_normal_form,
     solve_rational,
 )
+from completeforms.polynomials import minor_det, verify_tangent_cone
 
 
 # ---------------------------------------------------------------- oracle
@@ -375,3 +379,42 @@ def test_matrix_rejects_ragged_and_nonint():
         IntegerMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(TypeError):
         IntegerMatrix.from_rows([[1.5]])
+
+
+# ---------------------------------------------------------------- input rules
+
+RATIONAL = "a rational value must be an int or a Fraction, got "
+
+# each public entry given a float or a bool where it takes an int or a
+# rational, and the message it must raise: the argument's name and value
+REFUSALS = {
+    "primitive_vector(0.1)": (lambda: primitive_vector((0.1, 1)), RATIONAL + "0.1"),
+    "cone_from_rays(0.3)": (lambda: cone_from_rays([(1, 0), (0.3, 1)]), RATIONAL + "0.3"),
+    "gkz_decomposition(0.3)": (
+        lambda: gkz_decomposition([(1, 0), (0.3, 1), (0, 1)]),
+        RATIONAL + "0.3",
+    ),
+    "IntegerMatrix.from_rows(True)": (
+        lambda: IntegerMatrix.from_rows([[True]]),
+        "entry must be an int, got True",
+    ),
+    "IntegerMatrix(0.5)": (lambda: IntegerMatrix(((0.5, 1),)), "entry must be an int, got 0.5"),
+    "rank_census(True)": (lambda: rank_census(True, 3, 2), "a must be an int, got True"),
+    "rank_census(2.0)": (lambda: rank_census(2.0, 3, 2), "a must be an int, got 2.0"),
+    "verify_rank_minor_lemma(k=2.0)": (
+        lambda: verify_rank_minor_lemma(3, 3, 2.0, 2),
+        "k must be an int, got 2.0",
+    ),
+    "minor_det(2.5)": (lambda: minor_det(2.5, 2, [0], [0]), "n must be an int, got 2.5"),
+    "verify_tangent_cone(True)": (
+        lambda: verify_tangent_cone(True, True, True, True),
+        "n must be an int, got True",
+    ),
+    "RationalVector.of(True)": (lambda: RationalVector.of(True), RATIONAL + "True"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_float_or_a_bool_is_refused_by_name(call, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        call()

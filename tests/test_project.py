@@ -1,5 +1,5 @@
 """Checks on the project as a whole: the demos and the README's Python
-examples run, and seven lints on src/.
+examples run, and eight lints on src/.
 
 Invariants in the package must hold under ``python -O``, which strips
 ``assert`` statements, so they raise typed errors instead; the first lint
@@ -14,7 +14,10 @@ module from importing ``determinantal`` when it is itself imported.  In
 of vectors; every other cone is cut from one it already has, and the sixth
 lint keeps it that way.  The command line reads what it shows of a space off
 one model, whose secant ``spaces`` evaluates, so it reads no private name of
-``spaces`` but the kind table; the seventh lint keeps it that way.
+``spaces`` but the kind table; the seventh lint keeps it that way.  Which
+values count as an int and which as a rational is decided in ``lattice``
+alone, by its int rule and its rational rule; the eighth lint keeps every
+other module from testing a value against ``bool`` or ``float`` itself.
 """
 
 import ast
@@ -182,3 +185,26 @@ def test_the_cli_reads_no_private_name_of_spaces_but_the_kind_table():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("spaces"):
             names.update(alias.name for alias in node.names)
     assert sorted(name for name in names if name.startswith("_")) == ["_KINDS"]
+
+
+def test_only_lattice_tests_a_value_against_bool_or_float():
+    """The int rule and the rational rule have one home; other modules call them."""
+    found = set()
+    for module in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                "isinstance",
+                "issubclass",
+            ):
+                tested = node.args[1:]
+            elif isinstance(node, ast.Compare) and any(
+                isinstance(side, ast.Call) and getattr(side.func, "id", None) == "type"
+                for side in [node.left, *node.comparators]
+            ):
+                tested = [node.left, *node.comparators]
+            else:
+                continue
+            names = {name.id for side in tested for name in ast.walk(side) if isinstance(name, ast.Name)}
+            if names & {"bool", "float"}:
+                found.add(module.stem)
+    assert found == {"lattice"}

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from completeforms import spaces
+from completeforms import cli, spaces
 from completeforms.errors import CoordinatesUnknown, InternalInconsistency, OutOfScope
 from completeforms.groups import (
     GroupProduct,
@@ -654,6 +654,22 @@ def test_product_identity_whole_grid():
             assert sanity_check_knm(n, m).passed, (n, m)
     with pytest.raises(ValueError):
         sanity_check_knm(0, 2)
+
+
+def test_product_identity_fails_when_the_model_disagrees(monkeypatch, capsys):
+    """The negative control: an anticanonical class moved off the identity fails it."""
+    real = spaces.build_model
+
+    def perturbed(kind):
+        model = real(kind)
+        coords = model.anticanonical.coordinates
+        moved = dataclasses.replace(model.anticanonical, coordinates=(coords[0] + 1,) + coords[1:])
+        return dataclasses.replace(model, anticanonical=moved)
+
+    monkeypatch.setattr(spaces, "build_model", perturbed)
+    assert sanity_check_knm(2, 3).passed is False
+    assert cli.main("verify --check knm-identity --n 2 --m 3".split()) == 1
+    assert '"passed": false' in capsys.readouterr().out
 
 
 def test_product_identity_is_symmetric_in_the_two_factors():
