@@ -18,9 +18,10 @@ both) where 2-faces cross the hyperplane.  Cells keep both halves of a split.
 
 Cones, rays, normals and the elimination behind rank and kernel are all
 integer (fraction-free, see :mod:`completeforms.lattice`); only a caller's
-rational input point or rays meet :class:`fractions.Fraction`.  Rays are ints
-or Fractions; a float or a bool is refused by the rational rule of
-:mod:`completeforms.lattice` rather than read as a binary fraction.
+rational input point or rays meet :class:`fractions.Fraction`.  Rays and
+points are ints or Fractions; a float or a bool, even in a zero ray, is
+refused by the rational rule of :mod:`completeforms.lattice` rather than read
+as a binary fraction.
 
 The chamber decomposition is the chamber complex of the configuration W
 (Billera-Filliman-Sturmfels 1990; Gelfand-Kapranov-Zelevinsky 1994): slice
@@ -142,6 +143,10 @@ class RationalCone:
             raise DimensionMismatch(
                 "point of length %d in ambient dimension %d" % (len(point), self.ambient_dim)
             )
+        return self._holds(tuple(_coerce_fraction(x) for x in point), strict)
+
+    def _holds(self, point: Sequence, strict: bool = False) -> bool:
+        """:meth:`contains` for an exact point of the right length, unchecked."""
         for n in self.facet_normals:
             s = _dot(n, point)
             if s < 0 or (strict and s == 0):
@@ -192,6 +197,9 @@ def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int | None = None) -> 
             raise DimensionMismatch(
                 "ray of length %d in ambient dimension %d" % (len(r), ambient_dim)
             )
+    # the rational rule sees every ray, a zero one too, before zeros are dropped
+    if not all(type(x) is int for r in raw for x in r):
+        raw = [tuple(_coerce_fraction(x) for x in r) for r in raw]
     prim = list(dict.fromkeys(primitive_vector(r) for r in raw if any(r)))
 
     if not prim:
@@ -349,7 +357,7 @@ def gkz_decomposition(
     signatures: set[tuple[int, ...]] = set()
     for cell in cells:
         probe = tuple(sum(col) for col in zip(*cell.rays))
-        signature = tuple(i for i, cone in enumerate(basis_cones) if cone.contains(probe))
+        signature = tuple(i for i, cone in enumerate(basis_cones) if cone._holds(probe))
         if signature in signatures:
             continue
         signatures.add(signature)

@@ -467,7 +467,11 @@ def _kontsevich_gr_automorphisms(kind: KontsevichGr) -> GroupDescriptor:
 # ended; :func:`build_model` assembles the rest.  The complete-form builders
 # add the ``orbit`` Picard relations, and the mapping-space builders the
 # ``dictionary`` rule: (class, twin class label) pairs for an isomorphism,
-# (cover class, coefficient, class) triples for a pullback.
+# (cover class, coefficient, class) triples for a pullback.  A color ``D<i>``
+# missing from ``table`` is written by the color rule of :func:`_coordinates`,
+# D_i = i*D1 - sum_{j<i} (i-j)*E_j (Vainsencher 1984; Thaddeus 1999).  Of the
+# form spaces only C(n,m,2), n >= 2, writes its colors: its D1 is not a basis
+# class.
 
 
 def _collineations_model(kind: Collineations) -> dict:
@@ -510,12 +514,7 @@ def _collineations_model(kind: Collineations) -> dict:
             stated=3,
         )
     elif h == 2 and n == 1 and m >= 2:
-        spec.update(
-            basis=("D1", "E1"),
-            table={"D2": _vec(2, -1)},
-            minus_k=_vec(2 * m + 2, 1 - m),
-            stated=2,
-        )
+        spec.update(basis=("D1", "E1"), minus_k=_vec(2 * m + 2, 1 - m), stated=2)
     elif h == 2 and n == 1 and m == 1:
         spec.update(basis=("D1",), table={"E1": _vec(2)}, minus_k=_vec(4), stated=1)
     return spec
@@ -535,7 +534,6 @@ def _quadrics_model(kind: Quadrics) -> dict:
     if h == 3 and n >= 3:
         spec.update(
             basis=("H", "E1", "E2"),
-            table={"D1": _vec(1, 0, 0), "D2": _vec(2, -1, 0), "D3": _vec(3, -2, -1)},
             mov=colors,
             minus_k=(Fraction(3 * n + 3, 2), Fraction(1 - n), Fraction(3 - n, 2)),
             stated=5,
@@ -543,17 +541,12 @@ def _quadrics_model(kind: Quadrics) -> dict:
     elif h == 3 and n == 2:
         spec.update(
             basis=("H", "E1"),
-            table={"E2": _vec(3, -2), "D1": _vec(1, 0), "D2": _vec(2, -1)},
+            table={"E2": _vec(3, -2)},
             minus_k=_vec(6, -2),
             stated=3,
         )
     elif h == 2 and n == 1:
-        spec.update(
-            basis=("H",),
-            table={"E1": _vec(2), "D1": _vec(1)},
-            minus_k=_vec(3),
-            stated=1,
-        )
+        spec.update(basis=("H",), table={"E1": _vec(2)}, minus_k=_vec(3), stated=1)
     return spec
 
 
@@ -566,7 +559,7 @@ def _veronese_blowup_model(kind: VeroneseBlowup) -> dict:
             dimension=2,
             rank=1,
             basis=("H",),
-            table={"D1": _vec(1), "E1": _vec(2)},
+            table={"E1": _vec(2)},
             boundary=boundary,
             colors=("D1",),
             eff=("E1",),
@@ -579,7 +572,6 @@ def _veronese_blowup_model(kind: VeroneseBlowup) -> dict:
     if h == 3 and k == 1 and n >= 2:
         spec.update(
             basis=("H", "E1"),
-            table={"D1": _vec(1, 0), "D2": _vec(2, -1), "D3": _vec(3, -2)},
             colors=("D1", "D2", "D3"),
             eff=("E1", "D3"),
             nef=("D1", "D2"),
@@ -589,13 +581,7 @@ def _veronese_blowup_model(kind: VeroneseBlowup) -> dict:
     elif h == 4 and k == 2 and n >= 3:
         spec.update(
             basis=("H", "E1", "E2"),
-            table={
-                "D1": _vec(1, 0, 0),
-                "D2": _vec(2, -1, 0),
-                "D3": _vec(3, -2, -1),
-                "D4": _vec(4, -3, -2),
-                "P": _vec(6, -3, -2),
-            },
+            table={"P": _vec(6, -3, -2)},
             colors=("D1", "D2", "D3", "D4"),
             eff=("E1", "E2", "D4"),
             nef=("D1", "D2", "D3"),
@@ -804,11 +790,25 @@ _KINDS: Dict[type, _Kind] = {
 
 
 def _coordinates(spec: dict) -> Dict[str, Tuple[Fraction, ...]]:
-    """Every class of a builder's spec: the basis classes are the unit vectors."""
+    """Every class of a builder's spec, with its coordinates.
+
+    The basis classes are the unit vectors and ``table`` gives others.  The
+    color rule writes each color ``D<i>`` still missing: the i x i minors
+    vanish to order i - j along the rank-j locus, so D_i = i*D1 - sum_{j<i}
+    (i-j)*E_j over the E_j present, with D1 the first basis class
+    (Vainsencher 1984; Thaddeus 1999).
+    """
 
     basis = spec["basis"]
-    units = {b: _vec(*(int(i == j) for j in range(len(basis)))) for i, b in enumerate(basis)}
-    return {**units, **spec.get("table", {})}
+    # the unit vectors stay ints until the end, so the rule mostly adds ints
+    coords = {b: tuple(int(i == j) for j in range(len(basis))) for i, b in enumerate(basis)}
+    coords.update(spec.get("table", {}))
+    for label in spec.get("colors", ()):
+        if label not in coords:
+            i, d1 = int(label[1:]), coords[basis[0]]
+            sub = [(i - j, coords["E%d" % j]) for j in range(1, i) if "E%d" % j in coords]
+            coords[label] = tuple(i * x - sum(c * e[t] for c, e in sub) for t, x in enumerate(d1))
+    return {label: tuple(map(_coerce_fraction, v)) for label, v in coords.items()}
 
 
 def build_model(kind: SpaceKind) -> SpaceModel:

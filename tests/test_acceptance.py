@@ -7,13 +7,16 @@ generous on current hardware and exist to catch algorithmic regressions, not
 scheduling noise.
 """
 
+import dataclasses
 import json
 import random
+import re
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from types import MappingProxyType
 
 from completeforms import cli
 from completeforms.cones import primitive_vector
@@ -26,9 +29,10 @@ from completeforms.determinantal import (
     verify_rank_minor_lemma,
     veronese_secant_invariants,
 )
-from completeforms.polynomials import verify_tangent_cone
+from completeforms.polynomials import minor_det, verify_tangent_cone
 from completeforms.spaces import (
     Collineations,
+    DivisorClass,
     KontsevichGr,
     KontsevichP,
     PositivityClass,
@@ -264,6 +268,119 @@ def test_veronese_degrees_match_lattice_path_oracle():
                 assert veronese_secant_invariants(n, h).degree == want, (n, h)
                 checked += 1
         assert checked == 27
+
+
+# The color rule (Vainsencher 1984; Thaddeus 1999): on a tower of blow-ups
+# along the rank loci, a color D_i is i*D1 less each exceptional class E_j,
+# j < i, taken as often as the i x i minors vanish along the rank-j locus.
+# The order is read off a real minor: the leading i x i minor of a generic
+# (or generic symmetric) matrix, shifted to the diagonal rank-j point, has
+# that lowest degree.  At j = 0 it is the degree i, which gives D1's factor.
+_ORDERS = {}
+
+
+def _vanishing_order(i, j, symmetric):
+    key = (i, j, symmetric)
+    if key not in _ORDERS:
+        minor = minor_det(i - 1, i - 1, range(i), range(i), symmetric)
+        _ORDERS[key] = minor.shift({(t, t): 1 for t in range(j)}).low_degree()
+    return _ORDERS[key]
+
+
+def _higher_colors(model):
+    """The labels D_i, i >= 2, of a model's classes, with their i."""
+    found = (re.fullmatch(r"D(\d+)", label) for label in sorted(model.classes))
+    return [(match[0], int(match[1])) for match in found if match and match[1] != "1"]
+
+
+def _colors_off_the_rule(model, symmetric):
+    """The labels D_i, i >= 2, whose coordinates the vanishing orders do not give."""
+    off = []
+    for label, i in _higher_colors(model):
+        want = [_vanishing_order(i, 0, symmetric) * x for x in model.class_coordinates("D1")]
+        for j in range(1, i):
+            if "E%d" % j in model.classes:
+                order = _vanishing_order(i, j, symmetric)
+                want = [w - order * e for w, e in zip(want, model.class_coordinates("E%d" % j))]
+        if tuple(want) != model.class_coordinates(label):
+            off.append(label)
+    return off
+
+
+def _form_spaces_with_coordinates():
+    """Every C, Q and secV model with coordinates, n <= m <= 8, and its symmetric mode."""
+    kinds = [VeroneseBlowup(1, 3, 1)]
+    for n in range(1, 9):
+        kinds += [Collineations(n, m, h) for m in range(n, 9) for h in range(1, n + 2)]
+        kinds += [Quadrics(n, h) for h in range(1, n + 2)]
+        kinds += [VeroneseBlowup(n, h, k) for h in range(2, n + 2) for k in range(1, h)]
+    models = [build_model(kind) for kind in kinds]
+    return [
+        (model, type(model.kind) is not Collineations) for model in models if model.has_coordinates
+    ]
+
+
+def test_colors_match_the_minor_vanishing_orders():
+    with budget(1, "colors by minor vanishing orders"):
+        for i in range(1, 5):
+            for j in range(i):
+                assert _vanishing_order(i, j, False) == _vanishing_order(i, j, True) == i - j
+        checked = 0
+        for model, symmetric in _form_spaces_with_coordinates():
+            assert _colors_off_the_rule(model, symmetric) == [], model.name
+            checked += len(_higher_colors(model))
+        assert checked == 80
+
+
+def _with_class(model, label, coordinates):
+    classes = {**model.classes, label: DivisorClass(label, coordinates)}
+    return dataclasses.replace(model, classes=MappingProxyType(classes))
+
+
+def test_the_color_oracle_fails_on_an_altered_color():
+    model = build_model(VeroneseBlowup(4, 4, 2))
+    h, e1, e2 = model.class_coordinates("D3")
+    assert _colors_off_the_rule(_with_class(model, "D3", (h, e1, e2 + 1)), True) == ["D3"]
+    model = build_model(Collineations(2, 3, 2))
+    assert _colors_off_the_rule(_with_class(model, "D2", (1, 1, 1)), False) == ["D2"]
+
+
+# -K by discrepancy: blowing up a smooth centre of codimension c adds
+# (c - 1)*E to the canonical class (Hartshorne, Exercise II.8.5).  So a tower
+# over P^N blown up along the rank loci sigma_j has
+# -K = (N+1)*D1 - sum_j (N - dim sigma_j - 1)*E_j, with D1 the hyperplane
+# class; a divisorial centre adds nothing.  The dimensions come from
+# Terracini's lemma above and N from counting the matrix entries.
+def _discrepancy_anticanonical(model, symmetric):
+    n, m = model.kind.n, getattr(model.kind, "m", model.kind.n)
+    top = (n + 1) * (n + 2) // 2 - 1 if symmetric else (n + 1) * (m + 1) - 1
+    want = [(top + 1) * x for x in model.class_coordinates("D1")]
+    for label in model.boundary:
+        j = int(label[1:])
+        dim = max(_terracini_dimension(n, m, j, symmetric, seed) for seed in (1, 2))
+        want = [w - (top - dim - 1) * e for w, e in zip(want, model.class_coordinates(label))]
+    return tuple(want)
+
+
+# the kinds blown up from a projective space, with their symmetric mode
+_BLOWN_UP_FROM_P = [(Quadrics(1, 2), True), (Quadrics(2, 3), True)] + [
+    (Collineations(1, m, 2), False) for m in range(1, 9)
+] + [(VeroneseBlowup(*t), True) for t in ((1, 3, 1), (2, 3, 1), (3, 4, 2))]
+
+
+def test_anticanonical_classes_match_the_discrepancy_formula():
+    with budget(1, "-K by discrepancy"):
+        for kind, symmetric in _BLOWN_UP_FROM_P:
+            model = build_model(kind)
+            want = _discrepancy_anticanonical(model, symmetric)
+            assert want == model.anticanonical.coordinates, model.name
+
+
+def test_the_discrepancy_oracle_fails_on_an_altered_anticanonical_class():
+    model = build_model(VeroneseBlowup(3, 4, 2))
+    h, e1, e2 = model.anticanonical.coordinates
+    altered = dataclasses.replace(model, anticanonical=DivisorClass("-K", (h, e1 - 1, e2)))
+    assert _discrepancy_anticanonical(altered, True) != altered.anticanonical.coordinates
 
 
 def test_criterion_04_rank_census_matches_closed_form():

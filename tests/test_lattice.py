@@ -390,6 +390,18 @@ RATIONAL = "a rational value must be an int or a Fraction, got "
 REFUSALS = {
     "primitive_vector(0.1)": (lambda: primitive_vector((0.1, 1)), RATIONAL + "0.1"),
     "cone_from_rays(0.3)": (lambda: cone_from_rays([(1, 0), (0.3, 1)]), RATIONAL + "0.3"),
+    "cone_from_rays(zero ray 0.0)": (
+        lambda: cone_from_rays([(0.0, 0.0), (1, 0), (0, 1)]),
+        RATIONAL + "0.0",
+    ),
+    "cone_from_rays(zero ray False)": (
+        lambda: cone_from_rays([(False, False), (1, 0), (0, 1)]),
+        RATIONAL + "False",
+    ),
+    "RationalCone.contains(0.1)": (
+        lambda: cone_from_rays([(1, 3), (1, 0)]).contains((0.1, 0.3), strict=True),
+        RATIONAL + "0.1",
+    ),
     "gkz_decomposition(0.3)": (
         lambda: gkz_decomposition([(1, 0), (0.3, 1), (0, 1)]),
         RATIONAL + "0.3",

@@ -1,5 +1,5 @@
 """Checks on the project as a whole: the demos and the README's Python
-examples run, and eight lints on src/.
+examples run, and nine lints on src/.
 
 Invariants in the package must hold under ``python -O``, which strips
 ``assert`` statements, so they raise typed errors instead; the first lint
@@ -18,6 +18,10 @@ one model, whose secant ``spaces`` evaluates, so it reads no private name of
 values count as an int and which as a rational is decided in ``lattice``
 alone, by its int rule and its rational rule; the eighth lint keeps every
 other module from testing a value against ``bool`` or ``float`` itself.
+The form-space color classes ``D<i>`` are written by one rule, in
+``spaces._coordinates``; the ninth lint keeps the model builders from
+writing any themselves, but for C(n,m,2), n >= 2, whose D1 is not a basis
+class.
 """
 
 import ast
@@ -208,3 +212,29 @@ def test_only_lattice_tests_a_value_against_bool_or_float():
             if names & {"bool", "float"}:
                 found.add(module.stem)
     assert found == {"lattice"}
+
+
+def test_model_builders_leave_the_colors_to_the_color_rule():
+    builders = {entry.model.__name__ for entry in spaces._KINDS.values()}
+    found = []
+    for builder in ast.parse(Path(spaces.__file__).read_text(encoding="utf-8")).body:
+        if not (isinstance(builder, ast.FunctionDef) and builder.name in builders):
+            continue
+        exempt = {
+            id(node)
+            for branch in ast.walk(builder)
+            if builder.name == "_collineations_model"
+            and isinstance(branch, ast.If)
+            and ast.unparse(branch.test) == "h == 2 and n >= 2"
+            for statement in branch.body
+            for node in ast.walk(statement)
+        }
+        found += [
+            "%s:%d" % (builder.name, key.lineno)
+            for node in ast.walk(builder)
+            if isinstance(node, ast.Dict) and id(node) not in exempt
+            for key in node.keys
+            if isinstance(key, ast.Constant) and re.fullmatch(r"D\d+", str(key.value))
+        ]
+    assert len(builders) == 7
+    assert found == []
