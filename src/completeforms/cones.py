@@ -14,7 +14,8 @@ other cone is cut from a full-dimensional cone that already carries both
 descriptions, one hyperplane at a time: a split is one double-description
 step (Motzkin et al. 1953; Fukuda-Prodon 1996) giving both halves, each with
 the rays on its side, the facets still bounding it, and the rays (shared by
-both) where 2-faces cross the hyperplane.  Cells keep both halves of a split.
+both) where 2-faces cross the hyperplane.  Cells keep both halves of a split;
+a cut builds the upper half only.
 
 Cones, rays, normals and the elimination behind rank and kernel are all
 integer (fraction-free, see :mod:`completeforms.lattice`); only a caller's
@@ -237,23 +238,23 @@ def dual_cone(cone: RationalCone) -> RationalCone:
     return RationalCone(cone.ambient_dim, cone.facet_normals, cone.rays)
 
 
-def _split(cone: RationalCone, normal: Vec) -> tuple[RationalCone | None, RationalCone | None]:
-    """The halves of the cone where normal . x >= 0 and where it is <= 0.
+def _split(cone: RationalCone, normal: Vec, sides=(1, -1)) -> tuple[RationalCone | None, ...]:
+    """The half of the cone where s * normal . x >= 0, for each sign s of ``sides``.
 
-    Either half is None when it has no interior.  One double-description
-    step (Motzkin et al. 1953; Fukuda-Prodon 1996) on a full-dimensional
-    cone and a primitive normal.  Each half keeps the rays on its side of
-    the hyperplane, and both share the rays where the 2-faces of the cone
-    cross it: a pair of rays strictly on opposite sides spans a 2-face when
-    it shares at least d - 2 tight facets and no third ray is tight on all
-    of them.  A half keeps the old facets tight at some ray strictly on its
-    side, and adds the hyperplane, facing inward.
+    A half is None when it has no interior; only the asked halves are built.
+    One double-description step (Motzkin et al. 1953; Fukuda-Prodon 1996) on
+    a full-dimensional cone and a primitive normal.  Each half keeps the rays
+    on its side of the hyperplane, and both share the rays where the 2-faces
+    of the cone cross it: a pair of rays strictly on opposite sides spans a
+    2-face when it shares at least d - 2 tight facets and no third ray is
+    tight on all of them.  A half keeps the old facets tight at some ray
+    strictly on its side, and adds the hyperplane, facing inward.
     """
     signs = [_dot(normal, r) for r in cone.rays]
     if min(signs) >= 0:
-        return cone, None
+        return tuple(cone if s > 0 else None for s in sides)
     if max(signs) <= 0:
-        return None, cone
+        return tuple(cone if s < 0 else None for s in sides)
     # tight[i]: bit j set when ray i lies on facet j
     tight = [
         sum(1 << j for j, f in enumerate(cone.facet_normals) if _dot(f, r) == 0)
@@ -282,13 +283,13 @@ def _split(cone: RationalCone, normal: Vec) -> tuple[RationalCone | None, Ration
         facets.append(normal if sign > 0 else _neg(normal))
         return RationalCone(cone.ambient_dim, tuple(sorted(rays)), tuple(sorted(facets)))
 
-    return half(1), half(-1)
+    return tuple(half(s) for s in sides)
 
 
 def _cut_all(cone: RationalCone, normals: Iterable[Vec]) -> RationalCone | None:
     """The upper half of :func:`_split` by each normal in turn; None once it has no interior."""
     for n in normals:
-        cone = _split(cone, n)[0]
+        cone = _split(cone, n, (1,))[0]
         if cone is None:
             return None
     return cone

@@ -30,11 +30,12 @@ one of them (its *twin*: ``mbar-p`` with ``secV(n,3;k=1)``, ``mbar-pxp`` with
 the private kind table ``_KINDS``: its command line name, the model builder,
 the secant variety (which gives the dimension, see
 :mod:`completeforms.secants`) and the automorphism rule, or else the twin
-that supplies both, the cover, and the two values the one parameter rule
-reads (the lowest ``n`` and an admitted degenerate tuple).  The parameter
-letters are the kind's dataclass fields.  Everything else a kind knows, such
-as its orbit Picard relations or comparison dictionary, is written by its
-model builder.  Adding a kind means adding its dataclass and one table entry.
+that supplies both and its rank, chamber count and labels, the cover, and
+the two values the one parameter rule reads (the lowest ``n`` and an
+admitted degenerate tuple).  The parameter letters are the kind's dataclass
+fields.  Everything else a kind knows, such as its orbit Picard relations or
+comparison dictionary, is written by its model builder.  Adding a kind means
+adding its dataclass and one table entry.
 """
 
 from __future__ import annotations
@@ -467,11 +468,13 @@ def _kontsevich_gr_automorphisms(kind: KontsevichGr) -> GroupDescriptor:
 # ended; :func:`build_model` assembles the rest.  The complete-form builders
 # add the ``orbit`` Picard relations, and the mapping-space builders the
 # ``dictionary`` rule: (class, twin class label) pairs for an isomorphism,
-# (cover class, coefficient, class) triples for a pullback.  A color ``D<i>``
-# missing from ``table`` is written by the color rule of :func:`_coordinates`,
-# D_i = i*D1 - sum_{j<i} (i-j)*E_j (Vainsencher 1984; Thaddeus 1999).  Of the
-# form spaces only C(n,m,2), n >= 2, writes its colors: its D1 is not a basis
-# class.
+# (cover class, coefficient, class) triples for a pullback.  A twin's builder
+# writes only ``basis``, ``table``, ``minus_k`` and ``dictionary``; the rest
+# is its form space's, renamed by the dictionary (:func:`_spec`).  A color
+# ``D<i>`` missing from ``table`` is written by the color rule of
+# :func:`_coordinates`, D_i = i*D1 - sum_{j<i} (i-j)*E_j (Vainsencher 1984;
+# Thaddeus 1999).  Of the form spaces only C(n,m,2), n >= 2, writes its
+# colors: its D1 is not a basis class.
 
 
 def _collineations_model(kind: Collineations) -> dict:
@@ -609,28 +612,15 @@ def _kontsevich_p_model(kind: KontsevichP) -> dict:
     n = kind.n
     if n == 1:
         return dict(
-            dimension=2,
-            rank=1,
             basis=("T",),
             table={"Delta": _vec(2)},
-            boundary=("Delta",),
-            colors=("T",),
-            eff=("Delta",),
-            nef=("T",),
             minus_k=_vec(3),
-            stated=1,
             dictionary=(("T", "D1"), ("Delta", "E1")),
         )
     return dict(
-        rank=2,
         basis=("T", "Delta"),
         table={"H": _vec(2, -1), "Ddeg": (Fraction(3, 2), Fraction(-1))},
-        boundary=("Delta",),
-        colors=("T", "H", "Ddeg"),
-        eff=("Delta", "Ddeg"),
-        nef=("T", "H"),
         minus_k=_vec(6, -2) if n == 2 else (Fraction(3 * n + 3, 2), Fraction(1 - n)),
-        stated=3,
         dictionary=(("T", "D1"), ("H", "D2"), ("Ddeg", "(1/2)*D3"), ("Delta", "E1")),
     )
 
@@ -639,42 +629,23 @@ def _kontsevich_pxp_model(kind: KontsevichPxP) -> dict:
     n, m = kind.n, kind.m
     if n == 1 and m == 1:
         return dict(
-            rank=1,
             basis=("Knm",),
             table={"Delta": _vec(2)},
-            boundary=("Delta",),
-            colors=("Knm",),
-            eff=("Delta",),
-            nef=("Knm",),
             minus_k=_vec(4),
-            stated=1,
             dictionary=(("Knm", "D1"), ("Delta", "E1")),
         )
     if n == 1:
         return dict(
-            rank=2,
             basis=("Knm", "Delta"),
             table={"Km": _vec(2, -1)},
-            boundary=("Delta",),
-            colors=("Knm", "Km"),
-            eff=("Delta", "Km"),
-            nef=("Knm", "Km"),
             minus_k=_vec(2 * m + 2, 1 - m),
-            stated=2,
             dictionary=(("Knm", "D1"), ("Km", "D2"), ("Delta", "E1")),
         )
     half = Fraction(1, 2)
     return dict(
-        rank=3,
         basis=("Kn", "Km", "Delta"),
         table={"Knm": (half, half, half)},
-        boundary=("Delta",),
-        colors=("Kn", "Km", "Knm"),
-        eff=("Delta", "Kn", "Km"),
-        nef=("Knm", "Kn", "Km"),
-        mov=("Knm", "Kn", "Km"),
         minus_k=_vec(n + 1, m + 1, 2),
-        stated=3,
         dictionary=(("Kn", "H1"), ("Km", "H2"), ("Knm", "D1"), ("Delta", "E1")),
     )
 
@@ -728,12 +699,13 @@ class _Kind(NamedTuple):
     ``secant(kind)`` is the secant variety the space blows up and
     ``automorphisms(kind)`` its automorphism group (None where unrecorded).
     A mapping-space kind isomorphic to a form space names that space as its
-    ``twin`` and takes the twin's secant and automorphisms instead.  A kind
-    that double-covers a form space names it as its ``cover``: its chambers
-    and positivity are known only through the cover, and its comparison
-    dictionary is the pullback from it.  The parameter letters are the
-    kind's dataclass fields, checked by one rule (:func:`_check_parameters`)
-    that reads ``lowest_n`` and lets the ``admitted`` tuple pass.
+    ``twin`` and takes the twin's secant, automorphisms, rank, chamber count
+    and labels instead (see :func:`_spec`).  A kind that double-covers a
+    form space names it as its ``cover``: its chambers and positivity are
+    known only through the cover, and its comparison dictionary is the
+    pullback from it.  The parameter letters are the kind's dataclass
+    fields, checked by one rule (:func:`_check_parameters`) that reads
+    ``lowest_n`` and lets the ``admitted`` tuple pass.
     """
 
     cli_name: str
@@ -811,6 +783,31 @@ def _coordinates(spec: dict) -> Dict[str, Tuple[Fraction, ...]]:
     return {label: tuple(map(_coerce_fraction, v)) for label, v in coords.items()}
 
 
+def _spec(kind: SpaceKind) -> dict:
+    """The builder's spec, for a twin completed from its form space's spec.
+
+    A twin takes the form space's ``dimension``, ``rank`` and ``stated`` as
+    they are, and its boundary, color and cone-generator labels renamed by
+    the twin's dictionary rule: each form-space label becomes the twin class
+    mapped to it, a target such as ``(1/2)*D3`` read as ``D3``.
+    """
+
+    entry = _entry(kind)
+    spec = entry.model(kind)
+    if entry.twin is None:
+        return spec
+    form = entry.twin(kind)
+    shared = _entry(form).model(form)
+    name = {dst.rpartition("*")[2]: src for src, dst in spec["dictionary"]}
+    spec.update((key, shared[key]) for key in ("dimension", "rank", "stated") if key in shared)
+    spec.update(
+        (key, tuple(name[label] for label in shared[key]))
+        for key in ("boundary", "colors", "eff", "nef", "mov")
+        if key in shared
+    )
+    return spec
+
+
 def build_model(kind: SpaceKind) -> SpaceModel:
     """Assemble the catalog entry for one space kind.
 
@@ -821,7 +818,7 @@ def build_model(kind: SpaceKind) -> SpaceModel:
     color and cone-generator label without coordinates.
     """
 
-    spec = _entry(kind).model(kind)
+    spec = _spec(kind)
     form = _form_space(kind)
     try:
         secant = _entry(form).secant(form)

@@ -327,7 +327,9 @@ def test_a_collapsed_chamber_raises_a_typed_error(monkeypatch):
     monkeypatch.setattr(
         cones,
         "_split",
-        lambda cone, normal: (None, None) if len(built) > 1 else real_split(cone, normal),
+        lambda cone, normal, sides=(1, -1): (
+            (None,) * len(sides) if len(built) > 1 else real_split(cone, normal, sides)
+        ),
     )
     with pytest.raises(InternalInconsistency):
         gkz_decomposition([(1, 0), (1, 1), (0, 1)])

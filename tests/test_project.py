@@ -1,5 +1,5 @@
-"""Checks on the project as a whole: the demos and the README's Python
-examples run, and nine lints on src/.
+"""Checks on the project as a whole: the demos, the README's Python examples
+and the package's docstring examples run, and ten lints on src/.
 
 Invariants in the package must hold under ``python -O``, which strips
 ``assert`` statements, so they raise typed errors instead; the first lint
@@ -21,10 +21,15 @@ other module from testing a value against ``bool`` or ``float`` itself.
 The form-space color classes ``D<i>`` are written by one rule, in
 ``spaces._coordinates``; the ninth lint keeps the model builders from
 writing any themselves, but for C(n,m,2), n >= 2, whose D1 is not a basis
-class.
+class.  A mapping space isomorphic to a form space (its twin) is that space
+renamed, so its builder writes only its class coordinates, -K and
+dictionary, and ``spaces`` takes the rest from the form space's builder;
+the tenth lint keeps the twin builders from restating any of it.
 """
 
 import ast
+import doctest
+import importlib
 import io
 import os
 import re
@@ -87,6 +92,21 @@ def test_the_readme_python_examples_run_and_show_their_values():
             shown.append(expected)
     assert len(blocks) == 2
     assert shown == [11, 3, "Z", 5, "FANO"]
+
+
+def test_the_package_docstring_examples_run():
+    """``testpaths`` collects tests/ only, so the ``>>>`` examples in src/ run here."""
+    attempted = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "completeforms" if path.stem == "__init__" else "completeforms." + path.stem
+        module = importlib.import_module(name)
+        assert doctest.testmod(module).failed == 0, path.name
+        attempted.update(t.name for t in doctest.DocTestFinder().find(module) if t.examples)
+    assert attempted >= {
+        "completeforms.cones.primitive_vector",
+        "completeforms.lattice.IntegerMatrix.determinant",
+        "completeforms.lattice.cokernel",
+    }
 
 
 def test_no_assert_in_the_package():
@@ -237,4 +257,29 @@ def test_model_builders_leave_the_colors_to_the_color_rule():
             if isinstance(key, ast.Constant) and re.fullmatch(r"D\d+", str(key.value))
         ]
     assert len(builders) == 7
+    assert found == []
+
+
+def test_twin_builders_restate_nothing_of_their_form_space():
+    builders = {entry.model.__name__ for entry in spaces._KINDS.values() if entry.twin is not None}
+    restated = {"dimension", "rank", "stated", "boundary", "colors", "eff", "nef", "mov"}
+
+    def written_keys(node):
+        if isinstance(node, ast.Call):
+            return [keyword.arg for keyword in node.keywords]
+        if isinstance(node, ast.Dict):
+            return [key.value for key in node.keys if isinstance(key, ast.Constant)]
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            return [getattr(node.slice, "value", None)]
+        return []
+
+    found = [
+        "%s:%d:%s" % (builder.name, node.lineno, key)
+        for builder in ast.parse(Path(spaces.__file__).read_text(encoding="utf-8")).body
+        if isinstance(builder, ast.FunctionDef) and builder.name in builders
+        for node in ast.walk(builder)
+        for key in written_keys(node)
+        if key in restated
+    ]
+    assert sorted(builders) == ["_kontsevich_p_model", "_kontsevich_pxp_model"]
     assert found == []
