@@ -17,7 +17,8 @@ Three subcommands:
 Only the checks that enumerate matrices (``census``, ``rank-lemma`` and
 ``component-split``) import :mod:`completeforms.determinantal`, and with it
 numpy, and only once the request is within the enumeration budget; every
-other command starts without it.
+other command starts without it.  Likewise only ``tangent-cone`` imports
+:mod:`completeforms.polynomials`.
 
 Exit codes: 0 success, 1 a verification ran and failed, 2 bad parameters,
 an exceeded enumeration budget, an unwritable ``--svg`` path or an output
@@ -34,7 +35,7 @@ import os
 import sys
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
-from . import polynomials, secants, spaces
+from . import secants, spaces
 from .errors import CoordinatesUnknown, OutOfScope
 from .rendering import chamber_svg, markdown_report
 from .reports import VerificationReport, jsonable
@@ -52,6 +53,13 @@ def _determinantal(a: int, b: int, q: int, symmetric: bool):
     from . import determinantal
 
     return determinantal
+
+
+def _tangent_cone(a: argparse.Namespace) -> VerificationReport:
+    """The tangent-cone check; the symbolic minors load only for it."""
+    from . import polynomials
+
+    return polynomials.verify_tangent_cone(a.n, a.m, a.h, a.k, symmetric=a.symmetric)
 
 
 class _Check(NamedTuple):
@@ -80,11 +88,7 @@ _CHECKS = {
     "census": _Check(
         ("rows", "cols", "q"), True, lambda a: _census_report(a.rows, a.cols, a.q, a.symmetric)
     ),
-    "tangent-cone": _Check(
-        ("n", "m", "h", "k"),
-        True,
-        lambda a: polynomials.verify_tangent_cone(a.n, a.m, a.h, a.k, symmetric=a.symmetric),
-    ),
+    "tangent-cone": _Check(("n", "m", "h", "k"), True, _tangent_cone),
     "rh-solve": _Check(("n",), False, lambda a: spaces.verify_riemann_hurwitz(a.n)),
     "knm-identity": _Check(("n", "m"), False, lambda a: spaces.sanity_check_knm(a.n, a.m)),
 }

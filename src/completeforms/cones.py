@@ -47,7 +47,7 @@ from .errors import (
     NotFullDimensional,
     NotPointed,
 )
-from .lattice import _coerce_fraction, _row_reduce
+from .lattice import _Record, _coerce_fraction, _row_reduce
 
 __all__ = [
     "RationalCone",
@@ -117,8 +117,8 @@ def _kernel_basis(vectors: Sequence[Vec], dim: int) -> list[Vec]:
     return basis
 
 
-@dataclass(frozen=True)
-class RationalCone:
+@dataclass(init=False, repr=False, eq=False)
+class RationalCone(_Record):
     """A pointed rational polyhedral cone in canonical double description."""
 
     ambient_dim: int
@@ -295,8 +295,8 @@ def _cut_all(cone: RationalCone, normals: Iterable[Vec]) -> RationalCone | None:
     return cone
 
 
-@dataclass(frozen=True)
-class ChamberDecomposition:
+@dataclass(init=False, repr=False, eq=False)
+class ChamberDecomposition(_Record):
     """A support cone partitioned into full-dimensional chambers."""
 
     ambient_dim: int

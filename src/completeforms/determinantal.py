@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _require_int
+from .lattice import _Record, _require_int
 from .reports import VerificationReport
 from .secants import (  # re-exported: every closed form and the budget live in .secants
     ENUMERATION_BUDGET,
@@ -48,8 +48,8 @@ _CHUNK = 1 << 18
 
 # ------------------------------------------------------------ census
 
-@dataclass(frozen=True)
-class RankCensus:
+@dataclass(init=False, repr=False, eq=False)
+class RankCensus(_Record):
     """Exhaustive rank distribution over all matrices of one format."""
 
     a: int

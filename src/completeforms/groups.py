@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .lattice import _Record
+
 __all__ = [
     "GroupDescriptor",
     "PGL",
@@ -20,8 +22,8 @@ __all__ = [
 ]
 
 
-class GroupDescriptor:
-    """Base class; concrete nodes implement render()."""
+class GroupDescriptor(_Record):
+    """Base class; concrete nodes are records and implement render()."""
 
     def render(self) -> str:
         raise NotImplementedError
@@ -36,7 +38,7 @@ def _wrap(g: "GroupDescriptor") -> str:
     return "(%s)" % g.render()
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class PGL(GroupDescriptor):
     """Projective linear group acting on a space of the given matrix size."""
 
@@ -46,7 +48,7 @@ class PGL(GroupDescriptor):
         return "PGL(%d)" % self.size
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class SwapGroup(GroupDescriptor):
     """The two-element group exchanging a pair of factors or a form with its dual."""
 
@@ -54,8 +56,10 @@ class SwapGroup(GroupDescriptor):
         return "S2"
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class GroupProduct(GroupDescriptor):
+    """The direct product of two groups."""
+
     left: GroupDescriptor
     right: GroupDescriptor
 
@@ -63,7 +67,7 @@ class GroupProduct(GroupDescriptor):
         return "%s × %s" % (_wrap(self.left), _wrap(self.right))
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class SemidirectLeft(GroupDescriptor):
     """acting |x normal: the swap acts on the normal subgroup from the left."""
 
@@ -74,7 +78,7 @@ class SemidirectLeft(GroupDescriptor):
         return "%s ⋉ %s" % (_wrap(self.acting), _wrap(self.normal))
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class SemidirectRight(GroupDescriptor):
     """normal x| acting: an outer swap glued on from the right."""
 

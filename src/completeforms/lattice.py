@@ -18,11 +18,18 @@ This bottom layer is also the one home of the package's two input rules.
 ``_coerce_fraction`` is the rational rule: an int or a Fraction becomes a
 Fraction, and a float (a binary fraction) or a bool is refused.  Every other
 module calls these two and checks no type of its own.
+
+Beside them lives ``_Record``, the base of every record the package returns.
+A record is declared ``@dataclass(init=False, repr=False, eq=False)`` over it,
+so the decorator only collects the fields, and the base's methods read them:
+the record behaves as ``@dataclass(frozen=True)`` would make it, but no
+method is generated.  Generating them (six ``exec`` calls per frozen class)
+was most of the time the command line spent importing the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -47,8 +54,89 @@ def _require_int(**values) -> None:
             raise TypeError("%s must be an int, got %r" % (label, value))
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's records: the methods of a frozen dataclass, written once.
+
+    Each method reads the record's ``__dataclass_fields__`` (plain fields
+    only, no ``ClassVar`` or ``InitVar``) and does what the method generated
+    by ``@dataclass(frozen=True)`` does: ``__init__`` binds positional and
+    keyword arguments, fills defaults and default factories, then calls
+    ``__post_init__``; ``__repr__`` is ``Name(field=value, ...)``; ``==``
+    compares the field tuples of two instances of one class and gives
+    ``NotImplemented`` otherwise; ``hash`` is the hash of the field tuple;
+    assigning or deleting an attribute raises ``FrozenInstanceError``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        declared = self.__dataclass_fields__
+        if kwargs or len(args) != len(declared):
+            args = _bind(type(self), args, kwargs)
+        # one attribute at a time: filling __dict__ in one update would turn
+        # the instance's inline attribute values into a dict, slower to read
+        for name, value in zip(declared, args):
+            _set(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __repr__(self):
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        compared = [f.name for f in fields(self) if f.compare]
+        return [getattr(self, n) for n in compared] == [getattr(other, n) for n in compared]
+
+    def __hash__(self):
+        return hash(tuple(
+            getattr(self, f.name) for f in fields(self) if (f.compare if f.hash is None else f.hash)
+        ))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _bind(cls, args: tuple, kwargs: dict) -> list:
+    """The field values of ``cls(*args, **kwargs)``, bound as a generated ``__init__`` binds them."""
+    if not args and kwargs.keys() == cls.__dataclass_fields__.keys():
+        return [kwargs[name] for name in cls.__dataclass_fields__]
+    where = "%s.__init__()" % cls.__qualname__
+    declared = fields(cls)
+    if len(args) > len(declared):
+        raise TypeError("%s takes %d positional arguments but %d were given"
+                        % (where, len(declared) + 1, len(args) + 1))
+    for f in declared[:len(args)]:
+        if f.name in kwargs:
+            raise TypeError("%s got multiple values for argument %r" % (where, f.name))
+    values = list(args)
+    missing = []
+    for f in declared[len(args):]:
+        if f.name in kwargs:
+            values.append(kwargs.pop(f.name))
+        elif f.default is not MISSING:
+            values.append(f.default)
+        elif f.default_factory is not MISSING:
+            values.append(f.default_factory())
+        else:
+            missing.append(repr(f.name))
+    if kwargs:
+        raise TypeError("%s got an unexpected keyword argument %r" % (where, next(iter(kwargs))))
+    if missing:
+        raise TypeError("%s missing required arguments: %s" % (where, ", ".join(missing)))
+    return values
+
+
+@dataclass(init=False, repr=False, eq=False)
+class IntegerMatrix(_Record):
     """Immutable dense matrix with integer entries, stored row major."""
 
     entries: tuple[tuple[int, ...], ...]
@@ -151,8 +239,8 @@ def _coerce_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class RationalVector:
+@dataclass(init=False, repr=False, eq=False)
+class RationalVector(_Record):
     """Immutable vector of exact rationals."""
 
     values: tuple[Fraction, ...]
@@ -203,8 +291,8 @@ class RationalVector:
         return "(" + ", ".join(str(x) for x in self.values) + ")"
 
 
-@dataclass(frozen=True)
-class AbelianGroupDescriptor:
+@dataclass(init=False, repr=False, eq=False)
+class AbelianGroupDescriptor(_Record):
     """A finitely generated abelian group, free part plus invariant factors.
 
     ``invariant_factors`` lists the torsion orders >= 2 in divisibility order
@@ -238,8 +326,8 @@ class AbelianGroupDescriptor:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class SmithNormalForm:
+@dataclass(init=False, repr=False, eq=False)
+class SmithNormalForm(_Record):
     """Transform data ``u @ matrix @ v == d`` with ``u``, ``v`` unimodular."""
 
     u: IntegerMatrix

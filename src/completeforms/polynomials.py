@@ -2,8 +2,11 @@
 
 Variables are indexed by matrix positions (i, j); in symmetric mode the
 positions (i, j) and (j, i) name the same variable, canonically stored with
-i <= j.  Coefficients are Fractions, monomials are stored sparsely, and the
-printing order is graded lex so that reprs are stable.
+i <= j.  A polynomial records its mode: a symmetric variable or minor is
+symmetric, and so is everything computed from it, so :meth:`SparsePoly.shift`
+and :meth:`SparsePoly.evaluate` read a key (j, i) as the variable (i, j).
+Coefficients are Fractions, monomials are stored sparsely, and the printing
+order is graded lex so that reprs are stable.
 
 The main consumers are the symbolic minors of :func:`minor_det`, built by
 the Leibniz formula (a k x k minor has k! terms, hence the 5x5 cap), and the
@@ -33,7 +36,7 @@ from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from .errors import DimensionMismatch, IndexOutOfRange, TooLarge
-from .lattice import _coerce_fraction, _require_int
+from .lattice import _Record, _coerce_fraction, _require_int
 from .reports import VerificationReport
 from .secants import segre_secant_invariants, veronese_secant_invariants
 
@@ -93,11 +96,24 @@ def _signed_permutations(size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     )
 
 
-@dataclass(frozen=True)
-class SparsePoly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+def _in_mode(poly: "SparsePoly", symmetric: bool) -> "SparsePoly":
+    """``poly``, marked symmetric when ``symmetric`` is true."""
+    if symmetric:
+        object.__setattr__(poly, "_symmetric", True)
+    return poly
+
+
+@dataclass(init=False, repr=False, eq=False)
+class SparsePoly(_Record):
+    """Immutable sparse polynomial with Fraction coefficients.
+
+    The mode is not a field: ``==``, ``hash``, ``repr`` and
+    ``dataclasses.replace`` read the terms alone, and a polynomial built from
+    terms (the constructor, :meth:`from_dict`, ``replace``) is general.
+    """
 
     terms: tuple[tuple[Monomial, Fraction], ...]
+    _symmetric = False  # set on a symmetric polynomial by _in_mode
 
     @classmethod
     def from_dict(cls, d: dict) -> "SparsePoly":
@@ -116,7 +132,7 @@ class SparsePoly:
     @classmethod
     def variable(cls, i: int, j: int, symmetric: bool = False) -> "SparsePoly":
         v = matrix_variable(i, j, symmetric)
-        return cls(((((v, 1),), Fraction(1)),))
+        return _in_mode(cls(((((v, 1),), Fraction(1)),)), symmetric)
 
     @property
     def is_zero(self) -> bool:
@@ -129,34 +145,62 @@ class SparsePoly:
     def low_degree(self) -> int:
         return min((_mono_degree(m) for m, _ in self.terms), default=-1)
 
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        d = dict(self.terms)
-        for m, c in other.terms:
+    def _like(self, terms) -> "SparsePoly":
+        """A polynomial in this one's mode."""
+        return _in_mode(SparsePoly(tuple(terms)), self._symmetric)
+
+    def _from_dict_like(self, d: dict) -> "SparsePoly":
+        return _in_mode(SparsePoly.from_dict(d), self._symmetric)
+
+    def _in_common_mode(self, other: "SparsePoly") -> tuple["SparsePoly", "SparsePoly"]:
+        """Both operands in one mode: a general one is read as symmetric when the other is."""
+        if self._symmetric == other._symmetric:
+            return self, other
+        return self._as_symmetric(), other._as_symmetric()
+
+    def _as_symmetric(self) -> "SparsePoly":
+        """The image under z(i,j), z(j,i) -> z(min, max): the polynomial read as symmetric."""
+        if self._symmetric:
+            return self
+        d: dict[Monomial, Fraction] = {}
+        for mono, c in self.terms:
+            powers = Counter()
+            for (i, j), e in mono:
+                powers[(j, i) if i > j else (i, j)] += e
+            m = tuple(sorted(powers.items()))
             d[m] = d.get(m, Fraction(0)) + c
-        return SparsePoly.from_dict(d)
+        return _in_mode(SparsePoly.from_dict(d), True)
+
+    def __add__(self, other: "SparsePoly") -> "SparsePoly":
+        a, b = self._in_common_mode(other)
+        d = dict(a.terms)
+        for m, c in b.terms:
+            d[m] = d.get(m, Fraction(0)) + c
+        return a._from_dict_like(d)
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly(tuple((m, -c) for m, c in self.terms))
+        return self._like((m, -c) for m, c in self.terms)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
+        a, b = self._in_common_mode(other)
         d: dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms:
-            for mb, cb in other.terms:
+        for ma, ca in a.terms:
+            for mb, cb in b.terms:
                 m = _mono_mul(ma, mb)
                 d[m] = d.get(m, Fraction(0)) + ca * cb
-        return SparsePoly.from_dict(d)
+        return a._from_dict_like(d)
 
     def scale(self, c) -> "SparsePoly":
         c = _coerce_fraction(c)
         if c == 0:
-            return SparsePoly.zero()
-        return SparsePoly(tuple((m, c * co) for m, co in self.terms))
+            return self._like(())
+        return self._like((m, c * co) for m, co in self.terms)
 
     def homogeneous_part(self, degree: int) -> "SparsePoly":
-        return SparsePoly(tuple((m, c) for m, c in self.terms if _mono_degree(m) == degree))
+        return self._like((m, c) for m, c in self.terms if _mono_degree(m) == degree)
 
     def leading_form(self) -> "SparsePoly":
         """Lowest-degree homogeneous component (the whole poly if homogeneous)."""
@@ -164,7 +208,23 @@ class SparsePoly:
             return self
         degrees = [_mono_degree(m) for m, _ in self.terms]
         low = min(degrees)
-        return SparsePoly(tuple(t for t, d in zip(self.terms, degrees) if d == low))
+        return self._like(t for t, d in zip(self.terms, degrees) if d == low)
+
+    def _point(self, values: dict) -> dict:
+        """``values`` keyed by the variables they name in this polynomial's mode.
+
+        Each key passes the position rules of :func:`matrix_variable` and each
+        value the rational rule.  In symmetric mode (i, j) and (j, i) name one
+        variable, so the values are read off a symmetric matrix: both keys may
+        be given, with one value.
+        """
+        point = {}
+        for key, c in values.items():
+            v = matrix_variable(*key, symmetric=self._symmetric)
+            c = _coerce_fraction(c)
+            if point.setdefault(v, c) != c:
+                raise ValueError("variable %s is given two values" % (_var_str(v),))
+        return point
 
     def shift(self, shifts: dict) -> "SparsePoly":
         """Substitute z_v -> z_v + shifts[v] for each shifted variable.
@@ -172,8 +232,7 @@ class SparsePoly:
         Uses the binomial expansion per variable power, so the cost stays
         proportional to the number of produced terms.
         """
-        moved = {matrix_variable(*v): _coerce_fraction(c) for v, c in shifts.items()}
-        moved = {v: c for v, c in moved.items() if c}
+        moved = {v: c for v, c in self._point(shifts).items() if c}
         # (z + s)^e contributes C(e,t) s^(e-t) z^t; one list per (v, e) met
         expansions: dict[tuple[Var, int], list] = {}
         out: dict[Monomial, Fraction] = {}
@@ -204,11 +263,11 @@ class SparsePoly:
                 m = tuple(sorted(grown))
                 prev = out.get(m)
                 out[m] = c if prev is None else prev + c
-        return SparsePoly.from_dict(out)
+        return self._from_dict_like(out)
 
     def evaluate(self, assignment: dict) -> Fraction:
         """Evaluate at a point; unassigned variables are an error."""
-        point = {matrix_variable(*v): _coerce_fraction(c) for v, c in assignment.items()}
+        point = self._point(assignment)
         total = Fraction(0)
         for mono, coeff in self.terms:
             val = coeff
@@ -289,7 +348,7 @@ def minor_det(
         powers = Counter([line[p] for line, p in zip(grid, perm)])
         mono = tuple(sorted(powers.items()))
         terms[mono] = terms.get(mono, 0) + sign
-    return SparsePoly.from_dict(terms)
+    return _in_mode(SparsePoly.from_dict(terms), symmetric)
 
 
 def shift_and_leading_form(p: SparsePoly, shifts: dict) -> SparsePoly:

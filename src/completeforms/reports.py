@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
+from .lattice import _Record
+
 
 def jsonable(value):
     """Recursively convert Fractions and tuples into JSON-friendly values.
@@ -27,8 +29,8 @@ def jsonable(value):
     return str(value)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+@dataclass(init=False, repr=False, eq=False)
+class VerificationReport(_Record):
     """Outcome of one named check.
 
     ``counterexample`` is None when the check passed; otherwise it holds

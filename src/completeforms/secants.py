@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, prod
 
 from .errors import BudgetExceeded, DimensionMismatch, InternalInconsistency, NonPrimeField
-from .lattice import _require_int
+from .lattice import _Record, _require_int
 
 __all__ = [
     "SecantInvariants",
@@ -34,8 +34,8 @@ def _integral(value: Fraction, what: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class SecantInvariants:
+@dataclass(init=False, repr=False, eq=False)
+class SecantInvariants(_Record):
     """Dimension and degree of a secant locus inside its ambient projective space."""
 
     kind: str

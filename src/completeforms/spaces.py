@@ -59,6 +59,7 @@ from .groups import (
 from .lattice import (
     AbelianGroupDescriptor,
     IntegerMatrix,
+    _Record,
     _coerce_fraction,
     _require_int,
     cokernel,
@@ -106,14 +107,14 @@ __all__ = [
 # space kinds
 
 
-class _CheckedParameters:
-    """Base of the kind dataclasses: the parameters are checked on construction."""
+class _CheckedParameters(_Record):
+    """Base of the kind records: the parameters are checked on construction."""
 
     def __post_init__(self):
         _check_parameters(self)
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Collineations(_CheckedParameters):
     """Space of complete collineations between spaces of dimensions n and m."""
 
@@ -122,7 +123,7 @@ class Collineations(_CheckedParameters):
     h: int
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Quadrics(_CheckedParameters):
     """Space of complete quadrics of bounded rank on an n-dimensional space."""
 
@@ -130,7 +131,7 @@ class Quadrics(_CheckedParameters):
     h: int
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class SegreBlowup(_CheckedParameters):
     """Partial blow-up of a matrix rank locus: k of the h-1 steps performed."""
 
@@ -140,7 +141,7 @@ class SegreBlowup(_CheckedParameters):
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class VeroneseBlowup(_CheckedParameters):
     """Partial blow-up of a symmetric rank locus.
 
@@ -154,14 +155,14 @@ class VeroneseBlowup(_CheckedParameters):
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class KontsevichP(_CheckedParameters):
     """Stable degree-two rational maps to projective n-space."""
 
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class KontsevichPxP(_CheckedParameters):
     """Stable bidegree-(1,1) rational maps to a product of projective spaces."""
 
@@ -169,7 +170,7 @@ class KontsevichPxP(_CheckedParameters):
     m: int
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class KontsevichGr(_CheckedParameters):
     """Stable degree-two rational maps to the Grassmannian of lines."""
 
@@ -263,16 +264,18 @@ def _labels(prefix: str, count: int) -> Tuple[str, ...]:
     return tuple("%s%d" % (prefix, i) for i in range(1, count + 1))
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+@dataclass(init=False, repr=False, eq=False)
+class DivisorClass(_Record):
     """A named divisor class, with coordinates when the model carries a basis."""
 
     label: str
     coordinates: Optional[Tuple[Fraction, ...]] = None
 
 
-@dataclass(frozen=True)
-class SpaceModel:
+@dataclass(init=False, repr=False, eq=False)
+class SpaceModel(_Record):
+    """What the package knows about one space; see the module docstring."""
+
     kind: SpaceKind
     name: str
     dimension: int
@@ -934,15 +937,17 @@ def automorphism_group(kind: SpaceKind) -> GroupDescriptor:
 # comparison dictionaries
 
 
-@dataclass(frozen=True)
-class DictionaryEntry:
+@dataclass(init=False, repr=False, eq=False)
+class DictionaryEntry(_Record):
+    """One row of a :class:`ComparisonDictionary`: a source class and its image."""
+
     source: str
     target: str
     image: Tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class ComparisonDictionary:
+@dataclass(init=False, repr=False, eq=False)
+class ComparisonDictionary(_Record):
     """A linear identification of class lattices between two space models.
 
     ``matrix_columns`` are the images of the source model's basis classes,

@@ -423,6 +423,12 @@ REFUSALS = {
         "n must be an int, got True",
     ),
     "RationalVector.of(True)": (lambda: RationalVector.of(True), RATIONAL + "True"),
+    # a symmetric polynomial reads (j, i) as (i, j), but checks the key first:
+    # (1, False) is not the variable (False, 1) == (0, 1)
+    "SparsePoly.shift(symmetric, (1, False))": (
+        lambda: minor_det(1, 1, [0, 1], [0, 1], symmetric=True).shift({(1, False): 1}),
+        "column must be an int, got False",
+    ),
 }
 
 
@@ -430,3 +436,24 @@ REFUSALS = {
 def test_a_float_or_a_bool_is_refused_by_name(call, message):
     with pytest.raises(TypeError, match=re.escape(message)):
         call()
+
+
+# the accepted counterpart of a refusal: the same call with exact values,
+# and the value it must give
+ACCEPTED = {
+    "SparsePoly.shift(symmetric, (1, 0))": (
+        lambda: minor_det(1, 1, [0, 1], [0, 1], symmetric=True).shift({(1, 0): Fraction(1, 2)}),
+        minor_det(1, 1, [0, 1], [0, 1], symmetric=True).shift({(0, 1): Fraction(1, 2)}),
+    ),
+    "SparsePoly.evaluate(symmetric, (1, 0))": (
+        lambda: minor_det(1, 1, [0, 1], [0, 1], symmetric=True).evaluate(
+            {(0, 0): 1, (1, 0): Fraction(1, 2), (1, 1): 1}
+        ),
+        Fraction(3, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("call, expected", ACCEPTED.values(), ids=ACCEPTED.keys())
+def test_exact_values_and_keys_are_accepted(call, expected):
+    assert call() == expected

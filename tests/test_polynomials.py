@@ -207,6 +207,67 @@ def test_a_shift_moves_the_evaluation_point(seed):
         assert p.shift(shifts).evaluate(point) == p.evaluate(moved_point)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_a_symmetric_polynomial_reads_a_below_diagonal_key_as_its_variable(seed):
+    # oracle: p(z + s) at x is p at x + s, where s and x name each symmetric
+    # variable z(i,j) by (i, j) or (j, i) at random; x + s is summed per variable
+    rng = random.Random(seed)
+
+    def spelled(values):
+        return {(v[1], v[0]) if rng.random() < 0.5 else v: c for v, c in values.items()}
+
+    for _ in range(10):
+        size = rng.randint(1, 4)
+        rows = rng.sample(range(5), size)
+        cols = rows if rng.random() < 0.5 else rng.sample(range(5), size)
+        p = minor_det(4, 4, rows, cols, symmetric=True)
+        names = variables_of(p)
+        moved = rng.sample(names, rng.randint(1, min(3, len(names))))
+        shifts = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for v in moved}
+        point = {v: Fraction(rng.randint(-6, 6)) for v in names}
+        moved_point = {v: x + shifts.get(v, 0) for v, x in point.items()}
+        assert p.shift(spelled(shifts)).evaluate(spelled(point)) == p.evaluate(spelled(moved_point))
+
+
+def test_a_below_diagonal_shift_moves_a_symmetric_minor_and_not_a_general_one():
+    symmetric = minor_det(1, 1, [0, 1], [0, 1], symmetric=True)
+    assert str(symmetric.shift({(1, 0): 1})) == "z00*z11 - z01^2 - 2*z01 - 1"
+    # in general mode z10 is a variable of its own
+    general = minor_det(1, 1, [0, 1], [0, 1])
+    assert str(general.shift({(1, 0): 1})) == "z00*z11 - z01*z10 - z01"
+
+
+def test_a_symmetric_variable_given_two_values_is_refused():
+    p = minor_det(1, 1, [0, 1], [0, 1], symmetric=True)
+    with pytest.raises(ValueError, match="variable z01 is given two values"):
+        p.shift({(0, 1): 1, (1, 0): 2})
+    with pytest.raises(ValueError, match="variable z01 is given two values"):
+        p.evaluate({(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 3})
+    # the entries of a symmetric matrix name each variable twice, with one value
+    assert p.shift({(0, 1): 1, (1, 0): 1}) == p.shift({(0, 1): 1})
+    assert p.evaluate({(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 3}) == -1
+
+
+def test_everything_computed_from_a_symmetric_polynomial_is_symmetric():
+    import copy
+    import pickle
+
+    x = SparsePoly.variable(1, 0, symmetric=True)
+    y = SparsePoly.variable(0, 1)  # general, but it names z01 either way
+    two = SparsePoly.constant(2)
+    results = [
+        x + two, x - two, -x, x * two, two * x, x.scale(3), x.scale(0),
+        (x * x + x).leading_form(), (x * x + x).homogeneous_part(2), x.shift({(0, 1): 1}),
+        copy.copy(x), pickle.loads(pickle.dumps(x)),
+    ]
+    for p in results:
+        assert p.shift({(1, 0): 1}).evaluate({(1, 0): 0}) == p.evaluate({(0, 1): 1})
+    # a general operand is read in symmetric mode: its z10 becomes z01
+    assert x + SparsePoly.variable(1, 0) == x.scale(2)
+    assert (x * y).evaluate({(1, 0): 3}) == 9
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+
+
 def test_polynomial_ring_operations():
     x = SparsePoly.variable(0, 0)
     y = SparsePoly.variable(0, 1)

@@ -24,10 +24,20 @@ writing any themselves, but for C(n,m,2), n >= 2, whose D1 is not a basis
 class.  A mapping space isomorphic to a form space (its twin) is that space
 renamed, so its builder writes only its class coordinates, -K and
 dictionary, and ``spaces`` takes the rest from the form space's builder;
-the tenth lint keeps the twin builders from restating any of it.
+the tenth lint keeps the twin builders from restating any of it.  Every
+record is a dataclass over ``lattice._Record``, declared with no generated
+method, because generating six methods for each of two dozen frozen
+dataclasses was most of what a command line call spent importing the
+package; the eleventh lint keeps every dataclass in src/ on that base, but
+for a named allow-list of hot classes that may keep a generated
+``__init__`` (empty: no record is built often enough to need one).  For the same
+reason the command line imports neither the symbolic minors nor the
+enumeration (nor numpy) until a check needs them, which a fresh
+interpreter checks.
 """
 
 import ast
+import dataclasses
 import doctest
 import importlib
 import io
@@ -41,7 +51,7 @@ from pathlib import Path
 import pytest
 
 import completeforms
-from completeforms import cones, spaces
+from completeforms import cones, lattice, spaces
 
 PACKAGE = Path(completeforms.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -283,3 +293,51 @@ def test_twin_builders_restate_nothing_of_their_form_space():
     ]
     assert sorted(builders) == ["_kontsevich_p_model", "_kontsevich_pxp_model"]
     assert found == []
+
+
+def test_importing_the_cli_loads_no_minors_no_enumeration_and_no_numpy():
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, completeforms.cli; "
+        "print(sorted(m for m in ('completeforms.polynomials', 'completeforms.determinantal', "
+        "'numpy') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+# records that may keep the __init__ of @dataclass(frozen=True, repr=False,
+# eq=False), for one whose constructions a benchmark pass measurably feels.
+# None does: a seed-7 catalog pass builds 700 RationalCones and 669
+# DivisorClasses, and the generic __init__ adds about 0.6 ms to a pass of
+# 90 ms, against 0.9 ms more import for the two generated ones.
+HOT_RECORDS: frozenset = frozenset()
+
+
+def test_every_dataclass_is_a_record_declared_without_generated_methods():
+    declared = {}
+    for module in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for decorator in node.decorator_list:
+                    if "dataclass" in ast.unparse(decorator):
+                        declared["%s.%s" % (module.stem, node.name)] = ast.unparse(decorator)
+    generic = "dataclass(init=False, repr=False, eq=False)"
+    hot = "dataclass(frozen=True, repr=False, eq=False)"
+    assert {name for name, how in declared.items() if how != generic} <= HOT_RECORDS
+    assert all(declared[name] == hot for name in HOT_RECORDS)
+    for name in declared:
+        stem, cls = name.split(".")
+        record = getattr(importlib.import_module("completeforms." + stem), cls)
+        assert issubclass(record, lattice._Record), name
+        # the base's methods read __dataclass_fields__ as the list of fields
+        assert list(record.__dataclass_fields__) == [f.name for f in dataclasses.fields(record)]
+        # without its own docstring @dataclass would build one from the signature
+        assert record.__doc__ and not record.__doc__.startswith(cls + "("), name
+    assert len(declared) == 26
