@@ -3,10 +3,12 @@
 Every closed form lives in :mod:`completeforms.secants` and is re-exported
 here; this module only enumerates.
 The finite-field routines enumerate *every* matrix of the requested format
-over F_q, in numpy chunks of ``_CHUNK`` matrices.  The census and the lemma
-checks share one rank kernel: it walks the combinations of the rows on a
-matrix's shorter side in Gray-code order, one row added per step (an XOR of
-bit masks over F_2), and reads the rank off the number of zero combinations.
+over F_q, in numpy chunks of at most ``_CHUNK`` matrices, cut along the base-q
+digits of the matrix index so that the low digits are decoded once per walk.
+The census and the lemma checks share one rank kernel: it walks the
+combinations of the rows on a matrix's shorter side in Gray-code order, one
+row added per step (an XOR of bit masks over F_2), and reads the rank off the
+number of zero combinations.
 Both lemma checks are one walk: dependent first rows or columns always make
 the leading minor vanish, so the rank-minor lemma is the forward half of the
 component split.  All enumeration is bounded by ``ENUMERATION_BUDGET`` matrices.
@@ -79,9 +81,11 @@ class RankCensus(_Record):
 # ------------------------------------------------------------ rank kernel
 #
 # A chunk of matrices is held as its rows: over F_2 row i is a uint32 bit
-# mask (bit j is entry (i, j)), over odd q it is a (b, n) digit array.  Every
-# rank the module needs is the rank of a slice of those rows or of the
-# matching columns, and one kernel computes them all.
+# mask (bit j is entry (i, j)), over odd q it is a (b, n) digit array.  One
+# walk fills one such buffer: the low index digits once, the higher digits
+# chunk by chunk.  Every rank the module needs is the rank of a slice of
+# those rows or of the matching columns, and one kernel computes them all; it
+# reads each rank off the kernel size by table lookup.
 
 
 def _positions(a: int, b: int, symmetric: bool):
@@ -90,37 +94,57 @@ def _positions(a: int, b: int, symmetric: bool):
     return [(i, j) for i in range(a) for j in range(i if symmetric else 0, b)]
 
 
-def _chunks(total: int):
-    """Matrix indices 0..total-1 in int64 arrays of at most ``_CHUNK``."""
-    for lo in range(0, total, _CHUNK):
-        yield np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-
-
-def _decode_rows(t: np.ndarray, q: int, a: int, b: int, symmetric: bool) -> np.ndarray:
-    """Rows of matrices ``t``: an (a, n) uint32 mask array over F_2, else (a, b, n) digits.
+def _walk(q: int, a: int, b: int, symmetric: bool):
+    """Every matrix of the format, in chunks: yields ``(lo, rows)``, the rows of
+    matrices lo, lo+1, ... as an (a, n) uint32 mask array over F_2, else as
+    (a, b, n) digits.
 
     Index t encodes the entries as base-q digits, position (i, j) at digit
     i*b + j (row major, least significant first).  The symmetric encoding
-    runs over the upper triangle in the same row-major order.
+    runs over the upper triangle in the same row-major order.  A chunk is a
+    run of up to ``_CHUNK // q^c`` blocks of q^c consecutive matrices, for
+    the largest c that cuts the walk into no more chunks than pieces of
+    ``_CHUNK`` would.  Every block has the same c low digits, so they are
+    written once per walk into one buffer, and a chunk rewrites only the
+    higher digits that changed, one value per block.  ``rows`` is that
+    buffer, overwritten by the next chunk.
     """
+    cells = [{(i, j), (j, i)} if symmetric else {(i, j)} for i, j in _positions(a, b, symmetric)]
+    npos = len(cells)
+    chunks = -(-(q**npos) // _CHUNK)
+    c = npos
+    while q**c > _CHUNK or -(-(q ** (npos - c)) // (_CHUNK // q**c)) > chunks:
+        c -= 1
+    block, blocks = q**c, q ** (npos - c)
+    run = min(_CHUNK // block, blocks)
     if q == 2:
-        rows = np.zeros((a, len(t)), dtype=np.uint32)
-        if not symmetric:
-            for i in range(a):
-                rows[i] = (t >> (i * b)) & ((1 << b) - 1)
-            return rows
-        for pos, (i, j) in enumerate(_positions(a, b, True)):
-            bit = ((t >> pos) & 1).astype(np.uint32)
-            rows[i] |= bit << j
-            rows[j] |= bit << i
-        return rows
-    # uint8 holds the sum of two digits for q <= 127, which _ranks relies on
-    entries = np.empty((a, b, len(t)), dtype=np.min_scalar_type(2 * (q - 1)))
-    for i, j in _positions(a, b, symmetric):
-        t, entries[i, j] = np.divmod(t, q)
-        if symmetric:
-            entries[j, i] = entries[i, j]
-    return entries
+        rows = np.zeros((a, run * block), dtype=np.uint32)
+    else:
+        # uint8 holds the sum of two digits for q <= 127, which _ranks relies on
+        rows = np.zeros((a, b, run * block), dtype=np.min_scalar_type(2 * (q - 1)))
+    for p in range(c):
+        for i, j in cells[p]:
+            if q == 2:
+                rows[i].reshape(-1, 2, 1 << p)[:, 1] |= 1 << j
+            else:
+                rows[i, j].reshape(-1, q, q**p)[:] = np.arange(q)[:, None]
+    held = np.zeros((npos - c, run), dtype=np.uint32)  # the digits from c up, per block
+    for first in range(0, blocks, run):
+        count = min(run, blocks - first)
+        n = count * block
+        u = np.arange(first, first + count, dtype=np.uint32)
+        for p in range(c, npos):
+            u, digit = np.divmod(u, q)
+            old = held[p - c, :count]
+            if (digit == old).all():
+                continue
+            for i, j in cells[p]:
+                if q == 2:
+                    rows[i, :n].reshape(count, block)[:] ^= ((digit ^ old) << j)[:, None]
+                else:
+                    rows[i, j, :n].reshape(count, block)[:] = digit[:, None]
+            old[:] = digit
+        yield first * block, rows[..., :n]
 
 
 def _columns(rows: np.ndarray, q: int, count: int) -> np.ndarray:
@@ -162,7 +186,8 @@ def _ranks(lines: np.ndarray, q: int) -> np.ndarray:
 
     Walks the q^s combinations of the lines in Gray-code order, one line
     added per step, and counts the zero ones: the kernel of a rank-r
-    matrix has exactly q^(s-r) elements.
+    matrix has exactly q^(s-r) elements, so a table indexed by that count
+    gives the rank.
     """
     s = len(lines)
     combo = np.zeros_like(lines[0])
@@ -176,8 +201,9 @@ def _ranks(lines: np.ndarray, q: int) -> np.ndarray:
             # unsigned: combo - q wraps above combo exactly when combo < q
             np.minimum(combo, combo - q, out=combo)
             kernel += ~combo.any(axis=0)
-    powers = q ** np.arange(s + 1, dtype=np.int64)
-    return s - np.searchsorted(powers, kernel)
+    rank = np.zeros(q**s + 1, dtype=np.uint8)
+    rank[[q**j for j in range(s + 1)]] = range(s, -1, -1)
+    return rank.take(kernel)
 
 
 def _full_ranks(rows: np.ndarray, q: int, a: int, b: int) -> np.ndarray:
@@ -203,10 +229,10 @@ def rank_census(a: int, b: int, q: int, symmetric: bool = False) -> RankCensus:
     triangle) :func:`symmetric_rank_count_closed_form`, rank by rank; those
     comparisons are this module's acceptance checks.
     """
-    total = _census_preconditions(a, b, q, symmetric)
+    _census_preconditions(a, b, q, symmetric)
     tallies = np.zeros(min(a, b) + 1, dtype=np.int64)
-    for t in _chunks(total):
-        ranks = _full_ranks(_decode_rows(t, q, a, b, symmetric), q, a, b)
+    for _, rows in _walk(q, a, b, symmetric):
+        ranks = _full_ranks(rows, q, a, b)
         tallies += np.bincount(ranks, minlength=len(tallies))
     counts = tuple((r, int(c)) for r, c in enumerate(tallies))
     return RankCensus(a, b, q, symmetric, counts)
@@ -234,22 +260,21 @@ def _split_tallies(a: int, b: int, k: int, q: int, symmetric: bool):
     total = _census_preconditions(a, b, q, symmetric)
     tallies = np.zeros(len(_SPLIT_COUNTS), dtype=np.int64)
     failure = asymmetric = None
-    for t in _chunks(total):
-        rows = _decode_rows(t, q, a, b, symmetric)
+    for lo, rows in _walk(q, a, b, symmetric):
         low_rank = _full_ranks(rows, q, a, b) <= k
         det_zero = _ranks(_leading(rows, q, k), q) < k
         h1 = _ranks(rows[:k], q) < k
         h2 = _ranks(_columns(rows, q, k), q) < k
         wrong = low_rank & (det_zero != (h1 | h2))
-        stop = int(wrong.argmax()) + 1 if wrong.any() else len(t)
+        stop = int(wrong.argmax()) + 1 if wrong.any() else rows.shape[-1]
         flags = np.array([low_rank, det_zero, h1, h2, h1 & h2])[:, :stop]
         tallies += np.count_nonzero(flags & low_rank[:stop], axis=1)
         if wrong[stop - 1]:
-            failure = int(t[stop - 1])
+            failure = lo + stop - 1
             break
         if symmetric and asymmetric is None:
             split = low_rank & (h1 != h2)
-            asymmetric = int(t[split.argmax()]) if split.any() else None
+            asymmetric = lo + int(split.argmax()) if split.any() else None
     counts = dict(zip(_SPLIT_COUNTS, map(int, tallies)))
     index = asymmetric if failure is None else failure
     if index is None:

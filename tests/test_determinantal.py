@@ -305,17 +305,28 @@ def test_lemma_preconditions():
         verify_component_split(2, 2, 0, 2)
 
 
-# ---------------------------------------------------------------- chunked kernel
+# ---------------------------------------------------------------- chunked walk
 #
-# The engine decodes matrices in chunks of determinantal._CHUNK; these tests
-# shrink the chunk so every call spans several chunks and ends with a
-# partial one, and pin the results to closed forms.
+# The walk cuts the matrices into digit-aligned chunks of at most
+# determinantal._CHUNK: runs of blocks of q^c matrices that share their c low
+# digits.  These tests shrink the chunk so every call spans several chunks,
+# and over an odd q ends in a partial run (over F_2 no chunk is partial), and
+# pin the results to closed forms.
 
 
-def small_chunks(monkeypatch, total):
-    chunk = total // 3 + 1
-    assert total // chunk >= 2 and total % chunk
-    monkeypatch.setattr(determinantal, "_CHUNK", chunk)
+def walked_chunks(q, a, b, symmetric=False):
+    """(first index, matrix count) of each chunk the walk yields."""
+    return [(lo, rows.shape[-1]) for lo, rows in determinantal._walk(q, a, b, symmetric)]
+
+
+def small_chunks(monkeypatch, a, b, q, symmetric=False):
+    """Chunks of (q//2 + 1) * q^(npos-2) matrices: several per call, and over
+    an odd q some cross a change of the top digit and the last is partial."""
+    npos = a * (a + 1) // 2 if symmetric else a * b
+    monkeypatch.setattr(determinantal, "_CHUNK", (q // 2 + 1) * q ** (npos - 2))
+    sizes = [size for _, size in walked_chunks(q, a, b, symmetric)]
+    assert len(sizes) >= 2
+    assert (sizes[-1] < sizes[0]) == (q > 2)
 
 
 def gl_order(k, q):
@@ -357,21 +368,21 @@ def split_closed_form(a, b, k, q, symmetric=False):
     "a,b,q", [(5, 4, 2), (20, 1, 2), (4, 2, 3), (2, 3, 5), (3, 2, 5), (1, 2, 131)]
 )
 def test_chunked_census_matches_closed_form(a, b, q, monkeypatch):
-    small_chunks(monkeypatch, q ** (a * b))
+    small_chunks(monkeypatch, a, b, q)
     census = rank_census(a, b, q).as_dict()
     assert census == {r: rank_count_closed_form(a, b, r, q) for r in range(min(a, b) + 1)}
 
 
 @pytest.mark.parametrize("n,q", [(4, 2), (3, 3), (3, 5)])
 def test_chunked_symmetric_census_matches_closed_form(n, q, monkeypatch):
-    small_chunks(monkeypatch, q ** (n * (n + 1) // 2))
+    small_chunks(monkeypatch, n, n, q, True)
     census = rank_census(n, n, q, symmetric=True).as_dict()
     assert census == {r: symmetric_rank_count_closed_form(n, r, q) for r in range(n + 1)}
 
 
 @pytest.mark.parametrize("a,b,k,q", [(3, 3, 2, 3), (3, 4, 2, 2), (4, 3, 2, 2), (2, 3, 1, 5), (3, 3, 1, 2)])
 def test_chunked_lemma_and_split_match_closed_forms(a, b, k, q, monkeypatch):
-    small_chunks(monkeypatch, q ** (a * b))
+    small_chunks(monkeypatch, a, b, q)
     want = split_closed_form(a, b, k, q)
     lemma = verify_rank_minor_lemma(a, b, k, q)
     assert lemma.passed
@@ -384,7 +395,7 @@ def test_chunked_lemma_and_split_match_closed_forms(a, b, k, q, monkeypatch):
 
 @pytest.mark.parametrize("n,k,q", [(3, 2, 2), (3, 1, 3), (2, 1, 5)])
 def test_chunked_symmetric_split_matches_closed_form(n, k, q, monkeypatch):
-    small_chunks(monkeypatch, q ** (n * (n + 1) // 2))
+    small_chunks(monkeypatch, n, n, q, True)
     split = verify_component_split(n, n, k, q, symmetric=True)
     assert split.passed
     assert split.counts == dict(split_closed_form(n, n, k, q, True), matrices=q ** (n * (n + 1) // 2))
@@ -450,16 +461,64 @@ def test_symmetric_split_reports_the_first_asymmetric_index(monkeypatch):
                             "overlap": 2}
 
 
-@pytest.mark.parametrize("a,b,q,symmetric", [(2, 3, 2, False), (2, 3, 3, False),
-                                             (2, 2, 2, True), (2, 2, 3, True)])
-def test_reported_matrix_matches_the_decoded_rows(a, b, q, symmetric):
-    # the counterexample decoder is pure Python; the kernel decodes in numpy
+# (a, b, q, symmetric, chunk): the low digit count c and the blocks per chunk
+# follow from the chunk; c = 0 where the chunk is below q
+@pytest.mark.parametrize(
+    "a,b,q,symmetric,chunk",
+    [
+        pytest.param(2, 3, 2, False, 6, id="2-3-2-False"),  # c = 1, runs of 3 blocks
+        pytest.param(2, 2, 2, True, 2, id="2-2-2-True"),  # c = 1, one block per chunk
+        (3, 3, 2, True, 8),  # c = 3, one block per chunk
+        # c = 2, runs of 2 blocks, ending in a partial run
+        pytest.param(2, 3, 3, False, 18, id="2-3-3-False"),
+        pytest.param(2, 2, 3, True, 9, id="2-2-3-True"),  # c = 2, one block per chunk
+        (2, 2, 5, False, 75),  # c = 2, runs of 3 blocks
+        (2, 2, 5, True, 15),  # c = 1, runs of 3 blocks
+        (1, 2, 131, False, 262),  # c = 1, runs of 2 blocks
+        (1, 2, 131, False, 50),  # c = 0
+        (1, 1, 131, True, 50),  # c = 0
+    ],
+)
+def test_reported_matrix_matches_the_decoded_rows(a, b, q, symmetric, chunk, monkeypatch):
+    # the counterexample decoder is pure Python; the walk decodes in numpy
+    monkeypatch.setattr(determinantal, "_CHUNK", chunk)
     npos = a * (a + 1) // 2 if symmetric else a * b
-    t = np.arange(q**npos, dtype=np.int64)
-    rows = determinantal._decode_rows(t, q, a, b, symmetric)
-    for index in range(q**npos):
-        if q == 2:
-            decoded = [[int(r >> j) & 1 for j in range(b)] for r in rows[:, index]]
-        else:
-            decoded = rows[:, :, index].tolist()
-        assert determinantal._matrix(index, q, a, b, symmetric) == decoded
+    index = chunks = 0
+    for lo, rows in determinantal._walk(q, a, b, symmetric):
+        assert lo == index
+        for offset in range(rows.shape[-1]):
+            if q == 2:
+                decoded = [[int(r >> j) & 1 for j in range(b)] for r in rows[:, offset]]
+            else:
+                decoded = rows[:, :, offset].tolist()
+            assert determinantal._matrix(lo + offset, q, a, b, symmetric) == decoded
+        index += rows.shape[-1]
+        chunks += 1
+    assert index == q**npos
+    assert chunks > 2
+
+
+@pytest.mark.parametrize(
+    "a,b,q,symmetric,chunk",
+    [(1, 2, 131, False, 300), (1, 2, 131, False, 1000), (1, 2, 131, False, 262),
+     (1, 1, 131, False, 50), (1, 1, 131, True, 100), (3, 3, 3, False, 1000), (2, 2, 5, True, 40)],
+)
+def test_chunks_are_no_more_and_no_smaller_than_plain_pieces(a, b, q, symmetric, chunk, monkeypatch):
+    # digit-aligned chunks must not shrink to q^c matrices: a walk takes as
+    # many chunks as cutting it into pieces of _CHUNK would
+    monkeypatch.setattr(determinantal, "_CHUNK", chunk)
+    total = q ** (a * (a + 1) // 2 if symmetric else a * b)
+    chunks = walked_chunks(q, a, b, symmetric)
+    sizes = [size for _, size in chunks]
+    assert [lo for lo, _ in chunks] == [sum(sizes[:i]) for i in range(len(sizes))]
+    assert sum(sizes) == total
+    assert len(sizes) == -(-total // chunk)
+    assert max(sizes) <= chunk
+    assert all(size > chunk // 2 for size in sizes[:-1])
+
+
+@pytest.mark.parametrize("a,q", [(2, 4093), (1, 16777213)])
+def test_large_fields_take_64_chunks(a, q):
+    # 1x2/F_4093 and 1x1/F_16777213 are inside the budget; chunks of q^c
+    # matrices would make 4,093 of the first and 16.7M of the second
+    assert len(walked_chunks(q, 1, a)) == 64

@@ -148,7 +148,7 @@ def test_matrices_are_walked_only_by_the_census_and_the_split_tally():
     for module in sorted(PACKAGE.glob("*.py")):
         for statement in ast.parse(module.read_text(encoding="utf-8")).body:
             for node in ast.walk(statement):
-                if isinstance(node, ast.Call) and "_chunks" in (
+                if isinstance(node, ast.Call) and "_walk" in (
                     getattr(node.func, "id", None),
                     getattr(node.func, "attr", None),
                 ):
