@@ -8,7 +8,9 @@ digits of the matrix index so that the low digits are decoded once per walk.
 The census and the lemma checks share one rank kernel: it walks the
 combinations of the rows on a matrix's shorter side in Gray-code order, one
 row added per step (an XOR of bit masks over F_2), and reads the rank off the
-number of zero combinations.
+number of zero combinations.  A census of a tall format walks its transpose,
+which has the same ranks, so it always ranks rows; only the lemma checks,
+which must keep each matrix's index, gather columns.
 Both lemma checks are one walk: dependent first rows or columns always make
 the leading minor vanish, so the rank-minor lemma is the forward half of the
 component split.  All enumeration is bounded by ``ENUMERATION_BUDGET`` matrices.
@@ -206,11 +208,6 @@ def _ranks(lines: np.ndarray, q: int) -> np.ndarray:
     return rank.take(kernel)
 
 
-def _full_ranks(rows: np.ndarray, q: int, a: int, b: int) -> np.ndarray:
-    """Ranks of the whole matrices, walked over the shorter side."""
-    return _ranks(rows if a <= b else _columns(rows, q, b), q)
-
-
 def _matrix(index: int, q: int, a: int, b: int, symmetric: bool) -> list[list[int]]:
     """Matrix number ``index`` as nested lists, for a report."""
     matrix = [[0] * b for _ in range(a)]
@@ -227,13 +224,14 @@ def rank_census(a: int, b: int, q: int, symmetric: bool = False) -> RankCensus:
     The non-symmetric result must match :func:`rank_count_closed_form` and
     the symmetric one (all symmetric matrices, encoded by their upper
     triangle) :func:`symmetric_rank_count_closed_form`, rank by rank; those
-    comparisons are this module's acceptance checks.
+    comparisons are this module's acceptance checks.  A tall format is
+    walked as its transpose, a bijection that keeps rank, so the kernel
+    always ranks the shorter side's rows; the result keeps ``a`` and ``b``.
     """
     _census_preconditions(a, b, q, symmetric)
     tallies = np.zeros(min(a, b) + 1, dtype=np.int64)
-    for _, rows in _walk(q, a, b, symmetric):
-        ranks = _full_ranks(rows, q, a, b)
-        tallies += np.bincount(ranks, minlength=len(tallies))
+    for _, rows in _walk(q, min(a, b), max(a, b), symmetric):
+        tallies += np.bincount(_ranks(rows, q), minlength=len(tallies))
     counts = tuple((r, int(c)) for r, c in enumerate(tallies))
     return RankCensus(a, b, q, symmetric, counts)
 
@@ -261,7 +259,7 @@ def _split_tallies(a: int, b: int, k: int, q: int, symmetric: bool):
     tallies = np.zeros(len(_SPLIT_COUNTS), dtype=np.int64)
     failure = asymmetric = None
     for lo, rows in _walk(q, a, b, symmetric):
-        low_rank = _full_ranks(rows, q, a, b) <= k
+        low_rank = _ranks(rows if a <= b else _columns(rows, q, b), q) <= k
         det_zero = _ranks(_leading(rows, q, k), q) < k
         h1 = _ranks(rows[:k], q) < k
         h2 = _ranks(_columns(rows, q, k), q) < k

@@ -17,10 +17,15 @@ part against the complementary minor of the residual block.
 Both walk many terms, so the inner loops avoid repeated work.  The Leibniz
 formula reads one sign table per minor size, each permutation of
 ``range(size)`` with its sign, built once and mapped through the column set
-of every minor of that size.  :meth:`SparsePoly.shift` expands a monomial in
-one pass: unshifted variables are copied as they are, the binomial factors
-C(e, t) s^(e-t) of a shifted variable are computed once per exponent, and
-each produced monomial is sorted once.  Values enter as ints or Fractions;
+of every minor of that size.  A general minor's rows ascend and are
+distinct, so each of its monomials is sorted as built and no two coincide:
+its terms are built directly, with two shared coefficients +1 and -1, and
+sorted once; only a symmetric minor, where z(i,j) and z(j,i) merge, counts
+its powers.  :meth:`SparsePoly.shift` expands a monomial in one pass:
+unshifted variables are copied as they are, the binomial factors
+C(e, t) s^(e-t) of a shifted variable are computed once per exponent (as
+ints when s is integral), a factor of 1 is not multiplied in, and each
+produced monomial is sorted once.  Values enter as ints or Fractions;
 floats and bools are refused rather than read as binary fractions.  The
 matrix format, the indices and the tangent-cone parameters are ints and not
 bools; both rules live in :mod:`completeforms.lattice`.
@@ -52,6 +57,8 @@ Var = tuple[int, int]
 Monomial = tuple[tuple[Var, int], ...]
 
 MAX_MINOR_SIZE = 5
+# the coefficient of a Leibniz term by its sign, shared by every general minor
+_SIGNS = {1: Fraction(1), -1: Fraction(-1)}
 # cap on the Leibniz terms a tangent-cone check builds: minor pairs times (h+1)!
 MAX_TANGENT_TERMS = 10**5
 
@@ -232,7 +239,10 @@ class SparsePoly(_Record):
         Uses the binomial expansion per variable power, so the cost stays
         proportional to the number of produced terms.
         """
-        moved = {v: c for v, c in self._point(shifts).items() if c}
+        # an integral shift enters as an int, so its binomial factors stay ints
+        moved = {
+            v: c.numerator if c.denominator == 1 else c for v, c in self._point(shifts).items() if c
+        }
         # (z + s)^e contributes C(e,t) s^(e-t) z^t; one list per (v, e) met
         expansions: dict[tuple[Var, int], list] = {}
         out: dict[Monomial, Fraction] = {}
@@ -259,7 +269,8 @@ class SparsePoly(_Record):
                 c = coeff
                 for power, factor in picks:
                     grown += power
-                    c *= factor
+                    if factor != 1:
+                        c *= factor
                 m = tuple(sorted(grown))
                 prev = out.get(m)
                 out[m] = c if prev is None else prev + c
@@ -341,14 +352,21 @@ def minor_det(
         )
     if len(rows) > MAX_MINOR_SIZE:
         raise TooLarge("minor size %d exceeds the %dx%d cap" % (len(rows), MAX_MINOR_SIZE, MAX_MINOR_SIZE))
+    signed = _signed_permutations(len(rows))
+    if not symmetric:
+        # the rows ascend and are distinct, so each Leibniz monomial is sorted
+        # as built and no two permutations give the same one
+        grid = [[((i, j), 1) for j in cols] for i in rows]
+        terms = [(tuple(map(list.__getitem__, grid, perm)), _SIGNS[sign]) for perm, sign in signed]
+        return SparsePoly(tuple(sorted(terms)))
     # grid[a][b] names the entry in row rows[a] and column cols[b]
-    grid = [[matrix_variable(i, j, symmetric) for j in cols] for i in rows]
+    grid = [[matrix_variable(i, j, True) for j in cols] for i in rows]
     terms: dict[Monomial, int] = {}
-    for perm, sign in _signed_permutations(len(rows)):
-        powers = Counter([line[p] for line, p in zip(grid, perm)])
+    for perm, sign in signed:
+        powers = Counter(map(list.__getitem__, grid, perm))
         mono = tuple(sorted(powers.items()))
         terms[mono] = terms.get(mono, 0) + sign
-    return _in_mode(SparsePoly.from_dict(terms), symmetric)
+    return _in_mode(SparsePoly.from_dict(terms), True)
 
 
 def shift_and_leading_form(p: SparsePoly, shifts: dict) -> SparsePoly:
@@ -392,13 +410,16 @@ def verify_tangent_cone(
     # the first minor would raise, so the pairs are counted only below it,
     # where the count is cheap for any n and m.
     walked = h <= min(n, m)
-    if walked and (
-        h + 1 > MAX_MINOR_SIZE
-        or comb(n + 1 - k, extra) * comb(m + 1 - k, extra) * factorial(h + 1) > MAX_TANGENT_TERMS
-    ):
+    if walked and h + 1 > MAX_MINOR_SIZE:
         raise TooLarge(
-            "a tangent-cone walk is capped at %dx%d minors and %d Leibniz terms, got h = %d"
-            % (MAX_MINOR_SIZE, MAX_MINOR_SIZE, MAX_TANGENT_TERMS, h)
+            "a tangent-cone walk is capped at %dx%d minors, got %dx%d minors (h = %d)"
+            % (MAX_MINOR_SIZE, MAX_MINOR_SIZE, h + 1, h + 1, h)
+        )
+    terms = comb(n + 1 - k, extra) * comb(m + 1 - k, extra) * factorial(h + 1) if walked else 0
+    if terms > MAX_TANGENT_TERMS:
+        raise TooLarge(
+            "a tangent-cone walk is capped at %d Leibniz terms, this one would build %d (h = %d)"
+            % (MAX_TANGENT_TERMS, terms, h)
         )
     pairs = (
         (r, c)

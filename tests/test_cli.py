@@ -11,6 +11,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -271,17 +272,22 @@ def test_an_oversized_tangent_cone_minor_exits_two(capsys):
         capsys,
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    assert err == "error: a tangent-cone walk is capped at 5x5 minors, got 21x21 minors (h = 20)\n"
 
 
 def test_a_long_tangent_cone_walk_exits_two(capsys):
-    # C(40, 4)^2 ~ 8.4e8 pairs of 5x5 minors, each within the minor cap
-    code, out, err = run_cli(
-        ["verify", "--check", "tangent-cone", "--n", "40", "--m", "40", "--h", "4", "--k", "1"],
-        capsys,
-    )
-    assert (code, out) == (2, "")
-    assert "cap" in err
+    # pairs of 5x5 and of 3x3 minors, each within the minor cap: the term cap
+    # refuses the walk and the message gives the terms it would build
+    for n, h, terms in [(40, 4, math.comb(40, 4) ** 2 * 120), (1000, 2, math.comb(1000, 2) ** 2 * 6)]:
+        code, out, err = run_cli(
+            ["verify", "--check", "tangent-cone", "--n", str(n), "--m", str(n), "--h", str(h), "--k", "1"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a tangent-cone walk is capped at 100000 Leibniz terms, this one would build %d (h = %d)\n"
+            % (terms, h)
+        )
 
 
 def test_out_of_scope_spaces_exit_three(capsys):

@@ -169,7 +169,10 @@ def test_census_frozen_2x2_over_f2():
     assert census.total == 16
 
 
-@pytest.mark.parametrize("a,b,q", [(1, 1, 2), (2, 2, 2), (2, 3, 2), (2, 2, 3), (1, 4, 3), (3, 3, 2)])
+@pytest.mark.parametrize(
+    "a,b,q",
+    [(1, 1, 2), (2, 2, 2), (2, 3, 2), (2, 2, 3), (1, 4, 3), (3, 3, 2), (3, 2, 2), (4, 1, 3), (3, 2, 3)],
+)
 def test_census_matches_naive_enumeration(a, b, q):
     vec = rank_census(a, b, q).as_dict()
     naive = naive_census(a, b, q)
@@ -185,8 +188,20 @@ def test_census_matches_closed_form(a, b, q):
     assert census.total == q ** (a * b)
 
 
-def test_census_transpose_symmetry():
-    assert rank_census(2, 4, 3).as_dict() == rank_census(4, 2, 3).as_dict()
+def test_census_transpose_symmetry(monkeypatch):
+    walked, walk = [], determinantal._walk
+
+    def recording_walk(q, a, b, symmetric):
+        walked.append((a, b))
+        return walk(q, a, b, symmetric)
+
+    monkeypatch.setattr(determinantal, "_walk", recording_walk)
+    tall = rank_census(4, 2, 3)
+    assert rank_census(2, 4, 3).as_dict() == tall.as_dict()
+    # a tall format is walked as its transpose; the record keeps a and b as given
+    assert walked == [(2, 4), (2, 4)]
+    assert (tall.a, tall.b) == (4, 2)
+    assert (tall.to_dict()["a"], tall.to_dict()["b"]) == (4, 2)
 
 
 def test_symmetric_census_totals_and_consistency():

@@ -8,6 +8,8 @@ That coefficient must agree with the claimed leading form evaluated at the
 direction vector, for every direction.
 """
 
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -357,6 +359,30 @@ def test_string_rendering_is_graded_lex():
     x01 = SparsePoly.variable(0, 1)
     p = x01 + x00 * x00.scale(3) + SparsePoly.constant(-2)
     assert str(p) == "3*z00^2 + z01 - 2"
+
+
+# sha256 of the reprs below, fed in loop order, taken before the minors and
+# the shift were last rewritten for speed
+SYMBOLIC_DIGEST = "5dc83f14e83ae9a316562c6c5261d5e72a6b2fac349cc387772ed962c844a6d5"
+
+
+def test_the_symbolic_outputs_are_pinned_exactly():
+    # every minor of a generic 5x5 matrix in both modes, its leading forms at
+    # the rank-1 and rank-2 templates and a non-integral off-diagonal shift:
+    # the reprs fix the terms, their order and every coefficient
+    digest = hashlib.sha256()
+    templates = [{(0, 0): 1}, {(0, 0): 1, (1, 1): 1}]
+    for symmetric in (False, True):
+        for size in range(1, 6):
+            for rows in itertools.combinations(range(5), size):
+                for cols in itertools.combinations(range(5), size):
+                    p = minor_det(4, 4, rows, cols, symmetric)
+                    outputs = [p, *(shift_and_leading_form(p, t) for t in templates)]
+                    outputs.append(p.shift({(0, 1): Fraction(1, 3)}))
+                    for out in outputs:
+                        assert all(type(c) is Fraction for _, c in out.terms)
+                        digest.update(repr(out).encode())
+    assert digest.hexdigest() == SYMBOLIC_DIGEST
 
 
 # ---------------------------------------------------------------- tangent cones

@@ -1,5 +1,5 @@
 """Checks on the project as a whole: the demos, the README's Python examples
-and the package's docstring examples run, and ten lints on src/.
+and the package's docstring examples run, and twelve lints on src/.
 
 Invariants in the package must hold under ``python -O``, which strips
 ``assert`` statements, so they raise typed errors instead; the first lint
@@ -33,7 +33,10 @@ for a named allow-list of hot classes that may keep a generated
 ``__init__`` (empty: no record is built often enough to need one).  For the same
 reason the command line imports neither the symbolic minors nor the
 enumeration (nor numpy) until a check needs them, which a fresh
-interpreter checks.
+interpreter checks.  A census walks a tall format as its transpose, so it
+ranks rows alone; only the walk behind the lemma checks, which keeps each
+matrix's index, gathers the columns of a chunk, and the twelfth lint keeps
+it that way.
 """
 
 import ast
@@ -143,17 +146,22 @@ def test_spaces_never_dispatches_on_a_kind_class():
     assert found == []
 
 
-def test_matrices_are_walked_only_by_the_census_and_the_split_tally():
+def callers(name):
+    """The top-level definitions in src/ that call ``name``, as ``module.definition``."""
     found = set()
     for module in sorted(PACKAGE.glob("*.py")):
         for statement in ast.parse(module.read_text(encoding="utf-8")).body:
             for node in ast.walk(statement):
-                if isinstance(node, ast.Call) and "_walk" in (
+                if isinstance(node, ast.Call) and name in (
                     getattr(node.func, "id", None),
                     getattr(node.func, "attr", None),
                 ):
                     found.add("%s.%s" % (module.stem, getattr(statement, "name", "<module>")))
-    assert found == {"determinantal.rank_census", "determinantal._split_tallies"}
+    return found
+
+
+def test_matrices_are_walked_only_by_the_census_and_the_split_tally():
+    assert callers("_walk") == {"determinantal.rank_census", "determinantal._split_tallies"}
 
 
 def test_only_the_enumeration_imports_numpy():
@@ -341,3 +349,7 @@ def test_every_dataclass_is_a_record_declared_without_generated_methods():
         # without its own docstring @dataclass would build one from the signature
         assert record.__doc__ and not record.__doc__.startswith(cls + "("), name
     assert len(declared) == 26
+
+
+def test_only_the_split_tally_gathers_columns():
+    assert callers("_columns") == {"determinantal._split_tallies"}
