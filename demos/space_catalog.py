@@ -67,6 +67,14 @@ assert tower.dimension == maps.dimension == 5
 assert tower.anticanonical.coordinates == (6, -2)
 assert maps.picard_rank == 2
 
+# A full tower answers to two names: the complete quadrics of P^3 are also
+# the tower over P^9 stopped after two steps, whose last center would be the
+# determinant divisor.
+for kind in [Quadrics(3, 4), VeroneseBlowup(3, 4, 2)]:
+    model = build_model(kind)
+    assert model.anticanonical.coordinates == (10, -5, -2), model.name
+    assert model.stated_chamber_count == 9, model.name
+
 # Anticanonical classes are exact rational vectors in the class basis.
 from fractions import Fraction
 

@@ -22,20 +22,25 @@ Coordinates exist for the rank <= 3 models that the cone machinery can chew
 on.  Every other kind still builds a model, it just answers
 ``CoordinatesUnknown``/``OutOfScope`` for the coordinate-dependent queries.
 
-Every complete-form space is a blow-up of a secant variety of a Segre or
-Veronese embedding, and every degree-two mapping space either coincides with
-one of them (its *twin*: ``mbar-p`` with ``secV(n,3;k=1)``, ``mbar-pxp`` with
+Every complete-form space is a blow-up tower over a secant variety of a
+Segre or Veronese embedding: ``C`` and ``Q`` are the full towers, which
+``secS`` and ``secV`` name again with k = h-1 (or k = n-1 at h = n+1 over
+square forms, the last center being a divisor).  One model builder serves
+``C`` and ``secS``, another ``Q`` and ``secV``, so both names of a full tower
+give the same answers, but for the orbit Picard group, which only ``C`` and
+``Q`` record.  Every degree-two mapping space either coincides with a form
+space (its *twin*: ``mbar-p`` with ``secV(n,3;k=1)``, ``mbar-pxp`` with
 ``C(n,m,2)``) or double-covers one (its *cover*: ``mbar-gr`` over
 ``secV(n,4;k=2)``).  So a kind is a handful of facts, held in one entry of
 the private kind table ``_KINDS``: its command line name, the model builder,
 the secant variety (which gives the dimension, see
-:mod:`completeforms.secants`) and the automorphism rule, or else the twin
-that supplies both and its rank, chamber count and labels, the cover, and
-the two values the one parameter rule reads (the lowest ``n`` and an
-admitted degenerate tuple).  The parameter letters are the kind's dataclass
-fields.  Everything else a kind knows, such as its orbit Picard relations or
-comparison dictionary, is written by its model builder.  Adding a kind means
-adding its dataclass and one table entry.
+:mod:`completeforms.secants`), the automorphism rule and the orbit Picard
+relations, or else the twin that supplies the secant and automorphisms and
+its rank, chamber count and labels, the cover, and the two values the one
+parameter rule reads (the lowest ``n`` and an admitted degenerate tuple).
+The parameter letters are the kind's dataclass fields.  Everything else a
+kind knows, such as its comparison dictionary, is written by its model
+builder.  Adding a kind means adding its dataclass and one table entry.
 """
 
 from __future__ import annotations
@@ -408,7 +413,21 @@ class SpaceModel(_Record):
         }
 
 
-# -- automorphism rules -----------------------------------------------------
+# -- towers: which name is the full tower, its automorphisms and orbit ------
+
+
+def _tower(kind) -> Tuple[int, int, int, int, bool]:
+    """A tower's n, m (n over symmetric forms), h, steps k, and whether it is full.
+
+    A full tower takes all h-1 steps, or at h = n+1 over square forms the
+    first n-1, as the last center is the determinant divisor.  The admitted
+    secV(1,3;k=1) blows the plane up along a conic divisor: it is Q(1,2), so
+    h is read as at most n+1.
+    """
+
+    n, h = kind.n, min(kind.h, kind.n + 1)
+    m, k = getattr(kind, "m", n), getattr(kind, "k", h - 1)
+    return n, m, h, k, k == h - 1 or (h == n + 1 == m + 1 and k == n - 1)
 
 
 def _two_factor_group(n: int, m: int) -> GroupDescriptor:
@@ -417,35 +436,25 @@ def _two_factor_group(n: int, m: int) -> GroupDescriptor:
     return SemidirectLeft(SwapGroup(), GroupProduct(PGL(n + 1), PGL(n + 1)))
 
 
-def _steps(kind: SpaceKind) -> int:
-    """Blow-up steps performed: k for a partial tower, h-1 for the full one."""
-    return getattr(kind, "k", kind.h - 1)
-
-
 def _pair_automorphisms(kind) -> Optional[GroupDescriptor]:
     """Collineation towers, full or partial."""
-    n, m, h = kind.n, kind.m, kind.h
-    if h <= n:
-        return _two_factor_group(n, m)
-    # h == n+1: the ambient is a projective space of matrices.  The full
-    # tower carries the transpose swap; a partial tower does only when the
-    # missing centers are divisors and the space already equals the tower.
-    k = _steps(kind)
-    if not (k == h - 1 or (n == m and k == n - 1)):
+    n, m, h, _, full = _tower(kind)
+    # h == n+1: the ambient is a projective space of matrices.  No partial
+    # tower is recorded there, and over square matrices the full tower
+    # carries the transpose swap.
+    if h > n and not full:
         return None
-    if n == 1 and m == 1:
-        return PGL(4)
-    if n < m:
-        return GroupProduct(PGL(n + 1), PGL(m + 1))
-    return SemidirectRight(_two_factor_group(n, n), SwapGroup())
+    if h > n and n == m:
+        return PGL(4) if n == 1 else SemidirectRight(_two_factor_group(n, n), SwapGroup())
+    return _two_factor_group(n, m)
 
 
 def _symmetric_automorphisms(kind) -> Optional[GroupDescriptor]:
     """Quadric towers, full or partial."""
-    n, h = kind.n, kind.h
+    n, _, h, _, full = _tower(kind)
     if h <= n:
         return PGL(n + 1)
-    if _steps(kind) < n - 1:  # the final center is a divisor, so k = n-1 suffices
+    if not full:
         return None
     if n == 1:
         return PGL(3)
@@ -461,6 +470,18 @@ def _kontsevich_gr_automorphisms(kind: KontsevichGr) -> GroupDescriptor:
     return SemidirectLeft(SwapGroup(), PGL(n + 1))
 
 
+# Relations of the dense orbit's Picard group (see orbit_picard_group): the
+# two determinants, one more row for each side of dimension at least h, and
+# the scaling weight.
+def _pair_orbit(kind: Collineations) -> list:
+    sides = [row for row, side in (([1, 0, 0], kind.n), ([0, 1, 0], kind.m)) if side >= kind.h]
+    return [[1, 0, 1], [0, 1, 1]] + sides + [[0, 0, -kind.h]]
+
+
+def _symmetric_orbit(kind: Quadrics) -> list:
+    return [[2], [-kind.h]] if kind.h <= kind.n else [[1, 2], [0, -kind.h]]
+
+
 # -- model builders ---------------------------------------------------------
 #
 # A builder returns only what varies between spaces: ``rank``, ``boundary``,
@@ -468,23 +489,43 @@ def _kontsevich_gr_automorphisms(kind: KontsevichGr) -> GroupDescriptor:
 # ``basis`` (whose classes are the unit vectors) with the coordinates of the
 # other classes in ``table``, ``minus_k`` coordinates and the ``stated``
 # chamber count.  It gives ``dimension`` only where the secant range has
-# ended; :func:`build_model` assembles the rest.  The complete-form builders
-# add the ``orbit`` Picard relations, and the mapping-space builders the
-# ``dictionary`` rule: (class, twin class label) pairs for an isomorphism,
-# (cover class, coefficient, class) triples for a pullback.  A twin's builder
-# writes only ``basis``, ``table``, ``minus_k`` and ``dictionary``; the rest
-# is its form space's, renamed by the dictionary (:func:`_spec`).  A color
-# ``D<i>`` missing from ``table`` is written by the color rule of
-# :func:`_coordinates`, D_i = i*D1 - sum_{j<i} (i-j)*E_j (Vainsencher 1984;
-# Thaddeus 1999).  Of the form spaces only C(n,m,2), n >= 2, writes its
-# colors: its D1 is not a basis class.
+# ended; :func:`build_model` assembles the rest.  The mapping-space builders
+# add the ``dictionary`` rule: (class, twin class label) pairs for an
+# isomorphism, (cover class, coefficient, class) triples for a pullback.  A
+# twin's builder writes only ``basis``, ``table``, ``minus_k`` and
+# ``dictionary``; the rest is its form space's, renamed by the dictionary
+# (:func:`_spec`).  A color ``D<i>`` missing from ``table`` is written by the
+# color rule of :func:`_coordinates`, D_i = i*D1 - sum_{j<i} (i-j)*E_j
+# (Vainsencher 1984; Thaddeus 1999).  Of the form spaces only C(n,m,2),
+# n >= 2, writes its colors: its D1 is not a basis class.
+#
+# One builder serves each tower family, C and secS over pairs, Q and secV
+# over symmetric forms.  It writes a full tower's data once, in its C or Q
+# labels, and a partial tower's where known; a full tower named by n-1 of n
+# steps reads its data through :func:`_top_center_as_color`.
 
 
-def _collineations_model(kind: Collineations) -> dict:
-    n, m, h = kind.n, kind.m, kind.h
+def _top_center_as_color(spec: dict, n: int) -> dict:
+    """A full tower's spec under its name with n-1 of its n steps (h = n+1).
+
+    The last center is the determinant divisor, so the full tower's boundary
+    class E_n is this name's color D_{n+1}, written by the color rule.
+    """
+
+    top, color = "E%d" % n, "D%d" % (n + 1)
+    spec.update(boundary=spec["boundary"][:-1], colors=spec["colors"] + (color,))
+    for key in ("eff", "nef", "mov"):
+        if key in spec:
+            spec[key] = tuple(color if label == top else label for label in spec[key])
+    spec.get("table", {}).pop(top, None)
+    return spec
+
+
+def _pair_tower_model(kind) -> dict:
+    n, m, h, k, full = _tower(kind)
+    if not full:
+        return dict(rank=(2 if h <= n else 1) + k, boundary=_labels("E", k))
     boundary = _labels("E", h - 1)
-    # relations of the dense orbit's Picard group (see orbit_picard_group):
-    # one more row for each side of dimension at least h
     if h <= n:
         spec = dict(
             rank=h + 1,
@@ -492,16 +533,13 @@ def _collineations_model(kind: Collineations) -> dict:
             eff=boundary + ("H1", "H2"),
             nef=_labels("D", h - 1) + ("H1", "H2"),
         )
-        sides = [[1, 0, 0], [0, 1, 0]]
     elif h < m + 1:  # h == n+1 < m+1
         colors = _labels("D", n + 1)
         spec = dict(rank=h, colors=colors, eff=boundary + ("D%d" % (n + 1),), nef=colors)
-        sides = [[0, 1, 0]]
     else:  # h == n+1 == m+1
         colors = _labels("D", n)
         spec = dict(rank=h - 1, colors=colors, eff=boundary, nef=colors)
-        sides = []
-    spec.update(boundary=boundary, orbit=[[1, 0, 1], [0, 1, 1]] + sides + [[0, 0, -h]])
+    spec.update(boundary=boundary)
 
     if h == 1:
         spec.update(
@@ -523,18 +561,41 @@ def _collineations_model(kind: Collineations) -> dict:
         spec.update(basis=("D1", "E1"), minus_k=_vec(2 * m + 2, 1 - m), stated=2)
     elif h == 2 and n == 1 and m == 1:
         spec.update(basis=("D1",), table={"E1": _vec(2)}, minus_k=_vec(4), stated=1)
-    return spec
+    return spec if k == h - 1 else _top_center_as_color(spec, n)
 
 
-def _quadrics_model(kind: Quadrics) -> dict:
-    n, h = kind.n, kind.h
+def _symmetric_tower_model(kind) -> dict:
+    n, _, h, k, full = _tower(kind)
+    if not full:  # so n >= h here
+        spec = dict(rank=1 + k, boundary=_labels("E", k))
+        if h == 3 and k == 1:
+            spec.update(
+                basis=("H", "E1"),
+                colors=("D1", "D2", "D3"),
+                eff=("E1", "D3"),
+                nef=("D1", "D2"),
+                minus_k=(Fraction(3 * n + 3, 2), Fraction(1 - n)),
+                stated=3,
+            )
+        elif h == 4 and k == 2:
+            spec.update(
+                basis=("H", "E1", "E2"),
+                table={"P": _vec(6, -3, -2)},
+                colors=("D1", "D2", "D3", "D4"),
+                eff=("E1", "E2", "D4"),
+                nef=("D1", "D2", "D3"),
+                mov=("D1", "D2", "D3", "P"),
+                minus_k=(Fraction(2 * n + 2), Fraction(-(3 * n - 2), 2), Fraction(2 - n)),
+                stated=9,
+            )
+        return spec
     boundary = _labels("E", h - 1)
     if h <= n:
         colors = _labels("D", h)
-        spec = dict(rank=h, eff=boundary + ("D%d" % h,), orbit=[[2], [-h]])
+        spec = dict(rank=h, eff=boundary + ("D%d" % h,))
     else:  # h == n+1
         colors = _labels("D", n)
-        spec = dict(rank=h - 1, eff=boundary, orbit=[[1, 2], [0, -h]])
+        spec = dict(rank=h - 1, eff=boundary)
     spec.update(boundary=boundary, colors=colors, nef=colors)
 
     if h == 3 and n >= 3:
@@ -543,6 +604,14 @@ def _quadrics_model(kind: Quadrics) -> dict:
             mov=colors,
             minus_k=(Fraction(3 * n + 3, 2), Fraction(1 - n), Fraction(3 - n, 2)),
             stated=5,
+        )
+    elif h == 4 and n == 3:
+        spec.update(
+            basis=("H", "E1", "E2"),
+            table={"E3": _vec(4, -3, -2), "P": _vec(6, -3, -2)},
+            mov=colors + ("P",),
+            minus_k=_vec(10, -5, -2),
+            stated=9,
         )
     elif h == 3 and n == 2:
         spec.update(
@@ -553,62 +622,9 @@ def _quadrics_model(kind: Quadrics) -> dict:
         )
     elif h == 2 and n == 1:
         spec.update(basis=("H",), table={"E1": _vec(2)}, minus_k=_vec(3), stated=1)
-    return spec
-
-
-def _veronese_blowup_model(kind: VeroneseBlowup) -> dict:
-    n, h, k = kind.n, kind.h, kind.k
-    boundary = _labels("E", k)
-    if (n, h, k) == (1, 3, 1):
-        # blow-up of the plane along a conic divisor: the plane itself
-        return dict(
-            dimension=2,
-            rank=1,
-            basis=("H",),
-            table={"E1": _vec(2)},
-            boundary=boundary,
-            colors=("D1",),
-            eff=("E1",),
-            nef=("D1",),
-            minus_k=_vec(3),
-            stated=1,
-        )
-    spec = dict(rank=n if h > n and k == n else 1 + k, boundary=boundary)
-
-    if h == 3 and k == 1 and n >= 2:
-        spec.update(
-            basis=("H", "E1"),
-            colors=("D1", "D2", "D3"),
-            eff=("E1", "D3"),
-            nef=("D1", "D2"),
-            minus_k=_vec(6, -2) if n == 2 else (Fraction(3 * n + 3, 2), Fraction(1 - n)),
-            stated=3,
-        )
-    elif h == 4 and k == 2 and n >= 3:
-        spec.update(
-            basis=("H", "E1", "E2"),
-            table={"P": _vec(6, -3, -2)},
-            colors=("D1", "D2", "D3", "D4"),
-            eff=("E1", "E2", "D4"),
-            nef=("D1", "D2", "D3"),
-            mov=("D1", "D2", "D3", "P"),
-            minus_k=_vec(10, -5, -2)
-            if n == 3
-            else (Fraction(2 * n + 2), Fraction(-(3 * n - 2), 2), Fraction(2 - n)),
-            stated=9,
-        )
-    return spec
-
-
-def _segre_blowup_model(kind: SegreBlowup) -> dict:
-    n, m, h, k = kind.n, kind.m, kind.h, kind.k
-    if h <= n:
-        rank = 2 + k
-    elif n == m and k == n:
-        rank = n
-    else:
-        rank = 1 + k
-    return dict(rank=rank, boundary=_labels("E", k))
+    if kind.h > h:  # secV(1,3;k=1) lies past the secant range: it is the plane
+        spec.update(dimension=2)
+    return spec if k == h - 1 else _top_center_as_color(spec, n)
 
 
 def _kontsevich_p_model(kind: KontsevichP) -> dict:
@@ -699,54 +715,47 @@ def _kontsevich_gr_model(kind: KontsevichGr) -> dict:
 class _Kind(NamedTuple):
     """What the catalog records about one kind of space.
 
-    ``secant(kind)`` is the secant variety the space blows up and
-    ``automorphisms(kind)`` its automorphism group (None where unrecorded).
-    A mapping-space kind isomorphic to a form space names that space as its
-    ``twin`` and takes the twin's secant, automorphisms, rank, chamber count
-    and labels instead (see :func:`_spec`).  A kind that double-covers a
-    form space names it as its ``cover``: its chambers and positivity are
-    known only through the cover, and its comparison dictionary is the
-    pullback from it.  The parameter letters are the kind's dataclass
-    fields, checked by one rule (:func:`_check_parameters`) that reads
-    ``lowest_n`` and lets the ``admitted`` tuple pass.
+    ``secant(kind)`` is the secant variety the space blows up,
+    ``automorphisms(kind)`` its automorphism group (None where unrecorded)
+    and ``orbit(kind)`` the relations of its dense orbit's Picard group (for
+    C and Q only).  A mapping-space kind isomorphic to a form space names
+    that space as its ``twin`` and takes the twin's secant, automorphisms,
+    rank, chamber count and labels instead (see :func:`_spec`).  A kind that
+    double-covers a form space names it as its ``cover``: its chambers and
+    positivity are known only through the cover, and its comparison
+    dictionary is the pullback from it.  The parameter letters are the
+    kind's dataclass fields, checked by one rule (:func:`_check_parameters`)
+    that reads ``lowest_n`` and lets the ``admitted`` tuple pass.
     """
 
     cli_name: str
     model: Callable[[SpaceKind], dict]
     secant: Optional[Callable[[SpaceKind], SecantInvariants]] = None
     automorphisms: Optional[Callable[[SpaceKind], Optional[GroupDescriptor]]] = None
+    orbit: Optional[Callable[[SpaceKind], list]] = None
     twin: Optional[Callable[[SpaceKind], SpaceKind]] = None
     cover: Optional[Callable[[SpaceKind], SpaceKind]] = None
     lowest_n: int = 1
     admitted: Optional[Tuple[int, ...]] = None
 
 
+# the two tower families: a builder, the secant blown up, the automorphisms
+_PAIR_TOWER = (
+    _pair_tower_model,
+    lambda s: segre_secant_invariants(s.n, s.m, s.h),
+    _pair_automorphisms,
+)
+_SYMMETRIC_TOWER = (
+    _symmetric_tower_model,
+    lambda s: veronese_secant_invariants(s.n, s.h),
+    _symmetric_automorphisms,
+)
+
 _KINDS: Dict[type, _Kind] = {
-    Collineations: _Kind(
-        "C",
-        _collineations_model,
-        lambda s: segre_secant_invariants(s.n, s.m, s.h),
-        _pair_automorphisms,
-    ),
-    Quadrics: _Kind(
-        "Q",
-        _quadrics_model,
-        lambda s: veronese_secant_invariants(s.n, s.h),
-        _symmetric_automorphisms,
-    ),
-    SegreBlowup: _Kind(
-        "secS",
-        _segre_blowup_model,
-        lambda s: segre_secant_invariants(s.n, s.m, s.h),
-        _pair_automorphisms,
-    ),
-    VeroneseBlowup: _Kind(
-        "secV",
-        _veronese_blowup_model,
-        lambda s: veronese_secant_invariants(s.n, s.h),
-        _symmetric_automorphisms,
-        admitted=(1, 3, 1),
-    ),
+    Collineations: _Kind("C", *_PAIR_TOWER, orbit=_pair_orbit),
+    Quadrics: _Kind("Q", *_SYMMETRIC_TOWER, orbit=_symmetric_orbit),
+    SegreBlowup: _Kind("secS", *_PAIR_TOWER),
+    VeroneseBlowup: _Kind("secV", *_SYMMETRIC_TOWER, admitted=(1, 3, 1)),
     KontsevichP: _Kind(
         "mbar-p", _kontsevich_p_model, twin=lambda s: VeroneseBlowup(s.n, 3, 1)
     ),
@@ -886,17 +895,16 @@ def orbit_picard_group(kind: SpaceKind) -> AbelianGroupDescriptor:
     The dense orbit of a two-sided or quadric compactification has Picard
     group presented by the characters of its generating line bundles modulo
     the relations coming from the top and bottom determinants and the scaling
-    weight.  Only the complete-form kinds carry this presentation; their
-    model builders write the relations.
+    weight.  Only the C and Q entries of the kind table write the relations.
     """
 
-    relations = _entry(kind).model(kind).get("orbit")
+    relations = _entry(kind).orbit
     if relations is None:
         raise OutOfScope(
             "orbit Picard groups are computed for the complete collineation and "
             "quadric kinds only"
         )
-    return cokernel(IntegerMatrix.from_rows(relations))
+    return cokernel(IntegerMatrix.from_rows(relations(kind)))
 
 
 def mori_chambers(kind: SpaceKind) -> ChamberDecomposition:

@@ -37,6 +37,7 @@ from completeforms.spaces import (
     KontsevichP,
     PositivityClass,
     Quadrics,
+    SegreBlowup,
     VeroneseBlowup,
     build_model,
     classify_positivity,
@@ -308,15 +309,19 @@ def _colors_off_the_rule(model, symmetric):
 
 
 def _form_spaces_with_coordinates():
-    """Every C, Q and secV model with coordinates, n <= m <= 8, and its symmetric mode."""
+    """Every C, Q, secS and secV model with coordinates, n <= m <= 8, and its symmetric mode."""
     kinds = [VeroneseBlowup(1, 3, 1)]
     for n in range(1, 9):
-        kinds += [Collineations(n, m, h) for m in range(n, 9) for h in range(1, n + 2)]
+        for m in range(n, 9):
+            for h in range(1, n + 2):
+                kinds += [Collineations(n, m, h)] + [SegreBlowup(n, m, h, k) for k in range(1, h)]
         kinds += [Quadrics(n, h) for h in range(1, n + 2)]
         kinds += [VeroneseBlowup(n, h, k) for h in range(2, n + 2) for k in range(1, h)]
     models = [build_model(kind) for kind in kinds]
     return [
-        (model, type(model.kind) is not Collineations) for model in models if model.has_coordinates
+        (model, type(model.kind) not in (Collineations, SegreBlowup))
+        for model in models
+        if model.has_coordinates
     ]
 
 
@@ -329,7 +334,7 @@ def test_colors_match_the_minor_vanishing_orders():
         for model, symmetric in _form_spaces_with_coordinates():
             assert _colors_off_the_rule(model, symmetric) == [], model.name
             checked += len(_higher_colors(model))
-        assert checked == 80
+        assert checked == 132
 
 
 def _with_class(model, label, coordinates):
@@ -363,8 +368,8 @@ def _discrepancy_anticanonical(model, symmetric):
 
 
 # the kinds blown up from a projective space, with their symmetric mode
-_BLOWN_UP_FROM_P = [(Quadrics(1, 2), True), (Quadrics(2, 3), True)] + [
-    (Collineations(1, m, 2), False) for m in range(1, 9)
+_BLOWN_UP_FROM_P = [(Quadrics(n, n + 1), True) for n in (1, 2, 3)] + [
+    (kind, False) for m in range(1, 9) for kind in (Collineations(1, m, 2), SegreBlowup(1, m, 2, 1))
 ] + [(VeroneseBlowup(*t), True) for t in ((1, 3, 1), (2, 3, 1), (3, 4, 2))]
 
 

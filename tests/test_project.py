@@ -19,12 +19,14 @@ values count as an int and which as a rational is decided in ``lattice``
 alone, by its int rule and its rational rule; the eighth lint keeps every
 other module from testing a value against ``bool`` or ``float`` itself.
 The form-space color classes ``D<i>`` are written by one rule, in
-``spaces._coordinates``; the ninth lint keeps the model builders from
-writing any themselves, but for C(n,m,2), n >= 2, whose D1 is not a basis
-class.  A mapping space isomorphic to a form space (its twin) is that space
-renamed, so its builder writes only its class coordinates, -K and
-dictionary, and ``spaces`` takes the rest from the form space's builder;
-the tenth lint keeps the twin builders from restating any of it.  Every
+``spaces._coordinates``; the ninth lint keeps the five model builders (one
+for the C and secS towers, one for the Q and secV towers, one per mapping
+space) from writing any themselves, but for C(n,m,2), n >= 2, and its secS
+name, whose D1 is not a basis class.  A mapping space isomorphic to a form
+space (its twin) is that space renamed, so its builder writes only its
+class coordinates, -K and dictionary, and ``spaces`` takes the rest from
+the form space's builder; the tenth lint keeps the twin builders from
+restating any of it.  Every
 record is a dataclass over ``lattice._Record``, declared with no generated
 method, because generating six methods for each of two dozen frozen
 dataclasses was most of what a command line call spent importing the
@@ -261,7 +263,7 @@ def test_model_builders_leave_the_colors_to_the_color_rule():
         exempt = {
             id(node)
             for branch in ast.walk(builder)
-            if builder.name == "_collineations_model"
+            if builder.name == "_pair_tower_model"
             and isinstance(branch, ast.If)
             and ast.unparse(branch.test) == "h == 2 and n >= 2"
             for statement in branch.body
@@ -274,7 +276,7 @@ def test_model_builders_leave_the_colors_to_the_color_rule():
             for key in node.keys
             if isinstance(key, ast.Constant) and re.fullmatch(r"D\d+", str(key.value))
         ]
-    assert len(builders) == 7
+    assert len(builders) == 5
     assert found == []
 
 

@@ -242,14 +242,64 @@ def test_rank_splits_into_boundary_and_orbit_free_rank():
             assert model.picard_rank == len(model.boundary) + orbit.free_rank
 
 
+def _full_tower_names(top):
+    """Each full tower with n <= m <= top: its C or Q name, a secS or secV name, and n.
+
+    A full tower takes all h-1 steps; at h = n+1 over square or symmetric
+    forms the last center is a divisor, so the first n-1 steps give it too.
+    """
+    for n in range(1, top + 1):
+        for h in range(2, n + 2):
+            for k in [h - 1] + ([n - 1] if h == n + 1 and n >= 2 else []):
+                yield Quadrics(n, h), VeroneseBlowup(n, h, k), n
+                for m in range(n, top + 1) if k == h - 1 else [n]:
+                    yield Collineations(n, m, h), SegreBlowup(n, m, h, k), n
+
+
+def _named_by_its_steps(data, n):
+    """A full tower's to_dict under the label rule of a name with n-1 of its n steps:
+    the boundary class E_n is that name's color D_{n+1}."""
+    top, color = "E%d" % n, "D%d" % (n + 1)
+
+    def renamed(labels):
+        return None if labels is None else [color if label == top else label for label in labels]
+
+    return {
+        **data,
+        "boundary": [label for label in data["boundary"] if label != top],
+        "colors": data["colors"] + [color],
+        "classes": dict(zip(renamed(data["classes"]), data["classes"].values())),
+        **{
+            key: renamed(data[key])
+            for key in ("effective_generators", "nef_generators", "moving_generators")
+        },
+    }
+
+
 def test_partial_tower_at_full_height_matches_the_complete_space():
-    # with k = n-1 the one missing center is a divisor, so the partial
-    # symmetric tower is the complete space and the ranks must agree
-    for n in range(2, 7):
-        partial = build_model(VeroneseBlowup(n, n + 1, n - 1))
-        complete = build_model(Quadrics(n, n + 1))
-        assert partial.picard_rank == complete.picard_rank
-        assert partial.dimension == complete.dimension
+    # every full tower gives the same answers under both its names, but for
+    # the orbit Picard group, which only the complete-form name records
+    pairs = list(_full_tower_names(8))
+    assert len(pairs) == 170
+    for complete, partial, n in pairs:
+        want = build_model(complete).to_dict()
+        got = build_model(partial).to_dict()
+        if partial.k < partial.h - 1:
+            want = _named_by_its_steps(want, n)
+        for data in (want, got):
+            del data["name"], data["parameters"]
+        assert got == want, partial
+        if got["basis"] is not None:
+            assert mori_chambers(partial).chambers == mori_chambers(complete).chambers
+            assert classify_positivity(partial) is classify_positivity(complete)
+        assert automorphism_group(partial) == automorphism_group(complete)
+        orbit_picard_group(complete)
+        with pytest.raises(OutOfScope):
+            orbit_picard_group(partial)
+    # the admitted secV(1,3;k=1) blows the plane up along a conic divisor
+    plane = build_model(VeroneseBlowup(1, 3, 1)).to_dict()
+    unnamed = {"name": None, "parameters": None}
+    assert {**plane, **unnamed} == {**build_model(Quadrics(1, 2)).to_dict(), **unnamed}
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +431,8 @@ CHAMBER_COUNTS = [
     (VeroneseBlowup(3, 4, 2), 9),
     (VeroneseBlowup(6, 4, 2), 9),
     (VeroneseBlowup(1, 3, 1), 1),
+    (Quadrics(3, 4), 9),
+    (SegreBlowup(2, 3, 2, 1), 3),
     (KontsevichP(1), 1),
     (KontsevichP(2), 3),
     (KontsevichP(5), 3),
@@ -398,7 +450,13 @@ def test_chamber_counts_match_the_recorded_values():
 
 
 def test_nef_cone_is_one_of_the_chambers():
-    for kind in [Quadrics(4, 3), Collineations(2, 3, 2), VeroneseBlowup(4, 4, 2)]:
+    for kind in [
+        Quadrics(4, 3),
+        Collineations(2, 3, 2),
+        VeroneseBlowup(4, 4, 2),
+        Quadrics(3, 4),
+        SegreBlowup(2, 3, 2, 1),
+    ]:
         decomposition = mori_chambers(kind)
         nef = nef_cone(kind)
         assert sum(1 for c in decomposition.chambers if c == nef) == 1
@@ -465,6 +523,7 @@ def test_positivity_table_for_the_two_step_symmetric_model():
 
 def test_positivity_table_for_the_quadric_model():
     assert classify_positivity(Quadrics(2, 3)) is PositivityClass.FANO
+    assert classify_positivity(Quadrics(3, 4)) is PositivityClass.FANO
     assert classify_positivity(Quadrics(3, 3)) is PositivityClass.WEAK_FANO
     for n in range(4, 10):
         assert classify_positivity(Quadrics(n, 3)) is PositivityClass.FANO
