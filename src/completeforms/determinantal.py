@@ -3,22 +3,34 @@
 Every closed form lives in :mod:`completeforms.secants` and is re-exported
 here; this module only enumerates.
 The finite-field routines enumerate *every* matrix of the requested format
-over F_q, in numpy chunks of at most ``_CHUNK`` matrices, cut along the base-q
-digits of the matrix index so that the low digits are decoded once per walk.
-The census and the lemma checks share one rank kernel: it walks the
-combinations of the rows on a matrix's shorter side in Gray-code order, one
-row added per step (an XOR of bit masks over F_2), and reads the rank off the
-number of zero combinations.  A census of a tall format walks its transpose,
-which has the same ranks, so it always ranks rows; only the lemma checks,
-which must keep each matrix's index, gather columns.
+over F_q, in chunks of at most ``_CHUNK`` matrices cut along the base-q
+digits of the matrix index, so that the low digits are decoded once per
+walk.  Over F_2 a chunk is bit-sliced on Python ints, one int per entry
+position whose bit t is that entry of the chunk's t-th matrix; over odd q it
+is a numpy digit array.  Each engine has one rank kernel: it walks the
+combinations of the lines on a matrix's shorter side in Gray-code order, one
+line added per step (over F_2 an XOR of ints), and reads the rank off the
+number of zero combinations, which over F_2 a bit-sliced counter holds and
+a popcount tallies.  A census of a tall format walks its transpose, which
+has the same ranks, so it always ranks rows; the lemma checks, which must
+keep each matrix's index, rank columns too.
 Both lemma checks are one walk: dependent first rows or columns always make
 the leading minor vanish, so the rank-minor lemma is the forward half of the
 component split.  All enumeration is bounded by ``ENUMERATION_BUDGET`` matrices.
+
+numpy is imported at module level although the F_2 engine never uses it.
+Importing it lazily would only move its cost (about 0.16 s) from loading
+this module into the first odd-q check of a process, and a process that
+loads the module once and runs many checks (the benchmark's verify worker)
+would pay more there than the F_2 engine saves it.  The command line already
+defers importing this module until a check needs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_, xor
 
 import numpy as np
 
@@ -80,14 +92,19 @@ class RankCensus(_Record):
         }
 
 
-# ------------------------------------------------------------ rank kernel
+# ------------------------------------------------------------ rank kernels
 #
-# A chunk of matrices is held as its rows: over F_2 row i is a uint32 bit
-# mask (bit j is entry (i, j)), over odd q it is a (b, n) digit array.  One
-# walk fills one such buffer: the low index digits once, the higher digits
-# chunk by chunk.  Every rank the module needs is the rank of a slice of
-# those rows or of the matching columns, and one kernel computes them all; it
-# reads each rank off the kernel size by table lookup.
+# Two engines share one walk order.  Over F_2 a chunk of 2^c consecutive
+# matrices is one Python int per entry: bit t is that entry of matrix lo + t.
+# Over odd q a chunk is a (rows, cols, n) numpy digit array (odd digits packed
+# into ints, with a guard bit per lane, ranked 2.8-6x slower).  One walk fills
+# the chunks, the low index digits once and the higher digits chunk by chunk.
+# Every rank the module needs is the rank of some rows or columns of a chunk,
+# and each engine has one kernel that computes them all: a Gray walk over the
+# combinations of the lines that counts the zero ones.  The odd-q kernel
+# reads each rank off that count by table lookup; the F_2 kernel keeps the
+# count bit-sliced, one int per binary digit.  The split reads both engines'
+# flags as int bit masks, bit t for matrix lo + t.
 
 
 def _positions(a: int, b: int, symmetric: bool):
@@ -96,10 +113,81 @@ def _positions(a: int, b: int, symmetric: bool):
     return [(i, j) for i in range(a) for j in range(i if symmetric else 0, b)]
 
 
+def _f2_walk(a: int, b: int, symmetric: bool):
+    """Every a x b matrix over F_2, in chunks: yields ``(lo, n, entries)``, where
+    ``entries[i][j]`` is an int whose bit t is entry (i, j) of matrix lo + t,
+    for the n = 2^c matrices of the chunk.
+
+    Index t encodes the entries as bits, position (i, j) at bit i*b + j (the
+    symmetric encoding runs over the upper triangle, and (j, i) shares the
+    int of (i, j)).  A chunk holds 2^c consecutive matrices, for c the number
+    of positions or log2 ``_CHUNK``, whichever is smaller.  Its c low
+    positions are the same periodic patterns in every chunk, built once by
+    doubling; each higher position is 0 or all ones over the chunk.
+    """
+    positions = _positions(a, b, symmetric)
+    c = min(len(positions), _CHUNK.bit_length() - 1)
+    n = 1 << c
+    ones = (1 << n) - 1
+    low = []
+    for p in range(c):
+        pattern, period = ((1 << (1 << p)) - 1) << (1 << p), 2 << p
+        while period < n:
+            pattern |= pattern << period
+            period <<= 1
+        low.append(pattern)
+    for high in range(1 << (len(positions) - c)):
+        entries = [[0] * b for _ in range(a)]
+        for p, (i, j) in enumerate(positions):
+            entries[i][j] = low[p] if p < c else ones if high >> (p - c) & 1 else 0
+        if symmetric:
+            for i, j in positions:
+                entries[j][i] = entries[i][j]
+        yield high << c, n, entries
+
+
+def _f2_kernels(lines, n: int) -> list[int]:
+    """Kernel sizes of the n matrices spanned by ``lines`` (s lists of ints, as
+    ``_f2_walk`` holds them), bit-sliced: bit t of ``counter[j]`` is set when
+    matrix t has a kernel of 2^j combinations, that is, rank s - j.
+
+    Walks the 2^s combinations of the lines in Gray-code order, one line
+    XORed in per step, and adds the mask of the matrices where the
+    combination is zero into a counter of s + 1 ints by ripple carry.  A
+    kernel is a subspace, so its size is a power of two and each matrix has
+    exactly one counter bit set.
+    """
+    ones = (1 << n) - 1
+    combo = None  # the empty combination, which is zero
+    counter = [ones] + [0] * len(lines)
+    for i in _gray_steps(2, len(lines)):
+        combo = list(map(xor, combo, lines[i])) if combo else lines[i]
+        carry = ones ^ reduce(or_, combo)
+        for j, bits in enumerate(counter):
+            if not carry:
+                break
+            counter[j], carry = bits ^ carry, bits & carry
+    return counter
+
+
+def _f2_flags(entries, n: int, k: int):
+    """The split flags of an F_2 chunk as bit masks: rank <= k, leading k-minor
+    zero, first k rows dependent, first k columns dependent."""
+    ones = (1 << n) - 1
+    columns = [list(column) for column in zip(*entries)]
+    lines = min(entries, columns, key=len)
+    return (
+        reduce(or_, _f2_kernels(lines, n)[len(lines) - k:]),
+        ones ^ _f2_kernels([row[:k] for row in entries[:k]], n)[0],
+        ones ^ _f2_kernels(entries[:k], n)[0],
+        ones ^ _f2_kernels(columns[:k], n)[0],
+    )
+
+
 def _walk(q: int, a: int, b: int, symmetric: bool):
-    """Every matrix of the format, in chunks: yields ``(lo, rows)``, the rows of
-    matrices lo, lo+1, ... as an (a, n) uint32 mask array over F_2, else as
-    (a, b, n) digits.
+    """Every matrix of the format over an odd F_q, in chunks: yields
+    ``(lo, digits)``, the entries of matrices lo, lo+1, ... as an (a, b, n)
+    digit array.
 
     Index t encodes the entries as base-q digits, position (i, j) at digit
     i*b + j (row major, least significant first).  The symmetric encoding
@@ -108,7 +196,7 @@ def _walk(q: int, a: int, b: int, symmetric: bool):
     the largest c that cuts the walk into no more chunks than pieces of
     ``_CHUNK`` would.  Every block has the same c low digits, so they are
     written once per walk into one buffer, and a chunk rewrites only the
-    higher digits that changed, one value per block.  ``rows`` is that
+    higher digits that changed, one value per block.  ``digits`` is that
     buffer, overwritten by the next chunk.
     """
     cells = [{(i, j), (j, i)} if symmetric else {(i, j)} for i, j in _positions(a, b, symmetric)]
@@ -119,17 +207,11 @@ def _walk(q: int, a: int, b: int, symmetric: bool):
         c -= 1
     block, blocks = q**c, q ** (npos - c)
     run = min(_CHUNK // block, blocks)
-    if q == 2:
-        rows = np.zeros((a, run * block), dtype=np.uint32)
-    else:
-        # uint8 holds the sum of two digits for q <= 127, which _ranks relies on
-        rows = np.zeros((a, b, run * block), dtype=np.min_scalar_type(2 * (q - 1)))
+    # uint8 holds the sum of two digits for q <= 127, which _ranks relies on
+    digits = np.zeros((a, b, run * block), dtype=np.min_scalar_type(2 * (q - 1)))
     for p in range(c):
         for i, j in cells[p]:
-            if q == 2:
-                rows[i].reshape(-1, 2, 1 << p)[:, 1] |= 1 << j
-            else:
-                rows[i, j].reshape(-1, q, q**p)[:] = np.arange(q)[:, None]
+            digits[i, j].reshape(-1, q, q**p)[:] = np.arange(q)[:, None]
     held = np.zeros((npos - c, run), dtype=np.uint32)  # the digits from c up, per block
     for first in range(0, blocks, run):
         count = min(run, blocks - first)
@@ -141,30 +223,9 @@ def _walk(q: int, a: int, b: int, symmetric: bool):
             if (digit == old).all():
                 continue
             for i, j in cells[p]:
-                if q == 2:
-                    rows[i, :n].reshape(count, block)[:] ^= ((digit ^ old) << j)[:, None]
-                else:
-                    rows[i, j, :n].reshape(count, block)[:] = digit[:, None]
+                digits[i, j, :n].reshape(count, block)[:] = digit[:, None]
             old[:] = digit
-        yield first * block, rows[..., :n]
-
-
-def _columns(rows: np.ndarray, q: int, count: int) -> np.ndarray:
-    """The first ``count`` columns of the matrices, in the layout of ``rows``."""
-    if q != 2:
-        return rows[:, :count].swapaxes(0, 1)
-    cols = np.zeros((count, rows.shape[1]), dtype=np.uint32)
-    for j in range(count):
-        for i, row in enumerate(rows):
-            cols[j] |= ((row >> j) & 1) << i
-    return cols
-
-
-def _leading(rows: np.ndarray, q: int, k: int) -> np.ndarray:
-    """The leading k x k blocks of the matrices."""
-    if q == 2:
-        return rows[:k] & ((1 << k) - 1)
-    return rows[:k, :k]
+        yield first * block, digits[..., :n]
 
 
 def _gray_steps(q: int, s: int) -> list[int]:
@@ -184,7 +245,7 @@ def _gray_steps(q: int, s: int) -> list[int]:
 
 
 def _ranks(lines: np.ndarray, q: int) -> np.ndarray:
-    """Rank of each matrix spanned by ``lines`` (first axis: the s lines).
+    """Rank of each matrix spanned by ``lines`` (first axis: the s lines), over odd q.
 
     Walks the q^s combinations of the lines in Gray-code order, one line
     added per step, and counts the zero ones: the kernel of a rank-r
@@ -195,17 +256,25 @@ def _ranks(lines: np.ndarray, q: int) -> np.ndarray:
     combo = np.zeros_like(lines[0])
     kernel = np.ones(combo.shape[-1], dtype=np.min_scalar_type(q**s))
     for i in _gray_steps(q, s):
-        if q == 2:
-            combo ^= lines[i]
-            kernel += combo == 0
-        else:
-            combo += lines[i]
-            # unsigned: combo - q wraps above combo exactly when combo < q
-            np.minimum(combo, combo - q, out=combo)
-            kernel += ~combo.any(axis=0)
+        combo += lines[i]
+        # unsigned: combo - q wraps above combo exactly when combo < q
+        np.minimum(combo, combo - q, out=combo)
+        kernel += ~combo.any(axis=0)
     rank = np.zeros(q**s + 1, dtype=np.uint8)
     rank[[q**j for j in range(s + 1)]] = range(s, -1, -1)
     return rank.take(kernel)
+
+
+def _flags(digits: np.ndarray, q: int, k: int):
+    """The split flags of an odd-q chunk, as bit masks like ``_f2_flags``."""
+    columns = digits.swapaxes(0, 1)
+    flags = (
+        _ranks(min(digits, columns, key=len), q) <= k,
+        _ranks(digits[:k, :k], q) < k,
+        _ranks(digits[:k], q) < k,
+        _ranks(columns[:k], q) < k,
+    )
+    return tuple(int.from_bytes(np.packbits(f, bitorder="little").tobytes(), "little") for f in flags)
 
 
 def _matrix(index: int, q: int, a: int, b: int, symmetric: bool) -> list[list[int]]:
@@ -229,9 +298,16 @@ def rank_census(a: int, b: int, q: int, symmetric: bool = False) -> RankCensus:
     always ranks the shorter side's rows; the result keeps ``a`` and ``b``.
     """
     _census_preconditions(a, b, q, symmetric)
-    tallies = np.zeros(min(a, b) + 1, dtype=np.int64)
-    for _, rows in _walk(q, min(a, b), max(a, b), symmetric):
-        tallies += np.bincount(_ranks(rows, q), minlength=len(tallies))
+    s, l = min(a, b), max(a, b)
+    if q == 2:
+        tallies = [0] * (s + 1)
+        for _, n, entries in _f2_walk(s, l, symmetric):
+            for j, size in enumerate(_f2_kernels(entries, n)):
+                tallies[s - j] += size.bit_count()
+    else:
+        tallies = np.zeros(s + 1, dtype=np.int64)
+        for _, digits in _walk(q, s, l, symmetric):
+            tallies += np.bincount(_ranks(digits, q), minlength=s + 1)
     counts = tuple((r, int(c)) for r, c in enumerate(tallies))
     return RankCensus(a, b, q, symmetric, counts)
 
@@ -256,24 +332,26 @@ def _split_tallies(a: int, b: int, k: int, q: int, symmetric: bool):
     if not (1 <= k <= min(a, b)):
         raise ValueError("need 1 <= k <= min(a, b), got k=%d a=%d b=%d" % (k, a, b))
     total = _census_preconditions(a, b, q, symmetric)
-    tallies = np.zeros(len(_SPLIT_COUNTS), dtype=np.int64)
+    if q == 2:
+        chunks = ((lo, _f2_flags(entries, n, k)) for lo, n, entries in _f2_walk(a, b, symmetric))
+    else:
+        chunks = ((lo, _flags(digits, q, k)) for lo, digits in _walk(q, a, b, symmetric))
+    tallies = [0] * len(_SPLIT_COUNTS)
     failure = asymmetric = None
-    for lo, rows in _walk(q, a, b, symmetric):
-        low_rank = _ranks(rows if a <= b else _columns(rows, q, b), q) <= k
-        det_zero = _ranks(_leading(rows, q, k), q) < k
-        h1 = _ranks(rows[:k], q) < k
-        h2 = _ranks(_columns(rows, q, k), q) < k
-        wrong = low_rank & (det_zero != (h1 | h2))
-        stop = int(wrong.argmax()) + 1 if wrong.any() else rows.shape[-1]
-        flags = np.array([low_rank, det_zero, h1, h2, h1 & h2])[:, :stop]
-        tallies += np.count_nonzero(flags & low_rank[:stop], axis=1)
-        if wrong[stop - 1]:
-            failure = lo + stop - 1
+    for lo, (low_rank, det_zero, h1, h2) in chunks:
+        wrong = low_rank & (det_zero ^ (h1 | h2))
+        if wrong:
+            offset = (wrong & -wrong).bit_length() - 1
+            low_rank &= (2 << offset) - 1
+        for i, flag in enumerate((low_rank, det_zero, h1, h2, h1 & h2)):
+            tallies[i] += (flag & low_rank).bit_count()
+        if wrong:
+            failure = lo + offset
             break
         if symmetric and asymmetric is None:
-            split = low_rank & (h1 != h2)
-            asymmetric = lo + int(split.argmax()) if split.any() else None
-    counts = dict(zip(_SPLIT_COUNTS, map(int, tallies)))
+            split = low_rank & (h1 ^ h2)
+            asymmetric = lo + (split & -split).bit_length() - 1 if split else None
+    counts = dict(zip(_SPLIT_COUNTS, tallies))
     index = asymmetric if failure is None else failure
     if index is None:
         return total, counts, None

@@ -9,9 +9,9 @@ that specialize them.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import comb, isqrt, prod
 
-import numpy as np
 import pytest
 
 from completeforms import determinantal, secants
@@ -323,15 +323,18 @@ def test_lemma_preconditions():
 # ---------------------------------------------------------------- chunked walk
 #
 # The walk cuts the matrices into digit-aligned chunks of at most
-# determinantal._CHUNK: runs of blocks of q^c matrices that share their c low
-# digits.  These tests shrink the chunk so every call spans several chunks,
-# and over an odd q ends in a partial run (over F_2 no chunk is partial), and
-# pin the results to closed forms.
+# determinantal._CHUNK: over an odd q runs of blocks of q^c matrices that
+# share their c low digits, over F_2 blocks of 2^c matrices held bit-sliced.
+# These tests shrink the chunk so every call spans several chunks, and over
+# an odd q ends in a partial run (over F_2 no chunk is partial), and pin the
+# results to closed forms.
 
 
 def walked_chunks(q, a, b, symmetric=False):
     """(first index, matrix count) of each chunk the walk yields."""
-    return [(lo, rows.shape[-1]) for lo, rows in determinantal._walk(q, a, b, symmetric)]
+    if q == 2:
+        return [(lo, n) for lo, n, _ in determinantal._f2_walk(a, b, symmetric)]
+    return [(lo, digits.shape[-1]) for lo, digits in determinantal._walk(q, a, b, symmetric)]
 
 
 def small_chunks(monkeypatch, a, b, q, symmetric=False):
@@ -416,10 +419,26 @@ def test_chunked_symmetric_split_matches_closed_form(n, k, q, monkeypatch):
     assert split.counts == dict(split_closed_form(n, n, k, q, True), matrices=q ** (n * (n + 1) // 2))
 
 
-def forced_zero_minor(monkeypatch):
+SPLIT_FLAGS = ("low_rank", "det_zero", "h1", "h2")
+
+
+def forced_flags(monkeypatch, **forced):
+    """Make the named split flags of every chunk read the same for every
+    matrix, over F_2 and over odd q alike: -1 (every bit set) for true, 0 for
+    false.  Both engines hand the split their flags as bit masks."""
+    for seam in ("_f2_flags", "_flags"):
+        engine = getattr(determinantal, seam)
+
+        def flags(*args, engine=engine):
+            return tuple(forced.get(name, mask) for name, mask in zip(SPLIT_FLAGS, engine(*args)))
+
+        monkeypatch.setattr(determinantal, seam, flags)
+
+
+def forced_zero_minor(monkeypatch, **forced):
     """Make every leading minor read as zero, so the first matrix of rank
     <= k with independent first rows and columns becomes a counterexample."""
-    monkeypatch.setattr(determinantal, "_leading", lambda rows, q, k: rows[:k] * 0)
+    forced_flags(monkeypatch, det_zero=-1, **forced)
     monkeypatch.setattr(determinantal, "_CHUNK", 1)
 
 
@@ -440,19 +459,11 @@ def test_counts_stop_at_the_first_counterexample(q, monkeypatch):
                             "h2": 1, "overlap": 1}
 
 
-def identity_minor(rows, q, k):
-    """Leading blocks that are all the identity, so no leading minor vanishes."""
-    n = rows.shape[-1]
-    if q == 2:
-        return np.array([np.full(n, 1 << i, dtype=rows.dtype) for i in range(k)])
-    return np.repeat(np.eye(k, dtype=rows.dtype)[:, :, None], n, axis=2)
-
-
 @pytest.mark.parametrize("q", [2, 3])
 def test_lemma_fails_when_dependent_slices_keep_the_minor(q, monkeypatch):
     # the zero matrix has dependent first rows and columns, so its minor must
-    # vanish; a kernel that reads it as nonzero is caught at index 0
-    monkeypatch.setattr(determinantal, "_leading", identity_minor)
+    # vanish; a kernel that reads no minor as zero is caught at index 0
+    forced_flags(monkeypatch, det_zero=0)
     lemma = verify_rank_minor_lemma(2, 2, 1, q)
     assert not lemma.passed
     assert lemma.counterexample == {"matrix": [[0, 0], [0, 0]], "index": 0}
@@ -461,19 +472,111 @@ def test_lemma_fails_when_dependent_slices_keep_the_minor(q, monkeypatch):
 
 
 def test_symmetric_split_reports_the_first_asymmetric_index(monkeypatch):
-    forced_zero_minor(monkeypatch)
-    monkeypatch.setattr(determinantal, "_columns", lambda rows, q, count: rows[:count] * 0)
+    forced_zero_minor(monkeypatch, h2=-1)
     # every first column now reads as dependent; index 1 ([[1, 0], [0, 0]])
-    # is the first matrix of the rank <= 1 locus whose first row is not
-    split = verify_component_split(2, 2, 1, 2, symmetric=True)
-    assert not split.passed
-    assert split.counterexample == {
-        "matrix": [[1, 0], [0, 0]],
-        "index": 1,
-        "reason": "asymmetric split in symmetric mode",
-    }
-    assert split.counts == {"matrices": 8, "rank_locus": 4, "det_zero": 4, "h1": 2, "h2": 4,
-                            "overlap": 2}
+    # is the first matrix of the rank <= 1 locus whose first row is not.  The
+    # locus is the zero matrix and the rank-1 ones (3 over F_2, 8 over F_3);
+    # the first row is zero on q of them.
+    for q, locus in ((2, 4), (3, 9)):
+        split = verify_component_split(2, 2, 1, q, symmetric=True)
+        assert not split.passed
+        assert split.counterexample == {
+            "matrix": [[1, 0], [0, 0]],
+            "index": 1,
+            "reason": "asymmetric split in symmetric mode",
+        }
+        assert split.counts == {"matrices": q**3, "rank_locus": locus, "det_zero": locus,
+                                "h1": q, "h2": locus, "overlap": q}
+
+
+# ---------------------------------------------------------------- F_2 engine
+#
+# The bit-sliced F_2 engine against the naive rank above, which shares no
+# code with it: every format of at most 2^12 matrices, general and
+# symmetric, at the real chunk and at a chunk that cuts every walk into at
+# least three pieces (both matrices apart where there are only two).
+
+F2_FORMATS = [(a, b, False) for a in range(1, 13) for b in range(1, 12 // a + 1)]
+F2_FORMATS += [(n, n, True) for n in range(1, 5)]
+
+
+@cache
+def naive_f2_flags(a, b, symmetric):
+    """Per matrix, in index order: its naive rank and, for each k, whether its
+    leading k-minor vanishes, its first k rows are dependent and its first k
+    columns are dependent."""
+    positions = [(i, j) for i in range(a) for j in range(i if symmetric else 0, b)]
+    table = []
+    for t in range(2 ** len(positions)):
+        m = [[0] * b for _ in range(a)]
+        for pos, (i, j) in enumerate(positions):
+            m[i][j] = t >> pos & 1
+            if symmetric:
+                m[j][i] = m[i][j]
+        cols = [list(col) for col in zip(*m)]
+        flags = {
+            k: (naive_rank_mod([row[:k] for row in m[:k]], 2) < k,
+                naive_rank_mod(m[:k], 2) < k,
+                naive_rank_mod(cols[:k], 2) < k)
+            for k in range(1, min(a, b) + 1)
+        }
+        table.append((naive_rank_mod(m, 2), flags))
+    return table
+
+
+@pytest.fixture(params=["real", "small"])
+def f2_chunk(request, monkeypatch):
+    """Leaves ``_CHUNK`` as it is, or shrinks it to a quarter of the walk."""
+    def chunk(a, b, symmetric):
+        if request.param == "small":
+            npos = a * (a + 1) // 2 if symmetric else a * b
+            monkeypatch.setattr(determinantal, "_CHUNK", max(1, 2 ** (npos - 2)))
+            assert len(walked_chunks(2, a, b, symmetric)) == min(4, 2**npos)
+    return chunk
+
+
+@pytest.mark.parametrize("a,b,symmetric", F2_FORMATS)
+def test_f2_census_matches_the_naive_rank(a, b, symmetric, f2_chunk):
+    f2_chunk(a, b, symmetric)
+    ranks = [rank for rank, _ in naive_f2_flags(a, b, symmetric)]
+    census = rank_census(a, b, 2, symmetric).as_dict()
+    assert census == {r: ranks.count(r) for r in range(min(a, b) + 1)}
+
+
+@pytest.mark.parametrize("a,b,symmetric", F2_FORMATS)
+def test_f2_lemma_and_split_match_the_naive_rank(a, b, symmetric, f2_chunk):
+    f2_chunk(a, b, symmetric)
+    table = naive_f2_flags(a, b, symmetric)
+    for k in range(1, min(a, b) + 1):
+        locus = [flags[k] for rank, flags in table if rank <= k]
+        # the lemma holds, so both checks must pass
+        assert all(det_zero == (h1 or h2) for det_zero, h1, h2 in locus)
+        want = {
+            "rank_locus": len(locus),
+            "det_zero": sum(det_zero for det_zero, _, _ in locus),
+            "h1": sum(h1 for _, h1, _ in locus),
+            "h2": sum(h2 for _, _, h2 in locus),
+            "overlap": sum(h1 and h2 for _, h1, h2 in locus),
+        }
+        split = verify_component_split(a, b, k, 2, symmetric)
+        assert (split.passed, split.counterexample) == (True, None)
+        assert split.counts == dict(want, matrices=len(table))
+        if not symmetric:
+            lemma = verify_rank_minor_lemma(a, b, k, 2)
+            assert (lemma.passed, lemma.counterexample) == (True, None)
+            assert lemma.counts == {"matrices": len(table), "candidates": want["det_zero"],
+                                    "rows_degenerate": want["h1"], "cols_degenerate": want["h2"]}
+
+
+@pytest.mark.parametrize("a,b", [(4, 6), (3, 8)])
+def test_f2_walks_at_the_budget_match_closed_forms(a, b):
+    # 2^24 matrices, the whole budget, in 64 chunks of the real size
+    assert len(walked_chunks(2, a, b)) == 64
+    census = rank_census(a, b, 2).as_dict()
+    assert census == {r: rank_count_closed_form(a, b, r, 2) for r in range(a + 1)}
+    split = verify_component_split(a, b, 2, 2)
+    assert split.passed
+    assert split.counts == dict(split_closed_form(a, b, 2, 2), matrices=2**24)
 
 
 # (a, b, q, symmetric, chunk): the low digit count c and the blocks per chunk
@@ -481,9 +584,10 @@ def test_symmetric_split_reports_the_first_asymmetric_index(monkeypatch):
 @pytest.mark.parametrize(
     "a,b,q,symmetric,chunk",
     [
-        pytest.param(2, 3, 2, False, 6, id="2-3-2-False"),  # c = 1, runs of 3 blocks
-        pytest.param(2, 2, 2, True, 2, id="2-2-2-True"),  # c = 1, one block per chunk
-        (3, 3, 2, True, 8),  # c = 3, one block per chunk
+        # over F_2 a chunk is one block of 2^c matrices, 2^c <= chunk
+        pytest.param(2, 3, 2, False, 6, id="2-3-2-False"),  # c = 2
+        pytest.param(2, 2, 2, True, 2, id="2-2-2-True"),  # c = 1
+        (3, 3, 2, True, 8),  # c = 3
         # c = 2, runs of 2 blocks, ending in a partial run
         pytest.param(2, 3, 3, False, 18, id="2-3-3-False"),
         pytest.param(2, 2, 3, True, 9, id="2-2-3-True"),  # c = 2, one block per chunk
@@ -495,19 +599,26 @@ def test_symmetric_split_reports_the_first_asymmetric_index(monkeypatch):
     ],
 )
 def test_reported_matrix_matches_the_decoded_rows(a, b, q, symmetric, chunk, monkeypatch):
-    # the counterexample decoder is pure Python; the walk decodes in numpy
+    # the counterexample decoder reads one index; the walks decode whole
+    # chunks, bit-sliced over F_2 and in numpy over odd q
     monkeypatch.setattr(determinantal, "_CHUNK", chunk)
     npos = a * (a + 1) // 2 if symmetric else a * b
+    if q == 2:
+        walk = (
+            (lo, [[[entry >> t & 1 for entry in row] for row in entries] for t in range(n)])
+            for lo, n, entries in determinantal._f2_walk(a, b, symmetric)
+        )
+    else:
+        walk = (
+            (lo, [digits[:, :, t].tolist() for t in range(digits.shape[-1])])
+            for lo, digits in determinantal._walk(q, a, b, symmetric)
+        )
     index = chunks = 0
-    for lo, rows in determinantal._walk(q, a, b, symmetric):
+    for lo, matrices in walk:
         assert lo == index
-        for offset in range(rows.shape[-1]):
-            if q == 2:
-                decoded = [[int(r >> j) & 1 for j in range(b)] for r in rows[:, offset]]
-            else:
-                decoded = rows[:, :, offset].tolist()
+        for offset, decoded in enumerate(matrices):
             assert determinantal._matrix(lo + offset, q, a, b, symmetric) == decoded
-        index += rows.shape[-1]
+        index += len(matrices)
         chunks += 1
     assert index == q**npos
     assert chunks > 2

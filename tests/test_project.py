@@ -1,14 +1,15 @@
 """Checks on the project as a whole: the demos, the README's Python examples
-and the package's docstring examples run, and twelve lints on src/.
+and the package's docstring examples run, and thirteen lints on src/.
 
 Invariants in the package must hold under ``python -O``, which strips
 ``assert`` statements, so they raise typed errors instead; the first lint
 keeps it that way.  Everything the catalog knows per space kind lives in its
 kind table and model builders, so ``spaces`` never tests a kind's class; the
 second lint keeps it that way.  The finite-field checks walk the matrices in
-two places only, the census and the one walk behind both lemma checks; the
-third lint keeps it that way.  Only that enumeration needs numpy, so the
-fourth lint keeps numpy out of every other module, and the fifth keeps every
+two places only, the census and the one walk behind both lemma checks, each
+with the F_2 walk or the odd-q walk; the third lint keeps it that way.  Only
+the odd-q enumeration needs numpy, so the fourth lint keeps numpy out of
+every other module, and the fifth keeps every
 module from importing ``determinantal`` when it is itself imported.  In
 ``cones`` only the spanned hyperplanes and the basis cones come from subsets
 of vectors; every other cone is cut from one it already has, and the sixth
@@ -36,9 +37,11 @@ for a named allow-list of hot classes that may keep a generated
 reason the command line imports neither the symbolic minors nor the
 enumeration (nor numpy) until a check needs them, which a fresh
 interpreter checks.  A census walks a tall format as its transpose, so it
-ranks rows alone; only the walk behind the lemma checks, which keeps each
-matrix's index, gathers the columns of a chunk, and the twelfth lint keeps
-it that way.
+ranks rows alone; only the split flags behind the lemma checks, which keep
+each matrix's index, take the columns of a chunk, and the twelfth lint keeps
+it that way.  Over F_2 the enumeration runs on Python ints, and the
+thirteenth lint keeps every F_2 code path of ``determinantal`` from naming
+numpy.
 """
 
 import ast
@@ -163,7 +166,8 @@ def callers(name):
 
 
 def test_matrices_are_walked_only_by_the_census_and_the_split_tally():
-    assert callers("_walk") == {"determinantal.rank_census", "determinantal._split_tallies"}
+    walkers = {"determinantal.rank_census", "determinantal._split_tallies"}
+    assert callers("_walk") == callers("_f2_walk") == walkers
 
 
 def test_only_the_enumeration_imports_numpy():
@@ -353,5 +357,49 @@ def test_every_dataclass_is_a_record_declared_without_generated_methods():
     assert len(declared) == 26
 
 
-def test_only_the_split_tally_gathers_columns():
-    assert callers("_columns") == {"determinantal._split_tallies"}
+def test_only_the_split_flags_take_the_columns_of_a_chunk():
+    """A transpose is ``swapaxes`` of a digit array, or ``zip(*entries)`` of the
+    ints of an F_2 chunk; only the two engines' split flags take one."""
+    found = set()
+    tree = ast.parse((PACKAGE / "determinantal.py").read_text(encoding="utf-8"))
+    for function in tree.body:
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "attr", None) == "swapaxes"
+                or getattr(node.func, "id", None) == "zip"
+                and any(isinstance(arg, ast.Starred) for arg in node.args)
+            ):
+                found.add(function.name)
+    assert found == {"_flags", "_f2_flags"}
+
+
+def test_no_f2_code_path_of_the_enumeration_names_numpy():
+    """From the public functions of ``determinantal``, follows every module
+    function they name, transitively, skipping the odd-q side of each
+    ``if q == 2``: nothing on that F_2 path may name ``np``."""
+    tree = ast.parse((PACKAGE / "determinantal.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def f2_nodes(node):
+        yield node
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "q == 2":
+            children = [node.test, *node.body]
+        else:
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            yield from f2_nodes(child)
+
+    pending = ["rank_census", "verify_rank_minor_lemma", "verify_component_split"]
+    reached, found = set(pending), []
+    while pending:
+        for node in f2_nodes(functions[pending.pop()]):
+            if isinstance(node, ast.Name) and node.id == "np":
+                found.append(node.lineno)
+            elif isinstance(node, ast.Name) and node.id in functions and node.id not in reached:
+                reached.add(node.id)
+                pending.append(node.id)
+    assert reached == {
+        "rank_census", "verify_rank_minor_lemma", "verify_component_split", "_split_tallies",
+        "_f2_walk", "_f2_kernels", "_f2_flags", "_gray_steps", "_positions", "_matrix",
+    }
+    assert found == []
