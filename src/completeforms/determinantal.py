@@ -247,21 +247,29 @@ def _gray_steps(q: int, s: int) -> list[int]:
 def _ranks(lines: np.ndarray, q: int) -> np.ndarray:
     """Rank of each matrix spanned by ``lines`` (first axis: the s lines), over odd q.
 
-    Walks the q^s combinations of the lines in Gray-code order, one line
-    added per step, and counts the zero ones: the kernel of a rank-r
-    matrix has exactly q^(s-r) elements, so a table indexed by that count
-    gives the rank.
+    Counts the zero combinations among the normalised ones, those whose last
+    nonzero coefficient is 1.  The nonzero kernel vectors of a rank-r matrix
+    fall into (q^(s-r) - 1)/(q - 1) lines through the origin of q - 1
+    multiples each, and each line holds exactly one normalised vector, so a
+    table indexed by that count gives the rank.  Block p starts from line p
+    and runs the Gray walk over lines 0..p-1, one line added per step: the
+    normalised combinations with last coefficient at p.  The s blocks make
+    (q^s - 1)/(q - 1) zero tests, against q^s - 1 for every combination.
     """
     s = len(lines)
-    combo = np.zeros_like(lines[0])
-    kernel = np.ones(combo.shape[-1], dtype=np.min_scalar_type(q**s))
-    for i in _gray_steps(q, s):
-        combo += lines[i]
-        # unsigned: combo - q wraps above combo exactly when combo < q
-        np.minimum(combo, combo - q, out=combo)
+    lines_through_origin = (q**s - 1) // (q - 1)
+    kernel = np.zeros(lines.shape[-1], dtype=np.min_scalar_type(lines_through_origin))
+    steps = _gray_steps(q, s - 1)
+    for p in range(s):
+        combo = lines[p].copy()
         kernel += ~combo.any(axis=0)
-    rank = np.zeros(q**s + 1, dtype=np.uint8)
-    rank[[q**j for j in range(s + 1)]] = range(s, -1, -1)
+        for i in steps[: q**p - 1]:
+            combo += lines[i]
+            # unsigned: combo - q wraps above combo exactly when combo < q
+            np.minimum(combo, combo - q, out=combo)
+            kernel += ~combo.any(axis=0)
+    rank = np.zeros(lines_through_origin + 1, dtype=np.uint8)
+    rank[[(q**j - 1) // (q - 1) for j in range(s + 1)]] = range(s, -1, -1)
     return rank.take(kernel)
 
 

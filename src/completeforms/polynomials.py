@@ -24,11 +24,12 @@ sorted once; only a symmetric minor, where z(i,j) and z(j,i) merge, counts
 its powers.  :meth:`SparsePoly.shift` expands a monomial in one pass:
 unshifted variables are copied as they are, the binomial factors
 C(e, t) s^(e-t) of a shifted variable are computed once per exponent (as
-ints when s is integral), a factor of 1 is not multiplied in, and each
-produced monomial is sorted once.  Values enter as ints or Fractions;
-floats and bools are refused rather than read as binary fractions.  The
-matrix format, the indices and the tangent-cone parameters are ints and not
-bools; both rules live in :mod:`completeforms.lattice`.
+ints when s is integral), a factor of 1 is not multiplied in, each
+produced monomial is sorted once, and the result is built from its terms
+directly, since every coefficient is a Fraction already.  Values enter as
+ints or Fractions; floats and bools are refused rather than read as binary
+fractions.  The matrix format, the indices and the tangent-cone parameters
+are ints and not bools; both rules live in :mod:`completeforms.lattice`.
 """
 
 from __future__ import annotations
@@ -274,7 +275,8 @@ class SparsePoly(_Record):
                 m = tuple(sorted(grown))
                 prev = out.get(m)
                 out[m] = c if prev is None else prev + c
-        return self._from_dict_like(out)
+        # every coefficient is already a Fraction, so from_dict's rule is skipped
+        return self._like(sorted((m, c) for m, c in out.items() if c))
 
     def evaluate(self, assignment: dict) -> Fraction:
         """Evaluate at a point; unassigned variables are an error."""

@@ -195,6 +195,19 @@ def test_census_report_names_its_parameters(capsys):
     assert report["counts"] == {"matrices": 64}
 
 
+def test_a_census_over_a_large_field_prints_the_closed_form(capsys):
+    # 4093^2 matrices, inside the budget; each is ranked by one zero test
+    code, out, _ = run_cli(
+        ["verify", "--check", "census", "--rows", "1", "--cols", "2", "--q", "4093"], capsys
+    )
+    assert code == 0
+    report = json.loads(out)["verifications"][0]
+    assert report["passed"] is True
+    assert report["counts"] == {"matrices": 4093**2}
+    want = {"0": 1, "1": 4093**2 - 1}
+    assert report["details"] == {"closed_form": want, "counts": want}
+
+
 def test_a_failing_report_exits_one(capsys, monkeypatch):
     """The exit status mirrors report.passed, exercised with a stub."""
     stub = VerificationReport(

@@ -489,64 +489,71 @@ def test_symmetric_split_reports_the_first_asymmetric_index(monkeypatch):
                                 "h1": q, "h2": locus, "overlap": q}
 
 
-# ---------------------------------------------------------------- F_2 engine
+# ---------------------------------------------------------------- naive oracle
 #
-# The bit-sliced F_2 engine against the naive rank above, which shares no
-# code with it: every format of at most 2^12 matrices, general and
-# symmetric, at the real chunk and at a chunk that cuts every walk into at
-# least three pieces (both matrices apart where there are only two).
+# Both engines against the naive rank above, which shares no code with
+# them: every format of at most 2^12 matrices over F_2, F_3, F_5 and F_7,
+# general and symmetric, at the real chunk and at a chunk of a quarter of
+# the walk, which cuts it into at least three pieces (over F_2 both matrices
+# apart where there are only two; over odd q the last piece may be partial).
 
-F2_FORMATS = [(a, b, False) for a in range(1, 13) for b in range(1, 12 // a + 1)]
-F2_FORMATS += [(n, n, True) for n in range(1, 5)]
+SMALL_WALK = 2**12
+
+
+def small_formats(q):
+    """(a, b, symmetric) of every format over F_q with at most 2^12 matrices."""
+    general = [(a, b, False) for a in range(1, 13) for b in range(1, 13) if q ** (a * b) <= SMALL_WALK]
+    return general + [(n, n, True) for n in range(1, 5) if q ** (n * (n + 1) // 2) <= SMALL_WALK]
+
+
+F2_FORMATS = small_formats(2)
+ODD_Q_FORMATS = [(a, b, q, symmetric) for q in (3, 5, 7) for a, b, symmetric in small_formats(q)]
 
 
 @cache
-def naive_f2_flags(a, b, symmetric):
+def naive_flags(a, b, q, symmetric):
     """Per matrix, in index order: its naive rank and, for each k, whether its
     leading k-minor vanishes, its first k rows are dependent and its first k
     columns are dependent."""
     positions = [(i, j) for i in range(a) for j in range(i if symmetric else 0, b)]
     table = []
-    for t in range(2 ** len(positions)):
+    for t in range(q ** len(positions)):
         m = [[0] * b for _ in range(a)]
         for pos, (i, j) in enumerate(positions):
-            m[i][j] = t >> pos & 1
+            m[i][j] = t // q**pos % q
             if symmetric:
                 m[j][i] = m[i][j]
         cols = [list(col) for col in zip(*m)]
         flags = {
-            k: (naive_rank_mod([row[:k] for row in m[:k]], 2) < k,
-                naive_rank_mod(m[:k], 2) < k,
-                naive_rank_mod(cols[:k], 2) < k)
+            k: (naive_rank_mod([row[:k] for row in m[:k]], q) < k,
+                naive_rank_mod(m[:k], q) < k,
+                naive_rank_mod(cols[:k], q) < k)
             for k in range(1, min(a, b) + 1)
         }
-        table.append((naive_rank_mod(m, 2), flags))
+        table.append((naive_rank_mod(m, q), flags))
     return table
 
 
 @pytest.fixture(params=["real", "small"])
-def f2_chunk(request, monkeypatch):
+def walk_chunk(request, monkeypatch):
     """Leaves ``_CHUNK`` as it is, or shrinks it to a quarter of the walk."""
-    def chunk(a, b, symmetric):
+    def chunk(a, b, q, symmetric):
         if request.param == "small":
-            npos = a * (a + 1) // 2 if symmetric else a * b
-            monkeypatch.setattr(determinantal, "_CHUNK", max(1, 2 ** (npos - 2)))
-            assert len(walked_chunks(2, a, b, symmetric)) == min(4, 2**npos)
+            total = q ** (a * (a + 1) // 2 if symmetric else a * b)
+            monkeypatch.setattr(determinantal, "_CHUNK", max(1, total // 4))
+            chunks = len(walked_chunks(q, a, b, symmetric))
+            assert chunks == -(-total // determinantal._CHUNK) >= min(3, total)
     return chunk
 
 
-@pytest.mark.parametrize("a,b,symmetric", F2_FORMATS)
-def test_f2_census_matches_the_naive_rank(a, b, symmetric, f2_chunk):
-    f2_chunk(a, b, symmetric)
-    ranks = [rank for rank, _ in naive_f2_flags(a, b, symmetric)]
-    census = rank_census(a, b, 2, symmetric).as_dict()
+def census_matches_the_naive_rank(a, b, q, symmetric):
+    ranks = [rank for rank, _ in naive_flags(a, b, q, symmetric)]
+    census = rank_census(a, b, q, symmetric).as_dict()
     assert census == {r: ranks.count(r) for r in range(min(a, b) + 1)}
 
 
-@pytest.mark.parametrize("a,b,symmetric", F2_FORMATS)
-def test_f2_lemma_and_split_match_the_naive_rank(a, b, symmetric, f2_chunk):
-    f2_chunk(a, b, symmetric)
-    table = naive_f2_flags(a, b, symmetric)
+def lemma_and_split_match_the_naive_rank(a, b, q, symmetric):
+    table = naive_flags(a, b, q, symmetric)
     for k in range(1, min(a, b) + 1):
         locus = [flags[k] for rank, flags in table if rank <= k]
         # the lemma holds, so both checks must pass
@@ -558,14 +565,38 @@ def test_f2_lemma_and_split_match_the_naive_rank(a, b, symmetric, f2_chunk):
             "h2": sum(h2 for _, _, h2 in locus),
             "overlap": sum(h1 and h2 for _, h1, h2 in locus),
         }
-        split = verify_component_split(a, b, k, 2, symmetric)
+        split = verify_component_split(a, b, k, q, symmetric)
         assert (split.passed, split.counterexample) == (True, None)
         assert split.counts == dict(want, matrices=len(table))
         if not symmetric:
-            lemma = verify_rank_minor_lemma(a, b, k, 2)
+            lemma = verify_rank_minor_lemma(a, b, k, q)
             assert (lemma.passed, lemma.counterexample) == (True, None)
             assert lemma.counts == {"matrices": len(table), "candidates": want["det_zero"],
                                     "rows_degenerate": want["h1"], "cols_degenerate": want["h2"]}
+
+
+@pytest.mark.parametrize("a,b,symmetric", F2_FORMATS)
+def test_f2_census_matches_the_naive_rank(a, b, symmetric, walk_chunk):
+    walk_chunk(a, b, 2, symmetric)
+    census_matches_the_naive_rank(a, b, 2, symmetric)
+
+
+@pytest.mark.parametrize("a,b,symmetric", F2_FORMATS)
+def test_f2_lemma_and_split_match_the_naive_rank(a, b, symmetric, walk_chunk):
+    walk_chunk(a, b, 2, symmetric)
+    lemma_and_split_match_the_naive_rank(a, b, 2, symmetric)
+
+
+@pytest.mark.parametrize("a,b,q,symmetric", ODD_Q_FORMATS)
+def test_odd_q_census_matches_the_naive_rank(a, b, q, symmetric, walk_chunk):
+    walk_chunk(a, b, q, symmetric)
+    census_matches_the_naive_rank(a, b, q, symmetric)
+
+
+@pytest.mark.parametrize("a,b,q,symmetric", ODD_Q_FORMATS)
+def test_odd_q_lemma_and_split_match_the_naive_rank(a, b, q, symmetric, walk_chunk):
+    walk_chunk(a, b, q, symmetric)
+    lemma_and_split_match_the_naive_rank(a, b, q, symmetric)
 
 
 @pytest.mark.parametrize("a,b", [(4, 6), (3, 8)])
@@ -648,3 +679,18 @@ def test_large_fields_take_64_chunks(a, q):
     # 1x2/F_4093 and 1x1/F_16777213 are inside the budget; chunks of q^c
     # matrices would make 4,093 of the first and 16.7M of the second
     assert len(walked_chunks(q, 1, a)) == 64
+
+
+@pytest.mark.parametrize(
+    "a,b,q,symmetric",
+    [(1, 2, 4093, False), (1, 1, 16777213, False), (1, 3, 251, False), (2, 2, 131, True)],
+)
+def test_large_fields_match_closed_forms(a, b, q, symmetric):
+    # inside the budget, and one zero test per line through the origin keeps
+    # them short: 1 per matrix where s = 1, q + 1 for the symmetric 2x2; over
+    # F_131 the digit sums no longer fit in uint8
+    census = rank_census(a, b, q, symmetric).as_dict()
+    if symmetric:
+        assert census == {r: symmetric_rank_count_closed_form(a, r, q) for r in range(a + 1)}
+    else:
+        assert census == {r: rank_count_closed_form(a, b, r, q) for r in range(min(a, b) + 1)}
