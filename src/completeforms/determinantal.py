@@ -7,13 +7,16 @@ over F_q, in chunks of at most ``_CHUNK`` matrices cut along the base-q
 digits of the matrix index, so that the low digits are decoded once per
 walk.  Over F_2 a chunk is bit-sliced on Python ints, one int per entry
 position whose bit t is that entry of the chunk's t-th matrix; over odd q it
-is a numpy digit array.  Each engine has one rank kernel: it walks the
-combinations of the lines on a matrix's shorter side in Gray-code order, one
-line added per step (over F_2 an XOR of ints), and reads the rank off the
-number of zero combinations, which over F_2 a bit-sliced counter holds and
-a popcount tallies.  A census of a tall format walks its transpose, which
-has the same ranks, so it always ranks rows; the lemma checks, which must
-keep each matrix's index, rank columns too.
+is a numpy digit array.  Each engine has one rank kernel: it walks
+combinations of the s lines on a matrix's shorter side in Gray-code order,
+one line added per step (over F_2 an XOR of ints), and reads the rank off
+the number of zero combinations, which over F_2 a bit-sliced counter holds
+and a popcount tallies.  Over odd q the kernel walks only the normalised
+combinations, whose last nonzero coefficient is 1: one per line through the
+origin, so (q^s - 1)/(q - 1) of them, and a rank-r matrix has
+(q^(s-r) - 1)/(q - 1) zero ones.  A census of a tall format walks its
+transpose, which has the same ranks, so it always ranks rows; the lemma
+checks, which must keep each matrix's index, rank columns too.
 Both lemma checks are one walk: dependent first rows or columns always make
 the leading minor vanish, so the rank-minor lemma is the forward half of the
 component split.  All enumeration is bounded by ``ENUMERATION_BUDGET`` matrices.
@@ -101,8 +104,12 @@ class RankCensus(_Record):
 # the chunks, the low index digits once and the higher digits chunk by chunk.
 # Every rank the module needs is the rank of some rows or columns of a chunk,
 # and each engine has one kernel that computes them all: a Gray walk over the
-# combinations of the lines that counts the zero ones.  The odd-q kernel
-# reads each rank off that count by table lookup; the F_2 kernel keeps the
+# combinations of the lines that counts the zero ones.  Over F_2 every
+# nonzero combination is its own line through the origin; over odd q the
+# nonzero multiples of a kernel vector are zero with it, so the kernel counts
+# one vector per line, the one whose last nonzero coefficient is 1, and makes
+# (q^s - 1)/(q - 1) zero tests per matrix, not q^s - 1.  The odd-q kernel
+# reads each rank off its count by table lookup; the F_2 kernel keeps the
 # count bit-sliced, one int per binary digit.  The split reads both engines'
 # flags as int bit masks, bit t for matrix lo + t.
 
