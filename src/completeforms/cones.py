@@ -31,11 +31,19 @@ cells into maximal chambers, the chamber of a cell being the intersection of
 the *basis* cones (cones over d linearly independent vectors of W) that
 contain it.  Everything is exact; ambient dimension is capped at 4, far
 beyond what the applications here need.
+
+Results are shared frozen records.  :func:`cone_from_rays` and
+:func:`gkz_decomposition` check their input on every call, then look the
+answer up in a bounded per-process memo keyed on the distinct primitive
+vectors and the ambient dimension, so the spaces of one family, which share
+a configuration, enumerate its cones and fan once.  A refusal is raised
+again on every call; it is never memoised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
@@ -47,7 +55,7 @@ from .errors import (
     NotFullDimensional,
     NotPointed,
 )
-from .lattice import _Record, _coerce_fraction, _row_reduce
+from .lattice import _Record, _coerce_fraction, _require_int, _row_reduce
 
 __all__ = [
     "RationalCone",
@@ -59,6 +67,12 @@ __all__ = [
 ]
 
 Vec = tuple[int, ...]
+
+# Bounds of the two memos.  Asking every query of two instances of each
+# space kind, and three random fans, needs 73 distinct cones and 7 distinct
+# fans; the bounds hold a few such rounds and no more.
+_CONE_MEMO = 256
+_FAN_MEMO = 32
 
 
 def primitive_vector(v: Iterable) -> Vec:
@@ -186,13 +200,16 @@ def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int | None = None) -> 
 
     Raises NotPointed when the rays span a cone containing a line, and
     DimensionMismatch on inconsistent vector lengths.  Redundant generators
-    are dropped; the stored rays are exactly the extreme ones.
+    are dropped; the stored rays are exactly the extreme ones.  The input is
+    checked on every call; the cone itself is memoised on its distinct
+    primitive rays, so equal input gives one shared record.
     """
     raw = [tuple(r) for r in rays]
     if ambient_dim is None:
         if not raw:
             raise ValueError("need ambient_dim for a cone with no rays")
         ambient_dim = len(raw[0])
+    _require_int(ambient_dim=ambient_dim)
     for r in raw:
         if len(r) != ambient_dim:
             raise DimensionMismatch(
@@ -201,8 +218,12 @@ def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int | None = None) -> 
     # the rational rule sees every ray, a zero one too, before zeros are dropped
     if not all(type(x) is int for r in raw for x in r):
         raw = [tuple(_coerce_fraction(x) for x in r) for r in raw]
-    prim = list(dict.fromkeys(primitive_vector(r) for r in raw if any(r)))
+    return _cone(tuple(dict.fromkeys(primitive_vector(r) for r in raw if any(r))), ambient_dim)
 
+
+@lru_cache(maxsize=_CONE_MEMO)
+def _cone(prim: tuple[Vec, ...], ambient_dim: int) -> RationalCone:
+    """:func:`cone_from_rays` on checked, distinct, nonzero primitive rays."""
     if not prim:
         span_normals = [tuple(1 if i == j else 0 for j in range(ambient_dim)) for i in range(ambient_dim)]
         normals = tuple(sorted(span_normals + [_neg(n) for n in span_normals]))
@@ -218,7 +239,7 @@ def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int | None = None) -> 
             candidates.add(_neg(n))
     in_span = sorted(candidates)
     if _rank(in_span) < ambient_dim - len(complement):
-        raise NotPointed("cone spanned by %s contains a line" % (prim,))
+        raise NotPointed("cone spanned by %s contains a line" % (list(prim),))
     extremes = [
         r
         for r in prim
@@ -325,15 +346,24 @@ def gkz_decomposition(
     rank) containing an interior point of it.  Basis cones suffice: that point
     lies on no spanned hyperplane, so by Caratheodory it lies in cone(S) only
     if it lies in cone(B) for some basis B in S.  Cells with equal basis-cone
-    signatures give one chamber.
+    signatures give one chamber.  The decomposition is memoised on the
+    distinct primitive vectors, after the rational rule and the dimension cap
+    have seen them, so equal configurations give one shared record.
     """
-    w = list(dict.fromkeys(primitive_vector(v) for v in vectors))
+    w = tuple(dict.fromkeys(primitive_vector(v) for v in vectors))
     if ambient_dim is None:
         ambient_dim = len(w[0]) if w else 0
+    _require_int(ambient_dim=ambient_dim)
     if ambient_dim > 4:
         raise AmbientTooLarge(
             "chamber decomposition capped at ambient dimension 4, got %d" % ambient_dim
         )
+    return _chamber_complex(w, ambient_dim)
+
+
+@lru_cache(maxsize=_FAN_MEMO)
+def _chamber_complex(w: tuple[Vec, ...], ambient_dim: int) -> ChamberDecomposition:
+    """:func:`gkz_decomposition` on checked, distinct primitive vectors."""
     support = cone_from_rays(w, ambient_dim)
     if not support.is_full_dimensional:
         raise NotFullDimensional("the configuration does not span the ambient space")

@@ -240,6 +240,15 @@ class SparsePoly(_Record):
         Uses the binomial expansion per variable power, so the cost stays
         proportional to the number of produced terms.
         """
+        return self._like(term for term, _ in self._shifted(shifts))
+
+    def _shifted(self, shifts: dict) -> list:
+        """The sorted nonzero terms of :meth:`shift`, each with its degree.
+
+        A produced monomial's degree is its fixed part's degree plus the
+        power picked for each shifted variable, so it is counted as the
+        monomial is built rather than summed again afterwards.
+        """
         # an integral shift enters as an int, so its binomial factors stay ints
         moved = {
             v: c.numerator if c.denominator == 1 else c for v, c in self._point(shifts).items() if c
@@ -247,36 +256,46 @@ class SparsePoly(_Record):
         # (z + s)^e contributes C(e,t) s^(e-t) z^t; one list per (v, e) met
         expansions: dict[tuple[Var, int], list] = {}
         out: dict[Monomial, Fraction] = {}
+        degrees: dict[Monomial, int] = {}
         for mono, coeff in self.terms:
             fixed = []
+            fixed_degree = 0
             choices = []
             for v, e in mono:
                 if v not in moved:
                     fixed.append((v, e))
+                    fixed_degree += e
                     continue
                 choice = expansions.get((v, e))
                 if choice is None:
                     s = moved[v]
                     choice = expansions[v, e] = [
-                        (((v, t),) if t else (), comb(e, t) * s ** (e - t)) for t in range(e + 1)
+                        (((v, t),) if t else (), t, comb(e, t) * s ** (e - t)) for t in range(e + 1)
                     ]
                 choices.append(choice)
             if not choices:
                 prev = out.get(mono)
                 out[mono] = coeff if prev is None else prev + coeff
+                degrees[mono] = fixed_degree
                 continue
             for picks in product(*choices):
                 grown = list(fixed)
+                degree = fixed_degree
                 c = coeff
-                for power, factor in picks:
+                for power, t, factor in picks:
                     grown += power
+                    degree += t
                     if factor != 1:
                         c *= factor
                 m = tuple(sorted(grown))
                 prev = out.get(m)
-                out[m] = c if prev is None else prev + c
+                if prev is None:
+                    out[m] = c
+                    degrees[m] = degree
+                else:
+                    out[m] = prev + c
         # every coefficient is already a Fraction, so from_dict's rule is skipped
-        return self._like(sorted((m, c) for m, c in out.items() if c))
+        return [((m, c), degrees[m]) for m, c in sorted(out.items()) if c]
 
     def evaluate(self, assignment: dict) -> Fraction:
         """Evaluate at a point; unassigned variables are an error."""
@@ -372,8 +391,14 @@ def minor_det(
 
 
 def shift_and_leading_form(p: SparsePoly, shifts: dict) -> SparsePoly:
-    """Lowest-degree homogeneous part of p after the substitution z -> z + shift."""
-    return p.shift(shifts).leading_form()
+    """Lowest-degree homogeneous part of p after the substitution z -> z + shift.
+
+    This is ``p.shift(shifts).leading_form()``, read off the degrees the
+    shift counts as it builds each term.
+    """
+    shifted = p._shifted(shifts)
+    low = min((degree for _, degree in shifted), default=None)
+    return p._like(term for term, degree in shifted if degree == low)
 
 
 def verify_tangent_cone(

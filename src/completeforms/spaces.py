@@ -17,6 +17,9 @@ them.  A :class:`SpaceModel` packages what the package knows about one space:
 
 One model answers every question about its space; module-level queries
 such as :func:`mori_chambers` build one with :func:`build_model` and ask it.
+A kind record is frozen and compares by value, so :func:`build_model` keeps
+the models it built in a bounded per-process memo and hands every caller
+asking about an equal kind the same frozen model.
 
 Coordinates exist for the rank <= 3 models that the cone machinery can chew
 on.  Every other kind still builds a model, it just answers
@@ -48,6 +51,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -827,8 +831,23 @@ def build_model(kind: SpaceKind) -> SpaceModel:
     as ``secant`` (None past the end of its range, where the builder gives
     the dimension); the dimension is the secant's.  The classes are the
     coordinate table when there is a basis, and otherwise every boundary,
-    color and cone-generator label without coordinates.
+    color and cone-generator label without coordinates.  A kind record is
+    frozen and compares by value, so the model is memoised on it: equal
+    kinds give one shared model.
     """
+
+    _entry(kind)
+    return _model(kind)
+
+
+# Bound of the model memo.  Asking every query of two instances of each
+# space kind builds 20-23 distinct models.
+_MODEL_MEMO = 64
+
+
+@lru_cache(maxsize=_MODEL_MEMO)
+def _model(kind: SpaceKind) -> SpaceModel:
+    """:func:`build_model` on a checked kind."""
 
     spec = _spec(kind)
     form = _form_space(kind)

@@ -110,9 +110,10 @@ def test_markdown_format_renders_a_report(capsys):
 
 
 @pytest.fixture
-def catalog_calls(monkeypatch):
+def catalog_calls(monkeypatch, fresh_memos):
     """Count the models built and the secants evaluated through ``spaces``, and
-    the cones enumerated from rays through ``spaces`` and ``cones``."""
+    the cones enumerated from rays through ``spaces`` and ``cones``, from
+    empty memos."""
     calls = {"build_model": 0, "secant": 0, "cone_from_rays": 0}
 
     def count(module, name, key):

@@ -303,7 +303,11 @@ def test_non_pointed_configuration_rejected():
 
 
 def counted_cone_from_rays(monkeypatch):
-    """Patch cones.cone_from_rays to record its rays; returns the record."""
+    """Patch cones.cone_from_rays to record its rays; returns the record.
+
+    A caller starts from empty memos (``fresh_memos``), or a memoised fan
+    would answer without a call.
+    """
     calls = []
     real = cones.cone_from_rays
 
@@ -315,6 +319,7 @@ def counted_cone_from_rays(monkeypatch):
     return calls
 
 
+@pytest.mark.usefixtures("fresh_memos")
 def test_a_collapsed_chamber_raises_a_typed_error(monkeypatch):
     """The chamber invariant holds under python -O: no bare assert guards it.
 
@@ -335,6 +340,7 @@ def test_a_collapsed_chamber_raises_a_typed_error(monkeypatch):
         gkz_decomposition([(1, 0), (1, 1), (0, 1)])
 
 
+@pytest.mark.usefixtures("fresh_memos")
 @pytest.mark.parametrize("ambient, size", [(3, 6), (4, 5)])
 def test_only_the_support_and_the_basis_cones_are_enumerated(monkeypatch, ambient, size):
     """Slicing and chamber assembly cut the cones they have; they never enumerate."""
@@ -346,6 +352,7 @@ def test_only_the_support_and_the_basis_cones_are_enumerated(monkeypatch, ambien
     assert len(calls) == 1 + len(bases)
 
 
+@pytest.mark.usefixtures("fresh_memos")
 def test_integer_configurations_never_build_fractions(monkeypatch):
     def refuse(*args):
         raise AssertionError("Fraction built for integer input")
@@ -354,6 +361,7 @@ def test_integer_configurations_never_build_fractions(monkeypatch):
     gkz_decomposition([(1, 0, 0), (2, -1, 0), (3, -2, -1), (0, 1, 0), (0, 0, 1)])
 
 
+@pytest.mark.usefixtures("fresh_memos")
 def test_no_subset_larger_than_a_basis_is_enumerated(monkeypatch):
     sizes = []
 
@@ -590,3 +598,64 @@ def test_a_cut_skips_ray_pairs_that_share_facets_but_no_edge():
     cut = cones._split(cone, n)[0]
     assert (cut.rays, cut.facet_normals) == vertex_enumeration(cone.facet_normals + (n,), 6)
     assert (1, 0, 0, 0, 0, 1) not in cut.rays
+
+
+# ---------------------------------------------------------------- memos
+
+# each refusal next to an integral call with equal values, which fills the memos
+CACHED_NEIGHBOURS = [
+    (lambda: cone_from_rays([(1, 0), (0, 1)]), lambda: cone_from_rays([(1.0, 0), (0, 1)]), TypeError),
+    (lambda: cone_from_rays([(1, 0), (0, 1)]), lambda: cone_from_rays([(True, 0), (0, 1)]), TypeError),
+    (lambda: cone_from_rays([(0, 0), (0, 1)]), lambda: cone_from_rays([(0.0, 0), (0, 1)]), TypeError),
+    (lambda: cone_from_rays([(1, 0), (0, 1)]), lambda: cone_from_rays([(1, 0), (0, 1)], 2.0), TypeError),
+    (lambda: cone_from_rays([(1, 0), (0, 1)]), lambda: cone_from_rays([(1, 0), (0, 1)], True), TypeError),
+    (lambda: cone_from_rays([(1, 0), (0, 1)]), lambda: cone_from_rays([(1, 0), (0, 1, 0)]), DimensionMismatch),
+    (lambda: cone_from_rays([(1, 0), (0, 1)]), lambda: cone_from_rays([(1, 0), (0, 1)], 3), DimensionMismatch),
+    (lambda: cone_from_rays([(1, 0), (0, 1)]), lambda: cone_from_rays([(1, 0), (-1, 0), (0, 1)]), NotPointed),
+    (lambda: cone_from_rays([(1, 0), (-1, 1)]), lambda: cone_from_rays([(1, 0), (-1, 0)]), NotPointed),
+    (lambda: gkz_decomposition([(1, 0), (1, 1), (0, 1)]),
+     lambda: gkz_decomposition([(1.0, 0), (1, 1), (0, 1)]), TypeError),
+    (lambda: gkz_decomposition([(1, 0), (1, 1), (0, 1)]),
+     lambda: gkz_decomposition([(False, 1), (1, 0), (1, 1)]), TypeError),
+    (lambda: gkz_decomposition([(1, 0), (1, 1), (0, 1)]),
+     lambda: gkz_decomposition([(1, 0), (1, 1), (0, 1)], 2.0), TypeError),
+    (lambda: gkz_decomposition([(1, 0), (1, 1), (0, 1)]),
+     lambda: gkz_decomposition([(1, 0), (1, 1, 0), (0, 1)]), DimensionMismatch),
+    (lambda: gkz_decomposition([(1, 0), (0, 1)]),
+     lambda: gkz_decomposition([(1, 0), (-1, 0), (0, 1)]), NotPointed),
+    (lambda: gkz_decomposition([tuple(int(i == j) for j in range(4)) for i in range(4)]),
+     lambda: gkz_decomposition([tuple(int(i == j) for j in range(5)) for i in range(5)]),
+     AmbientTooLarge),
+    (lambda: cone_from_rays([(1, 0, 0), (0, 1, 0)]),
+     lambda: gkz_decomposition([(1, 0, 0), (0, 1, 0)]), NotFullDimensional),
+    (lambda: cone_from_rays([(1, 0, 0), (0, 1, 0)]),
+     lambda: dual_cone(cone_from_rays([(1, 0, 0), (0, 1, 0)])), NotFullDimensional),
+]
+
+
+@pytest.mark.parametrize("cached, refused, error", CACHED_NEIGHBOURS)
+def test_the_memos_hide_no_refusal(cached, refused, error, fresh_memos):
+    cached()
+    for _ in range(3):
+        with pytest.raises(error):
+            refused()
+        cached()
+
+
+@pytest.mark.parametrize("ambient, size", [(3, 5), (3, 6), (4, 5)])
+def test_memoised_fans_equal_fans_built_afresh(ambient, size, fresh_memos):
+    w = random_configuration(ambient, size, 2)
+    first = gkz_decomposition(w)
+    support = cone_from_rays(w)
+    assert gkz_decomposition(w) is first and cone_from_rays(w) is support
+    fresh_memos()
+    assert gkz_decomposition(w) is not first
+    assert gkz_decomposition(w) == first and cone_from_rays(w) == support
+    # another spelling of the configuration is another key, with the same fan
+    assert gkz_decomposition([tuple(2 * x for x in v) for v in reversed(w)]) == first
+
+
+def test_a_rational_ray_shares_the_cone_of_its_primitive_vector(fresh_memos):
+    cone = cone_from_rays([(1, 0), (0, 1)])
+    assert cone_from_rays([(Fraction(1, 2), 0), (0, 3), (0, 0)]) is cone
+    assert cone_from_rays([(0, 1), (1, 0)]) == cone

@@ -260,7 +260,7 @@ def test_everything_computed_from_a_symmetric_polynomial_is_symmetric():
     results = [
         x + two, x - two, -x, x * two, two * x, x.scale(3), x.scale(0),
         (x * x + x).leading_form(), (x * x + x).homogeneous_part(2), x.shift({(0, 1): 1}),
-        copy.copy(x), pickle.loads(pickle.dumps(x)),
+        shift_and_leading_form(x * x, {(0, 1): 1}), copy.copy(x), pickle.loads(pickle.dumps(x)),
     ]
     for p in results:
         assert p.shift({(1, 0): 1}).evaluate({(1, 0): 0}) == p.evaluate({(0, 1): 1})
@@ -291,6 +291,26 @@ def test_shift_expands_binomially():
     assert shifted.evaluate({(0, 0): 1}) == 4
     assert shifted.leading_form() == SparsePoly.constant(1)
     assert shifted.degree() == 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shift_and_leading_form_is_the_leading_form_of_the_shift(seed):
+    """The degrees the shift counts while it builds the terms select the
+    same terms as summing each monomial's degree afterwards."""
+    rng = random.Random("shift-lead:%d" % seed)
+    symmetric = seed % 2 == 1
+    variables = [SparsePoly.variable(i, j, symmetric) for i in range(2) for j in range(2)]
+    p = SparsePoly.zero()
+    for _ in range(8):
+        term = SparsePoly.constant(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 3)):
+            term = term * rng.choice(variables)
+        p = p + term
+    shifts = {(i, j): Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for i in range(2) for j in range(i, 2)}
+    lead = shift_and_leading_form(p, shifts)
+    assert lead == p.shift(shifts).leading_form()
+    assert lead._symmetric == p._symmetric
+    assert shift_and_leading_form(p - p, shifts).is_zero
 
 
 def test_leading_form_of_shifted_three_minor():
@@ -445,8 +465,11 @@ def test_tangent_cone_walk_is_capped_by_its_term_count():
 
 def test_a_tangent_cone_check_without_the_shift_fails(monkeypatch):
     # negative control: with the shift a no-op the leading form is the whole
-    # minor, so the very first pair is a counterexample
-    monkeypatch.setattr(SparsePoly, "shift", lambda self, shifts: self)
+    # minor, so the very first pair is a counterexample; the shift and the
+    # leading form of the check both read the shifted terms off _shifted
+    monkeypatch.setattr(
+        SparsePoly, "_shifted", lambda self, shifts: [(t, self.degree()) for t in self.terms]
+    )
     rep = verify_tangent_cone(3, 3, 2, 1)
     assert not rep.passed
     assert rep.counts["minors_checked"] == 0

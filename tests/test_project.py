@@ -1,5 +1,5 @@
 """Checks on the project as a whole: the demos, the README's Python examples
-and the package's docstring examples run, and thirteen lints on src/.
+and the package's docstring examples run, and fourteen lints on src/.
 
 Invariants in the package must hold under ``python -O``, which strips
 ``assert`` statements, so they raise typed errors instead; the first lint
@@ -41,7 +41,10 @@ ranks rows alone; only the split flags behind the lemma checks, which keep
 each matrix's index, take the columns of a chunk, and the twelfth lint keeps
 it that way.  Over F_2 the enumeration runs on Python ints, and the
 thirteenth lint keeps every F_2 code path of ``determinantal`` from naming
-numpy.
+numpy.  The cones, fans and models are memoised for the life of the
+process, so the fourteenth lint keeps every ``functools`` memo a bounded
+``lru_cache``, but for the Leibniz table, which holds one entry per minor
+size.
 """
 
 import ast
@@ -222,7 +225,7 @@ def test_cones_takes_subsets_only_for_hyperplanes_and_basis_cones():
             visit(child, where)
 
     visit(ast.parse(Path(cones.__file__).read_text(encoding="utf-8")), ())
-    assert sorted(found) == ["_spanned_hyperplanes", "gkz_decomposition.basis_cones"]
+    assert sorted(found) == ["_chamber_complex.basis_cones", "_spanned_hyperplanes"]
 
 
 def test_the_cli_reads_no_private_name_of_spaces_but_the_kind_table():
@@ -403,3 +406,38 @@ def test_no_f2_code_path_of_the_enumeration_names_numpy():
         "_f2_walk", "_f2_kernels", "_f2_flags", "_gray_steps", "_positions", "_matrix",
     }
     assert found == []
+
+
+def test_every_memo_in_the_package_is_a_bounded_lru_cache():
+    """A memo keyed on a caller's input lives as long as the process, so it
+    is an ``lru_cache`` with a given ``maxsize``; only the Leibniz table,
+    keyed on a minor size of at most ``MAX_MINOR_SIZE``, is unbounded.
+    Every name of a ``functools`` memo is a decorator, so none is applied
+    by a call."""
+    memo_names = {"cache", "lru_cache", "cached_property"}
+
+    def named(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    def bounded(decorator):
+        if not isinstance(decorator, ast.Call) or named(decorator) != "lru_cache":
+            return False
+        sizes = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+        return bool(sizes) and not (isinstance(sizes[0], ast.Constant) and sizes[0].value is None)
+
+    memos, uses, decorators = {}, 0, 0
+    for module in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Name, ast.Attribute)) and named(node) in memo_names:
+                uses += 1
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for decorator in node.decorator_list:
+                    if named(decorator) in memo_names:
+                        decorators += 1
+                        memos["%s.%s" % (module.stem, node.name)] = bounded(decorator)
+    assert uses == decorators
+    assert sorted(name for name, ok in memos.items() if not ok) == ["polynomials._signed_permutations"]
+    assert sorted(name for name, ok in memos.items() if ok) == [
+        "cones._chamber_complex", "cones._cone", "spaces._model",
+    ]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -766,6 +767,76 @@ def test_a_built_model_cannot_be_changed():
     with pytest.raises(TypeError):
         model.classes["X"] = DivisorClass("X", F(1, 1, 1))
     assert "X" not in model.classes
+
+
+# ---------------------------------------------------------------------------
+# memoised models and fans
+
+
+def _every_kind_up_to(top):
+    """Every kind with parameters n <= m <= top, all admitted h and k."""
+    for n in range(1, top + 1):
+        yield KontsevichP(n)
+        if n >= 2:
+            yield KontsevichGr(n)
+        for h in range(1, n + 2):
+            yield Quadrics(n, h)
+            yield from (VeroneseBlowup(n, h, k) for k in range(1, h))
+        for m in range(n, top + 1):
+            yield KontsevichPxP(n, m)
+            for h in range(1, n + 2):
+                yield Collineations(n, m, h)
+                yield from (SegreBlowup(n, m, h, k) for k in range(1, h))
+
+
+def _answers(kind):
+    """The model and each cone, chamber and positivity answer, or the refusal's class."""
+    model = build_model(kind)
+    answers = [model]
+    for query in (model.effective_cone, model.nef_cone, model.moving_cone, model.chambers,
+                  model.positivity):
+        try:
+            answers.append(query())
+        except (CoordinatesUnknown, OutOfScope) as error:
+            answers.append(type(error).__name__)
+    return answers
+
+
+def test_memoised_answers_equal_answers_built_afresh(fresh_memos):
+    kinds = list(_every_kind_up_to(8))
+    # in one pass, siblings of a family answer from each other's memos
+    cached = [_answers(kind) for kind in kinds]
+    assert sum(not isinstance(a, str) for answers in cached for a in answers[1:]) > 800
+    for kind, answers in zip(kinds, cached):
+        fresh_memos()
+        assert _answers(kind) == answers, kind
+
+
+def test_a_model_is_shared_by_equal_kinds(fresh_memos):
+    model = build_model(Quadrics(4, 3))
+    assert build_model(Quadrics(4, 3)) is model
+    assert build_model(VeroneseBlowup(4, 3, 2)) is not model
+    fresh_memos()
+    assert build_model(Quadrics(4, 3)) is not model
+    assert build_model(Quadrics(4, 3)) == model
+
+
+def test_siblings_of_a_family_share_their_fan(fresh_memos):
+    """Q(3..6,3) decompose the same five vectors: the second asks no new cone."""
+    from completeforms import cones
+
+    first = mori_chambers(Quadrics(4, 3))
+    built = cones._cone.cache_info().misses
+    assert mori_chambers(Quadrics(5, 3)) is first
+    assert cones._cone.cache_info().misses == built
+
+
+@pytest.mark.parametrize("stranger", [(4, 3), "Q(4,3)", None, {"n": 4, "h": 3}, [4, 3]])
+def test_the_model_memo_hides_no_refusal(stranger, fresh_memos):
+    build_model(Quadrics(4, 3))
+    for _ in range(3):
+        with pytest.raises(TypeError, match=r"^not a space kind: %s$" % re.escape(repr(stranger))):
+            build_model(stranger)
 
 
 # ---------------------------------------------------------------------------
