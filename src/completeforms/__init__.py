@@ -32,6 +32,7 @@ from .errors import (
     OutOfScope,
     TooLarge,
     UnderDetermined,
+    ZeroVector,
 )
 
 __all__ = [
@@ -46,5 +47,6 @@ __all__ = [
     "OutOfScope",
     "TooLarge",
     "UnderDetermined",
+    "ZeroVector",
     "__version__",
 ]

@@ -7,7 +7,11 @@ normals cutting out its linear span, which makes strict containment queries
 return False for such cones without any special casing.
 
 Only :func:`cone_from_rays` enumerates: it finds the facets of cone(V) among
-the hyperplanes spanned by V.  For a full-dimensional pointed cone the
+the hyperplanes spanned by V.  A basis cone, the cone over d independent
+vectors of a configuration, is simplicial and is not enumerated: its facet
+opposite each vector is the kernel normal of the other d - 1, taken from the
+table of (d - 1)-subset normals that also gives the configuration's spanned
+hyperplanes.  For a full-dimensional pointed cone the
 extreme rays of the dual are the facet normals and vice versa, so
 :func:`dual_cone` swaps the two tuples (Ziegler 1995, section 1.4).  Every
 other cone is cut from a full-dimensional cone that already carries both
@@ -46,6 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -54,6 +59,7 @@ from .errors import (
     InternalInconsistency,
     NotFullDimensional,
     NotPointed,
+    ZeroVector,
 )
 from .lattice import _Record, _coerce_fraction, _require_int, _row_reduce
 
@@ -69,8 +75,9 @@ __all__ = [
 Vec = tuple[int, ...]
 
 # Bounds of the two memos.  Asking every query of two instances of each
-# space kind, and three random fans, needs 73 distinct cones and 7 distinct
-# fans; the bounds hold a few such rounds and no more.
+# space kind, and three random fans, needs 18 distinct cones (basis cones
+# are built from normals and never pass through the cone memo) and 7
+# distinct fans; the bounds hold about fourteen and four such rounds.
 _CONE_MEMO = 256
 _FAN_MEMO = 32
 
@@ -91,15 +98,15 @@ def primitive_vector(v: Iterable) -> Vec:
     else:
         fracs = [_coerce_fraction(x) for x in v]
         denom = lcm(*(x.denominator for x in fracs))
-        ints = [int(x * denom) for x in fracs]
+        ints = [x.numerator * (denom // x.denominator) for x in fracs]
     g = gcd(*ints)
     if g == 0:
-        raise ValueError("zero vector has no primitive representative")
+        raise ZeroVector("zero vector %s has no primitive representative" % (v,))
     return tuple(x // g for x in ints)
 
 
 def _dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _neg(v: Vec) -> Vec:
@@ -180,8 +187,10 @@ class RationalCone(_Record):
         return "Cone(rays=%s)" % (", ".join(str(r) for r in self.rays),)
 
 
-def _spanned_hyperplanes(vectors: Sequence[Vec], complement: list[Vec], dim: int) -> Iterator[Vec]:
-    """Yield the primitive normal of each hyperplane spanned by ``vectors``.
+def _spanned_hyperplanes(
+    vectors: Sequence[Vec], complement: list[Vec], dim: int
+) -> Iterator[tuple[tuple[int, ...], Vec]]:
+    """Yield each hyperplane spanned by ``vectors``: (index subset, primitive normal).
 
     The hyperplanes live in the span of ``vectors``, whose orthogonal
     complement has the basis ``complement``: each normal is the one kernel
@@ -189,10 +198,10 @@ def _spanned_hyperplanes(vectors: Sequence[Vec], complement: list[Vec], dim: int
     dimension of the span.  Dependent subsets are skipped; a normal spanned
     by several subsets is yielded once for each.
     """
-    for subset in combinations(vectors, dim - len(complement) - 1):
-        kern = _kernel_basis(list(subset) + complement, dim)
+    for subset in combinations(range(len(vectors)), dim - len(complement) - 1):
+        kern = _kernel_basis([vectors[i] for i in subset] + complement, dim)
         if len(kern) == 1:
-            yield kern[0]
+            yield subset, kern[0]
 
 
 def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int | None = None) -> RationalCone:
@@ -231,7 +240,7 @@ def _cone(prim: tuple[Vec, ...], ambient_dim: int) -> RationalCone:
 
     complement = _kernel_basis(prim, ambient_dim)
     candidates = set()
-    for n in _spanned_hyperplanes(prim, complement, ambient_dim):
+    for _, n in _spanned_hyperplanes(prim, complement, ambient_dim):
         signs = [_dot(n, r) for r in prim]
         if all(x >= 0 for x in signs):
             candidates.add(n)
@@ -247,6 +256,26 @@ def _cone(prim: tuple[Vec, ...], ambient_dim: int) -> RationalCone:
     ]
     normals = in_span + complement + [_neg(w) for w in complement]
     return RationalCone(ambient_dim, tuple(sorted(extremes)), tuple(sorted(normals)))
+
+
+def _basis_cone(
+    w: Sequence[Vec], basis: tuple[int, ...], normals: dict[tuple[int, ...], Vec]
+) -> RationalCone | None:
+    """The simplicial cone over the vectors ``w[i]``, i in ``basis``; None when they are dependent.
+
+    ``normals`` maps each independent (d - 1)-subset of indices to its
+    primitive kernel normal.  The facet opposite ``w[i]`` is the normal of
+    the other d - 1 vectors, facing ``w[i]``; it is missing, or vanishes on
+    ``w[i]``, exactly when the basis is dependent.
+    """
+    facets = []
+    for i in basis:
+        n = normals.get(tuple(j for j in basis if j != i))
+        s = _dot(n, w[i]) if n else 0
+        if s == 0:
+            return None
+        facets.append(n if s > 0 else _neg(n))
+    return RationalCone(len(basis), tuple(sorted(w[i] for i in basis)), tuple(sorted(facets)))
 
 
 def dual_cone(cone: RationalCone) -> RationalCone:
@@ -347,13 +376,20 @@ def gkz_decomposition(
     lies on no spanned hyperplane, so by Caratheodory it lies in cone(S) only
     if it lies in cone(B) for some basis B in S.  Cells with equal basis-cone
     signatures give one chamber.  The decomposition is memoised on the
-    distinct primitive vectors, after the rational rule and the dimension cap
-    have seen them, so equal configurations give one shared record.
+    distinct primitive vectors, after the rational rule, the zero-vector
+    check and the dimension bounds have seen them, so equal configurations
+    give one shared record.
     """
     w = tuple(dict.fromkeys(primitive_vector(v) for v in vectors))
+    if not w:
+        raise NotFullDimensional("the empty configuration spans no full-dimensional cone")
     if ambient_dim is None:
-        ambient_dim = len(w[0]) if w else 0
+        ambient_dim = len(w[0])
     _require_int(ambient_dim=ambient_dim)
+    if ambient_dim < 1:
+        raise DimensionMismatch(
+            "chamber decomposition needs ambient dimension at least 1, got %d" % ambient_dim
+        )
     if ambient_dim > 4:
         raise AmbientTooLarge(
             "chamber decomposition capped at ambient dimension 4, got %d" % ambient_dim
@@ -368,10 +404,12 @@ def _chamber_complex(w: tuple[Vec, ...], ambient_dim: int) -> ChamberDecompositi
     if not support.is_full_dimensional:
         raise NotFullDimensional("the configuration does not span the ambient space")
 
+    # the normal of each independent (d - 1)-subset, computed once: it gives
+    # the spanned hyperplanes and every facet of every basis cone
+    normals = dict(_spanned_hyperplanes(w, [], ambient_dim))
     # each spanned hyperplane once, its normal's first nonzero entry positive
     hyperplanes = sorted({
-        n if next(x for x in n if x) > 0 else _neg(n)
-        for n in _spanned_hyperplanes(w, [], ambient_dim)
+        n if next(x for x in n if x) > 0 else _neg(n) for n in normals.values()
     })
 
     cells = [support]
@@ -380,9 +418,9 @@ def _chamber_complex(w: tuple[Vec, ...], ambient_dim: int) -> ChamberDecompositi
         cells = [half for cell in cells for half in _split(cell, n) if half is not None]
 
     basis_cones = [
-        cone_from_rays(basis, ambient_dim)
-        for basis in combinations(w, ambient_dim)
-        if _rank(basis) == ambient_dim
+        cone
+        for basis in combinations(range(len(w)), ambient_dim)
+        if (cone := _basis_cone(w, basis, normals)) is not None
     ]
     chambers: dict[tuple[Vec, ...], RationalCone] = {}
     signatures: set[tuple[int, ...]] = set()
@@ -392,8 +430,12 @@ def _chamber_complex(w: tuple[Vec, ...], ambient_dim: int) -> ChamberDecompositi
         if signature in signatures:
             continue
         signatures.add(signature)
-        walls = [n for i in signature[1:] for n in basis_cones[i].facet_normals]
-        chamber = _cut_all(basis_cones[signature[0]], walls) if signature else None
+        chamber = None
+        if signature:
+            # the first basis cone, cut by each other wall once
+            first = basis_cones[signature[0]]
+            walls = dict.fromkeys(n for i in signature[1:] for n in basis_cones[i].facet_normals)
+            chamber = _cut_all(first, [n for n in walls if n not in first.facet_normals])
         if chamber is None:
             raise InternalInconsistency("chamber collapsed around %s" % (probe,))
         chambers.setdefault(chamber.rays, chamber)

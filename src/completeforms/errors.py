@@ -22,6 +22,10 @@ class NotFullDimensional(ValueError):
     """A cone operation that needs a full-dimensional cone got a degenerate one."""
 
 
+class ZeroVector(ValueError):
+    """A zero vector where a direction is needed: it has no primitive representative."""
+
+
 class AmbientTooLarge(ValueError):
     """Chamber decompositions are only supported in ambient dimension <= 4."""
 

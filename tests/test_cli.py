@@ -153,7 +153,7 @@ def test_a_space_query_builds_one_model_and_evaluates_one_secant(
 
 @pytest.mark.parametrize(
     "command, built",
-    [("chambers --space secV --n 4 --h 4 --k 2", 25), ("chambers --space Q --n 4 --h 3", 16)],
+    [("chambers --space secV --n 4 --h 4 --k 2", 7), ("chambers --space Q --n 4 --h 3", 7)],
 )
 def test_chambers_reads_the_nef_rays_off_the_cone_section(command, built, catalog_calls, capsys):
     """The nef flag compares rays already in the payload; no cone is built for it."""

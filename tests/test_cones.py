@@ -34,6 +34,7 @@ from completeforms.errors import (
     InternalInconsistency,
     NotFullDimensional,
     NotPointed,
+    ZeroVector,
 )
 
 
@@ -45,7 +46,7 @@ def test_primitive_vector_normalizes_scale_not_direction():
     assert primitive_vector((-1, 2)) == (-1, 2)
     assert primitive_vector((2, Fraction(1, 2))) == (4, 1)
     assert primitive_vector((0, 6, -9)) == (0, 2, -3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroVector, match=r"\(0, 0\)"):
         primitive_vector((0, 0))
 
 
@@ -323,17 +324,17 @@ def counted_cone_from_rays(monkeypatch):
 def test_a_collapsed_chamber_raises_a_typed_error(monkeypatch):
     """The chamber invariant holds under python -O: no bare assert guards it.
 
-    The cells are sliced for real; once the basis cones are built, every
-    split of the chamber assembly leaves no half.  The chamber between
-    (1, 1) and (0, 1) lies in two basis cones, so its assembly cuts.
+    The cells are sliced for real, by splits that keep both halves; every
+    cut of the chamber assembly, which asks for the upper half only, leaves
+    no half.  The chamber between (1, 1) and (0, 1) lies in two basis cones
+    that share one facet, so its assembly cuts by the other.
     """
-    built = counted_cone_from_rays(monkeypatch)
     real_split = cones._split
     monkeypatch.setattr(
         cones,
         "_split",
         lambda cone, normal, sides=(1, -1): (
-            (None,) * len(sides) if len(built) > 1 else real_split(cone, normal, sides)
+            (None,) if sides == (1,) else real_split(cone, normal, sides)
         ),
     )
     with pytest.raises(InternalInconsistency):
@@ -342,14 +343,32 @@ def test_a_collapsed_chamber_raises_a_typed_error(monkeypatch):
 
 @pytest.mark.usefixtures("fresh_memos")
 @pytest.mark.parametrize("ambient, size", [(3, 6), (4, 5)])
-def test_only_the_support_and_the_basis_cones_are_enumerated(monkeypatch, ambient, size):
-    """Slicing and chamber assembly cut the cones they have; they never enumerate."""
+def test_only_the_support_is_enumerated(monkeypatch, ambient, size):
+    """Basis cones come from the normal table; slicing and assembly cut cones already built."""
     w = list(dict.fromkeys(primitive(v) for v in random_configuration(ambient, size, 0)))
-    bases = [b for b in combinations(w, ambient) if fraction_rank(b) == ambient]
     calls = counted_cone_from_rays(monkeypatch)
     dec = gkz_decomposition(w)
     assert dec.chamber_count > 1
-    assert len(calls) == 1 + len(bases)
+    assert calls == [tuple(w)]
+
+
+@pytest.mark.usefixtures("fresh_memos")
+@pytest.mark.parametrize("ambient, size", [(3, 6), (4, 5)])
+def test_a_chamber_is_cut_by_each_wall_once_and_never_by_its_own_facet(monkeypatch, ambient, size):
+    cuts = []
+    real_cut_all = cones._cut_all
+
+    def recording(cone, normals):
+        normals = list(normals)
+        cuts.append((cone, normals))
+        return real_cut_all(cone, normals)
+
+    monkeypatch.setattr(cones, "_cut_all", recording)
+    gkz_decomposition(random_configuration(ambient, size, 0))
+    assert any(normals for _, normals in cuts)
+    for cone, normals in cuts:
+        assert len(set(normals)) == len(normals)
+        assert not set(normals) & set(cone.facet_normals)
 
 
 @pytest.mark.usefixtures("fresh_memos")
@@ -486,6 +505,44 @@ def test_chambers_match_the_basis_cone_oracle(source, spec):
         assert basis_signature(w, point) == signatures[owners[0]], point
 
 
+# ---------------------------------------------------------------- normal table oracle
+
+TABLE_CASES = [("random", (ambient, size, seed)) for ambient, size in ((2, 5), (3, 6), (4, 6)) for seed in range(3)]
+# coplanar triples and a dependent quadruple, so some bases are dependent
+TABLE_CASES += [
+    ("fixed", ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1), (2, 1, 1))),
+    ("fixed", ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0), (0, 0, 0, 1), (1, 0, 1, 1))),
+]
+
+
+@pytest.mark.parametrize("source, spec", TABLE_CASES, ids=str)
+def test_the_normal_table_gives_the_basis_cones_and_the_hyperplanes(source, spec, fresh_memos):
+    """A second algorithm: cone_from_rays on each basis, and cofactor normals of each (d-1)-subset."""
+    w = random_configuration(*spec) if source == "random" else spec
+    w = tuple(dict.fromkeys(primitive(v) for v in w))
+    ambient = len(w[0])
+    normals = dict(cones._spanned_hyperplanes(w, [], ambient))
+
+    hyperplanes = set()
+    for subset in combinations(w, ambient - 1):
+        x = cofactor_vector(subset)
+        if any(x):
+            x = primitive(x)
+            hyperplanes.add(x if next(c for c in x if c) > 0 else tuple(-c for c in x))
+    assert gkz_decomposition(w).hyperplane_normals == tuple(sorted(hyperplanes))
+
+    dependent = 0
+    for basis in combinations(range(len(w)), ambient):
+        cone = cones._basis_cone(w, basis, normals)
+        vectors = [w[i] for i in basis]
+        if fraction_rank(vectors) < ambient:
+            dependent += 1
+            assert cone is None, basis
+        else:
+            assert cone == cone_from_rays(vectors), basis
+    assert dependent or source == "random"
+
+
 # ---------------------------------------------------------------- intersection oracle
 
 def primitive(v):
@@ -495,6 +552,12 @@ def primitive(v):
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def cofactor_vector(vectors):
+    """The signed maximal minors of d - 1 vectors in R^d: orthogonal to each, zero when dependent."""
+    dim = len(vectors[0])
+    return [(-1) ** j * laplace_det([v[:j] + v[j + 1 :] for v in vectors]) for j in range(dim)]
 
 
 def vertex_enumeration(normals, dim):
@@ -509,7 +572,7 @@ def vertex_enumeration(normals, dim):
     normals = sorted({primitive(n) for n in normals})
     rays = set()
     for subset in combinations(normals, dim - 1):
-        x = [(-1) ** j * laplace_det([n[:j] + n[j + 1 :] for n in subset]) for j in range(dim)]
+        x = cofactor_vector(subset)
         if not any(x):
             continue
         signs = [dot(n, x) for n in normals]
@@ -630,6 +693,13 @@ CACHED_NEIGHBOURS = [
      lambda: gkz_decomposition([(1, 0, 0), (0, 1, 0)]), NotFullDimensional),
     (lambda: cone_from_rays([(1, 0, 0), (0, 1, 0)]),
      lambda: dual_cone(cone_from_rays([(1, 0, 0), (0, 1, 0)])), NotFullDimensional),
+    (lambda: gkz_decomposition([(1, 0), (0, 1)]), lambda: gkz_decomposition([]), NotFullDimensional),
+    (lambda: gkz_decomposition([(1, 0), (0, 1)]), lambda: gkz_decomposition([], 0), NotFullDimensional),
+    (lambda: gkz_decomposition([(1, 0), (1, 1), (0, 1)]),
+     lambda: gkz_decomposition([(1, 0), (1, 1), (0, 1), (0, 0)]), ZeroVector),
+    (lambda: gkz_decomposition([(1, 0), (0, 1)]),
+     lambda: gkz_decomposition([(1, 0), (0, 1)], 0), DimensionMismatch),
+    (lambda: gkz_decomposition([(1,), (2,)]), lambda: gkz_decomposition([()]), ZeroVector),
 ]
 
 

@@ -1,5 +1,5 @@
 """Checks on the project as a whole: the demos, the README's Python examples
-and the package's docstring examples run, and fourteen lints on src/.
+and the package's docstring examples run, and fifteen lints on src/.
 
 Invariants in the package must hold under ``python -O``, which strips
 ``assert`` statements, so they raise typed errors instead; the first lint
@@ -44,7 +44,10 @@ thirteenth lint keeps every F_2 code path of ``determinantal`` from naming
 numpy.  The cones, fans and models are memoised for the life of the
 process, so the fourteenth lint keeps every ``functools`` memo a bounded
 ``lru_cache``, but for the Leibniz table, which holds one entry per minor
-size.
+size.  A chamber complex builds its basis cones from the one kernel normal
+of each (d - 1)-subset it has already computed for its hyperplanes, so the
+fifteenth lint keeps ``_chamber_complex`` calling ``cone_from_rays`` once,
+for the support.
 """
 
 import ast
@@ -441,3 +444,21 @@ def test_every_memo_in_the_package_is_a_bounded_lru_cache():
     assert sorted(name for name, ok in memos.items() if ok) == [
         "cones._chamber_complex", "cones._cone", "spaces._model",
     ]
+
+
+def test_the_chamber_complex_enumerates_only_its_support():
+    """Basis cones are built from the normal table; ``cone_from_rays`` builds the support once."""
+    tree = ast.parse(Path(cones.__file__).read_text(encoding="utf-8"))
+    body = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_chamber_complex"
+    )
+
+    def enumerates(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "cone_from_rays"
+
+    assigned = [
+        [t.id for t in node.targets]
+        for node in ast.walk(body)
+        if isinstance(node, ast.Assign) and any(map(enumerates, ast.walk(node.value)))
+    ]
+    assert sum(map(enumerates, ast.walk(body))) == 1 and assigned == [["support"]]
