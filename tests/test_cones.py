@@ -8,7 +8,10 @@ enumeration written here with Laplace determinants.  The chamber counts for
 the fixed configurations below were worked out by hand (the 2d ones can be
 read off a picture, the 3d ones by listing the slicing hyperplanes).  Chamber
 decompositions are also checked against a basis-cone oracle that decides
-membership by Cramer's rule and shares no code with the package.
+membership by Cramer's rule and shares no code with the package.  The basis
+cones and hyperplanes a chamber complex takes from its table of (d-1)-subset
+normals are checked against cone_from_rays on each basis and against the
+cofactor normals of each (d-1)-subset.
 """
 
 import math
@@ -516,7 +519,7 @@ TABLE_CASES += [
 
 
 @pytest.mark.parametrize("source, spec", TABLE_CASES, ids=str)
-def test_the_normal_table_gives_the_basis_cones_and_the_hyperplanes(source, spec, fresh_memos):
+def test_the_normal_table_gives_the_basis_cones_and_the_hyperplanes(source, spec):
     """A second algorithm: cone_from_rays on each basis, and cofactor normals of each (d-1)-subset."""
     w = random_configuration(*spec) if source == "random" else spec
     w = tuple(dict.fromkeys(primitive(v) for v in w))
