@@ -16,10 +16,9 @@ extreme rays of the dual are the facet normals and vice versa, so
 :func:`dual_cone` swaps the two tuples (Ziegler 1995, section 1.4).  Every
 other cone is cut from a full-dimensional cone that already carries both
 descriptions, one hyperplane at a time: a split is one double-description
-step (Motzkin et al. 1953; Fukuda-Prodon 1996) giving both halves, each with
-the rays on its side, the facets still bounding it, and the rays (shared by
-both) where 2-faces cross the hyperplane.  Cells keep both halves of a split;
-a cut builds the upper half only.
+step (Motzkin et al. 1953; Fukuda-Prodon 1996) giving the half on the
+normal's side, with the rays on that side, the facets still bounding it, and
+the rays where 2-faces cross the hyperplane.
 
 Cones, rays, normals and the elimination behind rank and kernel are all
 integer (fraction-free, see :mod:`completeforms.lattice`); only a caller's
@@ -29,12 +28,13 @@ refused by the rational rule of :mod:`completeforms.lattice` rather than read
 as a binary fraction.
 
 The chamber decomposition is the chamber complex of the configuration W
-(Billera-Filliman-Sturmfels 1990; Gelfand-Kapranov-Zelevinsky 1994): slice
-the support cone by every hyperplane spanned by W, then merge the resulting
-cells into maximal chambers, the chamber of a cell being the intersection of
-the *basis* cones (cones over d linearly independent vectors of W) that
-contain it.  Everything is exact; ambient dimension is capped at 4, far
-beyond what the applications here need.
+(Billera-Filliman-Sturmfels 1990; Gelfand-Kapranov-Zelevinsky 1994): each
+chamber is the intersection of the *basis* cones (cones over d linearly
+independent vectors of W) that hold one interior point.  The complex is a
+fan, walked across its walls as Groebner fans are (Fukuda-Jensen-Thomas
+2007): across a wall f off the support boundary, the basis cones not bounded
+by f stay and those bounded by -f that hold the wall's rays join.  All of
+it is integer; ambient dimension is capped at 5, which holds Picard rank 5.
 
 Results are shared frozen records.  :func:`cone_from_rays` and
 :func:`gkz_decomposition` check their input on every call, then look the
@@ -208,17 +208,18 @@ def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int | None = None) -> 
     """Build the canonical form of the cone spanned by the given rays.
 
     Raises NotPointed when the rays span a cone containing a line, and
-    DimensionMismatch on inconsistent vector lengths.  Redundant generators
+    DimensionMismatch on inconsistent vector lengths or an ambient dimension
+    below 1, which no rays and no ``ambient_dim`` give.  Redundant generators
     are dropped; the stored rays are exactly the extreme ones.  The input is
     checked on every call; the cone itself is memoised on its distinct
     primitive rays, so equal input gives one shared record.
     """
     raw = [tuple(r) for r in rays]
     if ambient_dim is None:
-        if not raw:
-            raise ValueError("need ambient_dim for a cone with no rays")
-        ambient_dim = len(raw[0])
+        ambient_dim = len(raw[0]) if raw else 0
     _require_int(ambient_dim=ambient_dim)
+    if ambient_dim < 1:
+        raise DimensionMismatch("a cone needs ambient dimension at least 1, got %d" % ambient_dim)
     for r in raw:
         if len(r) != ambient_dim:
             raise DimensionMismatch(
@@ -288,23 +289,22 @@ def dual_cone(cone: RationalCone) -> RationalCone:
     return RationalCone(cone.ambient_dim, cone.facet_normals, cone.rays)
 
 
-def _split(cone: RationalCone, normal: Vec, sides=(1, -1)) -> tuple[RationalCone | None, ...]:
-    """The half of the cone where s * normal . x >= 0, for each sign s of ``sides``.
+def _split(cone: RationalCone, normal: Vec) -> RationalCone | None:
+    """The half of the cone where normal . x >= 0; None when it has no interior.
 
-    A half is None when it has no interior; only the asked halves are built.
     One double-description step (Motzkin et al. 1953; Fukuda-Prodon 1996) on
-    a full-dimensional cone and a primitive normal.  Each half keeps the rays
-    on its side of the hyperplane, and both share the rays where the 2-faces
-    of the cone cross it: a pair of rays strictly on opposite sides spans a
-    2-face when it shares at least d - 2 tight facets and no third ray is
-    tight on all of them.  A half keeps the old facets tight at some ray
-    strictly on its side, and adds the hyperplane, facing inward.
+    a full-dimensional cone and a primitive normal.  The half keeps the rays
+    on its side of the hyperplane and adds the rays where the 2-faces of the
+    cone cross it: a pair of rays strictly on opposite sides spans a 2-face
+    when it shares at least d - 2 tight facets and no third ray is tight on
+    all of them.  It keeps the old facets tight at some ray strictly on its
+    side, and adds the hyperplane, facing inward.
     """
     signs = [_dot(normal, r) for r in cone.rays]
     if min(signs) >= 0:
-        return tuple(cone if s > 0 else None for s in sides)
+        return cone
     if max(signs) <= 0:
-        return tuple(cone if s < 0 else None for s in sides)
+        return None
     # tight[i]: bit j set when ray i lies on facet j
     tight = [
         sum(1 << j for j, f in enumerate(cone.facet_normals) if _dot(f, r) == 0)
@@ -312,34 +312,26 @@ def _split(cone: RationalCone, normal: Vec, sides=(1, -1)) -> tuple[RationalCone
     ]
     plus = [i for i, s in enumerate(signs) if s > 0]
     minus = [i for i, s in enumerate(signs) if s < 0]
-    crossings = []
+    rays = [r for r, s in zip(cone.rays, signs) if s >= 0]
+    kept = 0
     for p in plus:
+        kept |= tight[p]
         for m in minus:
             common = tight[p] & tight[m]
             if common.bit_count() >= cone.ambient_dim - 2 and not any(
                 t & common == common for i, t in enumerate(tight) if i != p and i != m
             ):
-                crossings.append(primitive_vector(
+                rays.append(primitive_vector(
                     signs[p] * x - signs[m] * y for x, y in zip(cone.rays[m], cone.rays[p])
                 ))
-
-    def half(sign: int) -> RationalCone:
-        kept = 0
-        for t, s in zip(tight, signs):
-            if s * sign > 0:
-                kept |= t
-        rays = [r for r, s in zip(cone.rays, signs) if s * sign >= 0] + crossings
-        facets = [f for j, f in enumerate(cone.facet_normals) if kept >> j & 1]
-        facets.append(normal if sign > 0 else _neg(normal))
-        return RationalCone(cone.ambient_dim, tuple(sorted(rays)), tuple(sorted(facets)))
-
-    return tuple(half(s) for s in sides)
+    facets = [f for j, f in enumerate(cone.facet_normals) if kept >> j & 1] + [normal]
+    return RationalCone(cone.ambient_dim, tuple(sorted(rays)), tuple(sorted(facets)))
 
 
 def _cut_all(cone: RationalCone, normals: Iterable[Vec]) -> RationalCone | None:
-    """The upper half of :func:`_split` by each normal in turn; None once it has no interior."""
+    """:func:`_split` by each normal in turn; None once it has no interior."""
     for n in normals:
-        cone = _split(cone, n, (1,))[0]
+        cone = _split(cone, n)
         if cone is None:
             return None
     return cone
@@ -369,13 +361,13 @@ def gkz_decomposition(
     """Chamber decomposition of cone(W): the chamber complex of W (BFS 1990).
 
     Two interior points lie in the same chamber exactly when they lie in the
-    same set of full-dimensional cones spanned by subsets of W.  Implemented
-    by slicing the support along every hyperplane spanned by W and taking, for
-    each cell, the intersection of the basis cones (d-subsets of W of full
-    rank) containing an interior point of it.  Basis cones suffice: that point
-    lies on no spanned hyperplane, so by Caratheodory it lies in cone(S) only
-    if it lies in cone(B) for some basis B in S.  Cells with equal basis-cone
-    signatures give one chamber.  The decomposition is memoised on the
+    same set of full-dimensional cones spanned by subsets of W.  By
+    Caratheodory, the basis cones (d-subsets of W of full rank) that hold a
+    point on no spanned hyperplane decide this, and its chamber is their
+    intersection.  The walk starts at a cell cut from the support by each
+    spanned hyperplane and crosses every wall off the support boundary, by
+    the rule in the module notes.  Ambient dimensions 1 to 5 are decomposed; above 5,
+    AmbientTooLarge is raised.  The decomposition is memoised on the
     distinct primitive vectors, after the rational rule, the zero-vector
     check and the dimension bounds have seen them, so equal configurations
     give one shared record.
@@ -390,9 +382,9 @@ def gkz_decomposition(
         raise DimensionMismatch(
             "chamber decomposition needs ambient dimension at least 1, got %d" % ambient_dim
         )
-    if ambient_dim > 4:
+    if ambient_dim > 5:
         raise AmbientTooLarge(
-            "chamber decomposition capped at ambient dimension 4, got %d" % ambient_dim
+            "chamber decomposition capped at ambient dimension 5, got %d" % ambient_dim
         )
     return _chamber_complex(w, ambient_dim)
 
@@ -412,33 +404,41 @@ def _chamber_complex(w: tuple[Vec, ...], ambient_dim: int) -> ChamberDecompositi
         n if next(x for x in n if x) > 0 else _neg(n) for n in normals.values()
     })
 
-    cells = [support]
-    for n in hyperplanes:
-        # a cell on one side of the hyperplane has no interior on the other
-        cells = [half for cell in cells for half in _split(cell, n) if half is not None]
-
     basis_cones = [
         cone
         for basis in combinations(range(len(w)), ambient_dim)
         if (cone := _basis_cone(w, basis, normals)) is not None
     ]
-    chambers: dict[tuple[Vec, ...], RationalCone] = {}
-    signatures: set[tuple[int, ...]] = set()
-    for cell in cells:
-        probe = tuple(sum(col) for col in zip(*cell.rays))
-        signature = tuple(i for i, cone in enumerate(basis_cones) if cone._holds(probe))
-        if signature in signatures:
+    # a cell of the arrangement lies on no spanned hyperplane inside, so the
+    # sum of its rays names the basis cones of the first chamber
+    cell = support
+    for n in hyperplanes:
+        cell = _split(cell, n) or cell
+    probe = tuple(sum(col) for col in zip(*cell.rays))
+    queue = [tuple(i for i, cone in enumerate(basis_cones) if cone._holds(probe))]
+    chambers: dict[tuple[int, ...], RationalCone] = {}
+    while queue:
+        signature = queue.pop()
+        if signature in chambers:
             continue
-        signatures.add(signature)
-        chamber = None
-        if signature:
-            # the first basis cone, cut by each other wall once
-            first = basis_cones[signature[0]]
-            walls = dict.fromkeys(n for i in signature[1:] for n in basis_cones[i].facet_normals)
-            chamber = _cut_all(first, [n for n in walls if n not in first.facet_normals])
+        # the first basis cone, cut by each other wall once
+        first = basis_cones[signature[0]]
+        walls = dict.fromkeys(n for i in signature[1:] for n in basis_cones[i].facet_normals)
+        chamber = _cut_all(first, [n for n in walls if n not in first.facet_normals])
         if chamber is None:
-            raise InternalInconsistency("chamber collapsed around %s" % (probe,))
-        chambers.setdefault(chamber.rays, chamber)
+            raise InternalInconsistency("the chamber of basis cones %s collapsed" % (signature,))
+        chambers[signature] = chamber
+        for f in chamber.facet_normals:
+            if f in support.facet_normals:
+                continue
+            # across the wall f: the basis cones not bounded by f stay, and
+            # those bounded by -f that hold the facet's rays join
+            facet = [r for r in chamber.rays if _dot(f, r) == 0]
+            back = _neg(f)
+            across = [i for i in signature if f not in basis_cones[i].facet_normals]
+            across += [i for i, cone in enumerate(basis_cones)
+                       if back in cone.facet_normals and all(map(cone._holds, facet))]
+            queue.append(tuple(sorted(across)))
 
-    ordered = tuple(chambers[k] for k in sorted(chambers))
+    ordered = tuple(sorted(chambers.values(), key=lambda c: c.rays))
     return ChamberDecomposition(ambient_dim, support, ordered, tuple(hyperplanes))

@@ -27,7 +27,7 @@ class ZeroVector(ValueError):
 
 
 class AmbientTooLarge(ValueError):
-    """Chamber decompositions are only supported in ambient dimension <= 4."""
+    """A chamber decomposition asked in ambient dimension above 5, its cap."""
 
 
 class IndexOutOfRange(IndexError):

@@ -12,12 +12,23 @@ membership by Cramer's rule and shares no code with the package.  The basis
 cones and hyperplanes a chamber complex takes from its table of (d-1)-subset
 normals are checked against cone_from_rays on each basis and against the
 cofactor normals of each (d-1)-subset.
+
+The walk across chamber walls has two more oracles.  A fan certificate reads
+only the chambers it returns: every interior facet is shared by exactly two
+chambers with opposite normals, every other facet lies on the support
+boundary, and the signatures are distinct.  The slicing the chamber complex
+was first built with, every cell of the hyperplane arrangement merged by
+signature, is kept here as a reference, with every half from the vertex
+enumeration below, and matches the walk exactly.  Towers of Picard rank 3 to
+5 over a projective space, 9, 34 and 176 chambers, run through both the
+Cramer oracle and the certificate.
 """
 
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from dataclasses import fields
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -33,10 +44,12 @@ from completeforms.cones import (
 )
 from completeforms.errors import (
     AmbientTooLarge,
+    CoordinatesUnknown,
     DimensionMismatch,
     InternalInconsistency,
     NotFullDimensional,
     NotPointed,
+    OutOfScope,
     ZeroVector,
 )
 
@@ -293,7 +306,7 @@ def test_chamber_interior_points_classified_uniquely():
 
 def test_ambient_cap():
     with pytest.raises(AmbientTooLarge):
-        gkz_decomposition([(1, 0, 0, 0, 0)])
+        gkz_decomposition([(1, 0, 0, 0, 0, 0)])
 
 
 def test_degenerate_configuration_rejected():
@@ -327,27 +340,19 @@ def counted_cone_from_rays(monkeypatch):
 def test_a_collapsed_chamber_raises_a_typed_error(monkeypatch):
     """The chamber invariant holds under python -O: no bare assert guards it.
 
-    The cells are sliced for real, by splits that keep both halves; every
-    cut of the chamber assembly, which asks for the upper half only, leaves
-    no half.  The chamber between (1, 1) and (0, 1) lies in two basis cones
-    that share one facet, so its assembly cuts by the other.
+    The start of the walk is cut for real, by single splits; every chamber
+    assembly, which cuts a basis cone by the other walls, leaves no half.
     """
-    real_split = cones._split
-    monkeypatch.setattr(
-        cones,
-        "_split",
-        lambda cone, normal, sides=(1, -1): (
-            (None,) if sides == (1,) else real_split(cone, normal, sides)
-        ),
-    )
-    with pytest.raises(InternalInconsistency):
+    monkeypatch.setattr(cones, "_cut_all", lambda cone, normals: None)
+    with pytest.raises(InternalInconsistency, match="collapsed"):
         gkz_decomposition([(1, 0), (1, 1), (0, 1)])
 
 
 @pytest.mark.usefixtures("fresh_memos")
 @pytest.mark.parametrize("ambient, size", [(3, 6), (4, 5)])
 def test_only_the_support_is_enumerated(monkeypatch, ambient, size):
-    """Basis cones come from the normal table; slicing and assembly cut cones already built."""
+    """Basis cones come from the normal table; the walk's first cell and each
+    chamber are cut from cones already built."""
     w = list(dict.fromkeys(primitive(v) for v in random_configuration(ambient, size, 0)))
     calls = counted_cone_from_rays(monkeypatch)
     dec = gkz_decomposition(w)
@@ -407,42 +412,52 @@ def laplace_det(rows):
     )
 
 
-def cramer_signs(w, point):
-    """For each basis of w (an index tuple), numbers with the signs of point's Cramer coefficients.
+def cramer_forms(w):
+    """For each basis of w (an index tuple), linear forms with the signs of a point's Cramer coefficients.
 
     The coefficient of basis vector j is det(basis with vector j replaced by
-    point) / det(basis), so its sign is that of the product of the two.
+    the point) / det(basis).  Expanded along row j, the numerator is the
+    point dotted with (-1)^j times the cofactor vector of the other vectors;
+    scaled by det(basis), that form has the sign of the coefficient.
     """
-    point = list(point)
-    for basis in combinations(range(len(w)), len(point)):
+    forms = []
+    for basis in combinations(range(len(w)), len(w[0])):
         rows = [list(w[i]) for i in basis]
         base = laplace_det(rows)
         if base != 0:
-            yield basis, [
-                laplace_det(rows[:j] + [point] + rows[j + 1 :]) * base for j in range(len(rows))
-            ]
+            forms.append((basis, [
+                [(-1) ** j * base * c for c in cofactor_vector(rows[:j] + rows[j + 1 :])]
+                for j in range(len(rows))
+            ]))
+    return forms
 
 
-def basis_signature(w, point):
-    """The bases of w whose cone holds point in its interior.
+def cramer_signs(forms, point):
+    """For each basis, numbers with the signs of point's Cramer coefficients (see cramer_forms)."""
+    for basis, rows in forms:
+        yield basis, [dot(row, point) for row in rows]
+
+
+def basis_signature(forms, point):
+    """The bases whose cone holds point in its interior, from the configuration's cramer_forms.
 
     A point on the boundary of a basis cone has no well-defined signature.
     """
     inside = set()
-    for basis, signs in cramer_signs(w, point):
+    for basis, signs in cramer_signs(forms, point):
         assert min(signs) != 0, "%s is on the boundary of the cone over %s" % (point, basis)
         if min(signs) > 0:
             inside.add(basis)
     return frozenset(inside)
 
 
-def generic_support_points(w, count, rng):
+def generic_support_points(w, forms, count, rng):
     """Positive combinations of w that lie on no hyperplane spanned by w."""
     points = []
     for _ in range(50 * count):
         coeffs = [rng.randint(1, 20) for _ in w]
         p = [sum(c * v[i] for c, v in zip(coeffs, w)) for i in range(len(w[0]))]
-        if all(0 not in signs for _, signs in cramer_signs(w, p)):
+        if all(0 not in signs for _, signs in cramer_signs(forms, p)):
             points.append(p)
             if len(points) == count:
                 return points
@@ -459,6 +474,17 @@ def random_configuration(ambient, size, seed):
         tuple([rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(ambient - 1)])
         for _ in range(size)
     ]
+
+
+def tower_configuration(r):
+    """A full tower of Picard rank r over a projective space, as Q(r, r+1) has it.
+
+    In the basis (D1, E1, ..., E_{r-1}): the boundary E_j and the colors
+    D_i = i*D1 - sum_{j<i} (i-j)*E_j for i = 1, ..., r+1 (Vainsencher 1984).
+    """
+    boundary = [tuple(int(t == j) for t in range(r)) for j in range(1, r)]
+    colors = [tuple(i if t == 0 else -(i - t) * (t < i) for t in range(r)) for i in range(1, r + 2)]
+    return boundary + colors
 
 
 def kind_configuration(kind):
@@ -486,26 +512,97 @@ ORACLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("source, spec", ORACLE_CASES, ids=str)
-def test_chambers_match_the_basis_cone_oracle(source, spec):
+TOWER_CASES = [("tower", r) for r in (3, 4, 5)]
+
+
+def oracle_case(source, spec):
+    """The configuration of a case and its decomposition."""
     if source == "random":
         w = random_configuration(*spec)
-        dec = gkz_decomposition(w)
+    elif source == "tower":
+        w = tower_configuration(spec)
     else:
-        w = kind_configuration(spec)
-        dec = spaces.mori_chambers(spec)
+        return kind_configuration(spec), spaces.mori_chambers(spec)
+    return w, gkz_decomposition(w)
+
+
+def chamber_signatures(forms, dec):
+    """The basis-cone signature of each chamber, at the sum of its rays."""
     signatures = []
     for chamber in dec.chambers:
         interior = [sum(col) for col in zip(*chamber.rays)]
-        signature = basis_signature(w, interior)
+        signature = basis_signature(forms, interior)
         assert signature, chamber
         signatures.append(signature)
+    return signatures
+
+
+@pytest.mark.parametrize("source, spec", ORACLE_CASES + [("tower", 5)], ids=str)
+def test_chambers_match_the_basis_cone_oracle(source, spec):
+    w, dec = oracle_case(source, spec)
+    forms = cramer_forms(w)
+    signatures = chamber_signatures(forms, dec)
     assert len(set(signatures)) == len(signatures)
 
-    for point in generic_support_points(w, 32, random.Random(repr(spec))):
+    for point in generic_support_points(w, forms, 32, random.Random(repr(spec))):
         owners = [i for i, chamber in enumerate(dec.chambers) if strictly_inside(chamber, point)]
         assert len(owners) == 1, point
-        assert basis_signature(w, point) == signatures[owners[0]], point
+        assert basis_signature(forms, point) == signatures[owners[0]], point
+
+
+@pytest.mark.parametrize("source, spec", ORACLE_CASES + TOWER_CASES, ids=str)
+def test_the_chambers_form_a_fan(source, spec):
+    """A fan certificate that reads the chambers alone.
+
+    Every facet of a chamber, keyed by its hyperplane and its rays, is either
+    shared by exactly two chambers with opposite normals, or is the facet of
+    one chamber on a hyperplane with all of W on its inner side, so on the
+    support boundary.  The chambers' Cramer signatures are distinct.
+    """
+    w, dec = oracle_case(source, spec)
+    facets = {}
+    for chamber in dec.chambers:
+        assert len(chamber.facet_normals) >= len(w[0])
+        for n in chamber.facet_normals:
+            rays = frozenset(r for r in chamber.rays if dot(n, r) == 0)
+            assert fraction_rank(rays) == len(w[0]) - 1, (chamber, n)
+            line = max(n, tuple(-x for x in n))
+            facets.setdefault((line, rays), []).append(n)
+    interior = 0
+    for (line, rays), normals in facets.items():
+        if len(normals) == 2:
+            assert normals[0] == tuple(-x for x in normals[1]), (line, rays)
+            interior += 1
+        else:
+            assert len(normals) == 1, (line, rays)
+            assert all(dot(normals[0], v) >= 0 for v in w), (line, rays)
+    assert interior or dec.chamber_count == 1
+    signatures = chamber_signatures(cramer_forms(w), dec)
+    assert len(set(signatures)) == len(signatures)
+
+
+def test_tower_chamber_counts():
+    """Towers of Picard rank 3 to 5 over a projective space: 9, 34 and 176 chambers."""
+    counts = [gkz_decomposition(tower_configuration(r)).chamber_count for r in (3, 4, 5)]
+    assert counts == [9, 34, 176]
+    assert set(kind_configuration(spaces.Quadrics(3, 4))) == set(tower_configuration(3))
+
+
+@pytest.mark.usefixtures("fresh_memos")
+def test_the_walk_makes_few_splits(monkeypatch):
+    """Tower 4 needs 498 single cuts: 26 to find the first cell and the rest
+    to build its 34 chambers.  Slicing it into all 582 cells of its
+    arrangement took 5,220."""
+    calls = []
+    real_split = cones._split
+
+    def counting(cone, normal):
+        calls.append(normal)
+        return real_split(cone, normal)
+
+    monkeypatch.setattr(cones, "_split", counting)
+    assert gkz_decomposition(tower_configuration(4)).chamber_count == 34
+    assert len(calls) <= 500
 
 
 # ---------------------------------------------------------------- normal table oracle
@@ -625,8 +722,8 @@ def random_normal(rng, dim):
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_a_cut_matches_a_vertex_enumeration(dim):
-    """One Motzkin step, both halves, against enumerating the cone's facets
-    plus the half-space by ``n`` and by ``-n``."""
+    """One Motzkin step by ``n`` and one by ``-n``, each against enumerating
+    the cone's facets plus its half-space."""
     rng = random.Random("cut-oracle:%d" % dim)
     outcomes = set()
     for _ in range(60):
@@ -634,7 +731,8 @@ def test_a_cut_matches_a_vertex_enumeration(dim):
         if not a.is_full_dimensional:
             continue
         n = random_normal(rng, dim)
-        for half, normal in zip(cones._split(a, n), (n, cones._neg(n))):
+        for normal in (n, cones._neg(n)):
+            half = cones._split(a, normal)
             expected = vertex_enumeration(a.facet_normals + (normal,), dim)
             if expected is None:
                 assert half is None, (a, normal)
@@ -661,9 +759,86 @@ def test_a_cut_skips_ray_pairs_that_share_facets_but_no_edge():
     pyramid = [(0, 0, 0, 0, 0, 1)] + [(1, 0, 0, -a, -b, -1) for a, b in sides]
     cone = cones.RationalCone(6, tuple(sorted(rays)), tuple(sorted(square + pyramid)))
     n = (0, 1, 0, 0, 0, 0)
-    cut = cones._split(cone, n)[0]
+    cut = cones._split(cone, n)
     assert (cut.rays, cut.facet_normals) == vertex_enumeration(cone.facet_normals + (n,), 6)
     assert (1, 0, 0, 0, 0, 1) not in cut.rays
+
+
+# ---------------------------------------------------------------- reference slicing
+
+def sliced_chambers(w):
+    """The chamber complex of w by slicing its support into cells, each half a vertex enumeration.
+
+    The support is cut out by the facet normals of cone(w), the rays of its
+    dual.  Each hyperplane spanned by w splits every cell it crosses into
+    both halves.  A cell's chamber is the intersection of the basis cones
+    that hold the sum of its rays, and cells with one signature give one
+    chamber.  Returns the sorted (rays, facet normals) of the chambers.
+    """
+    dim = len(w[0])
+    forms = cramer_forms(w)
+    hyperplanes = set()
+    for subset in combinations(w, dim - 1):
+        x = cofactor_vector(subset)
+        if any(x):
+            hyperplanes.add(max(primitive(x), primitive([-c for c in x])))
+    cells = [vertex_enumeration(vertex_enumeration(w, dim)[0], dim)]
+    for n in hyperplanes:
+        sliced = []
+        for rays, facets in cells:
+            if min(dot(n, r) for r in rays) < 0 < max(dot(n, r) for r in rays):
+                for side in (n, tuple(-c for c in n)):
+                    sliced.append(vertex_enumeration(facets + (side,), dim))
+            else:
+                sliced.append((rays, facets))
+        cells = sliced
+    chambers = {}
+    for rays, _ in cells:
+        signature = basis_signature(forms, [sum(col) for col in zip(*rays)])
+        if signature not in chambers:
+            walls = [n for basis in signature for n in vertex_enumeration([w[i] for i in basis], dim)[0]]
+            chambers[signature] = vertex_enumeration(walls, dim)
+    return sorted(chambers.values())
+
+
+def catalog_configurations():
+    """One kind for each distinct configuration that mori_chambers decomposes, parameters up to 6."""
+    found = {}
+    for cls in spaces._KINDS:
+        for params in product(range(1, 7), repeat=len(fields(cls))):
+            try:
+                kind = cls(*params)
+            except ValueError:
+                continue
+            try:
+                spaces.mori_chambers(kind)
+            except (CoordinatesUnknown, OutOfScope):
+                continue
+            found.setdefault(frozenset(kind_configuration(kind)), kind)
+    return list(found.values())
+
+
+@pytest.mark.parametrize(
+    "ambient, size, seed",
+    [(ambient, size, seed) for ambient, size in ((2, 5), (3, 5), (3, 6), (4, 5)) for seed in range(3)],
+)
+def test_the_walk_matches_the_reference_slicing(ambient, size, seed):
+    w = tuple(dict.fromkeys(primitive(v) for v in random_configuration(ambient, size, seed)))
+    dec = gkz_decomposition(w)
+    assert [(c.rays, c.facet_normals) for c in dec.chambers] == sliced_chambers(w)
+
+
+def test_the_walk_matches_the_reference_slicing_on_the_catalog():
+    """Ambient 1 has no spanned hyperplane and one chamber, so the slicing starts at ambient 2."""
+    kinds = catalog_configurations()
+    assert len(kinds) >= 7
+    for kind in kinds:
+        w = tuple(dict.fromkeys(primitive(v) for v in kind_configuration(kind)))
+        dec = spaces.mori_chambers(kind)
+        if len(w[0]) == 1:
+            assert dec.chamber_count == 1
+        else:
+            assert [(c.rays, c.facet_normals) for c in dec.chambers] == sliced_chambers(w), kind
 
 
 # ---------------------------------------------------------------- memos
@@ -689,8 +864,8 @@ CACHED_NEIGHBOURS = [
      lambda: gkz_decomposition([(1, 0), (1, 1, 0), (0, 1)]), DimensionMismatch),
     (lambda: gkz_decomposition([(1, 0), (0, 1)]),
      lambda: gkz_decomposition([(1, 0), (-1, 0), (0, 1)]), NotPointed),
-    (lambda: gkz_decomposition([tuple(int(i == j) for j in range(4)) for i in range(4)]),
-     lambda: gkz_decomposition([tuple(int(i == j) for j in range(5)) for i in range(5)]),
+    (lambda: gkz_decomposition([tuple(int(i == j) for j in range(5)) for i in range(5)]),
+     lambda: gkz_decomposition([tuple(int(i == j) for j in range(6)) for i in range(6)]),
      AmbientTooLarge),
     (lambda: cone_from_rays([(1, 0, 0), (0, 1, 0)]),
      lambda: gkz_decomposition([(1, 0, 0), (0, 1, 0)]), NotFullDimensional),
@@ -703,6 +878,10 @@ CACHED_NEIGHBOURS = [
     (lambda: gkz_decomposition([(1, 0), (0, 1)]),
      lambda: gkz_decomposition([(1, 0), (0, 1)], 0), DimensionMismatch),
     (lambda: gkz_decomposition([(1,), (2,)]), lambda: gkz_decomposition([()]), ZeroVector),
+    (lambda: cone_from_rays([], 2), lambda: cone_from_rays([]), DimensionMismatch),
+    (lambda: cone_from_rays([], 2), lambda: cone_from_rays([], 0), DimensionMismatch),
+    (lambda: cone_from_rays([], 2), lambda: cone_from_rays([], -2), DimensionMismatch),
+    (lambda: cone_from_rays([(1,)]), lambda: cone_from_rays([()]), DimensionMismatch),
 ]
 
 
