@@ -30,7 +30,7 @@ as a binary fraction.
 The chamber decomposition is the chamber complex of the configuration W
 (Billera-Filliman-Sturmfels 1990; Gelfand-Kapranov-Zelevinsky 1994): each
 chamber is the intersection of the *basis* cones (cones over d linearly
-independent vectors of W) that hold one interior point.  The complex is a
+independent vectors of W) that hold a generic point of it.  The complex is a
 fan, walked across its walls as Groebner fans are (Fukuda-Jensen-Thomas
 2007): across a wall f off the support boundary, the basis cones not bounded
 by f stay and those bounded by -f that hold the wall's rays join.  All of
@@ -409,8 +409,8 @@ def _chamber_complex(w: tuple[Vec, ...], ambient_dim: int) -> ChamberDecompositi
         for basis in combinations(range(len(w)), ambient_dim)
         if (cone := _basis_cone(w, basis, normals)) is not None
     ]
-    # a cell of the arrangement lies on no spanned hyperplane inside, so the
-    # sum of its rays names the basis cones of the first chamber
+    # one cell of the arrangement, on a side of each hyperplane with interior;
+    # the sum of its rays lies on none, so it names the first chamber's basis cones
     cell = support
     for n in hyperplanes:
         cell = _split(cell, n) or cell
