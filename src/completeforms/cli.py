@@ -152,15 +152,9 @@ def _kind_from_args(parser, args) -> spaces.SpaceKind:
 
 
 def _envelope() -> Dict:
-    return {
-        "space": None,
-        "invariants": None,
-        "cones": None,
-        "chambers": None,
-        "positivity": None,
-        "automorphisms": None,
-        "verifications": None,
-    }
+    return dict.fromkeys(
+        ("space", "invariants", "cones", "chambers", "positivity", "automorphisms", "verifications")
+    )
 
 
 def _cone_entry(model, labels) -> Optional[Dict]:
@@ -294,7 +288,12 @@ def _cmd_verify(parser, args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a secant degree in range runs past 90,000 digits: print it whole, past
+    # the limit on str(int) of Python 3.11 on, and leave the limit as it was
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         if args.command == "invariants":
             return _cmd_invariants(parser, args)
         if args.command == "chambers":
@@ -311,6 +310,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

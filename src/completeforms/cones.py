@@ -32,9 +32,11 @@ The chamber decomposition is the chamber complex of the configuration W
 chamber is the intersection of the *basis* cones (cones over d linearly
 independent vectors of W) that hold a generic point of it.  The complex is a
 fan, walked across its walls as Groebner fans are (Fukuda-Jensen-Thomas
-2007): across a wall f off the support boundary, the basis cones not bounded
-by f stay and those bounded by -f that hold the wall's rays join.  All of
-it is integer; ambient dimension is capped at 5, which holds Picard rank 5.
+2007) from the chamber of one exact generic point, sum_i t^i w_i with t
+above every |n . w|: across a wall f off the support boundary, the basis
+cones not bounded by f stay and those bounded by -f that hold the wall's
+rays join.  All of it is integer; ambient dimension is capped at 5, which
+holds Picard rank 5.
 
 Results are shared frozen records.  :func:`cone_from_rays` and
 :func:`gkz_decomposition` check their input on every call, then look the
@@ -364,13 +366,13 @@ def gkz_decomposition(
     same set of full-dimensional cones spanned by subsets of W.  By
     Caratheodory, the basis cones (d-subsets of W of full rank) that hold a
     point on no spanned hyperplane decide this, and its chamber is their
-    intersection.  The walk starts at a cell cut from the support by each
-    spanned hyperplane and crosses every wall off the support boundary, by
-    the rule in the module notes.  Ambient dimensions 1 to 5 are decomposed; above 5,
-    AmbientTooLarge is raised.  The decomposition is memoised on the
-    distinct primitive vectors, after the rational rule, the zero-vector
-    check and the dimension bounds have seen them, so equal configurations
-    give one shared record.
+    intersection.  The walk starts at an exact generic point, a positive
+    combination of W on no spanned hyperplane, and crosses every wall off
+    the support boundary, by the rule in the module notes.  Ambient
+    dimensions 1 to 5 are decomposed; above 5, AmbientTooLarge is raised.
+    The decomposition is memoised on the distinct primitive vectors, after
+    the rational rule, the zero-vector check and the dimension bounds have
+    seen them, so equal configurations give one shared record.
     """
     w = tuple(dict.fromkeys(primitive_vector(v) for v in vectors))
     if not w:
@@ -409,12 +411,11 @@ def _chamber_complex(w: tuple[Vec, ...], ambient_dim: int) -> ChamberDecompositi
         for basis in combinations(range(len(w)), ambient_dim)
         if (cone := _basis_cone(w, basis, normals)) is not None
     ]
-    # one cell of the arrangement, on a side of each hyperplane with interior;
-    # the sum of its rays lies on none, so it names the first chamber's basis cones
-    cell = support
-    for n in hyperplanes:
-        cell = _split(cell, n) or cell
-    probe = tuple(sum(col) for col in zip(*cell.rays))
+    # an exact generic point p = sum_i t^i w_i names the first chamber's basis
+    # cones: p is a positive combination of W, and n . p is a nonzero
+    # polynomial in t whose coefficients are below t, so p is on no hyperplane
+    t = 1 + max(abs(_dot(n, v)) for n in hyperplanes for v in w)
+    probe = tuple(sum(t**i * v[j] for i, v in enumerate(w)) for j in range(ambient_dim))
     queue = [tuple(i for i, cone in enumerate(basis_cones) if cone._holds(probe))]
     chambers: dict[tuple[int, ...], RationalCone] = {}
     while queue:

@@ -501,19 +501,24 @@ def _symmetric_orbit(kind: Quadrics) -> list:
 # (:func:`_spec`).  A color ``D<i>`` missing from ``table`` is written by the
 # color rule of :func:`_coordinates`, D_i = i*D1 - sum_{j<i} (i-j)*E_j
 # (Vainsencher 1984; Thaddeus 1999).  Of the form spaces only C(n,m,2),
-# n >= 2, writes its colors: its D1 is not a basis class.
+# n >= 2, writes its colors: its D1 is not a basis class.  A boundary class
+# ``E<i>`` outside the basis and ``table`` is the color D_{i+1}, by the same
+# rule: over square forms the last center is the determinant divisor.
 #
 # One builder serves each tower family, C and secS over pairs, Q and secV
 # over symmetric forms.  It writes a full tower's data once, in its C or Q
 # labels, and a partial tower's where known; a full tower named by n-1 of n
-# steps reads its data through :func:`_top_center_as_color`.
+# steps reads its data through :func:`_top_center_as_color`.  A tower over a
+# projective space (h = n+1) with a basis takes its -K from the discrepancy
+# rule, :func:`_discrepancy_rule`; its builder writes neither -K nor an
+# ``E<i>`` coordinate.
 
 
 def _top_center_as_color(spec: dict, n: int) -> dict:
     """A full tower's spec under its name with n-1 of its n steps (h = n+1).
 
     The last center is the determinant divisor, so the full tower's boundary
-    class E_n is this name's color D_{n+1}, written by the color rule.
+    class E_n is this name's color D_{n+1}; the color rule writes both.
     """
 
     top, color = "E%d" % n, "D%d" % (n + 1)
@@ -521,8 +526,22 @@ def _top_center_as_color(spec: dict, n: int) -> dict:
     for key in ("eff", "nef", "mov"):
         if key in spec:
             spec[key] = tuple(color if label == top else label for label in spec[key])
-    spec.get("table", {}).pop(top, None)
     return spec
+
+
+def _discrepancy_rule(secant: Callable[[int], SecantInvariants], h: int) -> Tuple[Fraction, ...]:
+    """-K of a tower over P^N in the basis (H, E_1, ...): the discrepancy rule.
+
+    The tower blows P^N up along the secants sigma_j = ``secant(j)``, j < h,
+    each smooth by the time it is blown up (Vainsencher 1984), so its
+    exceptional divisor E_j enters K with its codimension less one
+    (Hartshorne, Exercise II.8.5): -K = (N+1)*H - sum_j (codim sigma_j -
+    1)*E_j, N and the codimensions read off ``secant``.  A divisorial top
+    center adds 0 and is not a basis class.
+    """
+
+    codims = [secant(j).codimension for j in range(1, h)]
+    return _vec(secant(h).ambient_dimension + 1, *(1 - c for c in codims if c > 1))
 
 
 def _pair_tower_model(kind) -> dict:
@@ -562,9 +581,11 @@ def _pair_tower_model(kind) -> dict:
             stated=3,
         )
     elif h == 2 and n == 1 and m >= 2:
-        spec.update(basis=("D1", "E1"), minus_k=_vec(2 * m + 2, 1 - m), stated=2)
+        spec.update(basis=("D1", "E1"), stated=2)
     elif h == 2 and n == 1 and m == 1:
-        spec.update(basis=("D1",), table={"E1": _vec(2)}, minus_k=_vec(4), stated=1)
+        spec.update(basis=("D1",), stated=1)
+    if h > n and "basis" in spec:
+        spec.update(minus_k=_discrepancy_rule(lambda j: segre_secant_invariants(n, m, j), h))
     return spec if k == h - 1 else _top_center_as_color(spec, n)
 
 
@@ -612,20 +633,16 @@ def _symmetric_tower_model(kind) -> dict:
     elif h == 4 and n == 3:
         spec.update(
             basis=("H", "E1", "E2"),
-            table={"E3": _vec(4, -3, -2), "P": _vec(6, -3, -2)},
+            table={"P": _vec(6, -3, -2)},
             mov=colors + ("P",),
-            minus_k=_vec(10, -5, -2),
             stated=9,
         )
     elif h == 3 and n == 2:
-        spec.update(
-            basis=("H", "E1"),
-            table={"E2": _vec(3, -2)},
-            minus_k=_vec(6, -2),
-            stated=3,
-        )
+        spec.update(basis=("H", "E1"), stated=3)
     elif h == 2 and n == 1:
-        spec.update(basis=("H",), table={"E1": _vec(2)}, minus_k=_vec(3), stated=1)
+        spec.update(basis=("H",), stated=1)
+    if h > n and "basis" in spec:
+        spec.update(minus_k=_discrepancy_rule(lambda j: veronese_secant_invariants(n, j), h))
     if kind.h > h:  # secV(1,3;k=1) lies past the secant range: it is the plane
         spec.update(dimension=2)
     return spec if k == h - 1 else _top_center_as_color(spec, n)
@@ -778,24 +795,31 @@ _KINDS: Dict[type, _Kind] = {
 
 
 def _coordinates(spec: dict) -> Dict[str, Tuple[Fraction, ...]]:
-    """Every class of a builder's spec, with its coordinates.
+    """Every class of a builder's spec, with its coordinates, by two rules.
 
     The basis classes are the unit vectors and ``table`` gives others.  The
     color rule writes each color ``D<i>`` still missing: the i x i minors
     vanish to order i - j along the rank-j locus, so D_i = i*D1 - sum_{j<i}
     (i-j)*E_j over the E_j present, with D1 the first basis class
-    (Vainsencher 1984; Thaddeus 1999).
+    (Vainsencher 1984; Thaddeus 1999).  The top-class rule writes a boundary
+    class ``E<i>`` in neither the basis nor ``table`` as the color D_{i+1}:
+    over square forms the last center of a tower over P^N is the
+    determinant divisor, whose strict transform is D_{i+1}.  The classes
+    come in that order: basis, top class, table, colors.
     """
 
-    basis = spec["basis"]
-    # the unit vectors stay ints until the end, so the rule mostly adds ints
+    basis, table = spec["basis"], spec.get("table", {})
+    # the unit vectors stay ints until the end, so the rules mostly add ints
     coords = {b: tuple(int(i == j) for j in range(len(basis))) for i, b in enumerate(basis)}
-    coords.update(spec.get("table", {}))
-    for label in spec.get("colors", ()):
-        if label not in coords:
-            i, d1 = int(label[1:]), coords[basis[0]]
-            sub = [(i - j, coords["E%d" % j]) for j in range(1, i) if "E%d" % j in coords]
-            coords[label] = tuple(i * x - sum(c * e[t] for c, e in sub) for t, x in enumerate(d1))
+
+    def color(i: int) -> tuple:
+        sub = [(i - j, coords["E%d" % j]) for j in range(1, i) if "E%d" % j in coords]
+        return tuple(i * x - sum(c * e[t] for c, e in sub) for t, x in enumerate(coords[basis[0]]))
+
+    top = [e for e in spec.get("boundary", ()) if e not in coords and e not in table]
+    coords.update((e, color(int(e[1:]) + 1)) for e in top)
+    coords.update(table)
+    coords.update((d, color(int(d[1:]))) for d in spec.get("colors", ()) if d not in coords)
     return {label: tuple(map(_coerce_fraction, v)) for label, v in coords.items()}
 
 

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from completeforms import cli, cones, spaces
 from completeforms.reports import VerificationReport
+from completeforms.secants import segre_secant_invariants, veronese_secant_invariants
 
 GOLDENS = Path(__file__).parent / "goldens"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -261,6 +263,38 @@ def test_an_oversized_space_exits_two(capsys):
     code, out, err = run_cli(["invariants", "--space", "Q", "--n", "1001", "--h", "2"], capsys)
     assert (code, out) == (2, "")
     assert "n <= 1000" in err
+
+
+def _read_decimal(digits):
+    """The int of a decimal string of any length, read in pieces that stay
+    under the interpreter's limit on int(str) (Python 3.11 on)."""
+    value = 0
+    for start in range(0, len(digits), 1000):
+        piece = digits[start:start + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+@pytest.mark.parametrize(
+    "argv, secant",
+    [
+        (["--space", "C", "--n", "250", "--m", "250", "--h", "49"], (250, 250, 49)),
+        (["--space", "Q", "--n", "400", "--h", "100", "--format", "markdown"], (400, 100)),
+    ],
+    ids=["C(250,250,49)", "Q(400,100)-markdown"],
+)
+def test_a_secant_degree_past_the_digit_limit_prints_whole(argv, secant, capsys):
+    """Secant degrees in range run past the 4,300 digits Python 3.11 on
+    converts by default (past 90,000 near C(1000,1000,400)); the CLI prints
+    each whole, exits 0 and leaves the interpreter's limit as it was."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(["invariants"] + argv, capsys)
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    invariants = segre_secant_invariants if len(secant) == 3 else veronese_secant_invariants
+    degree = invariants(*secant).degree
+    printed = re.search(r"\bdegree\W+(\d{4301,})", out).group(1)
+    assert _read_decimal(printed) == degree
 
 
 def test_composite_field_size_exits_two(capsys):

@@ -1,5 +1,5 @@
 """Checks on the project as a whole: the demos, the README's Python examples
-and the package's docstring examples run, and fifteen lints on src/.
+and the package's docstring examples run, and sixteen lints on src/.
 
 Invariants in the package must hold under ``python -O``, which strips
 ``assert`` statements, so they raise typed errors instead; the first lint
@@ -47,13 +47,16 @@ process, so the fourteenth lint keeps every ``functools`` memo a bounded
 size.  A chamber complex builds its basis cones from the one kernel normal
 of each (d - 1)-subset it has already computed for its hyperplanes, so the
 fifteenth lint keeps ``_chamber_complex`` calling ``cone_from_rays`` once,
-for the support.
+for the support.  Over a projective space (h = n+1) a tower's -K is written
+by one discrepancy rule and its top boundary class by the color rule, so
+the sixteenth lint keeps the two tower builders from writing either.
 """
 
 import ast
 import dataclasses
 import doctest
 import importlib
+import itertools
 import io
 import os
 import re
@@ -462,3 +465,96 @@ def test_the_chamber_complex_enumerates_only_its_support():
         if isinstance(node, ast.Assign) and any(map(enumerates, ast.walk(node.value)))
     ]
     assert sum(map(enumerates, ast.walk(body))) == 1 and assigned == [["support"]]
+
+
+def _guarded(node, path=()):
+    """Each node under ``node`` with its path: the (test, branch taken) of every
+    enclosing ``if``."""
+    yield node, path
+    if isinstance(node, ast.If):
+        for branch, taken in ((node.body, True), (node.orelse, False)):
+            for child in branch:
+                yield from _guarded(child, path + ((node.test, taken),))
+    else:
+        for child in ast.iter_child_nodes(node):
+            yield from _guarded(child, path)
+
+
+def test_tower_builders_leave_minus_k_and_the_top_class_to_the_rules(monkeypatch):
+    """Over a projective space (h = n+1) a tower builder writes no -K and no
+    ``E<i>`` coordinate: -K comes from ``_discrepancy_rule``, which only the
+    two tower builders call, and the top boundary class from the top-class
+    rule of ``_coordinates``.  Read off the source, no ``minus_k`` but the
+    rule's and no ``E<i>`` key is written on a path whose ``if`` tests can
+    hold at h = n+1 (with ``full`` as ``spaces._tower`` reads it), n <= 8;
+    built, every tower name with h = n+1 and n, m <= 8 takes its -K from the
+    rule, here replaced by a marker."""
+    builders = {"_pair_tower_model", "_symmetric_tower_model"}
+    tree = ast.parse(Path(spaces.__file__).read_text(encoding="utf-8"))
+    callers = {
+        builder.name
+        for builder in tree.body
+        if isinstance(builder, ast.FunctionDef)
+        for node in ast.walk(builder)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_discrepancy_rule"
+    }
+    assert callers == builders
+
+    def by_the_rule(value):
+        return isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_discrepancy_rule"
+
+    def written(node):
+        if isinstance(node, ast.keyword) and node.arg == "minus_k" and not by_the_rule(node.value):
+            return ["minus_k"]
+        if isinstance(node, ast.Dict):
+            return [key.value for key in node.keys if isinstance(key, ast.Constant)]
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            return [getattr(node.slice, "value", None)]
+        return []
+
+    def over_pn(builder):  # the symmetric towers read m as n
+        return [
+            {"n": n, "m": m, "h": n + 1, "k": k, "full": k == n or (m == n and k == n - 1)}
+            for n in range(1, 9)
+            for m in (range(n, 10) if builder == "_pair_tower_model" else [n])
+            for k in range(1, n + 1)
+        ]
+
+    def holds(test, scope):
+        return bool(eval(compile(ast.Expression(test), "<if>", "eval"), {}, dict(scope)))
+
+    found = [
+        "%s:%d:%s" % (builder.name, node.lineno, key)
+        for builder in tree.body
+        if isinstance(builder, ast.FunctionDef) and builder.name in builders
+        for node, path in _guarded(builder)
+        for key in written(node)
+        if key == "minus_k" or re.fullmatch(r"E\d+", str(key))
+        if any(
+            all(holds(test, scope) == taken for test, taken in path)
+            for scope in over_pn(builder.name)
+        )
+    ]
+    assert found == []
+
+    marker = object()
+    monkeypatch.setattr(spaces, "_discrepancy_rule", lambda secant, h: marker)
+    by_rule = 0
+    for cls, entry in spaces._KINDS.items():
+        if entry.model.__name__ not in builders:
+            continue
+        letters = [field.name for field in dataclasses.fields(cls)]
+        for values in itertools.product(range(1, 10), repeat=len(letters)):
+            params = dict(zip(letters, values))
+            if params["h"] < params["n"] + 1 or params.get("m", 0) > 8:
+                continue
+            try:
+                kind = cls(**params)
+            except ValueError:
+                continue
+            minus_k = entry.model(kind).get("minus_k")
+            assert minus_k is None or minus_k is marker, spaces.space_name(kind)
+            by_rule += minus_k is marker
+    # both names of C(1,m,2), m <= 8 (16), all names of Q(1,2), Q(2,3) and
+    # Q(3,4) (8), and the admitted secV(1,3;k=1)
+    assert by_rule == 25

@@ -513,6 +513,96 @@ def test_frozen_anticanonical_classes():
         anticanonical_class(KontsevichGr(3))
 
 
+def wonderful_minus_k(n, m=None):
+    """-K of the full tower over P^N of Q(n,n+1) (m None) or C(n,m,n+1), in the
+    basis (H, E_1, ..., E_r), as a wonderful variety; it shares no code with
+    the discrepancy rule of ``spaces``.
+
+    These towers are wonderful varieties (De Concini-Procesi 1983): for
+    G = SL_{n+1} on quadrics, and G = SL_{n+1} x SL_{m+1} on matrices.  The
+    G-stable prime divisors are the boundary E_1..E_n; the colors (B-stable,
+    not G-stable) are the D_i, i = 1..n+1, cut by the leading i x i minor,
+    but for D_{n+1} over square or symmetric forms, which is the boundary
+    divisor E_n.  By Brion (1997; 2007) -K = sum of the boundary + sum_D a_D*D:
+    it is the divisor of a B-eigensection of the anticanonical bundle of
+    weight 2*rho(P^u), the sum of the roots of the unipotent radical of the
+    stabiliser P of the open B-orbit.  The minor of D_i has a weight that
+    pairs to 1 with the coroot of the i-th simple root alpha_i and to 0 with
+    the others, so a_{D_i} = <2*rho(P^u), alpha_i^vee>:
+
+    * quadrics: P = B, 2*rho(P^u) = 2*rho, and the principal minor's weight
+      is 2*omega_i, twice the fundamental weight, so a_D = 2/2 = 1;
+    * square collineations: P = B x B^-, 2*rho(P^u) = (2*rho, 2*rho), and
+      the minor's weight is (omega_i, omega_i^*), so a_D = 2;
+    * m > n: on the SL_{m+1} side P has Levi T x GL_{m-n}, on the last
+      m - n columns, and 2*rho(P^u) = 2*rho - 2*rho(GL_{m-n}).  It pairs to
+      2 with alpha_i^vee for i <= n, and to 2 + (m - n - 1) with
+      alpha_{n+1}^vee, as each of the m - n - 1 roots e_{n+2} - e_b of
+      GL_{m-n} pairs to -1 with it.  So a_D = 2, and m - n + 1 on D_{n+1}.
+
+    The classes are written here: E_j is the j-th unit vector for j <= r,
+    D_i = i*H - sum_{j<i, j<=r} (i-j)*E_j, and E_n = D_{n+1} when r = n - 1.
+    """
+    r = n if m is not None and m > n else n - 1
+
+    def color(i):
+        return tuple(i if t == 0 else -(i - t) * (t < i) for t in range(r + 1))
+
+    boundary = [tuple(int(t == j) for t in range(r + 1)) for j in range(1, r + 1)]
+    boundary += [color(n + 1)] if r < n else []
+    a = {i: 1 if m is None else 2 for i in range(1, n + 1)}
+    if r == n:
+        a[n + 1] = m - n + 1
+    terms = boundary + [tuple(a_i * x for x in color(i)) for i, a_i in a.items()]
+    return tuple(sum(column) for column in zip(*terms))
+
+
+def test_the_wonderful_oracle_reads_the_hand_checked_values():
+    assert wonderful_minus_k(4) == (15, -9, -5, -2)
+    assert wonderful_minus_k(2, 3) == (12, -5, -1)
+    assert wonderful_minus_k(4, 4) == (25, -15, -8, -3)
+    assert wonderful_minus_k(1, 1) == (4,)
+
+
+CATALOG_TOWERS = [Quadrics(1, 2), Quadrics(2, 3), Quadrics(3, 4)]
+CATALOG_TOWERS += [Collineations(1, m, 2) for m in range(1, 10)]
+
+
+@pytest.mark.parametrize("kind", CATALOG_TOWERS, ids=spaces.space_name)
+def test_the_catalog_towers_over_projective_space_match_the_wonderful_oracle(kind):
+    """Only the C and Q names: a secS or secV name relabels E_n as a color."""
+    n, m = kind.n, getattr(kind, "m", None)
+    model = build_model(kind)
+    assert model.anticanonical.coordinates == wonderful_minus_k(n, m)
+    # the classes the oracle writes: the colors and, over square or
+    # symmetric forms, the top boundary class E_n = D_{n+1}
+    r = len(model.basis) - 1
+
+    def color(i):
+        return tuple(i if t == 0 else -(i - t) * (t < i) for t in range(r + 1))
+
+    assert model.colors == tuple("D%d" % i for i in range(1, n + 1 + (r == n)))
+    for label in model.colors:
+        assert model.class_coordinates(label) == color(int(label[1:]))
+    assert len(model.boundary) == n
+    if r < n:
+        assert model.class_coordinates("E%d" % n) == color(n + 1)
+
+
+def test_the_discrepancy_rule_matches_the_wonderful_oracle():
+    """Every tower over P^N with n <= 8 and n <= m <= 9, coordinates or not."""
+    towers = 0
+    for n in range(1, 9):
+        rule = spaces._discrepancy_rule(lambda j: veronese_secant_invariants(n, j), n + 1)
+        assert rule == wonderful_minus_k(n), n
+        towers += 1
+        for m in range(n, 10):
+            rule = spaces._discrepancy_rule(lambda j: segre_secant_invariants(n, m, j), n + 1)
+            assert rule == wonderful_minus_k(n, m), (n, m)
+            towers += 1
+    assert towers == 52
+
+
 def test_positivity_table_for_the_two_step_symmetric_model():
     expected = {1: "Fano", 2: "Fano", 3: "Fano", 4: "Fano", 5: "Fano", 6: "Fano",
                 7: "WeakFano", 8: "LogFanoNumerical", 9: "LogFanoNumerical",
