@@ -526,9 +526,10 @@ def wonderful_minus_k(n, m=None):
     divisor E_n.  By Brion (1997; 2007) -K = sum of the boundary + sum_D a_D*D:
     it is the divisor of a B-eigensection of the anticanonical bundle of
     weight 2*rho(P^u), the sum of the roots of the unipotent radical of the
-    stabiliser P of the open B-orbit.  The minor of D_i has a weight that
-    pairs to 1 with the coroot of the i-th simple root alpha_i and to 0 with
-    the others, so a_{D_i} = <2*rho(P^u), alpha_i^vee>:
+    stabiliser P of the open B-orbit, and the boundary equations have weight
+    0.  The minor of D_i has a weight that pairs to some c_i > 0 with the
+    coroot of the i-th simple root alpha_i and to 0 with the coroots of the
+    others, so a_{D_i} = <2*rho(P^u), alpha_i^vee> / c_i:
 
     * quadrics: P = B, 2*rho(P^u) = 2*rho, and the principal minor's weight
       is 2*omega_i, twice the fundamental weight, so a_D = 2/2 = 1;
