@@ -161,13 +161,12 @@ def _cone_entry(model, labels) -> Optional[Dict]:
     if labels is None:
         return None
     entry: Dict = {"generators": list(labels), "rays": None}
-    if model.has_coordinates:
-        try:
-            cone = model.cone_spanned_by(labels)
-        except CoordinatesUnknown:
-            pass
-        else:
-            entry["rays"] = [list(r) for r in cone.rays]
+    try:
+        cone = model.cone_spanned_by(labels)
+    except CoordinatesUnknown:
+        pass
+    else:
+        entry["rays"] = [list(r) for r in cone.rays]
     return entry
 
 

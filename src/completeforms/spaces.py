@@ -21,8 +21,9 @@ A kind record is frozen and compares by value, so :func:`build_model` keeps
 the models it built in a bounded per-process memo and hands every caller
 asking about an equal kind the same frozen model.
 
-Coordinates exist for the rank <= 3 models that the cone machinery can chew
-on.  Every other kind still builds a model, it just answers
+Coordinates exist where a model builder records a basis: by hand, or for a
+tower over a projective space by the discrepancy rule.  Every other kind
+still builds a model, it just answers
 ``CoordinatesUnknown``/``OutOfScope`` for the coordinate-dependent queries.
 
 Every complete-form space is a blow-up tower over a secant variety of a
@@ -313,13 +314,19 @@ class SpaceModel(_Record):
             )
         return cls.coordinates
 
-    def cone_spanned_by(self, labels: Sequence[str]) -> RationalCone:
+    def _coordinate_basis(self) -> Tuple[str, ...]:
+        """The basis, or the one refusal of a model without coordinates."""
+
         if self.basis is None:
             raise CoordinatesUnknown(
                 "class coordinates are not available for %s" % self.name
             )
+        return self.basis
+
+    def cone_spanned_by(self, labels: Sequence[str]) -> RationalCone:
+        ambient = len(self._coordinate_basis())
         rays = [self.class_coordinates(label) for label in labels]
-        return cone_from_rays(rays, ambient_dim=len(self.basis))
+        return cone_from_rays(rays, ambient_dim=ambient)
 
     def _generated_cone(self, labels, what: str) -> RationalCone:
         if labels is None:
@@ -345,10 +352,7 @@ class SpaceModel(_Record):
                 "the chamber decomposition of %s is only known through its "
                 "degree-two cover of the symmetric rank model" % self.name
             )
-        if self.basis is None:
-            raise CoordinatesUnknown(
-                "class coordinates are not available for %s" % self.name
-            )
+        ambient = len(self._coordinate_basis())
         labels = tuple(self.boundary) + tuple(self.colors)
         missing = [lb for lb in labels if self.classes.get(lb) is None]
         if not labels or missing:
@@ -356,7 +360,7 @@ class SpaceModel(_Record):
                 "chamber decomposition input classes are not recorded for %s" % self.name
             )
         vectors = [self.class_coordinates(lb) for lb in labels]
-        decomposition = gkz_decomposition(vectors, ambient_dim=len(self.basis))
+        decomposition = gkz_decomposition(vectors, ambient_dim=ambient)
         if self.nef_generators is not None:
             nef = self.nef_cone()
             matches = sum(1 for chamber in decomposition.chambers if chamber == nef)
@@ -509,9 +513,9 @@ def _symmetric_orbit(kind: Quadrics) -> list:
 # over symmetric forms.  It writes a full tower's data once, in its C or Q
 # labels, and a partial tower's where known; a full tower named by n-1 of n
 # steps reads its data through :func:`_top_center_as_color`.  A tower over a
-# projective space (h = n+1) with a basis takes its -K from the discrepancy
-# rule, :func:`_discrepancy_rule`; its builder writes neither -K nor an
-# ``E<i>`` coordinate.
+# projective space (h = n+1) with coordinates takes both its basis and its -K
+# from the discrepancy rule, :func:`_projective_tower`, so its branch writes
+# its ``stated`` count and no basis, -K or ``E<i>`` coordinate.
 
 
 def _top_center_as_color(spec: dict, n: int) -> dict:
@@ -529,19 +533,24 @@ def _top_center_as_color(spec: dict, n: int) -> dict:
     return spec
 
 
-def _discrepancy_rule(secant: Callable[[int], SecantInvariants], h: int) -> Tuple[Fraction, ...]:
-    """-K of a tower over P^N in the basis (H, E_1, ...): the discrepancy rule.
+def _projective_tower(first: str, secant: Callable[[int], SecantInvariants], h: int) -> dict:
+    """The ``basis`` and ``minus_k`` of a tower over P^N: the discrepancy rule.
 
     The tower blows P^N up along the secants sigma_j = ``secant(j)``, j < h,
-    each smooth by the time it is blown up (Vainsencher 1984), so its
-    exceptional divisor E_j enters K with its codimension less one
-    (Hartshorne, Exercise II.8.5): -K = (N+1)*H - sum_j (codim sigma_j -
-    1)*E_j, N and the codimensions read off ``secant``.  A divisorial top
-    center adds 0 and is not a basis class.
+    each smooth by the time it is blown up (Vainsencher 1984).  A center of
+    codimension one is already a divisor, so the basis is ``first`` (the
+    hyperplane class) and E_j for each other center, and each such E_j
+    enters K with its codimension less one (Hartshorne, Exercise II.8.5):
+    -K = (N+1)*H - sum_j (codim sigma_j - 1)*E_j, N and the codimensions
+    read off ``secant``.
     """
 
-    codims = [secant(j).codimension for j in range(1, h)]
-    return _vec(secant(h).ambient_dimension + 1, *(1 - c for c in codims if c > 1))
+    codims = {j: secant(j).codimension for j in range(1, h)}
+    blown_up = [j for j, c in codims.items() if c > 1]
+    return dict(
+        basis=(first,) + tuple("E%d" % j for j in blown_up),
+        minus_k=_vec(secant(h).ambient_dimension + 1, *(1 - codims[j] for j in blown_up)),
+    )
 
 
 def _pair_tower_model(kind) -> dict:
@@ -580,12 +589,11 @@ def _pair_tower_model(kind) -> dict:
             minus_k=_vec(n + 1, m + 1, 2),
             stated=3,
         )
-    elif h == 2 and n == 1 and m >= 2:
-        spec.update(basis=("D1", "E1"), stated=2)
-    elif h == 2 and n == 1 and m == 1:
-        spec.update(basis=("D1",), stated=1)
-    if h > n and "basis" in spec:
-        spec.update(minus_k=_discrepancy_rule(lambda j: segre_secant_invariants(n, m, j), h))
+    elif h == n + 1 == 2:  # C(1,m,2), over P^{2m+1}
+        spec.update(
+            _projective_tower("D1", lambda j: segre_secant_invariants(n, m, j), h),
+            stated=2 if m > 1 else 1,
+        )
     return spec if k == h - 1 else _top_center_as_color(spec, n)
 
 
@@ -630,19 +638,13 @@ def _symmetric_tower_model(kind) -> dict:
             minus_k=(Fraction(3 * n + 3, 2), Fraction(1 - n), Fraction(3 - n, 2)),
             stated=5,
         )
-    elif h == 4 and n == 3:
+    elif h == n + 1 <= 4:  # Q(1,2), Q(2,3) and Q(3,4), over P^2, P^5 and P^9
         spec.update(
-            basis=("H", "E1", "E2"),
-            table={"P": _vec(6, -3, -2)},
-            mov=colors + ("P",),
-            stated=9,
+            _projective_tower("H", lambda j: veronese_secant_invariants(n, j), h),
+            stated=(1, 3, 9)[n - 1],
         )
-    elif h == 3 and n == 2:
-        spec.update(basis=("H", "E1"), stated=3)
-    elif h == 2 and n == 1:
-        spec.update(basis=("H",), stated=1)
-    if h > n and "basis" in spec:
-        spec.update(minus_k=_discrepancy_rule(lambda j: veronese_secant_invariants(n, j), h))
+        if n == 3:
+            spec.update(table={"P": _vec(6, -3, -2)}, mov=colors + ("P",))
     if kind.h > h:  # secV(1,3;k=1) lies past the secant range: it is the plane
         spec.update(dimension=2)
     return spec if k == h - 1 else _top_center_as_color(spec, n)
@@ -913,10 +915,7 @@ def _model(kind: SpaceKind) -> SpaceModel:
 
 def divisor_classes(kind: SpaceKind) -> Dict[str, DivisorClass]:
     model = build_model(kind)
-    if not model.has_coordinates:
-        raise CoordinatesUnknown(
-            "class coordinates are not available for %s" % model.name
-        )
+    model._coordinate_basis()
     return dict(model.classes)
 
 
@@ -1052,28 +1051,29 @@ def kontsevich_dictionary(kind: SpaceKind) -> ComparisonDictionary:
     """
 
     entry = _entry(kind)
-    spec = entry.model(kind)
-    rule = spec.get("dictionary")
+    # the model does not carry the rule, so it is read off the builder
+    rule = entry.model(kind).get("dictionary")
     if rule is None:
         raise OutOfScope("no comparison dictionary is recorded for %s" % space_name(kind))
-    coordinates = _coordinates(spec)
+    model = build_model(kind)
+    coordinates = model.class_coordinates
     if entry.twin is not None:
         # the isomorphism is written in matching bases: every class keeps its
         # coordinate vector under its form-space name
-        entries = tuple(DictionaryEntry(src, dst, coordinates[src]) for src, dst in rule)
-        columns = tuple(coordinates[label] for label in spec["basis"])
+        entries = tuple(DictionaryEntry(src, dst, coordinates(src)) for src, dst in rule)
+        columns = tuple(coordinates(label) for label in model.basis)
         return ComparisonDictionary(kind, entry.twin(kind), entries, columns)
     source = entry.cover(kind)
     entries = tuple(
         DictionaryEntry(
             src,
             dst if c == 1 else "%d*%s" % (c, dst),
-            tuple(c * x for x in coordinates[dst]),
+            tuple(c * x for x in coordinates(dst)),
         )
         for src, c, dst in rule
     )
     images = {e.source: e.image for e in entries}
-    columns = tuple(images[label] for label in _entry(source).model(source)["basis"])
+    columns = tuple(images[label] for label in build_model(source).basis)
     return ComparisonDictionary(source, kind, entries, columns)
 
 

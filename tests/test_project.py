@@ -31,9 +31,10 @@ restating any of it.  Every
 record is a dataclass over ``lattice._Record``, declared with no generated
 method, because generating six methods for each of two dozen frozen
 dataclasses was most of what a command line call spent importing the
-package; the eleventh lint keeps every dataclass in src/ on that base, but
-for a named allow-list of hot classes that may keep a generated
-``__init__`` (empty: no record is built often enough to need one).  For the same
+package; the eleventh lint keeps every dataclass in src/ on that base,
+declared the one generic way, with no generated ``__init__`` either (no
+record is built often enough to need one: a generated ``__init__`` costs
+more import time than it saves in a catalog pass).  For the same
 reason the command line imports neither the symbolic minors nor the
 enumeration (nor numpy) until a check needs them, which a fresh
 interpreter checks.  A census walks a tall format as its transpose, so it
@@ -47,9 +48,10 @@ process, so the fourteenth lint keeps every ``functools`` memo a bounded
 size.  A chamber complex builds its basis cones from the one kernel normal
 of each (d - 1)-subset it has already computed for its hyperplanes, so the
 fifteenth lint keeps ``_chamber_complex`` calling ``cone_from_rays`` once,
-for the support.  Over a projective space (h = n+1) a tower's -K is written
-by one discrepancy rule and its top boundary class by the color rule, so
-the sixteenth lint keeps the two tower builders from writing either.
+for the support.  Over a projective space (h = n+1) a tower's basis and -K
+are written by one discrepancy rule and its top boundary class by the color
+rule, so the sixteenth lint keeps the two tower builders from writing any
+of them.
 """
 
 import ast
@@ -335,14 +337,6 @@ def test_importing_the_cli_loads_no_minors_no_enumeration_and_no_numpy():
     assert result.stdout.strip() == "[]"
 
 
-# records that may keep the __init__ of @dataclass(frozen=True, repr=False,
-# eq=False), for one whose constructions a benchmark pass measurably feels.
-# None does: a seed-7 catalog pass builds 700 RationalCones and 669
-# DivisorClasses, and the generic __init__ adds about 0.6 ms to a pass of
-# 90 ms, against 0.9 ms more import for the two generated ones.
-HOT_RECORDS: frozenset = frozenset()
-
-
 def test_every_dataclass_is_a_record_declared_without_generated_methods():
     declared = {}
     for module in sorted(PACKAGE.glob("*.py")):
@@ -352,9 +346,7 @@ def test_every_dataclass_is_a_record_declared_without_generated_methods():
                     if "dataclass" in ast.unparse(decorator):
                         declared["%s.%s" % (module.stem, node.name)] = ast.unparse(decorator)
     generic = "dataclass(init=False, repr=False, eq=False)"
-    hot = "dataclass(frozen=True, repr=False, eq=False)"
-    assert {name for name, how in declared.items() if how != generic} <= HOT_RECORDS
-    assert all(declared[name] == hot for name in HOT_RECORDS)
+    assert sorted(name for name, how in declared.items() if how != generic) == []
     for name in declared:
         stem, cls = name.split(".")
         record = getattr(importlib.import_module("completeforms." + stem), cls)
@@ -481,14 +473,15 @@ def _guarded(node, path=()):
 
 
 def test_tower_builders_leave_minus_k_and_the_top_class_to_the_rules(monkeypatch):
-    """Over a projective space (h = n+1) a tower builder writes no -K and no
-    ``E<i>`` coordinate: -K comes from ``_discrepancy_rule``, which only the
-    two tower builders call, and the top boundary class from the top-class
-    rule of ``_coordinates``.  Read off the source, no ``minus_k`` but the
-    rule's and no ``E<i>`` key is written on a path whose ``if`` tests can
-    hold at h = n+1 (with ``full`` as ``spaces._tower`` reads it), n <= 8;
-    built, every tower name with h = n+1 and n, m <= 8 takes its -K from the
-    rule, here replaced by a marker."""
+    """Over a projective space (h = n+1) a tower builder writes no basis, no
+    -K and no ``E<i>`` coordinate: the basis and -K come from
+    ``_projective_tower``, which only the two tower builders call, and the
+    top boundary class from the top-class rule of ``_coordinates``.  Read
+    off the source, no ``basis``, no ``minus_k`` and no ``E<i>`` key is
+    written on a path whose ``if`` tests can hold at h = n+1 (with ``full``
+    as ``spaces._tower`` reads it), n <= 8; built, every tower name with
+    h = n+1 and n, m <= 8 takes both its basis and its -K from the rule,
+    here replaced by markers, or neither."""
     builders = {"_pair_tower_model", "_symmetric_tower_model"}
     tree = ast.parse(Path(spaces.__file__).read_text(encoding="utf-8"))
     callers = {
@@ -496,16 +489,13 @@ def test_tower_builders_leave_minus_k_and_the_top_class_to_the_rules(monkeypatch
         for builder in tree.body
         if isinstance(builder, ast.FunctionDef)
         for node in ast.walk(builder)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_discrepancy_rule"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_projective_tower"
     }
     assert callers == builders
 
-    def by_the_rule(value):
-        return isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_discrepancy_rule"
-
     def written(node):
-        if isinstance(node, ast.keyword) and node.arg == "minus_k" and not by_the_rule(node.value):
-            return ["minus_k"]
+        if isinstance(node, ast.keyword) and node.arg in ("basis", "minus_k"):
+            return [node.arg]
         if isinstance(node, ast.Dict):
             return [key.value for key in node.keys if isinstance(key, ast.Constant)]
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
@@ -529,7 +519,7 @@ def test_tower_builders_leave_minus_k_and_the_top_class_to_the_rules(monkeypatch
         if isinstance(builder, ast.FunctionDef) and builder.name in builders
         for node, path in _guarded(builder)
         for key in written(node)
-        if key == "minus_k" or re.fullmatch(r"E\d+", str(key))
+        if key in ("basis", "minus_k") or re.fullmatch(r"E\d+", str(key))
         if any(
             all(holds(test, scope) == taken for test, taken in path)
             for scope in over_pn(builder.name)
@@ -537,8 +527,10 @@ def test_tower_builders_leave_minus_k_and_the_top_class_to_the_rules(monkeypatch
     ]
     assert found == []
 
-    marker = object()
-    monkeypatch.setattr(spaces, "_discrepancy_rule", lambda secant, h: marker)
+    basis, minus_k = object(), object()
+    monkeypatch.setattr(
+        spaces, "_projective_tower", lambda first, secant, h: dict(basis=basis, minus_k=minus_k)
+    )
     by_rule = 0
     for cls, entry in spaces._KINDS.items():
         if entry.model.__name__ not in builders:
@@ -552,9 +544,10 @@ def test_tower_builders_leave_minus_k_and_the_top_class_to_the_rules(monkeypatch
                 kind = cls(**params)
             except ValueError:
                 continue
-            minus_k = entry.model(kind).get("minus_k")
-            assert minus_k is None or minus_k is marker, spaces.space_name(kind)
-            by_rule += minus_k is marker
+            spec = entry.model(kind)
+            written_by_rule = (spec.get("basis"), spec.get("minus_k"))
+            assert written_by_rule in ((None, None), (basis, minus_k)), spaces.space_name(kind)
+            by_rule += written_by_rule == (basis, minus_k)
     # both names of C(1,m,2), m <= 8 (16), all names of Q(1,2), Q(2,3) and
     # Q(3,4) (8), and the admitted secV(1,3;k=1)
     assert by_rule == 25

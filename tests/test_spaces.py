@@ -215,6 +215,17 @@ def test_frozen_picard_ranks():
     assert build_model(KontsevichGr(2)).picard_rank == 2
 
 
+def test_a_basis_has_one_class_per_picard_rank():
+    """Every kind with n, m, h, k <= 8 that has coordinates, whether a builder
+    or the discrepancy rule writes its basis."""
+    kinds = [k for k in every_kind_up_to(8) if max(spaces.kind_parameters(k).values()) <= 8]
+    models = [build_model(kind) for kind in kinds]
+    with_basis = [model for model in models if model.basis is not None]
+    assert (len(models), len(with_basis)) == (684, 190)
+    for model in with_basis:
+        assert model.picard_rank == len(model.basis), model.name
+
+
 def test_color_count_matches_rank_on_complete_kinds():
     for n in range(1, 7):
         for m in range(n, 7):
@@ -590,17 +601,32 @@ def test_the_catalog_towers_over_projective_space_match_the_wonderful_oracle(kin
         assert model.class_coordinates("E%d" % n) == color(n + 1)
 
 
-def test_the_discrepancy_rule_matches_the_wonderful_oracle():
-    """Every tower over P^N with n <= 8 and n <= m <= 9, coordinates or not."""
-    towers = 0
+def _towers_over_projective_space():
+    """Every tower over P^N with n <= 8 and n <= m <= 9, coordinates or not,
+    with its rule: its full C or Q name and the basis and -K the rule writes."""
+    rule = spaces._projective_tower
     for n in range(1, 9):
-        rule = spaces._discrepancy_rule(lambda j: veronese_secant_invariants(n, j), n + 1)
-        assert rule == wonderful_minus_k(n), n
-        towers += 1
+        yield Quadrics(n, n + 1), rule("H", lambda j: veronese_secant_invariants(n, j), n + 1)
         for m in range(n, 10):
-            rule = spaces._discrepancy_rule(lambda j: segre_secant_invariants(n, m, j), n + 1)
-            assert rule == wonderful_minus_k(n, m), (n, m)
-            towers += 1
+            kind = Collineations(n, m, n + 1)
+            yield kind, rule("D1", lambda j: segre_secant_invariants(n, m, j), n + 1)
+
+
+def test_the_discrepancy_rule_matches_the_wonderful_oracle():
+    towers = 0
+    for kind, rule in _towers_over_projective_space():
+        assert rule["minus_k"] == wonderful_minus_k(kind.n, getattr(kind, "m", None)), kind
+        towers += 1
+    assert towers == 52
+
+
+def test_the_rule_writes_one_basis_class_per_picard_rank():
+    """The rule drops a center of codimension one from the basis; the builder
+    reads the rank off the tower's shape (one less over square forms)."""
+    towers = 0
+    for kind, rule in _towers_over_projective_space():
+        assert len(rule["basis"]) == build_model(kind).picard_rank, kind
+        towers += 1
     assert towers == 52
 
 
