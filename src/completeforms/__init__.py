@@ -11,7 +11,12 @@ The package is organized bottom up:
 - :mod:`completeforms.secants` - every closed form: secant dimensions and
   degrees, rank counts over F_q and the primality test; no numpy.
 - :mod:`completeforms.determinantal` - exhaustive finite-field enumeration
-  of determinantal loci and the verifications built on it.
+  of determinantal loci and the verifications built on it; it loads numpy
+  at import.  Its code lives in two private modules:
+  :mod:`completeforms._enumeration`, the walks, the F_2 engine on Python
+  ints and the checks, with no numpy, which the command line calls; and
+  :mod:`completeforms._odd_q`, the odd-q kernel, the only module that
+  imports numpy.
 - :mod:`completeforms.spaces` - the catalog of compactified spaces of forms:
   Picard data, boundary and color classes, cone generators, chamber counts,
   positivity classification, automorphism groups and comparison dictionaries.

@@ -15,9 +15,11 @@ Three subcommands:
     pass/fail.
 
 Only the checks that enumerate matrices (``census``, ``rank-lemma`` and
-``component-split``) import :mod:`completeforms.determinantal`, and with it
-numpy, and only once the request is within the enumeration budget; every
-other command starts without it.  Likewise only ``tangent-cone`` imports
+``component-split``) import the enumeration, the numpy-free
+:mod:`completeforms._enumeration`, and only once the request is within the
+enumeration budget; every other command starts without it.  Only a check
+over an odd q goes on to load the odd-q kernel, and with it numpy; an F_2
+check runs without numpy.  Likewise only ``tangent-cone`` imports
 :mod:`completeforms.polynomials`.
 
 Exit codes: 0 success, 1 a verification ran and failed, 2 bad parameters,
@@ -48,11 +50,12 @@ _SPACES = {entry.cli_name: cls for cls, entry in spaces._KINDS.items()}
 
 def _determinantal(a: int, b: int, q: int, symmetric: bool):
     """The finite-field enumeration, imported once the request passes its
-    preconditions: it loads numpy, and a refused request need not."""
+    preconditions, which a refused request need not pay for.  It is the
+    numpy-free module, which loads numpy only to walk an odd q."""
     secants._census_preconditions(a, b, q, symmetric)
-    from . import determinantal
+    from . import _enumeration
 
-    return determinantal
+    return _enumeration
 
 
 def _tangent_cone(a: argparse.Namespace) -> VerificationReport:

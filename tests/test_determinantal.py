@@ -14,7 +14,7 @@ from math import comb, isqrt, prod
 
 import pytest
 
-from completeforms import determinantal, secants
+from completeforms import _enumeration, _odd_q, secants
 from completeforms.determinantal import (
     RankCensus,
     is_prime,
@@ -189,13 +189,13 @@ def test_census_matches_closed_form(a, b, q):
 
 
 def test_census_transpose_symmetry(monkeypatch):
-    walked, walk = [], determinantal._walk
+    walked, walk = [], _odd_q._walk
 
     def recording_walk(q, a, b, symmetric):
         walked.append((a, b))
         return walk(q, a, b, symmetric)
 
-    monkeypatch.setattr(determinantal, "_walk", recording_walk)
+    monkeypatch.setattr(_odd_q, "_walk", recording_walk)
     tall = rank_census(4, 2, 3)
     assert rank_census(2, 4, 3).as_dict() == tall.as_dict()
     # a tall format is walked as its transpose; the record keeps a and b as given
@@ -323,7 +323,7 @@ def test_lemma_preconditions():
 # ---------------------------------------------------------------- chunked walk
 #
 # The walk cuts the matrices into digit-aligned chunks of at most
-# determinantal._CHUNK: over an odd q runs of blocks of q^c matrices that
+# _enumeration._CHUNK: over an odd q runs of blocks of q^c matrices that
 # share their c low digits, over F_2 blocks of 2^c matrices held bit-sliced.
 # These tests shrink the chunk so every call spans several chunks, and over
 # an odd q ends in a partial run (over F_2 no chunk is partial), and pin the
@@ -333,15 +333,15 @@ def test_lemma_preconditions():
 def walked_chunks(q, a, b, symmetric=False):
     """(first index, matrix count) of each chunk the walk yields."""
     if q == 2:
-        return [(lo, n) for lo, n, _ in determinantal._f2_walk(a, b, symmetric)]
-    return [(lo, digits.shape[-1]) for lo, digits in determinantal._walk(q, a, b, symmetric)]
+        return [(lo, n) for lo, n, _ in _enumeration._f2_walk(a, b, symmetric)]
+    return [(lo, digits.shape[-1]) for lo, digits in _odd_q._walk(q, a, b, symmetric)]
 
 
 def small_chunks(monkeypatch, a, b, q, symmetric=False):
     """Chunks of (q//2 + 1) * q^(npos-2) matrices: several per call, and over
     an odd q some cross a change of the top digit and the last is partial."""
     npos = a * (a + 1) // 2 if symmetric else a * b
-    monkeypatch.setattr(determinantal, "_CHUNK", (q // 2 + 1) * q ** (npos - 2))
+    monkeypatch.setattr(_enumeration, "_CHUNK", (q // 2 + 1) * q ** (npos - 2))
     sizes = [size for _, size in walked_chunks(q, a, b, symmetric)]
     assert len(sizes) >= 2
     assert (sizes[-1] < sizes[0]) == (q > 2)
@@ -426,20 +426,20 @@ def forced_flags(monkeypatch, **forced):
     """Make the named split flags of every chunk read the same for every
     matrix, over F_2 and over odd q alike: -1 (every bit set) for true, 0 for
     false.  Both engines hand the split their flags as bit masks."""
-    for seam in ("_f2_flags", "_flags"):
-        engine = getattr(determinantal, seam)
+    for module, seam in ((_enumeration, "_f2_flags"), (_odd_q, "_flags")):
+        engine = getattr(module, seam)
 
         def flags(*args, engine=engine):
             return tuple(forced.get(name, mask) for name, mask in zip(SPLIT_FLAGS, engine(*args)))
 
-        monkeypatch.setattr(determinantal, seam, flags)
+        monkeypatch.setattr(module, seam, flags)
 
 
 def forced_zero_minor(monkeypatch, **forced):
     """Make every leading minor read as zero, so the first matrix of rank
     <= k with independent first rows and columns becomes a counterexample."""
     forced_flags(monkeypatch, det_zero=-1, **forced)
-    monkeypatch.setattr(determinantal, "_CHUNK", 1)
+    monkeypatch.setattr(_enumeration, "_CHUNK", 1)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -540,9 +540,9 @@ def walk_chunk(request, monkeypatch):
     def chunk(a, b, q, symmetric):
         if request.param == "small":
             total = q ** (a * (a + 1) // 2 if symmetric else a * b)
-            monkeypatch.setattr(determinantal, "_CHUNK", max(1, total // 4))
+            monkeypatch.setattr(_enumeration, "_CHUNK", max(1, total // 4))
             chunks = len(walked_chunks(q, a, b, symmetric))
-            assert chunks == -(-total // determinantal._CHUNK) >= min(3, total)
+            assert chunks == -(-total // _enumeration._CHUNK) >= min(3, total)
     return chunk
 
 
@@ -632,23 +632,23 @@ def test_f2_walks_at_the_budget_match_closed_forms(a, b):
 def test_reported_matrix_matches_the_decoded_rows(a, b, q, symmetric, chunk, monkeypatch):
     # the counterexample decoder reads one index; the walks decode whole
     # chunks, bit-sliced over F_2 and in numpy over odd q
-    monkeypatch.setattr(determinantal, "_CHUNK", chunk)
+    monkeypatch.setattr(_enumeration, "_CHUNK", chunk)
     npos = a * (a + 1) // 2 if symmetric else a * b
     if q == 2:
         walk = (
             (lo, [[[entry >> t & 1 for entry in row] for row in entries] for t in range(n)])
-            for lo, n, entries in determinantal._f2_walk(a, b, symmetric)
+            for lo, n, entries in _enumeration._f2_walk(a, b, symmetric)
         )
     else:
         walk = (
             (lo, [digits[:, :, t].tolist() for t in range(digits.shape[-1])])
-            for lo, digits in determinantal._walk(q, a, b, symmetric)
+            for lo, digits in _odd_q._walk(q, a, b, symmetric)
         )
     index = chunks = 0
     for lo, matrices in walk:
         assert lo == index
         for offset, decoded in enumerate(matrices):
-            assert determinantal._matrix(lo + offset, q, a, b, symmetric) == decoded
+            assert _enumeration._matrix(lo + offset, q, a, b, symmetric) == decoded
         index += len(matrices)
         chunks += 1
     assert index == q**npos
@@ -663,7 +663,7 @@ def test_reported_matrix_matches_the_decoded_rows(a, b, q, symmetric, chunk, mon
 def test_chunks_are_no_more_and_no_smaller_than_plain_pieces(a, b, q, symmetric, chunk, monkeypatch):
     # digit-aligned chunks must not shrink to q^c matrices: a walk takes as
     # many chunks as cutting it into pieces of _CHUNK would
-    monkeypatch.setattr(determinantal, "_CHUNK", chunk)
+    monkeypatch.setattr(_enumeration, "_CHUNK", chunk)
     total = q ** (a * (a + 1) // 2 if symmetric else a * b)
     chunks = walked_chunks(q, a, b, symmetric)
     sizes = [size for _, size in chunks]

@@ -7,10 +7,12 @@ keeps it that way.  Everything the catalog knows per space kind lives in its
 kind table and model builders, so ``spaces`` never tests a kind's class; the
 second lint keeps it that way.  The finite-field checks walk the matrices in
 two places only, the census and the one walk behind both lemma checks, each
-with the F_2 walk or the odd-q walk; the third lint keeps it that way.  Only
-the odd-q enumeration needs numpy, so the fourth lint keeps numpy out of
-every other module, and the fifth keeps every
-module from importing ``determinantal`` when it is itself imported.  In
+with the F_2 walk or the odd-q walk (over odd q the census walks in the
+odd-q tally it calls); the third lint keeps it that way.  Only the odd-q
+kernel needs numpy, so the fourth lint keeps numpy out of every module but
+``_odd_q``, and the fifth keeps every module but ``determinantal``, which
+loads numpy at import on purpose, from importing ``_odd_q`` or
+``determinantal`` when it is itself imported.  In
 ``cones`` only the spanned hyperplanes and the basis cones come from subsets
 of vectors; every other cone is cut from one it already has, and the sixth
 lint keeps it that way.  The command line reads what it shows of a space off
@@ -37,12 +39,15 @@ record is built often enough to need one: a generated ``__init__`` costs
 more import time than it saves in a catalog pass).  For the same
 reason the command line imports neither the symbolic minors nor the
 enumeration (nor numpy) until a check needs them, which a fresh
-interpreter checks.  A census walks a tall format as its transpose, so it
+interpreter checks; ``determinantal`` itself loads numpy at import and
+defines its three checks as its own functions, which a fresh interpreter
+checks too.  A census walks a tall format as its transpose, so it
 ranks rows alone; only the split flags behind the lemma checks, which keep
 each matrix's index, take the columns of a chunk, and the twelfth lint keeps
 it that way.  Over F_2 the enumeration runs on Python ints, and the
-thirteenth lint keeps every F_2 code path of ``determinantal`` from naming
-numpy.  The cones, fans and models are memoised for the life of the
+thirteenth lint follows every F_2 code path from the public functions of
+``determinantal`` into ``_enumeration`` and keeps it from naming numpy or
+the odd-q kernel.  The cones, fans and models are memoised for the life of the
 process, so the fourteenth lint keeps every ``functools`` memo a bounded
 ``lru_cache``, but for the Leibniz table, which holds one entry per minor
 size.  A chamber complex builds its basis cones from the one kernel normal
@@ -177,8 +182,11 @@ def callers(name):
 
 
 def test_matrices_are_walked_only_by_the_census_and_the_split_tally():
-    walkers = {"determinantal.rank_census", "determinantal._split_tallies"}
-    assert callers("_walk") == callers("_f2_walk") == walkers
+    """Over F_2 both walk in ``_enumeration``; over odd q the census walks in
+    the odd-q tally it calls, and only there."""
+    assert callers("_f2_walk") == {"_enumeration.rank_census", "_enumeration._split_tallies"}
+    assert callers("_walk") == {"_odd_q._rank_tallies", "_enumeration._split_tallies"}
+    assert callers("_rank_tallies") == {"_enumeration.rank_census"}
 
 
 def test_only_the_enumeration_imports_numpy():
@@ -193,11 +201,13 @@ def test_only_the_enumeration_imports_numpy():
                 continue
             if any(name.split(".")[0] == "numpy" for name in names):
                 found.add(module.stem)
-    assert found == {"determinantal"}
+    assert found == {"_odd_q"}
 
 
 def test_no_module_imports_the_enumeration_when_it_is_imported():
-    """``determinantal`` loads numpy, so the rest import it inside a function, if at all."""
+    """The odd-q kernel ``_odd_q`` loads numpy, and so does ``determinantal``,
+    which imports it at load on purpose; every other module imports either
+    inside a function, if at all."""
     found = set()
     for module in sorted(PACKAGE.glob("*.py")):
         pending = list(ast.parse(module.read_text(encoding="utf-8")).body)
@@ -214,9 +224,9 @@ def test_no_module_imports_the_enumeration_when_it_is_imported():
             else:
                 pending.extend(ast.iter_child_nodes(node))
                 continue
-            if any(name.split(".")[-1] == "determinantal" for name in names):
+            if any(name.split(".")[-1] in ("determinantal", "_odd_q") for name in names):
                 found.add(module.stem)
-    assert found == set()
+    assert found == {"determinantal"}
 
 
 def test_cones_takes_subsets_only_for_hyperplanes_and_basis_cones():
@@ -325,7 +335,7 @@ def test_importing_the_cli_loads_no_minors_no_enumeration_and_no_numpy():
     probe = (
         "import sys, completeforms.cli; "
         "print(sorted(m for m in ('completeforms.polynomials', 'completeforms.determinantal', "
-        "'numpy') if m in sys.modules))"
+        "'completeforms._enumeration', 'completeforms._odd_q', 'numpy') if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
@@ -335,6 +345,30 @@ def test_importing_the_cli_loads_no_minors_no_enumeration_and_no_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_the_public_enumeration_module_loads_numpy_and_defines_its_checks():
+    """``determinantal`` loads numpy when it is imported, so a process that
+    imports it once and runs many checks pays for numpy there and not in its
+    first odd-q check; and its three checks are its own functions, not
+    re-exports of ``_enumeration``, so a tracer that wraps a module's own
+    functions wraps them."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys\n"
+        "before = 'numpy' in sys.modules\n"
+        "import completeforms.determinantal as d\n"
+        "print(before, 'numpy' in sys.modules, sorted({f.__module__ for f in "
+        "(d.rank_census, d.verify_rank_minor_lemma, d.verify_component_split)}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False True ['completeforms.determinantal']"
 
 
 def test_every_dataclass_is_a_record_declared_without_generated_methods():
@@ -358,28 +392,40 @@ def test_every_dataclass_is_a_record_declared_without_generated_methods():
     assert len(declared) == 26
 
 
+# the two modules of the enumeration: the numpy-free walks, F_2 engine and
+# checks, and the odd-q kernel, the one module that imports numpy
+ENUMERATION = ("_enumeration", "_odd_q")
+
+
 def test_only_the_split_flags_take_the_columns_of_a_chunk():
     """A transpose is ``swapaxes`` of a digit array, or ``zip(*entries)`` of the
     ints of an F_2 chunk; only the two engines' split flags take one."""
     found = set()
-    tree = ast.parse((PACKAGE / "determinantal.py").read_text(encoding="utf-8"))
-    for function in tree.body:
-        for node in ast.walk(function):
-            if isinstance(node, ast.Call) and (
-                getattr(node.func, "attr", None) == "swapaxes"
-                or getattr(node.func, "id", None) == "zip"
-                and any(isinstance(arg, ast.Starred) for arg in node.args)
-            ):
-                found.add(function.name)
-    assert found == {"_flags", "_f2_flags"}
+    for stem in ENUMERATION:
+        tree = ast.parse((PACKAGE / (stem + ".py")).read_text(encoding="utf-8"))
+        for function in tree.body:
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and (
+                    getattr(node.func, "attr", None) == "swapaxes"
+                    or getattr(node.func, "id", None) == "zip"
+                    and any(isinstance(arg, ast.Starred) for arg in node.args)
+                ):
+                    found.add("%s.%s" % (stem, function.name))
+    assert found == {"_odd_q._flags", "_enumeration._f2_flags"}
 
 
 def test_no_f2_code_path_of_the_enumeration_names_numpy():
-    """From the public functions of ``determinantal``, follows every module
-    function they name, transitively, skipping the odd-q side of each
-    ``if q == 2``: nothing on that F_2 path may name ``np``."""
-    tree = ast.parse((PACKAGE / "determinantal.py").read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    """From the public functions of ``determinantal``, follows every function
+    of ``determinantal`` and ``_enumeration`` they name (a bare name in its
+    own module, or ``_enumeration.<name>``), transitively, skipping the odd-q
+    side of each ``if q == 2``: nothing on that F_2 path may name ``np`` or
+    the odd-q module ``_odd_q``, nor import numpy or ``_odd_q``."""
+    functions = {}
+    for stem in ("determinantal", "_enumeration"):
+        tree = ast.parse((PACKAGE / (stem + ".py")).read_text(encoding="utf-8"))
+        functions.update(
+            {(stem, node.name): node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        )
 
     def f2_nodes(node):
         yield node
@@ -390,18 +436,36 @@ def test_no_f2_code_path_of_the_enumeration_names_numpy():
         for child in children:
             yield from f2_nodes(child)
 
-    pending = ["rank_census", "verify_rank_minor_lemma", "verify_component_split"]
-    reached, found = set(pending), []
+    def named(node, stem):
+        if isinstance(node, ast.Name):
+            return stem, node.id
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_enumeration":
+            return "_enumeration", node.attr
+        return None
+
+    public = [("determinantal", name) for name in ("rank_census", "verify_rank_minor_lemma",
+                                                    "verify_component_split")]
+    pending, reached, found = list(public), set(public), []
     while pending:
-        for node in f2_nodes(functions[pending.pop()]):
-            if isinstance(node, ast.Name) and node.id == "np":
-                found.append(node.lineno)
-            elif isinstance(node, ast.Name) and node.id in functions and node.id not in reached:
-                reached.add(node.id)
-                pending.append(node.id)
-    assert reached == {
-        "rank_census", "verify_rank_minor_lemma", "verify_component_split", "_split_tallies",
-        "_f2_walk", "_f2_kernels", "_f2_flags", "_gray_steps", "_positions", "_matrix",
+        stem, name = pending.pop()
+        for node in f2_nodes(functions[stem, name]):
+            if isinstance(node, ast.Name) and node.id in ("np", "_odd_q"):
+                found.append("%s:%d" % (stem, node.lineno))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                alias.name.split(".")[0] in ("numpy", "_odd_q") for alias in node.names
+            ):
+                found.append("%s:%d" % (stem, node.lineno))
+            target = named(node, stem)
+            if target in functions and target not in reached:
+                reached.add(target)
+                pending.append(target)
+    assert {"%s.%s" % key for key in reached} == {
+        "determinantal.rank_census", "determinantal.verify_rank_minor_lemma",
+        "determinantal.verify_component_split", "_enumeration.rank_census",
+        "_enumeration.verify_rank_minor_lemma", "_enumeration.verify_component_split",
+        "_enumeration._split_tallies", "_enumeration._f2_walk", "_enumeration._f2_kernels",
+        "_enumeration._f2_flags", "_enumeration._gray_steps", "_enumeration._positions",
+        "_enumeration._matrix",
     }
     assert found == []
 

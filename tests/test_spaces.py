@@ -972,9 +972,9 @@ def _cli_runs(commands):
     )
 
 
-# each layer is imported, and the closed forms, the numpy-free commands and a
-# census the budget refuses are also run, in a fresh interpreter; none of it
-# may load numpy
+# each layer is imported, and the closed forms, the numpy-free commands (the
+# F_2 enumerating checks among them) and a census the budget refuses are also
+# run, in a fresh interpreter; none of it may load numpy
 NUMPY_FREE = {
     "completeforms.spaces": "",
     "completeforms.cones": "",
@@ -989,6 +989,9 @@ NUMPY_FREE = {
             "verify --check rh-solve --n 4": 0,
             "verify --check knm-identity --n 2 --m 3": 0,
             "verify --check census --rows 5 --cols 5 --q 2": 2,
+            "verify --check census --rows 2 --cols 3 --q 2": 0,
+            "verify --check rank-lemma --rows 3 --cols 3 --k 2 --q 2": 0,
+            "verify --check component-split --rows 2 --cols 2 --k 1 --q 2": 0,
         }
     ),
 }
@@ -1004,11 +1007,11 @@ def _numpy_loaded(module, code):
 
 @pytest.mark.parametrize("module", list(NUMPY_FREE))
 def test_the_catalog_layers_import_without_numpy(module):
-    """Only the finite-field enumeration needs numpy; the catalog never loads it."""
+    """Only the odd-q enumeration needs numpy; the catalog and the F_2 checks never load it."""
     assert _numpy_loaded(module, NUMPY_FREE[module]) == "False"
 
 
 def test_the_numpy_probe_sees_a_census_load_numpy():
-    """The positive control: an enumerating check loads numpy, and the probe says so."""
-    census = _cli_runs({"verify --check census --rows 2 --cols 2 --q 2": 0})
+    """The positive control: a check that walks an odd q loads numpy, and the probe says so."""
+    census = _cli_runs({"verify --check census --rows 2 --cols 2 --q 3 --symmetric": 0})
     assert _numpy_loaded("completeforms.cli", census) == "True"
