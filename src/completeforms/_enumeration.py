@@ -1,13 +1,15 @@
 """The finite-field enumeration behind :mod:`completeforms.determinantal`,
 without numpy.
 
-This module holds the census record, the walks' shared helpers, the F_2
+This module holds the budget ``ENUMERATION_BUDGET`` and the checks every
+walk runs first, the census record, the walks' shared helpers, the F_2
 engine, the split tally and the bodies of the three checks; the public
 module defines the checks by calling these.  The odd-q kernel lives in
 :mod:`completeforms._odd_q`, the one module that imports numpy, and this
-module imports it inside the odd-q branch of the census and of the split
-walk only, so an F_2 check run through this module never loads numpy.  The
-chunk size ``_CHUNK`` has its home here, and both walks read it at call time.
+module imports it only in the odd-q branch of the census and of the split
+walk, after those checks, so a refused request or an F_2 check never loads
+numpy.  The chunk size ``_CHUNK`` has its home here, and both walks read it
+at call time.
 """
 
 from __future__ import annotations
@@ -16,11 +18,38 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_, xor
 
+from .errors import BudgetExceeded, DimensionMismatch, NonPrimeField
 from .lattice import _Record, _require_int
 from .reports import VerificationReport
-from .secants import _census_preconditions
+from .secants import is_prime
 
+ENUMERATION_BUDGET = 1 << 24
 _CHUNK = 1 << 18
+
+
+def _census_preconditions(a: int, b: int, q: int, symmetric: bool) -> int:
+    """The number of matrices a census of this format walks, once it may walk them.
+
+    Checks the format, then the budget, then q's primality, so that a
+    request is refused before anything is walked or the odd-q kernel is
+    imported.
+    """
+    _require_int(a=a, b=b, q=q)
+    if a < 1 or b < 1:
+        raise ValueError("matrix format must be positive, got %dx%d" % (a, b))
+    if symmetric and a != b:
+        raise DimensionMismatch("symmetric census needs a == b, got %d != %d" % (a, b))
+    # budget before primality, so any q is refused by size; no q**npos past 24 positions
+    npos = a * (a + 1) // 2 if symmetric else a * b
+    if abs(q) >= 2 and (npos >= ENUMERATION_BUDGET.bit_length() or q**npos > ENUMERATION_BUDGET):
+        raise BudgetExceeded(
+            "would enumerate %d^%d matrices, budget is %d" % (q, npos, ENUMERATION_BUDGET)
+        )
+    if not is_prime(q):
+        raise NonPrimeField(
+            "%d is not prime; enumeration over prime fields only (2, 3, 5 in practice)" % q
+        )
+    return q**npos
 
 
 # ------------------------------------------------------------ census
@@ -202,6 +231,7 @@ _SPLIT_COUNTS = ("rank_locus", "det_zero", "h1", "h2", "overlap")
 def _split_tallies(a: int, b: int, k: int, q: int, symmetric: bool):
     """Walk every matrix once and tally the split on the rank <= k locus.
 
+    The preconditions of the census run first, then the check of k.
     Per matrix the flags are: rank <= k, leading k-minor zero (leading block
     of rank < k), first k rows dependent (H1) and first k columns dependent
     (H2).  The walk stops at the first matrix of the locus where the minor
@@ -210,10 +240,10 @@ def _split_tallies(a: int, b: int, k: int, q: int, symmetric: bool):
     ``_SPLIT_COUNTS`` and a counterexample: that matrix, else in symmetric
     mode the first matrix of the locus with H1 != H2, else None.
     """
+    total = _census_preconditions(a, b, q, symmetric)
     _require_int(k=k)
     if not (1 <= k <= min(a, b)):
         raise ValueError("need 1 <= k <= min(a, b), got k=%d a=%d b=%d" % (k, a, b))
-    total = _census_preconditions(a, b, q, symmetric)
     if q == 2:
         chunks = ((lo, _f2_flags(entries, n, k)) for lo, n, entries in _f2_walk(a, b, symmetric))
     else:

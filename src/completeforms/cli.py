@@ -16,10 +16,11 @@ Three subcommands:
 
 Only the checks that enumerate matrices (``census``, ``rank-lemma`` and
 ``component-split``) import the enumeration, the numpy-free
-:mod:`completeforms._enumeration`, and only once the request is within the
-enumeration budget; every other command starts without it.  Only a check
-over an odd q goes on to load the odd-q kernel, and with it numpy; an F_2
-check runs without numpy.  Likewise only ``tangent-cone`` imports
+:mod:`completeforms._enumeration`; every other command starts without it.
+The enumeration checks each request (format, budget, primality) before it
+walks, and only a check over an odd q that passes goes on to load the odd-q
+kernel, and with it numpy; an F_2 check or a refused request runs without
+numpy.  Likewise only ``tangent-cone`` imports
 :mod:`completeforms.polynomials`.
 
 Exit codes: 0 success, 1 a verification ran and failed, 2 bad parameters,
@@ -48,11 +49,9 @@ OUT_OF_SCOPE_MESSAGE = "class coordinates are not available for this space"
 _SPACES = {entry.cli_name: cls for cls, entry in spaces._KINDS.items()}
 
 
-def _determinantal(a: int, b: int, q: int, symmetric: bool):
-    """The finite-field enumeration, imported once the request passes its
-    preconditions, which a refused request need not pay for.  It is the
-    numpy-free module, which loads numpy only to walk an odd q."""
-    secants._census_preconditions(a, b, q, symmetric)
+def _determinantal():
+    """The finite-field enumeration, imported on first use: the numpy-free
+    module, which checks each request and loads numpy only to walk an odd q."""
     from . import _enumeration
 
     return _enumeration
@@ -77,14 +76,12 @@ _CHECKS = {
     "rank-lemma": _Check(
         ("rows", "cols", "k", "q"),
         False,
-        lambda a: _determinantal(a.rows, a.cols, a.q, False).verify_rank_minor_lemma(
-            a.rows, a.cols, a.k, a.q
-        ),
+        lambda a: _determinantal().verify_rank_minor_lemma(a.rows, a.cols, a.k, a.q),
     ),
     "component-split": _Check(
         ("rows", "cols", "k", "q"),
         True,
-        lambda a: _determinantal(a.rows, a.cols, a.q, a.symmetric).verify_component_split(
+        lambda a: _determinantal().verify_component_split(
             a.rows, a.cols, a.k, a.q, symmetric=a.symmetric
         ),
     ),
@@ -245,7 +242,7 @@ def _cmd_chambers(parser, args) -> int:
 
 
 def _census_report(a: int, b: int, q: int, symmetric: bool) -> VerificationReport:
-    census = _determinantal(a, b, q, symmetric).rank_census(a, b, q, symmetric=symmetric)
+    census = _determinantal().rank_census(a, b, q, symmetric=symmetric)
     if symmetric:
         key = "reference"
         expected = {

@@ -19,7 +19,8 @@ transpose, which has the same ranks, so it always ranks rows; the lemma
 checks, which must keep each matrix's index, rank columns too.
 Both lemma checks are one walk: dependent first rows or columns always make
 the leading minor vanish, so the rank-minor lemma is the forward half of the
-component split.  All enumeration is bounded by ``ENUMERATION_BUDGET`` matrices.
+component split.  All enumeration is bounded by ``ENUMERATION_BUDGET`` matrices,
+which :mod:`completeforms._enumeration` owns and checks before it walks.
 
 numpy is loaded when this module is, on purpose, although the F_2 engine
 never uses it: the module imports the odd-q kernel, :mod:`completeforms._odd_q`,
@@ -38,10 +39,9 @@ from __future__ import annotations
 
 from . import _enumeration
 from . import _odd_q  # noqa: F401 - loads numpy with this module, see above
-from ._enumeration import RankCensus
+from ._enumeration import ENUMERATION_BUDGET, RankCensus
 from .reports import VerificationReport
-from .secants import (  # re-exported: every closed form and the budget live in .secants
-    ENUMERATION_BUDGET,
+from .secants import (  # re-exported: every closed form lives in .secants
     SecantInvariants,
     is_prime,
     rank_count_closed_form,

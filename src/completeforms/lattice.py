@@ -303,6 +303,9 @@ class AbelianGroupDescriptor(_Record):
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
+        _require_int(free_rank=self.free_rank)
+        for f in self.invariant_factors:
+            _require_int(invariant_factor=f)
         if self.free_rank < 0:
             raise ValueError("negative free rank")
         prev = None

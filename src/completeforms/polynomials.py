@@ -16,8 +16,8 @@ part against the complementary minor of the residual block.
 
 Both walk many terms, so the inner loops avoid repeated work.  The Leibniz
 formula reads one sign table per minor size, each permutation of
-``range(size)`` with its sign, built once and mapped through the column set
-of every minor of that size.  A general minor's rows ascend and are
+``range(size)`` with its sign, built at import and mapped through the
+column set of every minor of that size.  A general minor's rows ascend and are
 distinct, so each of its monomials is sorted as built and no two coincide:
 its terms are built directly, with two shared coefficients +1 and -1, and
 sorted once; only a symmetric minor, where z(i,j) and z(j,i) merge, counts
@@ -37,7 +37,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
@@ -93,15 +92,15 @@ def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-@cache
-def _signed_permutations(size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Each permutation of range(size) with its sign: the Leibniz terms of a
-    size x size determinant.  A constant per size, at most MAX_MINOR_SIZE + 1
-    entries."""
-    return tuple(
+# the Leibniz terms of a size x size determinant, indexed by size up to
+# MAX_MINOR_SIZE: each permutation of range(size) with its sign
+_SIGNED_PERMUTATIONS = tuple(
+    tuple(
         (perm, (-1) ** sum(a > b for a, b in combinations(perm, 2)))
         for perm in permutations(range(size))
     )
+    for size in range(MAX_MINOR_SIZE + 1)
+)
 
 
 def _in_mode(poly: "SparsePoly", symmetric: bool) -> "SparsePoly":
@@ -373,7 +372,7 @@ def minor_det(
         )
     if len(rows) > MAX_MINOR_SIZE:
         raise TooLarge("minor size %d exceeds the %dx%d cap" % (len(rows), MAX_MINOR_SIZE, MAX_MINOR_SIZE))
-    signed = _signed_permutations(len(rows))
+    signed = _SIGNED_PERMUTATIONS[len(rows)]
     if not symmetric:
         # the rows ascend and are distinct, so each Leibniz monomial is sorted
         # as built and no two permutations give the same one

@@ -4,10 +4,9 @@ Each space in :mod:`completeforms.spaces` blows up a secant variety of a Segre
 or a Veronese embedding (matrices or symmetric matrices of bounded rank).  Its
 dimension and degree live here, with the rank counts over F_q that check the
 enumeration in :mod:`completeforms.determinantal`.  Every degree and count is
-one exact product of Fractions, checked integral.  The enumeration's budget
-and preconditions live here too, so a request is refused before numpy is
-loaded.  Every integer parameter passes the int rule of
-:mod:`completeforms.lattice`.  This module needs no numpy.
+one exact product of Fractions, checked integral.  Every integer parameter
+passes the int rule of :mod:`completeforms.lattice`.  This module needs no
+numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb, prod
 
-from .errors import BudgetExceeded, DimensionMismatch, InternalInconsistency, NonPrimeField
+from .errors import InternalInconsistency, NonPrimeField
 from .lattice import _Record, _require_int
 
 __all__ = [
@@ -118,33 +117,6 @@ def is_prime(q: int) -> bool:
         else:
             return False
     return True
-
-
-ENUMERATION_BUDGET = 1 << 24
-
-
-def _census_preconditions(a: int, b: int, q: int, symmetric: bool) -> int:
-    """The number of matrices a census of this format walks, once it may walk them.
-
-    Checks the format, then the budget, then q's primality, so that a
-    request is refused before anything that enumerates is imported.
-    """
-    _require_int(a=a, b=b, q=q)
-    if a < 1 or b < 1:
-        raise ValueError("matrix format must be positive, got %dx%d" % (a, b))
-    if symmetric and a != b:
-        raise DimensionMismatch("symmetric census needs a == b, got %d != %d" % (a, b))
-    # budget before primality, so any q is refused by size; no q**npos past 24 positions
-    npos = a * (a + 1) // 2 if symmetric else a * b
-    if abs(q) >= 2 and (npos >= ENUMERATION_BUDGET.bit_length() or q**npos > ENUMERATION_BUDGET):
-        raise BudgetExceeded(
-            "would enumerate %d^%d matrices, budget is %d" % (q, npos, ENUMERATION_BUDGET)
-        )
-    if not is_prime(q):
-        raise NonPrimeField(
-            "%d is not prime; enumeration over prime fields only (2, 3, 5 in practice)" % q
-        )
-    return q**npos
 
 
 def rank_count_closed_form(a: int, b: int, r: int, q: int) -> int:

@@ -257,11 +257,6 @@ def _form_space(kind: SpaceKind) -> SpaceKind:
     return kind if twin is None else twin(kind)
 
 
-def _automorphisms(kind: SpaceKind) -> Optional[GroupDescriptor]:
-    form = _form_space(kind)
-    return _entry(form).automorphisms(form)
-
-
 # ---------------------------------------------------------------------------
 # divisor classes and models
 
@@ -863,7 +858,7 @@ def build_model(kind: SpaceKind) -> SpaceModel:
     """
 
     _entry(kind)
-    return _model(kind)
+    return _model(kind)[0]
 
 
 # Bound of the model memo.  Asking every query of two instances of each
@@ -872,13 +867,15 @@ _MODEL_MEMO = 64
 
 
 @lru_cache(maxsize=_MODEL_MEMO)
-def _model(kind: SpaceKind) -> SpaceModel:
-    """:func:`build_model` on a checked kind."""
+def _model(kind: SpaceKind) -> Tuple[SpaceModel, Optional[tuple]]:
+    """:func:`build_model` on a checked kind, with the builder's ``dictionary``
+    rule (None where it writes none), which the model does not carry."""
 
     spec = _spec(kind)
     form = _form_space(kind)
+    entry = _entry(form)
     try:
-        secant = _entry(form).secant(form)
+        secant = entry.secant(form)
     except ValueError:
         secant = None
     basis = spec.get("basis")
@@ -890,7 +887,7 @@ def _model(kind: SpaceKind) -> SpaceModel:
         labels = spec["boundary"] + colors + (eff or ()) + (nef or ())
         classes = {label: DivisorClass(label) for label in labels}
     minus_k = spec.get("minus_k")
-    return SpaceModel(
+    model = SpaceModel(
         kind=kind,
         name=space_name(kind),
         dimension=spec["dimension"] if "dimension" in spec else secant.dimension,
@@ -905,8 +902,9 @@ def _model(kind: SpaceKind) -> SpaceModel:
         mov_generators=spec.get("mov"),
         anticanonical=DivisorClass("-K", minus_k) if minus_k is not None else None,
         stated_chamber_count=spec.get("stated"),
-        automorphisms=_automorphisms(kind),
+        automorphisms=entry.automorphisms(form),
     )
+    return model, spec.get("dictionary")
 
 
 # ---------------------------------------------------------------------------
@@ -974,13 +972,13 @@ def classify_positivity(kind: SpaceKind) -> PositivityClass:
 
 
 def automorphism_group(kind: SpaceKind) -> GroupDescriptor:
-    group = _automorphisms(kind)
-    if group is None:
+    model = build_model(kind)
+    if model.automorphisms is None:
         raise OutOfScope(
             "the automorphism group of %s is not recorded for partial towers "
-            "whose missing centers are not divisors" % space_name(kind)
+            "whose missing centers are not divisors" % model.name
         )
-    return group
+    return model.automorphisms
 
 
 # ---------------------------------------------------------------------------
@@ -1051,11 +1049,9 @@ def kontsevich_dictionary(kind: SpaceKind) -> ComparisonDictionary:
     """
 
     entry = _entry(kind)
-    # the model does not carry the rule, so it is read off the builder
-    rule = entry.model(kind).get("dictionary")
+    model, rule = _model(kind)
     if rule is None:
-        raise OutOfScope("no comparison dictionary is recorded for %s" % space_name(kind))
-    model = build_model(kind)
+        raise OutOfScope("no comparison dictionary is recorded for %s" % model.name)
     coordinates = model.class_coordinates
     if entry.twin is not None:
         # the isomorphism is written in matching bases: every class keeps its

@@ -259,6 +259,21 @@ def test_domain_errors_exit_two_with_a_message(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify --check rank-lemma --rows 0 --cols 2 --k 1 --q 2",
+         "error: matrix format must be positive, got 0x2\n"),
+        ("verify --check component-split --rows 5 --cols 5 --k 9 --q 2",
+         "error: would enumerate 2^25 matrices, budget is 16777216\n"),
+    ],
+)
+def test_a_lemma_check_reports_the_census_refusal_before_k(argv, message, capsys):
+    """The format and the budget are checked before k, which is out of range here too."""
+    code, out, err = run_cli(argv.split(), capsys)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_an_oversized_space_exits_two(capsys):
     code, out, err = run_cli(["invariants", "--space", "Q", "--n", "1001", "--h", "2"], capsys)
     assert (code, out) == (2, "")

@@ -248,6 +248,16 @@ def test_census_preconditions():
         rank_census(0, 2, 2)
 
 
+def test_a_lemma_check_refuses_the_census_request_before_k():
+    """The format, budget and primality are checked before k, which is bad here too."""
+    with pytest.raises(ValueError, match="^matrix format must be positive, got 0x2$"):
+        verify_rank_minor_lemma(0, 2, 1, 2)
+    with pytest.raises(BudgetExceeded):
+        verify_component_split(5, 5, 9, 2)
+    with pytest.raises(NonPrimeField):
+        verify_component_split(2, 2, 3, 4, symmetric=True)
+
+
 def _trial_division_is_prime(q):
     return q >= 2 and all(q % d for d in range(2, isqrt(q) + 1))
 

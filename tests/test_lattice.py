@@ -215,6 +215,12 @@ def test_cokernel_single_column_torsion_and_free():
     assert str(g) == "Z"
 
 
+@pytest.mark.parametrize("args", [(True,), (1, (2.0,)), ("a",), (1, (2, False)), (0, (Fraction(4),))])
+def test_a_group_descriptor_takes_ints_only(args):
+    with pytest.raises(TypeError, match="must be an int"):
+        AbelianGroupDescriptor(*args)
+
+
 def test_cokernel_pure_torsion():
     g = cokernel(IntegerMatrix.from_rows([[4]]))
     assert g.free_rank == 0

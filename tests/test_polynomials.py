@@ -23,7 +23,7 @@ from completeforms.polynomials import (
     MAX_MINOR_SIZE,
     MAX_TANGENT_TERMS,
     SparsePoly,
-    _signed_permutations,
+    _SIGNED_PERMUTATIONS,
     matrix_variable,
     minor_det,
     shift_and_leading_form,
@@ -182,7 +182,7 @@ def cycle_count(perm):
 
 @pytest.mark.parametrize("size", range(MAX_MINOR_SIZE + 1))
 def test_the_sign_table_holds_every_permutation_with_its_cycle_sign(size):
-    table = _signed_permutations(size)
+    table = _SIGNED_PERMUTATIONS[size]
     assert len(table) == math.factorial(size)
     assert len({perm for perm, _ in table}) == len(table)
     for perm, sign in table:

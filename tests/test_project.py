@@ -46,11 +46,11 @@ ranks rows alone; only the split flags behind the lemma checks, which keep
 each matrix's index, take the columns of a chunk, and the twelfth lint keeps
 it that way.  Over F_2 the enumeration runs on Python ints, and the
 thirteenth lint follows every F_2 code path from the public functions of
-``determinantal`` into ``_enumeration`` and keeps it from naming numpy or
+``determinantal`` into ``_enumeration``, through the preconditions each walk
+checks first (format, budget, primality), and keeps it from naming numpy or
 the odd-q kernel.  The cones, fans and models are memoised for the life of the
 process, so the fourteenth lint keeps every ``functools`` memo a bounded
-``lru_cache``, but for the Leibniz table, which holds one entry per minor
-size.  A chamber complex builds its basis cones from the one kernel normal
+``lru_cache``.  A chamber complex builds its basis cones from the one kernel normal
 of each (d - 1)-subset it has already computed for its hyperplanes, so the
 fifteenth lint keeps ``_chamber_complex`` calling ``cone_from_rays`` once,
 for the support.  Over a projective space (h = n+1) a tower's basis and -K
@@ -465,16 +465,14 @@ def test_no_f2_code_path_of_the_enumeration_names_numpy():
         "_enumeration.verify_rank_minor_lemma", "_enumeration.verify_component_split",
         "_enumeration._split_tallies", "_enumeration._f2_walk", "_enumeration._f2_kernels",
         "_enumeration._f2_flags", "_enumeration._gray_steps", "_enumeration._positions",
-        "_enumeration._matrix",
+        "_enumeration._matrix", "_enumeration._census_preconditions",
     }
     assert found == []
 
 
 def test_every_memo_in_the_package_is_a_bounded_lru_cache():
     """A memo keyed on a caller's input lives as long as the process, so it
-    is an ``lru_cache`` with a given ``maxsize``; only the Leibniz table,
-    keyed on a minor size of at most ``MAX_MINOR_SIZE``, is unbounded.
-    Every name of a ``functools`` memo is a decorator, so none is applied
+    is an ``lru_cache`` with a given ``maxsize``.  Every name of a ``functools`` memo is a decorator, so none is applied
     by a call."""
     memo_names = {"cache", "lru_cache", "cached_property"}
 
@@ -499,7 +497,7 @@ def test_every_memo_in_the_package_is_a_bounded_lru_cache():
                         decorators += 1
                         memos["%s.%s" % (module.stem, node.name)] = bounded(decorator)
     assert uses == decorators
-    assert sorted(name for name, ok in memos.items() if not ok) == ["polynomials._signed_permutations"]
+    assert sorted(name for name, ok in memos.items() if not ok) == []
     assert sorted(name for name, ok in memos.items() if ok) == [
         "cones._chamber_complex", "cones._cone", "spaces._model",
     ]

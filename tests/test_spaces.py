@@ -788,6 +788,26 @@ def test_dictionary_out_of_scope_cases():
         kontsevich_dictionary(Quadrics(3, 3))
 
 
+def test_a_dictionary_runs_no_builder_again(monkeypatch, fresh_memos):
+    """The dictionary rule comes from the model memo with the model, so each
+    mapping space's builder runs once, for its model, and not again."""
+    runs = dict.fromkeys(spaces._KINDS, 0)
+
+    def counted(cls, builder):
+        def run(kind):
+            runs[cls] += 1
+            return builder(kind)
+
+        return run
+
+    for cls, entry in list(spaces._KINDS.items()):
+        monkeypatch.setitem(spaces._KINDS, cls, entry._replace(model=counted(cls, entry.model)))
+    for kind in (KontsevichP(2), KontsevichPxP(2, 3), KontsevichGr(5)):
+        build_model(kind)
+        kontsevich_dictionary(kind)
+        assert runs[type(kind)] == 1, kind
+
+
 # ---------------------------------------------------------------------------
 # the double-cover solve and the product identity
 
@@ -973,8 +993,9 @@ def _cli_runs(commands):
 
 
 # each layer is imported, and the closed forms, the numpy-free commands (the
-# F_2 enumerating checks among them) and a census the budget refuses are also
-# run, in a fresh interpreter; none of it may load numpy
+# F_2 enumerating checks among them) and odd-q requests refused by format,
+# budget or primality are also run, in a fresh interpreter; none of it may
+# load numpy
 NUMPY_FREE = {
     "completeforms.spaces": "",
     "completeforms.cones": "",
@@ -992,6 +1013,9 @@ NUMPY_FREE = {
             "verify --check census --rows 2 --cols 3 --q 2": 0,
             "verify --check rank-lemma --rows 3 --cols 3 --k 2 --q 2": 0,
             "verify --check component-split --rows 2 --cols 2 --k 1 --q 2": 0,
+            "verify --check census --rows 4 --cols 4 --q 3": 2,
+            "verify --check rank-lemma --rows 2 --cols 2 --k 1 --q 9": 2,
+            "verify --check component-split --rows 0 --cols 2 --k 1 --q 3": 2,
         }
     ),
 }
