@@ -5,7 +5,13 @@ that imports numpy.
 branches only, and :mod:`completeforms.determinantal` imports it at load, so
 that loading the public module pays for numpy up front.  A chunk here is a
 (rows, cols, n) numpy digit array; the walk reads the chunk size
-``_enumeration._CHUNK`` at call time, where it has its one home.
+``_enumeration._CHUNK`` at call time, where it has its one home.  That size,
+2^16 matrices, is chosen so a chunk's working set (its uint8 digits, the
+running combination and its temporaries) stays in one core's L2 cache: at
+2^18 the digits of a 3x4/F_3 chunk alone took 2.1 MB, and a census ran
+slower.  One kernel, ``_kernel_sizes``, counts each matrix's normalised
+kernel vectors; the split reads ranks off it by table lookup and the census
+tallies them straight from the counts.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import numpy as np
 
 from . import _enumeration
 from ._enumeration import _gray_steps, _positions
+from .errors import InternalInconsistency
 
 
 def _walk(q: int, a: int, b: int, symmetric: bool):
@@ -61,33 +68,43 @@ def _walk(q: int, a: int, b: int, symmetric: bool):
         yield first * block, digits[..., :n]
 
 
-def _ranks(lines: np.ndarray, q: int) -> np.ndarray:
-    """Rank of each matrix spanned by ``lines`` (first axis: the s lines), over odd q.
+def _kernel_sizes(lines: np.ndarray, q: int) -> np.ndarray:
+    """Normalised kernel vectors of each matrix spanned by ``lines`` (first
+    axis: the s lines), over odd q: (q^(s-r) - 1)/(q - 1) for a matrix of rank r.
 
     Counts the zero combinations among the normalised ones, those whose last
     nonzero coefficient is 1.  The nonzero kernel vectors of a rank-r matrix
     fall into (q^(s-r) - 1)/(q - 1) lines through the origin of q - 1
-    multiples each, and each line holds exactly one normalised vector, so a
-    table indexed by that count gives the rank.  Block p starts from line p
-    and runs the Gray walk over lines 0..p-1, one line added per step: the
-    normalised combinations with last coefficient at p.  The s blocks make
-    (q^s - 1)/(q - 1) zero tests, against q^s - 1 for every combination.
+    multiples each, and each line holds exactly one normalised vector.
+    Block p starts from line p and runs the Gray walk over lines 0..p-1, one
+    line added per step: the normalised combinations with last coefficient
+    at p.  The s blocks make (q^s - 1)/(q - 1) zero tests, against q^s - 1
+    for every combination.  A combination is zero where the bitwise OR of
+    its digits over the line is, reduced into one buffer per call; testing
+    each digit (``combo.any``) would first cast every digit to bool.
     """
-    s = len(lines)
-    lines_through_origin = (q**s - 1) // (q - 1)
-    kernel = np.zeros(lines.shape[-1], dtype=np.min_scalar_type(lines_through_origin))
+    s, n = len(lines), lines.shape[-1]
+    kernel = np.zeros(n, dtype=np.min_scalar_type((q**s - 1) // (q - 1)))
+    nonzero = np.empty(n, dtype=lines.dtype)
     steps = _gray_steps(q, s - 1)
     for p in range(s):
         combo = lines[p].copy()
-        kernel += ~combo.any(axis=0)
+        kernel += np.bitwise_or.reduce(combo, axis=0, out=nonzero) == 0
         for i in steps[: q**p - 1]:
             combo += lines[i]
             # unsigned: combo - q wraps above combo exactly when combo < q
             np.minimum(combo, combo - q, out=combo)
-            kernel += ~combo.any(axis=0)
-    rank = np.zeros(lines_through_origin + 1, dtype=np.uint8)
+            kernel += np.bitwise_or.reduce(combo, axis=0, out=nonzero) == 0
+    return kernel
+
+
+def _ranks(lines: np.ndarray, q: int) -> np.ndarray:
+    """Rank of each matrix spanned by ``lines``, over odd q: a table indexed by
+    the count of ``_kernel_sizes`` gives it."""
+    s = len(lines)
+    rank = np.zeros((q**s - 1) // (q - 1) + 1, dtype=np.uint8)
     rank[[(q**j - 1) // (q - 1) for j in range(s + 1)]] = range(s, -1, -1)
-    return rank.take(kernel)
+    return rank.take(_kernel_sizes(lines, q))
 
 
 def _flags(digits: np.ndarray, q: int, k: int):
@@ -102,9 +119,22 @@ def _flags(digits: np.ndarray, q: int, k: int):
     return tuple(int.from_bytes(np.packbits(f, bitorder="little").tobytes(), "little") for f in flags)
 
 
-def _rank_tallies(q: int, a: int, b: int, symmetric: bool):
-    """How many a x b matrices over an odd F_q have each rank 0..a, a <= b."""
-    tallies = np.zeros(a + 1, dtype=np.int64)
-    for _, digits in _walk(q, a, b, symmetric):
-        tallies += np.bincount(_ranks(digits, q), minlength=a + 1)
+def _rank_tallies(q: int, a: int, b: int, symmetric: bool) -> list[int]:
+    """How many a x b matrices over an odd F_q have each rank 0..a, a <= b.
+
+    Each rank r is counted straight off the kernel sizes, as the matrices
+    with (q^(a-r) - 1)/(q - 1) normalised kernel vectors.  A count that is
+    no such value would fall out of every tally, so each chunk's tallies
+    must add up to its matrices.
+    """
+    tallies = [0] * (a + 1)
+    for lo, digits in _walk(q, a, b, symmetric):
+        kernel = _kernel_sizes(digits, q)
+        counts = [np.count_nonzero(kernel == (q**j - 1) // (q - 1)) for j in range(a, -1, -1)]
+        if sum(counts) != kernel.size:
+            raise InternalInconsistency(
+                "the rank tallies of matrices %d.. sum to %d, not to their %d"
+                % (lo, sum(counts), kernel.size)
+            )
+        tallies = [t + c for t, c in zip(tallies, counts)]
     return tallies

@@ -296,7 +296,9 @@ class AbelianGroupDescriptor(_Record):
     """A finitely generated abelian group, free part plus invariant factors.
 
     ``invariant_factors`` lists the torsion orders >= 2 in divisibility order
-    (each divides the next); factors equal to 1 are never stored.
+    (each divides the next); factors equal to 1 are never stored.  Any
+    iterable of factors is stored as a tuple, so equal groups compare and
+    hash equal.
     """
 
     free_rank: int
@@ -304,6 +306,12 @@ class AbelianGroupDescriptor(_Record):
 
     def __post_init__(self):
         _require_int(free_rank=self.free_rank)
+        try:
+            _set(self, "invariant_factors", tuple(self.invariant_factors))
+        except TypeError:
+            raise TypeError(
+                "invariant_factors must be an iterable of ints, got %r" % (self.invariant_factors,)
+            ) from None
         for f in self.invariant_factors:
             _require_int(invariant_factor=f)
         if self.free_rank < 0:

@@ -12,10 +12,12 @@ from fractions import Fraction
 from functools import cache
 from math import comb, isqrt, prod
 
+import numpy as np
 import pytest
 
 from completeforms import _enumeration, _odd_q, secants
 from completeforms.determinantal import (
+    ENUMERATION_BUDGET,
     RankCensus,
     is_prime,
     rank_census,
@@ -611,13 +613,31 @@ def test_odd_q_lemma_and_split_match_the_naive_rank(a, b, q, symmetric, walk_chu
 
 @pytest.mark.parametrize("a,b", [(4, 6), (3, 8)])
 def test_f2_walks_at_the_budget_match_closed_forms(a, b):
-    # 2^24 matrices, the whole budget, in 64 chunks of the real size
-    assert len(walked_chunks(2, a, b)) == 64
+    # 2^24 matrices, the whole budget, in chunks of the real size
+    assert len(walked_chunks(2, a, b)) == ENUMERATION_BUDGET // _enumeration._CHUNK
     census = rank_census(a, b, 2).as_dict()
     assert census == {r: rank_count_closed_form(a, b, r, 2) for r in range(a + 1)}
     split = verify_component_split(a, b, 2, 2)
     assert split.passed
     assert split.counts == dict(split_closed_form(a, b, 2, 2), matrices=2**24)
+
+
+@pytest.mark.parametrize(
+    "a,b,k,q,symmetric", [(3, 4, 2, 3, False), (3, 3, 1, 7, True), (3, 3, 2, 7, True)]
+)
+def test_odd_q_splits_across_real_chunks_match_closed_forms(a, b, k, q, symmetric):
+    # the odd-q flags of several chunks of the real size, read by one walk
+    npos = a * (a + 1) // 2 if symmetric else a * b
+    assert len(walked_chunks(q, a, b, symmetric)) >= 2
+    want = dict(split_closed_form(a, b, k, q, symmetric), matrices=q**npos)
+    split = verify_component_split(a, b, k, q, symmetric)
+    assert (split.passed, split.counterexample) == (True, None)
+    assert split.counts == want
+    if not symmetric:
+        lemma = verify_rank_minor_lemma(a, b, k, q)
+        assert (lemma.passed, lemma.counterexample) == (True, None)
+        assert lemma.counts == {"matrices": want["matrices"], "candidates": want["det_zero"],
+                                "rows_degenerate": want["h1"], "cols_degenerate": want["h2"]}
 
 
 # (a, b, q, symmetric, chunk): the low digit count c and the blocks per chunk
@@ -685,10 +705,10 @@ def test_chunks_are_no_more_and_no_smaller_than_plain_pieces(a, b, q, symmetric,
 
 
 @pytest.mark.parametrize("a,q", [(2, 4093), (1, 16777213)])
-def test_large_fields_take_64_chunks(a, q):
+def test_large_fields_take_as_many_chunks_as_the_budget(a, q):
     # 1x2/F_4093 and 1x1/F_16777213 are inside the budget; chunks of q^c
     # matrices would make 4,093 of the first and 16.7M of the second
-    assert len(walked_chunks(q, 1, a)) == 64
+    assert len(walked_chunks(q, 1, a)) == ENUMERATION_BUDGET // _enumeration._CHUNK
 
 
 @pytest.mark.parametrize(
@@ -704,3 +724,11 @@ def test_large_fields_match_closed_forms(a, b, q, symmetric):
         assert census == {r: symmetric_rank_count_closed_form(a, r, q) for r in range(a + 1)}
     else:
         assert census == {r: rank_count_closed_form(a, b, r, q) for r in range(min(a, b) + 1)}
+
+
+def test_a_kernel_count_that_is_no_rank_stops_the_census(monkeypatch):
+    # over F_3 two lines have 0, 1 or 4 normalised kernel vectors, never 2;
+    # a count that matches no rank must not drop out of the tallies unseen
+    monkeypatch.setattr(_odd_q, "_kernel_sizes", lambda lines, q: np.full(lines.shape[-1], 2))
+    with pytest.raises(InternalInconsistency, match="sum to 0, not to their 81"):
+        rank_census(2, 2, 3)

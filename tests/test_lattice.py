@@ -221,6 +221,19 @@ def test_a_group_descriptor_takes_ints_only(args):
         AbelianGroupDescriptor(*args)
 
 
+def test_a_group_descriptor_stores_its_factors_as_a_tuple():
+    group = AbelianGroupDescriptor(1, [2, 4])
+    assert group.invariant_factors == (2, 4)
+    assert group == AbelianGroupDescriptor(1, (2, 4))
+    assert hash(group) == hash(AbelianGroupDescriptor(1, (2, 4)))
+    assert AbelianGroupDescriptor(0, iter([3])) == AbelianGroupDescriptor(0, (3,))
+
+
+def test_a_group_descriptor_refuses_factors_that_are_not_iterable():
+    with pytest.raises(TypeError, match="^invariant_factors must be an iterable of ints, got 2$"):
+        AbelianGroupDescriptor(1, 2)
+
+
 def test_cokernel_pure_torsion():
     g = cokernel(IntegerMatrix.from_rows([[4]]))
     assert g.free_rank == 0

@@ -189,6 +189,14 @@ def test_matrices_are_walked_only_by_the_census_and_the_split_tally():
     assert callers("_rank_tallies") == {"_enumeration.rank_census"}
 
 
+def test_one_odd_q_kernel_serves_the_census_and_the_split():
+    """The census tallies the kernel sizes directly, and the split's flags read
+    ranks off them; neither has a Gray walk of its own."""
+    assert callers("_kernel_sizes") == {"_odd_q._ranks", "_odd_q._rank_tallies"}
+    assert callers("_ranks") == {"_odd_q._flags"}
+    assert callers("_gray_steps") == {"_enumeration._f2_kernels", "_odd_q._kernel_sizes"}
+
+
 def test_only_the_enumeration_imports_numpy():
     found = set()
     for module in sorted(PACKAGE.glob("*.py")):
