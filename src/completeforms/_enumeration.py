@@ -172,15 +172,22 @@ def _f2_kernels(lines, n: int) -> list[int]:
 
 def _f2_flags(entries, n: int, k: int):
     """The split flags of an F_2 chunk as bit masks: rank <= k, leading k-minor
-    zero, first k rows dependent, first k columns dependent."""
+    zero, first k rows dependent, first k columns dependent.
+
+    At k = min(a, b) every matrix has rank <= k, so that flag needs no walk.
+    The first k rows are the leading k-block when k = b, and the first k
+    columns are when k = a, so such a slice shares the block's walk.
+    """
+    a, b = len(entries), len(entries[0])
     ones = (1 << n) - 1
     columns = [list(column) for column in zip(*entries)]
     lines = min(entries, columns, key=len)
+    block = ones ^ _f2_kernels([row[:k] for row in entries[:k]], n)[0]
     return (
-        reduce(or_, _f2_kernels(lines, n)[len(lines) - k:]),
-        ones ^ _f2_kernels([row[:k] for row in entries[:k]], n)[0],
-        ones ^ _f2_kernels(entries[:k], n)[0],
-        ones ^ _f2_kernels(columns[:k], n)[0],
+        ones if k == min(a, b) else reduce(or_, _f2_kernels(lines, n)[len(lines) - k:]),
+        block,
+        block if k == b else ones ^ _f2_kernels(entries[:k], n)[0],
+        block if k == a else ones ^ _f2_kernels(columns[:k], n)[0],
     )
 
 

@@ -108,15 +108,22 @@ def _ranks(lines: np.ndarray, q: int) -> np.ndarray:
 
 
 def _flags(digits: np.ndarray, q: int, k: int):
-    """The split flags of an odd-q chunk, as bit masks like ``_f2_flags``."""
+    """The split flags of an odd-q chunk, as bit masks like ``_f2_flags``,
+    with the same walks shared or skipped at k = min(a, b)."""
+    a, b, n = digits.shape
     columns = digits.swapaxes(0, 1)
-    flags = (
-        _ranks(min(digits, columns, key=len), q) <= k,
-        _ranks(digits[:k, :k], q) < k,
-        _ranks(digits[:k], q) < k,
-        _ranks(columns[:k], q) < k,
+    block = _mask(_ranks(digits[:k, :k], q) < k)
+    return (
+        (1 << n) - 1 if k == min(a, b) else _mask(_ranks(min(digits, columns, key=len), q) <= k),
+        block,
+        block if k == b else _mask(_ranks(digits[:k], q) < k),
+        block if k == a else _mask(_ranks(columns[:k], q) < k),
     )
-    return tuple(int.from_bytes(np.packbits(f, bitorder="little").tobytes(), "little") for f in flags)
+
+
+def _mask(flag: np.ndarray) -> int:
+    """A boolean array as an int bit mask, bit t for element t."""
+    return int.from_bytes(np.packbits(flag, bitorder="little").tobytes(), "little")
 
 
 def _rank_tallies(q: int, a: int, b: int, symmetric: bool) -> list[int]:

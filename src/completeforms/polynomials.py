@@ -12,7 +12,9 @@ The main consumers are the symbolic minors of :func:`minor_det`, built by
 the Leibniz formula (a k x k minor has k! terms, hence the 5x5 cap), and the
 tangent-cone comparison :func:`verify_tangent_cone`, which shifts a batch of
 minors to a distinguished point and compares each lowest-degree homogeneous
-part against the complementary minor of the residual block.
+part against the complementary minor of the residual block.  It builds both
+minors of a pair through the Leibniz routine behind :func:`minor_det`'s
+checks, since its own index sets are sorted and distinct by construction.
 
 Both walk many terms, so the inner loops avoid repeated work.  The Leibniz
 formula reads one sign table per minor size, each permutation of
@@ -26,7 +28,12 @@ unshifted variables are copied as they are, the binomial factors
 C(e, t) s^(e-t) of a shifted variable are computed once per exponent (as
 ints when s is integral), a factor of 1 is not multiplied in, each
 produced monomial is sorted once, and the result is built from its terms
-directly, since every coefficient is a Fraction already.  Values enter as
+directly, since every coefficient is a Fraction already.
+:func:`shift_and_leading_form` expands nothing it would throw away: it reads
+the lowest level first, each monomial with its shifted variables replaced by
+their values, kept where its unshifted part has the least degree, and falls
+back to the full expansion of :meth:`SparsePoly.shift` only when that level
+cancels to zero.  Values enter as
 ints or Fractions; floats and bools are refused rather than read as binary
 fractions.  The matrix format, the indices and the tangent-cone parameters
 are ints and not bools; both rules live in :mod:`completeforms.lattice`.
@@ -241,6 +248,11 @@ class SparsePoly(_Record):
         """
         return self._like(term for term, _ in self._shifted(shifts))
 
+    def _moved(self, shifts: dict) -> dict:
+        """The nonzero shifts by variable; an integral one enters as an int,
+        so the factors built from it stay ints."""
+        return {v: c.numerator if c.denominator == 1 else c for v, c in self._point(shifts).items() if c}
+
     def _shifted(self, shifts: dict) -> list:
         """The sorted nonzero terms of :meth:`shift`, each with its degree.
 
@@ -248,10 +260,7 @@ class SparsePoly(_Record):
         power picked for each shifted variable, so it is counted as the
         monomial is built rather than summed again afterwards.
         """
-        # an integral shift enters as an int, so its binomial factors stay ints
-        moved = {
-            v: c.numerator if c.denominator == 1 else c for v, c in self._point(shifts).items() if c
-        }
+        moved = self._moved(shifts)
         # (z + s)^e contributes C(e,t) s^(e-t) z^t; one list per (v, e) met
         expansions: dict[tuple[Var, int], list] = {}
         out: dict[Monomial, Fraction] = {}
@@ -372,6 +381,12 @@ def minor_det(
         )
     if len(rows) > MAX_MINOR_SIZE:
         raise TooLarge("minor size %d exceeds the %dx%d cap" % (len(rows), MAX_MINOR_SIZE, MAX_MINOR_SIZE))
+    return _leibniz(rows, cols, symmetric)
+
+
+def _leibniz(rows, cols, symmetric: bool) -> SparsePoly:
+    """The minor on ``rows`` and ``cols``, which :func:`minor_det` has checked:
+    ascending distinct ints, as many rows as columns, at most the cap."""
     signed = _SIGNED_PERMUTATIONS[len(rows)]
     if not symmetric:
         # the rows ascend and are distinct, so each Leibniz monomial is sorted
@@ -380,7 +395,7 @@ def minor_det(
         terms = [(tuple(map(list.__getitem__, grid, perm)), _SIGNS[sign]) for perm, sign in signed]
         return SparsePoly(tuple(sorted(terms)))
     # grid[a][b] names the entry in row rows[a] and column cols[b]
-    grid = [[matrix_variable(i, j, True) for j in cols] for i in rows]
+    grid = [[(j, i) if i > j else (i, j) for j in cols] for i in rows]
     terms: dict[Monomial, int] = {}
     for perm, sign in signed:
         powers = Counter(map(list.__getitem__, grid, perm))
@@ -392,12 +407,52 @@ def minor_det(
 def shift_and_leading_form(p: SparsePoly, shifts: dict) -> SparsePoly:
     """Lowest-degree homogeneous part of p after the substitution z -> z + shift.
 
-    This is ``p.shift(shifts).leading_form()``, read off the degrees the
-    shift counts as it builds each term.
+    This is ``p.shift(shifts).leading_form()``, term for term, but the lowest
+    level is read first.  The least-degree part a monomial contributes to the
+    shift puts every shifted variable's value in for its power, so it has the
+    degree of the monomial's unshifted variables; the monomials whose
+    unshifted part has the least degree, each with its shifted variables
+    replaced by their values, summed, give the leading form.  Only when that
+    level cancels to zero is the whole shift expanded and its lowest level
+    kept.
     """
+    moved = p._moved(shifts)
+    low = None
+    level: dict[Monomial, Fraction] = {}
+    for mono, coeff in p.terms:
+        fixed = []
+        degree = 0
+        c = coeff
+        for v, e in mono:
+            s = moved.get(v)
+            if s is None:
+                fixed.append((v, e))
+                degree += e
+            else:
+                factor = s**e
+                if factor != 1:
+                    c *= factor
+        if low is not None and degree > low:
+            continue
+        if low is None or degree < low:
+            low, level = degree, {}
+        m = mono if len(fixed) == len(mono) else tuple(fixed)
+        prev = level.get(m)
+        level[m] = c if prev is None else prev + c
+    terms = [(m, c) for m, c in sorted(level.items()) if c]
+    if terms or not p.terms:
+        return p._like(terms)
+    # a shift is invertible, so the full expansion of a nonzero p is nonzero
     shifted = p._shifted(shifts)
-    low = min((degree for _, degree in shifted), default=None)
+    low = min(degree for _, degree in shifted)
     return p._like(term for term, degree in shifted if degree == low)
+
+
+def _equal_up_to_sign(terms, other) -> bool:
+    """Whether two sorted term tuples name one polynomial or a polynomial and its negative."""
+    return terms == other or len(terms) == len(other) and all(
+        m == n and c == -d for (m, c), (n, d) in zip(terms, other)
+    )
 
 
 def verify_tangent_cone(
@@ -455,9 +510,9 @@ def verify_tangent_cone(
     for extra_rows, extra_cols in pairs:
         rows = prefix + extra_rows
         cols = prefix + extra_cols
-        lead = shift_and_leading_form(minor_det(n, m, rows, cols, symmetric), shifts)
-        expected = minor_det(n, m, extra_rows, extra_cols, symmetric)
-        if lead != expected and lead != -expected:
+        lead = shift_and_leading_form(_leibniz(rows, cols, symmetric), shifts)
+        expected = _leibniz(extra_rows, extra_cols, symmetric)
+        if not _equal_up_to_sign(lead.terms, expected.terms):
             counterexample = {
                 "rows": list(rows),
                 "cols": list(cols),

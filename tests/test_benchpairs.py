@@ -2,8 +2,10 @@
 
 A throwaway git repository holds two commits whose ``perfbench/run.py`` is
 a stub: it prints two lines and a final JSON line like the real runner, and
-writes a ``result.json`` with a digest.  The change commit's stub reports a
-lower ``pass_ref``, so the summary must find it better in every pair.
+writes a ``result.json`` with a digest, six cases and two passes of case
+and reference times.  The change commit's stub reports a lower ``pass_ref``
+and cheaper cases, so the summary must find it better in every pair and
+list the five cases that moved.
 """
 
 import json
@@ -24,7 +26,13 @@ args = parser.parse_args()
 value = float(pathlib.Path("PASS_REF").read_text())
 run_dir = pathlib.Path(".perfbench_run", args.workload)
 run_dir.mkdir(parents=True, exist_ok=True)
-(run_dir / "result.json").write_text(json.dumps({"summary": {"digests": ["d-" + args.seed]}}))
+# one pass as given and one three times as slow; the last case costs nothing
+case_s = [value] * 5 + [0.0]
+ref_s = [1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
+samples = [{"case_s": [f * c for c in case_s], "ref_s": ref_s} for f in (1, 3)]
+(run_dir / "result.json").write_text(json.dumps({
+    "cases": [{"id": i, "op": "stub", "n": i, "why": "w"} for i in range(6)],
+    "summary": {"digests": ["d-" + args.seed], "samples": samples}}))
 print("workload %s  seed %s" % (args.workload, args.seed))
 print("  pass_ref %s ref" % value)
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
@@ -77,12 +85,18 @@ def test_the_pair_runner_alternates_sides_and_records_every_run(stub_repo):
         assert [(r["pair"], r["side"], r["ran_first"]) for r in runs] == [
             (0, "parent", True), (0, "change", False), (1, "change", True), (1, "parent", False)]
         for run in runs:
-            assert set(run) == {"pair", "side", "ran_first", "printed", "result", "digests", "returncode"}
+            assert set(run) == {"pair", "side", "ran_first", "printed", "result", "digests", "case_ref",
+                                "returncode"}
             assert run["returncode"] == 0
             assert run["digests"] == ["d-%d" % group["seed"]]
             assert run["printed"][0] == "workload %s  seed %d" % (group["workload"], group["seed"])
             want = 2.0 if run["side"] == "parent" else 1.5
             assert run["result"]["metrics"]["pass_ref"]["value"] == want
+            # the median of the two passes over each case's windowed reference:
+            # the median of ref_s[i-2 .. i+2], 1, 1.5, then 2
+            assert run["case_ref"] == pytest.approx({
+                "#0 op=stub n=0": 2 * want, "#1 op=stub n=1": 2 * want / 1.5, "#2 op=stub n=2": want,
+                "#3 op=stub n=3": want, "#4 op=stub n=4": want, "#5 op=stub n=5": 0.0})
     summary = done.stdout.splitlines()
     assert summary[0].startswith("BENCH_t.json: parent %s, change %s" % (parent[:7], change[:7]))
     assert summary.count("  digests equal") == 4
@@ -95,6 +109,14 @@ def test_the_pair_runner_alternates_sides_and_records_every_run(stub_repo):
         assert words[-6:] == ["better", "in", "2/2", "shift", "beyond", "IQR"]
     # equal values are not a win, and no shift beyond an IQR of 0
     assert all(line.endswith("change better in 0/2") for line in summary if line.split()[0] == "peak_rss_mib")
+    # the five cases that moved most, largest first; #5 did not move
+    headers = [i for i, line in enumerate(summary) if line == "  cases that moved most, median ref:"]
+    assert len(headers) == 4
+    for i in headers:
+        moved = [line.split() for line in summary[i + 1:i + 6]]
+        assert [words[0] for words in moved] == ["#0", "#1", "#2", "#3", "#4"]
+        assert moved[0][3:] == ["parent", "4", "change", "3", "(-1)"]
+        assert summary[i + 6].startswith("  digests")
 
 
 def test_a_failing_run_is_recorded_and_counted(stub_repo):
@@ -110,4 +132,5 @@ def test_a_failing_run_is_recorded_and_counted(stub_repo):
     runs = json.loads((repo / "BENCH_f.json").read_text())["groups"][0]["runs"]
     assert [(r["side"], r["returncode"], r["result"]) for r in runs][1] == ("change", 3, None)
     assert runs[1]["printed"] == ["broken"]
+    assert runs[1]["case_ref"] is None
     assert "catalog seed 7: 2 runs, 1 failed or incorrect" in done.stdout.splitlines()

@@ -640,6 +640,54 @@ def test_odd_q_splits_across_real_chunks_match_closed_forms(a, b, k, q, symmetri
                                 "rows_degenerate": want["h1"], "cols_degenerate": want["h2"]}
 
 
+def counted_calls(monkeypatch, module, name):
+    """Replaces ``module.name`` by a wrapper that counts its calls; returns the
+    one-element list holding the count."""
+    calls = [0]
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "a,b,q,symmetric",
+    [(3, 3, 2, False), (2, 4, 2, False), (4, 2, 2, False), (3, 3, 2, True),
+     (3, 3, 3, False), (2, 3, 3, False), (3, 2, 3, False), (3, 3, 3, True),
+     (2, 2, 5, False), (2, 3, 5, False), (3, 2, 5, False), (3, 3, 5, True)],
+)
+def test_a_split_walks_each_distinct_slice_once_per_chunk(a, b, q, symmetric, monkeypatch):
+    # four kernel walks per chunk below k = min(a, b); at k = min(a, b) every
+    # matrix has rank <= k, and the leading k-block is the first k rows when
+    # k = b and the first k columns when k = a, so a square format takes one
+    # walk and any other two
+    small_chunks(monkeypatch, a, b, q, symmetric)
+    chunks = len(walked_chunks(q, a, b, symmetric))
+    module, kernel = (_enumeration, "_f2_kernels") if q == 2 else (_odd_q, "_kernel_sizes")
+    calls = counted_calls(monkeypatch, module, kernel)
+    npos = a * (a + 1) // 2 if symmetric else a * b
+    for k in range(1, min(a, b) + 1):
+        walks = 4 if k < min(a, b) else 1 if a == b else 2
+        want = dict(split_closed_form(a, b, k, q, symmetric), matrices=q**npos)
+        calls[0] = 0
+        split = verify_component_split(a, b, k, q, symmetric)
+        assert calls[0] == walks * chunks
+        assert (split.passed, split.counterexample) == (True, None)
+        assert split.counts == want
+        if k == min(a, b):
+            assert want["rank_locus"] == want["matrices"]
+        if not symmetric:
+            calls[0] = 0
+            lemma = verify_rank_minor_lemma(a, b, k, q)
+            assert calls[0] == walks * chunks
+            assert lemma.counts == {"matrices": want["matrices"], "candidates": want["det_zero"],
+                                    "rows_degenerate": want["h1"], "cols_degenerate": want["h2"]}
+
+
 # (a, b, q, symmetric, chunk): the low digit count c and the blocks per chunk
 # follow from the chunk; c = 0 where the chunk is below q
 @pytest.mark.parametrize(

@@ -313,6 +313,63 @@ def test_shift_and_leading_form_is_the_leading_form_of_the_shift(seed):
     assert shift_and_leading_form(p - p, shifts).is_zero
 
 
+def counted_expansions(monkeypatch):
+    """Wraps ``SparsePoly._shifted``, the full expansion, in a call counter."""
+    calls = [0]
+    real = SparsePoly._shifted
+
+    def counting(self, shifts):
+        calls[0] += 1
+        return real(self, shifts)
+
+    monkeypatch.setattr(SparsePoly, "_shifted", counting)
+    return calls
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_a_lowest_level_that_cancels_falls_back_to_the_full_shift(symmetric, monkeypatch):
+    # z00 - z11 shifted by 1 at both: the constant level 1 - 1 cancels, and
+    # the leading form is the linear level, z00 - z11 again
+    calls = counted_expansions(monkeypatch)
+    p = SparsePoly.variable(0, 0, symmetric) - SparsePoly.variable(1, 1, symmetric)
+    shifts = {(0, 0): 1, (1, 1): 1}
+    lead = shift_and_leading_form(p, shifts)
+    assert calls[0] == 1
+    assert lead == p == p.shift(shifts).leading_form()
+    assert lead._symmetric == symmetric
+    # (z00 - 1)^2 shifted by 1 is z00^2: the constant and linear levels cancel
+    x = SparsePoly.variable(0, 0, symmetric)
+    q = x * x - x.scale(2) + SparsePoly.constant(1)
+    calls[0] = 0
+    lead = shift_and_leading_form(q, {(0, 0): 1})
+    assert calls[0] == 1
+    assert lead == x * x == q.shift({(0, 0): 1}).leading_form()
+    assert lead._symmetric == symmetric
+
+
+def test_the_tangent_cone_anchor_never_expands_a_shift(monkeypatch):
+    # every leading form of the 5x5 anchor is read off its lowest level
+    calls = counted_expansions(monkeypatch)
+    assert verify_tangent_cone(5, 5, 4, 1).passed
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_leading_forms_at_the_rank_3_and_4_templates_match_the_full_shift(symmetric):
+    # the symbolic digest stops at k = 2: every 4x4 and 5x5 minor of a
+    # generic 5x5 matrix against the leading form of its whole shift
+    for k in (3, 4):
+        template = {(i, i): 1 for i in range(k)}
+        for size in (4, 5):
+            for rows in itertools.combinations(range(5), size):
+                for cols in itertools.combinations(range(5), size):
+                    p = minor_det(4, 4, rows, cols, symmetric)
+                    lead = shift_and_leading_form(p, template)
+                    assert lead.terms == p.shift(template).leading_form().terms
+                    assert lead._symmetric == symmetric
+                    assert all(type(c) is Fraction for _, c in lead.terms)
+
+
 def test_leading_form_of_shifted_three_minor():
     # shifting z00 by 1 in the full 3x3 determinant leaves the complementary
     # 2x2 minor of rows {1,2} x cols {1,2} as the lowest-degree part
@@ -465,11 +522,9 @@ def test_tangent_cone_walk_is_capped_by_its_term_count():
 
 def test_a_tangent_cone_check_without_the_shift_fails(monkeypatch):
     # negative control: with the shift a no-op the leading form is the whole
-    # minor, so the very first pair is a counterexample; the shift and the
-    # leading form of the check both read the shifted terms off _shifted
-    monkeypatch.setattr(
-        SparsePoly, "_shifted", lambda self, shifts: [(t, self.degree()) for t in self.terms]
-    )
+    # minor, so the very first pair is a counterexample; the lowest level and
+    # the full expansion both read the shift off the point _point builds
+    monkeypatch.setattr(SparsePoly, "_point", lambda self, values: {})
     rep = verify_tangent_cone(3, 3, 2, 1)
     assert not rep.passed
     assert rep.counts["minors_checked"] == 0

@@ -10,10 +10,12 @@ every workload and seed it runs ``perfbench/run.py --trace 0`` of each side
 ``--pairs`` times, one run at a time, and swaps which side goes first from
 one pair to the next.  Every run is written to ``BENCH_<LABEL>.json`` in
 the current directory as ``groups`` of ``runs``, each with the lines the
-runner printed, its final JSON line, its output digests and its exit code
-(and the tail of its stderr if it failed).  Then, for every end-to-end
-metric, it prints the median of each side, the parent's interquartile range
-and in how many pairs the change was better.  Standard library only.
+runner printed, its final JSON line, its output digests, each case's median
+cost in reference units and its exit code (and the tail of its stderr if it
+failed).  Then, for every end-to-end metric, it prints the median of each
+side, the parent's interquartile range and in how many pairs the change was
+better, and the five cases whose median cost moved most.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -70,13 +72,44 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         printed = lines[:-1]
     try:
         report = json.loads((checkout / ".perfbench_run" / workload / "result.json").read_text())
-        digests = report["summary"]["digests"]
-    except (OSError, ValueError, KeyError):
-        digests = None
-    run = {"printed": printed, "result": result, "digests": digests, "returncode": done.returncode}
+    except (OSError, ValueError):
+        report = {}
+    digests = report.get("summary", {}).get("digests")
+    run = {"printed": printed, "result": result, "digests": digests, "case_ref": case_costs(report),
+           "returncode": done.returncode}
     if done.returncode:
         run["stderr"] = done.stderr.splitlines()[-20:]
     return run
+
+
+def case_label(case: dict) -> str:
+    """``#id`` and what the case runs: its argv, else its fields but ``why``,
+    a list by its length."""
+    words = case.get("argv")
+    if words is None:
+        words = []
+        for key, value in case.items():
+            if isinstance(value, dict):
+                words += ["%s=%s" % item for item in value.items()]
+            elif key not in ("id", "why"):
+                words.append("%s=%s" % (key, "[%d]" % len(value) if isinstance(value, list) else value))
+    return "#%s %s" % (case.get("id"), " ".join(words))
+
+
+def case_costs(report: dict):
+    """Each case's median cost over the run's passes in reference units, by
+    ``case_label``, from the ``cases`` and ``summary.samples`` of a
+    ``result.json``; None where they are missing."""
+    try:
+        cases = report["cases"]
+        # the windowed reference of perfbench/run.py's ref_costs
+        per_pass = [
+            [c / statistics.median(sample["ref_s"][max(0, i - 2):i + 3]) for i, c in enumerate(sample["case_s"])]
+            for sample in report["summary"]["samples"]
+        ]
+        return {case_label(case): statistics.median(costs) for case, costs in zip(cases, zip(*per_pass))}
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, statistics.StatisticsError):
+        return None
 
 
 def run_group(checkouts: dict, workload: str, seed: int, pairs: int, seconds: float) -> dict:
@@ -128,10 +161,30 @@ def summarize(group: dict, better: dict) -> list[str]:
         lines.append("  %-14s parent %.6g  change %.6g  (%+.1f%%)  parent IQR %.6g  change better in %d/%d%s" % (
             name, medians["parent"], medians["change"], 100 * shift / medians["parent"] if medians["parent"] else 0.0,
             iqr, wins, len(paired), "  shift beyond IQR" if abs(shift) > iqr else ""))
+    lines += moved_cases(group)
     digests = {side: sorted({d for run in group["runs"] if run["side"] == side for d in run["digests"] or ()})
                for side in SIDES}
     lines.append("  digests %s" % ("equal" if digests["parent"] == digests["change"] else "DIFFER: %r" % digests))
     return lines
+
+
+def moved_cases(group: dict, shown: int = 5) -> list[str]:
+    """The ``shown`` cases whose median cost over each side's runs moved most."""
+    costs = {side: {} for side in SIDES}
+    for run in group["runs"]:
+        for label, cost in (run["case_ref"] or {}).items():
+            costs[run["side"]].setdefault(label, []).append(cost)
+    medians = {side: {label: statistics.median(c) for label, c in costs[side].items()} for side in SIDES}
+    parent, change = medians["parent"], medians["change"]
+    moved = sorted((label for label in parent if label in change),
+                   key=lambda label: abs(change[label] - parent[label]), reverse=True)[:shown]
+    if not moved:
+        return []
+    return ["  cases that moved most, median ref:"] + [
+        "    %-44s parent %.4g  change %.4g  (%+.4g)" % (
+            label, parent[label], change[label], change[label] - parent[label])
+        for label in moved
+    ]
 
 
 def main(argv=None) -> int:
