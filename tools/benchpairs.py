@@ -168,8 +168,8 @@ def summarize(group: dict, better: dict) -> list[str]:
     return lines
 
 
-def moved_cases(group: dict, shown: int = 5) -> list[str]:
-    """The ``shown`` cases whose median cost over each side's runs moved most."""
+def moved_cases(group: dict) -> list[str]:
+    """The five cases whose median cost over each side's runs moved most."""
     costs = {side: {} for side in SIDES}
     for run in group["runs"]:
         for label, cost in (run["case_ref"] or {}).items():
@@ -177,11 +177,11 @@ def moved_cases(group: dict, shown: int = 5) -> list[str]:
     medians = {side: {label: statistics.median(c) for label, c in costs[side].items()} for side in SIDES}
     parent, change = medians["parent"], medians["change"]
     moved = sorted((label for label in parent if label in change),
-                   key=lambda label: abs(change[label] - parent[label]), reverse=True)[:shown]
+                   key=lambda label: abs(change[label] - parent[label]), reverse=True)[:5]
     if not moved:
         return []
     return ["  cases that moved most, median ref:"] + [
-        "    %-44s parent %.4g  change %.4g  (%+.4g)" % (
+        "    %-48s parent %.4g  change %.4g  (%+.4g)" % (
             label, parent[label], change[label], change[label] - parent[label])
         for label in moved
     ]
