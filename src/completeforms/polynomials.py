@@ -394,14 +394,20 @@ def _leibniz(rows, cols, symmetric: bool) -> SparsePoly:
         grid = [[((i, j), 1) for j in cols] for i in rows]
         terms = [(tuple(map(list.__getitem__, grid, perm)), _SIGNS[sign]) for perm, sign in signed]
         return SparsePoly(tuple(sorted(terms)))
-    # grid[a][b] names the entry in row rows[a] and column cols[b]
+    # grid[a][b] names the entry in row rows[a] and column cols[b]; an entry
+    # and its transpose are one variable, so a monomial takes it at most twice
     grid = [[(j, i) if i > j else (i, j) for j in cols] for i in rows]
     terms: dict[Monomial, int] = {}
     for perm, sign in signed:
-        powers = Counter(map(list.__getitem__, grid, perm))
-        mono = tuple(sorted(powers.items()))
+        powers: list = []
+        for v in sorted(map(list.__getitem__, grid, perm)):
+            if powers and powers[-1][0] == v:
+                powers[-1] = (v, 2)
+            else:
+                powers.append((v, 1))
+        mono = tuple(powers)
         terms[mono] = terms.get(mono, 0) + sign
-    return _in_mode(SparsePoly.from_dict(terms), True)
+    return _in_mode(SparsePoly(tuple((m, Fraction(c)) for m, c in sorted(terms.items()) if c)), True)
 
 
 def shift_and_leading_form(p: SparsePoly, shifts: dict) -> SparsePoly:

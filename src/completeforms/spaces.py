@@ -21,9 +21,9 @@ A kind record is frozen and compares by value, so :func:`build_model` keeps
 the models it built in a bounded per-process memo and hands every caller
 asking about an equal kind the same frozen model.
 
-Coordinates exist where a model builder records a basis: by hand, or for a
-tower over a projective space by the discrepancy rule.  Every other kind
-still builds a model, it just answers
+Coordinates exist where a model builder records a basis: a mapping space's
+by hand, a tower's by one fibration rule, which writes its basis, colors and
+-K.  Every other kind still builds a model, it just answers
 ``CoordinatesUnknown``/``OutOfScope`` for the coordinate-dependent queries.
 
 Every complete-form space is a blow-up tower over a secant variety of a
@@ -497,27 +497,22 @@ def _symmetric_orbit(kind: Quadrics) -> list:
 # isomorphism, (cover class, coefficient, class) triples for a pullback.  A
 # twin's builder writes only ``basis``, ``table``, ``minus_k`` and
 # ``dictionary``; the rest is its form space's, renamed by the dictionary
-# (:func:`_spec`).  A color ``D<i>`` missing from ``table`` is written by the
-# color rule of :func:`_coordinates`, D_i = i*D1 - sum_{j<i} (i-j)*E_j
-# (Vainsencher 1984; Thaddeus 1999).  Of the form spaces only C(n,m,2),
-# n >= 2, writes its colors: its D1 is not a basis class.  A boundary class
-# ``E<i>`` outside the basis and ``table`` is the color D_{i+1}, by the same
-# rule: over square forms the last center is the determinant divisor.
+# (:func:`_spec`).
 #
 # One builder serves each tower family, C and secS over pairs, Q and secV
-# over symmetric forms.  It writes a full tower's data once, in its C or Q
+# over symmetric forms.  It writes a full tower's labels once, in its C or Q
 # labels, and a partial tower's where known; a full tower named by n-1 of n
-# steps reads its data through :func:`_top_center_as_color`.  A tower over a
-# projective space (h = n+1) with coordinates takes both its basis and its -K
-# from the discrepancy rule, :func:`_projective_tower`, so its branch writes
-# its ``stated`` count and no basis, -K or ``E<i>`` coordinate.
+# steps reads its labels through :func:`_top_center_as_color`.  Where a tower
+# has coordinates, its basis, every ``D<i>`` and top ``E<i>`` class and its -K
+# come from one rule, :func:`_fibration_tower`, so a tower branch writes only
+# its ``stated`` count, its ``mov`` labels and the moving class ``P``.
 
 
 def _top_center_as_color(spec: dict, n: int) -> dict:
     """A full tower's spec under its name with n-1 of its n steps (h = n+1).
 
     The last center is the determinant divisor, so the full tower's boundary
-    class E_n is this name's color D_{n+1}; the color rule writes both.
+    class E_n is this name's color D_{n+1}; the fibration rule writes both.
     """
 
     top, color = "E%d" % n, "D%d" % (n + 1)
@@ -528,24 +523,66 @@ def _top_center_as_color(spec: dict, n: int) -> dict:
     return spec
 
 
-def _projective_tower(first: str, secant: Callable[[int], SecantInvariants], h: int) -> dict:
-    """The ``basis`` and ``minus_k`` of a tower over P^N: the discrepancy rule.
+def _fibration_tower(
+    symmetric: bool, n: int, m: int, h: int, k: int, table: Optional[dict] = None
+) -> dict:
+    """The ``basis``, class ``table`` and ``minus_k`` of a tower: the fibration rule.
 
-    The tower blows P^N up along the secants sigma_j = ``secant(j)``, j < h,
-    each smooth by the time it is blown up (Vainsencher 1984).  A center of
-    codimension one is already a divisor, so the basis is ``first`` (the
-    hyperplane class) and E_j for each other center, and each such E_j
-    enters K with its codimension less one (Hartshorne, Exercise II.8.5):
-    -K = (N+1)*H - sum_j (codim sigma_j - 1)*E_j, N and the codimensions
-    read off ``secant``.
+    The tower takes k of the h-1 blow-ups of the rank <= h forms (m = n over
+    symmetric forms).  Its full tower fibres over G(h,n+1) x G(h,m+1) (over
+    G(h,n+1) for symmetric forms) with fibre the full tower of h x h forms
+    (Vainsencher 1984; Thaddeus 1999).  The basis is the pulled-back Plucker
+    classes H1, H2 (H over symmetric forms, the first color D1 over pairs at
+    h = n+1), then E_j for each center but the determinant divisor (j = n
+    over square or symmetric forms), whose E_j is the color D_{j+1}.  Over
+    pairs with h <= n, D_h = H1 + H2 (the h x h minors are the Plucker
+    coordinates of image and coimage) and inverting E_j = 2*D_j - D_{j-1} -
+    D_{j+1} gives D_i = (i/h)*D_h + sum_j min(i,j)*(h-max(i,j))/h * E_j;
+    otherwise the i x i minors vanish to order i-j along the rank-j forms,
+    so D_i = i*D1 - sum_{j<i} (i-j)*E_j.  Then -K = r*D1 - sum_j (c_j-1)*E_j
+    + G, with r the dimension of the h x h forms and c_j the codimension of
+    their rank-j forms (Hartshorne, Exercises II.8.5 and III.8.4), and G =
+    (n+1-h)*H1 + (m+1-h)*H2 over pairs (H1 = 0 and H2 = D_{n+1} at h = n+1),
+    (n-h)*D_h/2 over symmetric forms (0 at h = n+1).  A partial tower drops
+    the E_j, j > k: its -K is the pushforward.  The ``table`` is the top
+    class, the builder's own ``table`` and the colors D_1..D_h, of which
+    C(n,m,1), with no boundary, writes none.
     """
 
-    codims = {j: secant(j).codimension for j in range(1, h)}
-    blown_up = [j for j, c in codims.items() if c > 1]
-    return dict(
-        basis=(first,) + tuple("E%d" % j for j in blown_up),
-        minus_k=_vec(secant(h).ambient_dimension + 1, *(1 - codims[j] for j in blown_up)),
+    def codim(j: int) -> int:  # of the rank-j forms among h x h forms
+        return (h - j) * (h - j + 1) // 2 if symmetric else (h - j) ** 2
+
+    plucker = not symmetric and h <= n
+    first = ("H1", "H2") if plucker else ("H",) if symmetric else ("D1",)
+    blown_up = [j for j in range(1, k + 1) if not j == n == m]
+    basis = first + tuple("E%d" % j for j in blown_up)
+    unit = {b: tuple(Fraction(int(b == c)) for c in basis) for b in basis}
+    zero = (Fraction(0),) * len(basis)
+    boundary = {j: unit.get("E%d" % j, zero) for j in range(1, h)}
+
+    def combo(*terms) -> Tuple[Fraction, ...]:
+        return tuple(sum(c * v[t] for c, v in terms) for t in range(len(basis)))
+
+    def color(i: int) -> Tuple[Fraction, ...]:
+        if plucker:
+            weights = ((Fraction(min(i, j) * (h - max(i, j)), h), e) for j, e in boundary.items())
+            return combo((Fraction(i, h), unit["H1"]), (Fraction(i, h), unit["H2"]), *weights)
+        return combo((i, unit[first[0]]), *((j - i, boundary[j]) for j in range(1, i)))
+
+    if symmetric:
+        twist = combo((Fraction(n - h, 2), color(h))) if h <= n else zero
+    else:
+        h2 = unit["H2"] if plucker else color(h)
+        twist = combo((n + 1 - h, unit.get("H1", zero)), (m + 1 - h, h2))
+    tops = [j for j in range(1, k + 1) if j not in blown_up]
+    classes = {"E%d" % j: color(j + 1) for j in tops}
+    classes.update(table or {})
+    if k or not plucker:
+        classes.update(("D%d" % i, color(i)) for i in range(1, h + 1) if i - 1 not in tops)
+    minus_k = combo(
+        (codim(0), color(1)), *((1 - codim(j), boundary[j]) for j in blown_up), (1, twist)
     )
+    return dict(basis=basis, table=classes, minus_k=minus_k)
 
 
 def _pair_tower_model(kind) -> dict:
@@ -568,27 +605,12 @@ def _pair_tower_model(kind) -> dict:
         spec = dict(rank=h - 1, colors=colors, eff=boundary, nef=colors)
     spec.update(boundary=boundary)
 
-    if h == 1:
-        spec.update(
-            basis=("H1", "H2"),
-            mov=spec["nef"],
-            minus_k=_vec(n + 1, m + 1),
-            stated=1,
-        )
-    elif h == 2 and n >= 2:
-        half = Fraction(1, 2)
-        spec.update(
-            basis=("H1", "H2", "E1"),
-            table={"D1": (half, half, half), "D2": _vec(1, 1, 0)},
-            mov=spec["nef"],
-            minus_k=_vec(n + 1, m + 1, 2),
-            stated=3,
-        )
+    if h <= min(n, 2):  # C(n,m,1) and C(n,m,2)
+        spec.update(mov=spec["nef"], stated=(1, 3)[h - 1])
     elif h == n + 1 == 2:  # C(1,m,2), over P^{2m+1}
-        spec.update(
-            _projective_tower("D1", lambda j: segre_secant_invariants(n, m, j), h),
-            stated=2 if m > 1 else 1,
-        )
+        spec.update(stated=2 if m > 1 else 1)
+    if h <= 2:
+        spec.update(_fibration_tower(False, n, m, h, k))
     return spec if k == h - 1 else _top_center_as_color(spec, n)
 
 
@@ -597,52 +619,39 @@ def _symmetric_tower_model(kind) -> dict:
     if not full:  # so n >= h here
         spec = dict(rank=1 + k, boundary=_labels("E", k))
         if h == 3 and k == 1:
-            spec.update(
-                basis=("H", "E1"),
-                colors=("D1", "D2", "D3"),
-                eff=("E1", "D3"),
-                nef=("D1", "D2"),
-                minus_k=(Fraction(3 * n + 3, 2), Fraction(1 - n)),
-                stated=3,
-            )
+            spec.update(colors=("D1", "D2", "D3"), eff=("E1", "D3"), nef=("D1", "D2"), stated=3)
         elif h == 4 and k == 2:
             spec.update(
-                basis=("H", "E1", "E2"),
-                table={"P": _vec(6, -3, -2)},
                 colors=("D1", "D2", "D3", "D4"),
                 eff=("E1", "E2", "D4"),
                 nef=("D1", "D2", "D3"),
                 mov=("D1", "D2", "D3", "P"),
-                minus_k=(Fraction(2 * n + 2), Fraction(-(3 * n - 2), 2), Fraction(2 - n)),
                 stated=9,
             )
-        return spec
-    boundary = _labels("E", h - 1)
-    if h <= n:
-        colors = _labels("D", h)
-        spec = dict(rank=h, eff=boundary + ("D%d" % h,))
-    else:  # h == n+1
-        colors = _labels("D", n)
-        spec = dict(rank=h - 1, eff=boundary)
-    spec.update(boundary=boundary, colors=colors, nef=colors)
-
-    if h == 3 and n >= 3:
-        spec.update(
-            basis=("H", "E1", "E2"),
-            mov=colors,
-            minus_k=(Fraction(3 * n + 3, 2), Fraction(1 - n), Fraction(3 - n, 2)),
-            stated=5,
-        )
-    elif h == n + 1 <= 4:  # Q(1,2), Q(2,3) and Q(3,4), over P^2, P^5 and P^9
-        spec.update(
-            _projective_tower("H", lambda j: veronese_secant_invariants(n, j), h),
-            stated=(1, 3, 9)[n - 1],
-        )
-        if n == 3:
-            spec.update(table={"P": _vec(6, -3, -2)}, mov=colors + ("P",))
-    if kind.h > h:  # secV(1,3;k=1) lies past the secant range: it is the plane
-        spec.update(dimension=2)
-    return spec if k == h - 1 else _top_center_as_color(spec, n)
+    else:
+        boundary = _labels("E", h - 1)
+        if h <= n:
+            colors = _labels("D", h)
+            spec = dict(rank=h, eff=boundary + ("D%d" % h,))
+        else:  # h == n+1
+            colors = _labels("D", n)
+            spec = dict(rank=h - 1, eff=boundary)
+        spec.update(boundary=boundary, colors=colors, nef=colors)
+        if h == 3 and n >= 3:
+            spec.update(mov=colors, stated=5)
+        elif h == n + 1 <= 4:  # Q(1,2), Q(2,3) and Q(3,4), over P^2, P^5 and P^9
+            spec.update(stated=(1, 3, 9)[n - 1])
+            if n == 3:
+                spec.update(mov=colors + ("P",))
+        if kind.h > h:  # secV(1,3;k=1) lies past the secant range: it is the plane
+            spec.update(dimension=2)
+        if k < h - 1:
+            spec = _top_center_as_color(spec, n)
+    if h == 3 or (h, k) == (4, 2) or full and h == n + 1 <= 4:  # the names with a stated count
+        # Q(3,4) and secV(n,4;2) keep their moving class P
+        table = {"P": _vec(6, -3, -2)} if h == 4 else None
+        spec.update(_fibration_tower(True, n, n, h, k, table))
+    return spec
 
 
 def _kontsevich_p_model(kind: KontsevichP) -> dict:
@@ -792,31 +801,12 @@ _KINDS: Dict[type, _Kind] = {
 
 
 def _coordinates(spec: dict) -> Dict[str, Tuple[Fraction, ...]]:
-    """Every class of a builder's spec, with its coordinates, by two rules.
+    """Every class of a builder's spec with its coordinates: the basis classes
+    are the unit vectors, and ``table`` gives the others, in its order."""
 
-    The basis classes are the unit vectors and ``table`` gives others.  The
-    color rule writes each color ``D<i>`` still missing: the i x i minors
-    vanish to order i - j along the rank-j locus, so D_i = i*D1 - sum_{j<i}
-    (i-j)*E_j over the E_j present, with D1 the first basis class
-    (Vainsencher 1984; Thaddeus 1999).  The top-class rule writes a boundary
-    class ``E<i>`` in neither the basis nor ``table`` as the color D_{i+1}:
-    over square forms the last center of a tower over P^N is the
-    determinant divisor, whose strict transform is D_{i+1}.  The classes
-    come in that order: basis, top class, table, colors.
-    """
-
-    basis, table = spec["basis"], spec.get("table", {})
-    # the unit vectors stay ints until the end, so the rules mostly add ints
+    basis = spec["basis"]
     coords = {b: tuple(int(i == j) for j in range(len(basis))) for i, b in enumerate(basis)}
-
-    def color(i: int) -> tuple:
-        sub = [(i - j, coords["E%d" % j]) for j in range(1, i) if "E%d" % j in coords]
-        return tuple(i * x - sum(c * e[t] for c, e in sub) for t, x in enumerate(coords[basis[0]]))
-
-    top = [e for e in spec.get("boundary", ()) if e not in coords and e not in table]
-    coords.update((e, color(int(e[1:]) + 1)) for e in top)
-    coords.update(table)
-    coords.update((d, color(int(d[1:]))) for d in spec.get("colors", ()) if d not in coords)
+    coords.update(spec.get("table", {}))
     return {label: tuple(map(_coerce_fraction, v)) for label, v in coords.items()}
 
 

@@ -21,11 +21,10 @@ one model, whose secant ``spaces`` evaluates, so it reads no private name of
 values count as an int and which as a rational is decided in ``lattice``
 alone, by its int rule and its rational rule; the eighth lint keeps every
 other module from testing a value against ``bool`` or ``float`` itself.
-The form-space color classes ``D<i>`` are written by one rule, in
-``spaces._coordinates``; the ninth lint keeps the five model builders (one
-for the C and secS towers, one for the Q and secV towers, one per mapping
-space) from writing any themselves, but for C(n,m,2), n >= 2, and its secS
-name, whose D1 is not a basis class.  A mapping space isomorphic to a form
+The form-space color classes ``D<i>`` are written by one rule,
+``spaces._fibration_tower``; the ninth lint keeps the five model builders
+(one for the C and secS towers, one for the Q and secV towers, one per
+mapping space) from writing any themselves.  A mapping space isomorphic to a form
 space (its twin) is that space renamed, so its builder writes only its
 class coordinates, -K and dictionary, and ``spaces`` takes the rest from
 the form space's builder; the tenth lint keeps the twin builders from
@@ -53,10 +52,9 @@ process, so the fourteenth lint keeps every ``functools`` memo a bounded
 ``lru_cache``.  A chamber complex builds its basis cones from the one kernel normal
 of each (d - 1)-subset it has already computed for its hyperplanes, so the
 fifteenth lint keeps ``_chamber_complex`` calling ``cone_from_rays`` once,
-for the support.  Over a projective space (h = n+1) a tower's basis and -K
-are written by one discrepancy rule and its top boundary class by the color
-rule, so the sixteenth lint keeps the two tower builders from writing any
-of them.
+for the support.  A tower's basis, -K, colors and top boundary class are
+written by one fibration rule, which the two tower builders call, so the
+sixteenth lint keeps them from writing any of it themselves.
 """
 
 import ast
@@ -293,19 +291,10 @@ def test_model_builders_leave_the_colors_to_the_color_rule():
     for builder in ast.parse(Path(spaces.__file__).read_text(encoding="utf-8")).body:
         if not (isinstance(builder, ast.FunctionDef) and builder.name in builders):
             continue
-        exempt = {
-            id(node)
-            for branch in ast.walk(builder)
-            if builder.name == "_pair_tower_model"
-            and isinstance(branch, ast.If)
-            and ast.unparse(branch.test) == "h == 2 and n >= 2"
-            for statement in branch.body
-            for node in ast.walk(statement)
-        }
         found += [
             "%s:%d" % (builder.name, key.lineno)
             for node in ast.walk(builder)
-            if isinstance(node, ast.Dict) and id(node) not in exempt
+            if isinstance(node, ast.Dict)
             for key in node.keys
             if isinstance(key, ast.Constant) and re.fullmatch(r"D\d+", str(key.value))
         ]
@@ -529,29 +518,14 @@ def test_the_chamber_complex_enumerates_only_its_support():
     assert sum(map(enumerates, ast.walk(body))) == 1 and assigned == [["support"]]
 
 
-def _guarded(node, path=()):
-    """Each node under ``node`` with its path: the (test, branch taken) of every
-    enclosing ``if``."""
-    yield node, path
-    if isinstance(node, ast.If):
-        for branch, taken in ((node.body, True), (node.orelse, False)):
-            for child in branch:
-                yield from _guarded(child, path + ((node.test, taken),))
-    else:
-        for child in ast.iter_child_nodes(node):
-            yield from _guarded(child, path)
-
-
 def test_tower_builders_leave_minus_k_and_the_top_class_to_the_rules(monkeypatch):
-    """Over a projective space (h = n+1) a tower builder writes no basis, no
-    -K and no ``E<i>`` coordinate: the basis and -K come from
-    ``_projective_tower``, which only the two tower builders call, and the
-    top boundary class from the top-class rule of ``_coordinates``.  Read
-    off the source, no ``basis``, no ``minus_k`` and no ``E<i>`` key is
-    written on a path whose ``if`` tests can hold at h = n+1 (with ``full``
-    as ``spaces._tower`` reads it), n <= 8; built, every tower name with
-    h = n+1 and n, m <= 8 takes both its basis and its -K from the rule,
-    here replaced by markers, or neither."""
+    """A tower builder writes no basis, no -K and no ``D<i>`` or ``E<i>``
+    coordinate: all of them come from ``_fibration_tower``, which only the
+    two tower builders call.  Read off the source, neither builder writes a
+    ``basis``, ``minus_k`` or ``table`` key, or a ``D<i>`` or ``E<i>`` key,
+    anywhere; built, every tower name with parameters 0..8 takes its basis,
+    -K and class table from the rule, here replaced by markers, or has no
+    coordinates, and the names that take them are the 140 with coordinates."""
     builders = {"_pair_tower_model", "_symmetric_tower_model"}
     tree = ast.parse(Path(spaces.__file__).read_text(encoding="utf-8"))
     callers = {
@@ -559,12 +533,12 @@ def test_tower_builders_leave_minus_k_and_the_top_class_to_the_rules(monkeypatch
         for builder in tree.body
         if isinstance(builder, ast.FunctionDef)
         for node in ast.walk(builder)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_projective_tower"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fibration_tower"
     }
     assert callers == builders
 
     def written(node):
-        if isinstance(node, ast.keyword) and node.arg in ("basis", "minus_k"):
+        if isinstance(node, ast.keyword):
             return [node.arg]
         if isinstance(node, ast.Dict):
             return [key.value for key in node.keys if isinstance(key, ast.Constant)]
@@ -572,52 +546,35 @@ def test_tower_builders_leave_minus_k_and_the_top_class_to_the_rules(monkeypatch
             return [getattr(node.slice, "value", None)]
         return []
 
-    def over_pn(builder):  # the symmetric towers read m as n
-        return [
-            {"n": n, "m": m, "h": n + 1, "k": k, "full": k == n or (m == n and k == n - 1)}
-            for n in range(1, 9)
-            for m in (range(n, 10) if builder == "_pair_tower_model" else [n])
-            for k in range(1, n + 1)
-        ]
-
-    def holds(test, scope):
-        return bool(eval(compile(ast.Expression(test), "<if>", "eval"), {}, dict(scope)))
-
     found = [
         "%s:%d:%s" % (builder.name, node.lineno, key)
         for builder in tree.body
         if isinstance(builder, ast.FunctionDef) and builder.name in builders
-        for node, path in _guarded(builder)
+        for node in ast.walk(builder)
         for key in written(node)
-        if key in ("basis", "minus_k") or re.fullmatch(r"E\d+", str(key))
-        if any(
-            all(holds(test, scope) == taken for test, taken in path)
-            for scope in over_pn(builder.name)
-        )
+        if key in ("basis", "minus_k", "table") or re.fullmatch(r"[DE]\d+", str(key))
     ]
     assert found == []
 
-    basis, minus_k = object(), object()
+    basis, minus_k, table = object(), object(), object()
     monkeypatch.setattr(
-        spaces, "_projective_tower", lambda first, secant, h: dict(basis=basis, minus_k=minus_k)
+        spaces, "_fibration_tower", lambda *args: dict(basis=basis, minus_k=minus_k, table=table)
     )
     by_rule = 0
     for cls, entry in spaces._KINDS.items():
         if entry.model.__name__ not in builders:
             continue
         letters = [field.name for field in dataclasses.fields(cls)]
-        for values in itertools.product(range(1, 10), repeat=len(letters)):
-            params = dict(zip(letters, values))
-            if params["h"] < params["n"] + 1 or params.get("m", 0) > 8:
-                continue
+        for values in itertools.product(range(9), repeat=len(letters)):
             try:
-                kind = cls(**params)
+                kind = cls(**dict(zip(letters, values)))
             except ValueError:
                 continue
             spec = entry.model(kind)
-            written_by_rule = (spec.get("basis"), spec.get("minus_k"))
-            assert written_by_rule in ((None, None), (basis, minus_k)), spaces.space_name(kind)
-            by_rule += written_by_rule == (basis, minus_k)
-    # both names of C(1,m,2), m <= 8 (16), all names of Q(1,2), Q(2,3) and
-    # Q(3,4) (8), and the admitted secV(1,3;k=1)
-    assert by_rule == 25
+            written_by_rule = (spec.get("basis"), spec.get("minus_k"), spec.get("table"))
+            assert written_by_rule in ((None,) * 3, (basis, minus_k, table)), spaces.space_name(kind)
+            by_rule += written_by_rule == (basis, minus_k, table)
+    # C(n,m,1) (36), C(n,m,2) and its secS name (72, C(1,m,2) among them),
+    # Q(n,3) and its two secV names (21), secV(n,4;2) (6), Q(3,4) and
+    # secV(3,4;3), and Q(1,2), secV(1,2;k=1) and the admitted secV(1,3;k=1)
+    assert by_rule == 140

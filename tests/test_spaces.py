@@ -1,6 +1,7 @@
 """Tests for the space catalog: invariants, cones, chambers, dictionaries."""
 
 import dataclasses
+import inspect
 import itertools
 import re
 import subprocess
@@ -527,7 +528,7 @@ def test_frozen_anticanonical_classes():
 def wonderful_minus_k(n, m=None):
     """-K of the full tower over P^N of Q(n,n+1) (m None) or C(n,m,n+1), in the
     basis (H, E_1, ..., E_r), as a wonderful variety; it shares no code with
-    the discrepancy rule of ``spaces``.
+    the fibration rule of ``spaces``.
 
     These towers are wonderful varieties (De Concini-Procesi 1983): for
     G = SL_{n+1} on quadrics, and G = SL_{n+1} x SL_{m+1} on matrices.  The
@@ -602,14 +603,13 @@ def test_the_catalog_towers_over_projective_space_match_the_wonderful_oracle(kin
 
 
 def _towers_over_projective_space():
-    """Every tower over P^N with n <= 8 and n <= m <= 9, coordinates or not,
-    with its rule: its full C or Q name and the basis and -K the rule writes."""
-    rule = spaces._projective_tower
+    """Every full tower over P^N with n <= 8 and n <= m <= 9, coordinates or
+    not, with its full C or Q name and what the fibration rule writes for it."""
+    rule = spaces._fibration_tower
     for n in range(1, 9):
-        yield Quadrics(n, n + 1), rule("H", lambda j: veronese_secant_invariants(n, j), n + 1)
+        yield Quadrics(n, n + 1), rule(True, n, n, n + 1, n)
         for m in range(n, 10):
-            kind = Collineations(n, m, n + 1)
-            yield kind, rule("D1", lambda j: segre_secant_invariants(n, m, j), n + 1)
+            yield Collineations(n, m, n + 1), rule(False, n, m, n + 1, n)
 
 
 def test_the_discrepancy_rule_matches_the_wonderful_oracle():
@@ -628,6 +628,83 @@ def test_the_rule_writes_one_basis_class_per_picard_rank():
         assert len(rule["basis"]) == build_model(kind).picard_rank, kind
         towers += 1
     assert towers == 52
+
+
+# The tables the towers with h <= n were written from by hand before the
+# fibration rule wrote them, kept as its reference: (symmetric, h, k, lowest
+# n) -> the basis, -K as a function of n and m, and the classes written
+# beside the basis.
+HALF = Fraction(1, 2)
+REFERENCE_TOWERS = {
+    (False, 1, 0, 1): (("H1", "H2"), lambda n, m: F(n + 1, m + 1), {}),  # C(n,m,1)
+    (False, 2, 1, 2): (  # C(n,m,2)
+        ("H1", "H2", "E1"),
+        lambda n, m: F(n + 1, m + 1, 2),
+        {"D1": (HALF, HALF, HALF), "D2": F(1, 1, 0)},
+    ),
+    (True, 3, 2, 3): (  # Q(n,3)
+        ("H", "E1", "E2"),
+        lambda n, m: (Fraction(3 * n + 3, 2), Fraction(1 - n), Fraction(3 - n, 2)),
+        {"D1": F(1, 0, 0), "D2": F(2, -1, 0), "D3": F(3, -2, -1)},
+    ),
+    (True, 3, 1, 3): (  # secV(n,3;1)
+        ("H", "E1"),
+        lambda n, m: (Fraction(3 * n + 3, 2), Fraction(1 - n)),
+        {"D1": F(1, 0), "D2": F(2, -1), "D3": F(3, -2)},
+    ),
+    (True, 4, 2, 4): (  # secV(n,4;2)
+        ("H", "E1", "E2"),
+        lambda n, m: (Fraction(2 * n + 2), Fraction(-(3 * n - 2), 2), Fraction(2 - n)),
+        {"D1": F(1, 0, 0), "D2": F(2, -1, 0), "D3": F(3, -2, -1), "D4": F(4, -3, -2)},
+    ),
+}
+
+
+def _off_the_reference(rule):
+    """The (case, n, m) whose basis, -K or classes ``rule`` writes otherwise
+    than the reference tables, for n <= 20 and n <= m <= n+2; and the count
+    of cases checked."""
+    off, checked = [], 0
+    for (symmetric, h, k, lowest), (basis, minus_k, table) in REFERENCE_TOWERS.items():
+        for n in range(lowest, 21):
+            for m in [n] if symmetric else range(n, n + 3):
+                written = rule(symmetric, n, m, h, k)
+                if (written["basis"], written["minus_k"], written["table"]) != (
+                    basis, minus_k(n, m), table
+                ):
+                    off.append((symmetric, h, k, n, m))
+                checked += 1
+    return off, checked
+
+
+def test_the_fibration_rule_writes_the_reference_tables():
+    assert _off_the_reference(spaces._fibration_tower) == ([], 170)
+
+
+def _mutant(old, new):
+    """``spaces._fibration_tower`` with its one ``old`` replaced by ``new``."""
+    source = inspect.getsource(spaces._fibration_tower)
+    assert source.count(old) == 1
+    namespace = dict(vars(spaces))
+    exec(compile(source.replace(old, new), spaces.__file__, "exec"), namespace)
+    return namespace["_fibration_tower"]
+
+
+@pytest.mark.parametrize(
+    "old, new, off",
+    [
+        # a color weight: D_i from the pair boundary relation
+        ("min(i, j) * (h - max(i, j))", "max(i, j) * (h - min(i, j))", 57),
+        # the fibre's codimensions without their -1
+        ("1 - codim(j)", "-codim(j)", 110),
+        # the symmetric twist (n-h)*D_h/2 read as (n+1-h)*D_h/2
+        ("Fraction(n - h, 2)", "Fraction(n + 1 - h, 2)", 53),
+    ],
+)
+def test_a_mutant_of_the_fibration_rule_is_caught(old, new, off):
+    """Each mutant is off on every case it touches: the 57 C(n,m,2), the 110
+    cases with a boundary, the 53 symmetric ones."""
+    assert len(_off_the_reference(_mutant(old, new))[0]) == off
 
 
 def test_positivity_table_for_the_two_step_symmetric_model():
