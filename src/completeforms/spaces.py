@@ -556,17 +556,17 @@ def _fibration_tower(
     first = ("H1", "H2") if plucker else ("H",) if symmetric else ("D1",)
     blown_up = [j for j in range(1, k + 1) if not j == n == m]
     basis = first + tuple("E%d" % j for j in blown_up)
-    unit = {b: tuple(Fraction(int(b == c)) for c in basis) for b in basis}
-    zero = (Fraction(0),) * len(basis)
+    unit = {b: tuple(int(b == c) for c in basis) for b in basis}
+    zero = (0,) * len(basis)
     boundary = {j: unit.get("E%d" % j, zero) for j in range(1, h)}
 
-    def combo(*terms) -> Tuple[Fraction, ...]:
+    def combo(*terms) -> tuple:  # ints, but for the Fractions of the coefficients
         return tuple(sum(c * v[t] for c, v in terms) for t in range(len(basis)))
 
-    def color(i: int) -> Tuple[Fraction, ...]:
-        if plucker:
-            weights = ((Fraction(min(i, j) * (h - max(i, j)), h), e) for j, e in boundary.items())
-            return combo((Fraction(i, h), unit["H1"]), (Fraction(i, h), unit["H2"]), *weights)
+    def color(i: int) -> tuple:
+        if plucker:  # h*D_i = i*D_h + sum_j min(i,j)*(h-max(i,j))*E_j
+            weights = ((min(i, j) * (h - max(i, j)), e) for j, e in boundary.items())
+            return tuple(Fraction(x, h) for x in combo((i, unit["H1"]), (i, unit["H2"]), *weights))
         return combo((i, unit[first[0]]), *((j - i, boundary[j]) for j in range(1, i)))
 
     if symmetric:
@@ -582,7 +582,7 @@ def _fibration_tower(
     minus_k = combo(
         (codim(0), color(1)), *((1 - codim(j), boundary[j]) for j in blown_up), (1, twist)
     )
-    return dict(basis=basis, table=classes, minus_k=minus_k)
+    return dict(basis=basis, table=classes, minus_k=_vec(*minus_k))
 
 
 def _pair_tower_model(kind) -> dict:

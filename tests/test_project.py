@@ -24,11 +24,11 @@ other module from testing a value against ``bool`` or ``float`` itself.
 The form-space color classes ``D<i>`` are written by one rule,
 ``spaces._fibration_tower``; the ninth lint keeps the five model builders
 (one for the C and secS towers, one for the Q and secV towers, one per
-mapping space) from writing any themselves.  A mapping space isomorphic to a form
-space (its twin) is that space renamed, so its builder writes only its
-class coordinates, -K and dictionary, and ``spaces`` takes the rest from
-the form space's builder; the tenth lint keeps the twin builders from
-restating any of it.  Every
+mapping space) from writing any themselves.  A mapping space isomorphic
+to a form space (its twin) is that space renamed, so its builder writes
+only its class coordinates, -K and dictionary, and ``spaces`` takes the
+rest from the form space's builder; the tenth lint keeps the twin builders
+from restating any of it.  Every
 record is a dataclass over ``lattice._Record``, declared with no generated
 method, because generating six methods for each of two dozen frozen
 dataclasses was most of what a command line call spent importing the
@@ -523,9 +523,10 @@ def test_tower_builders_leave_minus_k_and_the_top_class_to_the_rules(monkeypatch
     coordinate: all of them come from ``_fibration_tower``, which only the
     two tower builders call.  Read off the source, neither builder writes a
     ``basis``, ``minus_k`` or ``table`` key, or a ``D<i>`` or ``E<i>`` key,
-    anywhere; built, every tower name with parameters 0..8 takes its basis,
-    -K and class table from the rule, here replaced by markers, or has no
-    coordinates, and the names that take them are the 140 with coordinates."""
+    anywhere; built, every tower name with n, m <= 8 (so h <= 9) takes its
+    basis, -K and class table from the rule, here replaced by markers, or
+    has no coordinates, and the names that take them are the 140 with
+    coordinates."""
     builders = {"_pair_tower_model", "_symmetric_tower_model"}
     tree = ast.parse(Path(spaces.__file__).read_text(encoding="utf-8"))
     callers = {
@@ -565,9 +566,12 @@ def test_tower_builders_leave_minus_k_and_the_top_class_to_the_rules(monkeypatch
         if entry.model.__name__ not in builders:
             continue
         letters = [field.name for field in dataclasses.fields(cls)]
-        for values in itertools.product(range(9), repeat=len(letters)):
+        for values in itertools.product(range(10), repeat=len(letters)):
+            params = dict(zip(letters, values))
+            if max(params["n"], params.get("m", 0)) > 8:
+                continue
             try:
-                kind = cls(**dict(zip(letters, values)))
+                kind = cls(**params)
             except ValueError:
                 continue
             spec = entry.model(kind)
