@@ -556,33 +556,33 @@ def _fibration_tower(
     first = ("H1", "H2") if plucker else ("H",) if symmetric else ("D1",)
     blown_up = [j for j in range(1, k + 1) if not j == n == m]
     basis = first + tuple("E%d" % j for j in blown_up)
-    unit = {b: tuple(int(b == c) for c in basis) for b in basis}
-    zero = (0,) * len(basis)
-    boundary = {j: unit.get("E%d" % j, zero) for j in range(1, h)}
 
-    def combo(*terms) -> tuple:  # ints, but for the Fractions of the coefficients
-        return tuple(sum(c * v[t] for c, v in terms) for t in range(len(basis)))
+    den = 2 * h  # every class times den is integral, so the sums stay in ints
 
-    def color(i: int) -> tuple:
-        if plucker:  # h*D_i = i*D_h + sum_j min(i,j)*(h-max(i,j))*E_j
-            weights = ((min(i, j) * (h - max(i, j)), e) for j, e in boundary.items())
-            return tuple(Fraction(x, h) for x in combo((i, unit["H1"]), (i, unit["H2"]), *weights))
-        return combo((i, unit[first[0]]), *((j - i, boundary[j]) for j in range(1, i)))
+    def color(i: int) -> tuple:  # den*D_i
+        if plucker:  # h*D_i = i*(H1 + H2) + sum_j min(i,j)*(h-max(i,j))*E_j
+            return tuple(2 * w for w in (i, i, *(min(i, j) * (h - max(i, j)) for j in blown_up)))
+        return tuple(den * w for w in (i, *(min(j - i, 0) for j in blown_up)))
 
     if symmetric:
-        twist = combo((Fraction(n - h, 2), color(h))) if h <= n else zero
+        twist = [(n - h) * x // 2 for x in color(h)] if h <= n else [0] * len(basis)
+    elif plucker:
+        twist = [den * (n + 1 - h), den * (m + 1 - h)] + [0] * len(blown_up)
     else:
-        h2 = unit["H2"] if plucker else color(h)
-        twist = combo((n + 1 - h, unit.get("H1", zero)), (m + 1 - h, h2))
+        twist = [(m + 1 - h) * x for x in color(h)]
+    minus_k = [codim(0) * x + g for x, g in zip(color(1), twist)]
+    for t, j in enumerate(blown_up, len(first)):
+        minus_k[t] += den * (1 - codim(j))
     tops = [j for j in range(1, k + 1) if j not in blown_up]
-    classes = {"E%d" % j: color(j + 1) for j in tops}
+
+    def exact(v) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(x, den) for x in v)
+
+    classes = {"E%d" % j: exact(color(j + 1)) for j in tops}
     classes.update(table or {})
     if k or not plucker:
-        classes.update(("D%d" % i, color(i)) for i in range(1, h + 1) if i - 1 not in tops)
-    minus_k = combo(
-        (codim(0), color(1)), *((1 - codim(j), boundary[j]) for j in blown_up), (1, twist)
-    )
-    return dict(basis=basis, table=classes, minus_k=_vec(*minus_k))
+        classes.update(("D%d" % i, exact(color(i))) for i in range(1, h + 1) if i - 1 not in tops)
+    return dict(basis=basis, table=classes, minus_k=exact(minus_k))
 
 
 def _pair_tower_model(kind) -> dict:
@@ -616,7 +616,7 @@ def _pair_tower_model(kind) -> dict:
 
 def _symmetric_tower_model(kind) -> dict:
     n, _, h, k, full = _tower(kind)
-    if not full:  # so n >= h here
+    if not full:  # so n >= h here, or k < n-1 at h = n+1
         spec = dict(rank=1 + k, boundary=_labels("E", k))
         if h == 3 and k == 1:
             spec.update(colors=("D1", "D2", "D3"), eff=("E1", "D3"), nef=("D1", "D2"), stated=3)

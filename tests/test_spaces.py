@@ -698,7 +698,7 @@ def _mutant(old, new):
         # the fibre's codimensions without their -1
         ("1 - codim(j)", "-codim(j)", 110),
         # the symmetric twist (n-h)*D_h/2 read as (n+1-h)*D_h/2
-        ("Fraction(n - h, 2)", "Fraction(n + 1 - h, 2)", 53),
+        ("(n - h) * x // 2", "(n + 1 - h) * x // 2", 53),
     ],
 )
 def test_a_mutant_of_the_fibration_rule_is_caught(old, new, off):
