@@ -246,7 +246,7 @@ class SparsePoly(_Record):
         Uses the binomial expansion per variable power, so the cost stays
         proportional to the number of produced terms.
         """
-        return self._like(term for term, _ in self._shifted(shifts))
+        return self._like(self._shifted(shifts))
 
     def _moved(self, shifts: dict) -> dict:
         """The nonzero shifts by variable; an integral one enters as an int,
@@ -254,56 +254,37 @@ class SparsePoly(_Record):
         return {v: c.numerator if c.denominator == 1 else c for v, c in self._point(shifts).items() if c}
 
     def _shifted(self, shifts: dict) -> list:
-        """The sorted nonzero terms of :meth:`shift`, each with its degree.
-
-        A produced monomial's degree is its fixed part's degree plus the
-        power picked for each shifted variable, so it is counted as the
-        monomial is built rather than summed again afterwards.
-        """
+        """The sorted nonzero terms of :meth:`shift`."""
         moved = self._moved(shifts)
         # (z + s)^e contributes C(e,t) s^(e-t) z^t; one list per (v, e) met
         expansions: dict[tuple[Var, int], list] = {}
         out: dict[Monomial, Fraction] = {}
-        degrees: dict[Monomial, int] = {}
         for mono, coeff in self.terms:
             fixed = []
-            fixed_degree = 0
             choices = []
             for v, e in mono:
                 if v not in moved:
                     fixed.append((v, e))
-                    fixed_degree += e
                     continue
                 choice = expansions.get((v, e))
                 if choice is None:
                     s = moved[v]
                     choice = expansions[v, e] = [
-                        (((v, t),) if t else (), t, comb(e, t) * s ** (e - t)) for t in range(e + 1)
+                        (((v, t),) if t else (), comb(e, t) * s ** (e - t)) for t in range(e + 1)
                     ]
                 choices.append(choice)
-            if not choices:
-                prev = out.get(mono)
-                out[mono] = coeff if prev is None else prev + coeff
-                degrees[mono] = fixed_degree
-                continue
             for picks in product(*choices):
                 grown = list(fixed)
-                degree = fixed_degree
                 c = coeff
-                for power, t, factor in picks:
+                for power, factor in picks:
                     grown += power
-                    degree += t
                     if factor != 1:
                         c *= factor
-                m = tuple(sorted(grown))
+                m = mono if not choices else tuple(sorted(grown))
                 prev = out.get(m)
-                if prev is None:
-                    out[m] = c
-                    degrees[m] = degree
-                else:
-                    out[m] = prev + c
+                out[m] = c if prev is None else prev + c
         # every coefficient is already a Fraction, so from_dict's rule is skipped
-        return [((m, c), degrees[m]) for m, c in sorted(out.items()) if c]
+        return [(m, c) for m, c in sorted(out.items()) if c]
 
     def evaluate(self, assignment: dict) -> Fraction:
         """Evaluate at a point; unassigned variables are an error."""
@@ -449,9 +430,7 @@ def shift_and_leading_form(p: SparsePoly, shifts: dict) -> SparsePoly:
     if terms or not p.terms:
         return p._like(terms)
     # a shift is invertible, so the full expansion of a nonzero p is nonzero
-    shifted = p._shifted(shifts)
-    low = min(degree for _, degree in shifted)
-    return p._like(term for term, degree in shifted if degree == low)
+    return p.shift(shifts).leading_form()
 
 
 def _equal_up_to_sign(terms, other) -> bool:

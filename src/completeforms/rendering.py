@@ -69,12 +69,15 @@ def _barycentric(ray, support_rays) -> Tuple[Fraction, ...]:
     return tuple(w / total for w in weights)
 
 
+def _counted(count: int, noun: str) -> str:
+    """``count`` and the noun, plural but for a count of 1."""
+    return "%d %s%s" % (count, noun, "" if count == 1 else "s")
+
+
 def _svg_header(model: SpaceModel, decomposition: ChamberDecomposition) -> List[str]:
-    count = decomposition.chamber_count
-    title = "%s chamber decomposition (%d chamber%s)" % (
+    title = "%s chamber decomposition (%s)" % (
         model.name,
-        count,
-        "" if count == 1 else "s",
+        _counted(decomposition.chamber_count, "chamber"),
     )
     return [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 %d %d">' % (_WIDTH, _HEIGHT),
@@ -244,7 +247,8 @@ def markdown_report(payload: Dict) -> str:
     if chambers is not None:
         lines.append("## Chamber decomposition")
         lines.append("")
-        lines.append("%d chambers on %d rays" % (chambers["count"], len(chambers["rays"])))
+        count, rays = chambers["count"], len(chambers["rays"])
+        lines.append("%s on %s" % (_counted(count, "chamber"), _counted(rays, "ray")))
         lines.append("")
         lines.append("| # | extreme rays | nef |")
         lines.append("| --- | --- | --- |")

@@ -23,8 +23,10 @@ asking about an equal kind the same frozen model.
 
 Coordinates exist where a model builder records a basis: a mapping space's
 by hand, a tower's by one fibration rule, which writes its basis, colors and
--K.  Every other kind still builds a model, it just answers
-``CoordinatesUnknown``/``OutOfScope`` for the coordinate-dependent queries.
+-K.  A tower's rank and its boundary, color, effective and nef labels come
+from one label rule, which reads the tower's shape alone.  Every other kind
+still builds a model, it just answers ``CoordinatesUnknown``/``OutOfScope``
+for the coordinate-dependent queries.
 
 Every complete-form space is a blow-up tower over a secant variety of a
 Segre or Veronese embedding: ``C`` and ``Q`` are the full towers, which
@@ -500,27 +502,13 @@ def _symmetric_orbit(kind: Quadrics) -> list:
 # (:func:`_spec`).
 #
 # One builder serves each tower family, C and secS over pairs, Q and secV
-# over symmetric forms.  It writes a full tower's labels once, in its C or Q
-# labels, and a partial tower's where known; a full tower named by n-1 of n
-# steps reads its labels through :func:`_top_center_as_color`.  Where a tower
-# has coordinates, its basis, every ``D<i>`` and top ``E<i>`` class and its -K
-# come from one rule, :func:`_fibration_tower`, so a tower branch writes only
-# its ``stated`` count, its ``mov`` labels and the moving class ``P``.
-
-
-def _top_center_as_color(spec: dict, n: int) -> dict:
-    """A full tower's spec under its name with n-1 of its n steps (h = n+1).
-
-    The last center is the determinant divisor, so the full tower's boundary
-    class E_n is this name's color D_{n+1}; the fibration rule writes both.
-    """
-
-    top, color = "E%d" % n, "D%d" % (n + 1)
-    spec.update(boundary=spec["boundary"][:-1], colors=spec["colors"] + (color,))
-    for key in ("eff", "nef", "mov"):
-        if key in spec:
-            spec[key] = tuple(color if label == top else label for label in spec[key])
-    return spec
+# over symmetric forms.  Two rules write what a tower's shape decides: its
+# rank and its boundary, color, eff and nef labels come from
+# :func:`_tower_labels`, and where it has coordinates, its basis, every
+# ``D<i>`` and top ``E<i>`` class and its -K from :func:`_fibration_tower`,
+# which a builder calls wherever it states a chamber count.  So a tower
+# branch writes only its ``stated`` count, its ``mov`` labels and the moving
+# class ``P``.
 
 
 def _fibration_tower(
@@ -585,71 +573,63 @@ def _fibration_tower(
     return dict(basis=basis, table=classes, minus_k=exact(minus_k))
 
 
+def _tower_labels(symmetric: bool, n: int, m: int, h: int, k: int, full: bool) -> dict:
+    """The ``rank`` and ``boundary`` of a tower and, where known, its ``colors``,
+    ``eff`` and ``nef`` labels: the label rule.
+
+    The rank counts the basis of :func:`_fibration_tower`, and the boundary
+    is E_1..E_k.  A full tower has labels, and so have the partial
+    secV(n,3;1) and secV(n,4;2).  The colors are the lower colors D_1..D_{h-1}
+    and the top: the Plucker classes H1, H2 over pairs with h <= n, nothing
+    where D_h is the determinant divisor (every center blown up, h = n+1 over
+    square or symmetric forms), else D_h.  The effective cone is spanned by
+    the boundary and the top; the nef cone by the colors, less the top D_h
+    of a partial tower.
+    """
+
+    plucker = not symmetric and h <= n
+    blown_up = [j for j in range(1, k + 1) if not j == n == m]
+    boundary = _labels("E", k)
+    spec = dict(rank=(2 if plucker else 1) + len(blown_up), boundary=boundary)
+    if full or symmetric and (h, k) in ((3, 1), (4, 2)):
+        lower = _labels("D", h - 1)
+        top = ("H1", "H2") if plucker else () if k >= h - 1 == n == m else ("D%d" % h,)
+        spec.update(
+            colors=top + lower if plucker else lower + top,
+            eff=boundary + top,
+            nef=lower + top if plucker or k == h - 1 else lower,
+        )
+    return spec
+
+
 def _pair_tower_model(kind) -> dict:
     n, m, h, k, full = _tower(kind)
-    if not full:
-        return dict(rank=(2 if h <= n else 1) + k, boundary=_labels("E", k))
-    boundary = _labels("E", h - 1)
-    if h <= n:
-        spec = dict(
-            rank=h + 1,
-            colors=("H1", "H2") + _labels("D", h - 1),
-            eff=boundary + ("H1", "H2"),
-            nef=_labels("D", h - 1) + ("H1", "H2"),
-        )
-    elif h < m + 1:  # h == n+1 < m+1
-        colors = _labels("D", n + 1)
-        spec = dict(rank=h, colors=colors, eff=boundary + ("D%d" % (n + 1),), nef=colors)
-    else:  # h == n+1 == m+1
-        colors = _labels("D", n)
-        spec = dict(rank=h - 1, colors=colors, eff=boundary, nef=colors)
-    spec.update(boundary=boundary)
-
+    spec = _tower_labels(False, n, m, h, k, full)
     if h <= min(n, 2):  # C(n,m,1) and C(n,m,2)
         spec.update(mov=spec["nef"], stated=(1, 3)[h - 1])
     elif h == n + 1 == 2:  # C(1,m,2), over P^{2m+1}
         spec.update(stated=2 if m > 1 else 1)
-    if h <= 2:
+    if "stated" in spec:
         spec.update(_fibration_tower(False, n, m, h, k))
-    return spec if k == h - 1 else _top_center_as_color(spec, n)
+    return spec
 
 
 def _symmetric_tower_model(kind) -> dict:
     n, _, h, k, full = _tower(kind)
-    if not full:  # so n >= h here, or k < n-1 at h = n+1
-        spec = dict(rank=1 + k, boundary=_labels("E", k))
-        if h == 3 and k == 1:
-            spec.update(colors=("D1", "D2", "D3"), eff=("E1", "D3"), nef=("D1", "D2"), stated=3)
-        elif h == 4 and k == 2:
-            spec.update(
-                colors=("D1", "D2", "D3", "D4"),
-                eff=("E1", "E2", "D4"),
-                nef=("D1", "D2", "D3"),
-                mov=("D1", "D2", "D3", "P"),
-                stated=9,
-            )
-    else:
-        boundary = _labels("E", h - 1)
-        if h <= n:
-            colors = _labels("D", h)
-            spec = dict(rank=h, eff=boundary + ("D%d" % h,))
-        else:  # h == n+1
-            colors = _labels("D", n)
-            spec = dict(rank=h - 1, eff=boundary)
-        spec.update(boundary=boundary, colors=colors, nef=colors)
-        if h == 3 and n >= 3:
-            spec.update(mov=colors, stated=5)
-        elif h == n + 1 <= 4:  # Q(1,2), Q(2,3) and Q(3,4), over P^2, P^5 and P^9
-            spec.update(stated=(1, 3, 9)[n - 1])
-            if n == 3:
-                spec.update(mov=colors + ("P",))
-        if kind.h > h:  # secV(1,3;k=1) lies past the secant range: it is the plane
-            spec.update(dimension=2)
-        if k < h - 1:
-            spec = _top_center_as_color(spec, n)
-    if h == 3 or (h, k) == (4, 2) or full and h == n + 1 <= 4:  # the names with a stated count
-        # Q(3,4) and secV(n,4;2) keep their moving class P
-        table = {"P": _vec(6, -3, -2)} if h == 4 else None
+    spec = _tower_labels(True, n, n, h, k, full)
+    if full and h == n + 1 <= 4:  # Q(1,2), Q(2,3) and Q(3,4), over P^2, P^5 and P^9
+        spec.update(stated=(1, 3, 9)[n - 1])
+    elif (h, k) == (3, 2):  # Q(n,3), n >= 3
+        spec.update(mov=spec["nef"], stated=5)
+    elif (h, k) in ((3, 1), (4, 2)):  # the partial secV(n,3;1) and secV(n,4;2)
+        spec.update(stated=3 if h == 3 else 9)
+    if kind.h > h:  # secV(1,3;k=1) lies past the secant range: it is the plane
+        spec.update(dimension=2)
+    if "stated" in spec:
+        table = None
+        if h == 4:  # Q(3,4) and secV(n,4;2) keep their moving class P
+            spec.update(mov=spec["nef"] + ("P",))
+            table = {"P": _vec(6, -3, -2)}
         spec.update(_fibration_tower(True, n, n, h, k, table))
     return spec
 

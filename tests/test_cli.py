@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from completeforms import cli, cones, spaces
+from completeforms import cli, cones, secants, spaces
 from completeforms.reports import VerificationReport
 from completeforms.secants import segre_secant_invariants, veronese_secant_invariants
 
@@ -111,11 +111,24 @@ def test_markdown_format_renders_a_report(capsys):
     assert "| class rank | 3 |" in out
 
 
+@pytest.mark.parametrize(
+    "space, line",
+    [
+        (["mbar-p", "--n", "1"], "1 chamber on 1 ray"),
+        (["C", "--n", "2", "--m", "2", "--h", "2"], "3 chambers on 4 rays"),
+    ],
+)
+def test_a_markdown_chamber_count_names_one_chamber_and_one_ray_in_the_singular(space, line, capsys):
+    code, out, _ = run_cli(["chambers", "--space", *space, "--format", "markdown"], capsys)
+    assert code == 0
+    assert line in out.splitlines()
+
+
 @pytest.fixture
 def catalog_calls(monkeypatch, fresh_memos):
-    """Count the models built and the secants evaluated through ``spaces``, and
-    the cones enumerated from rays through ``spaces`` and ``cones``, from
-    empty memos."""
+    """Count the models built through ``spaces``, the secants evaluated
+    through ``spaces`` and ``secants``, and the cones enumerated from rays
+    through ``spaces`` and ``cones``, from empty memos."""
     calls = {"build_model": 0, "secant": 0, "cone_from_rays": 0}
 
     def count(module, name, key):
@@ -128,8 +141,9 @@ def catalog_calls(monkeypatch, fresh_memos):
         monkeypatch.setattr(module, name, counting)
 
     count(spaces, "build_model", "build_model")
-    count(spaces, "segre_secant_invariants", "secant")
-    count(spaces, "veronese_secant_invariants", "secant")
+    for module in (spaces, secants):
+        count(module, "segre_secant_invariants", "secant")
+        count(module, "veronese_secant_invariants", "secant")
     count(spaces, "cone_from_rays", "cone_from_rays")
     count(cones, "cone_from_rays", "cone_from_rays")
     return calls
@@ -143,6 +157,8 @@ def catalog_calls(monkeypatch, fresh_memos):
         "invariants --space mbar-pxp --n 2 --m 3",
         "chambers --space secV --n 6 --h 4 --k 2",
         "chambers --space C --n 2 --m 3 --h 2",
+        "invariants --space C --n 1 --m 3 --h 2",
+        "invariants --space Q --n 3 --h 4",
     ],
 )
 def test_a_space_query_builds_one_model_and_evaluates_one_secant(

@@ -53,8 +53,10 @@ process, so the fourteenth lint keeps every ``functools`` memo a bounded
 of each (d - 1)-subset it has already computed for its hyperplanes, so the
 fifteenth lint keeps ``_chamber_complex`` calling ``cone_from_rays`` once,
 for the support.  A tower's basis, -K, colors and top boundary class are
-written by one fibration rule, which the two tower builders call, so the
-sixteenth lint keeps them from writing any of it themselves.
+written by one fibration rule, and its rank and its boundary, color,
+effective and nef labels by one label rule; only the two tower builders call
+either rule, and the sixteenth lint keeps them from writing any of it
+themselves.
 """
 
 import ast
@@ -519,24 +521,27 @@ def test_the_chamber_complex_enumerates_only_its_support():
 
 
 def test_tower_builders_leave_minus_k_and_the_top_class_to_the_rules(monkeypatch):
-    """A tower builder writes no basis, no -K and no ``D<i>`` or ``E<i>``
-    coordinate: all of them come from ``_fibration_tower``, which only the
-    two tower builders call.  Read off the source, neither builder writes a
-    ``basis``, ``minus_k`` or ``table`` key, or a ``D<i>`` or ``E<i>`` key,
-    anywhere; built, every tower name with n, m <= 8 (so h <= 9) takes its
-    basis, -K and class table from the rule, here replaced by markers, or
-    has no coordinates, and the names that take them are the 140 with
-    coordinates."""
+    """A tower builder writes no basis, no -K, no ``D<i>`` or ``E<i>``
+    coordinate and no rank or label: the first come from ``_fibration_tower``
+    and the rank, boundary, colors, eff and nef labels from ``_tower_labels``,
+    and only the two tower builders call either rule.  Read off the source,
+    neither builder writes a ``basis``, ``minus_k``, ``table``, ``rank``,
+    ``boundary``, ``colors``, ``eff`` or ``nef`` key, or a ``D<i>`` or
+    ``E<i>`` key, anywhere; built, every tower name with n, m <= 8 (so
+    h <= 9) takes its basis, -K and class table from the rule, here replaced
+    by markers, or has no coordinates, and the names that take them are the
+    140 with coordinates."""
     builders = {"_pair_tower_model", "_symmetric_tower_model"}
     tree = ast.parse(Path(spaces.__file__).read_text(encoding="utf-8"))
-    callers = {
-        builder.name
-        for builder in tree.body
-        if isinstance(builder, ast.FunctionDef)
-        for node in ast.walk(builder)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fibration_tower"
-    }
-    assert callers == builders
+    for rule in ("_fibration_tower", "_tower_labels"):
+        callers = {
+            builder.name
+            for builder in tree.body
+            if isinstance(builder, ast.FunctionDef)
+            for node in ast.walk(builder)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == rule
+        }
+        assert callers == builders, rule
 
     def written(node):
         if isinstance(node, ast.keyword):
@@ -553,7 +558,8 @@ def test_tower_builders_leave_minus_k_and_the_top_class_to_the_rules(monkeypatch
         if isinstance(builder, ast.FunctionDef) and builder.name in builders
         for node in ast.walk(builder)
         for key in written(node)
-        if key in ("basis", "minus_k", "table") or re.fullmatch(r"[DE]\d+", str(key))
+        if key in ("basis", "minus_k", "table", "rank", "boundary", "colors", "eff", "nef")
+        or re.fullmatch(r"[DE]\d+", str(key))
     ]
     assert found == []
 

@@ -707,6 +707,57 @@ def test_a_mutant_of_the_fibration_rule_is_caught(old, new, off):
     assert len(_off_the_reference(_mutant(old, new))[0]) == off
 
 
+def _tower_reprs(tower_labels) -> dict:
+    """The repr of every tower model with n, m <= 6, built unmemoised with
+    ``tower_labels`` as the label rule, keyed by name."""
+    reprs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spaces, "_tower_labels", tower_labels)
+        for cls in (Collineations, Quadrics, SegreBlowup, VeroneseBlowup):
+            letters = [field.name for field in dataclasses.fields(cls)]
+            for values in itertools.product(range(8), repeat=len(letters)):
+                params = dict(zip(letters, values))
+                if max(params["n"], params.get("m", 0)) > 6:
+                    continue
+                try:
+                    kind = cls(**params)
+                except ValueError:
+                    continue
+                reprs[spaces.space_name(kind)] = repr(spaces._model.__wrapped__(kind)[0])
+    return reprs
+
+
+def _label_mutant(old, new):
+    """``spaces._tower_labels`` with its one ``old`` replaced by ``new``."""
+    source = inspect.getsource(spaces._tower_labels)
+    assert source.count(old) == 1
+    namespace = dict(vars(spaces))
+    exec(compile(source.replace(old, new), spaces.__file__, "exec"), namespace)
+    return namespace["_tower_labels"]
+
+
+@pytest.mark.parametrize(
+    "old, new, moved",
+    [
+        # nef keeps the top color D_h in a partial tower
+        ("lower + top if plucker or k == h - 1 else lower", "lower + top", 17),
+        # D_h is a color even where it is the determinant divisor
+        ('() if k >= h - 1 == n == m else ("D%d" % h,)', '("D%d" % h,)', 25),
+        # the pair colors in the symmetric order, the Plucker classes last
+        ("top + lower if plucker else lower + top", "lower + top", 70),
+    ],
+)
+def test_a_mutant_of_the_label_rule_is_caught(old, new, moved):
+    """Each mutant changes the model of every tower it touches, of the 287
+    with n, m <= 6: the 17 partial towers with labels, the 25 whose last
+    center is the determinant divisor (secV(1,3;k=1) among them) and the 70
+    full pair towers with 2 <= h <= n."""
+    rule = _tower_reprs(spaces._tower_labels)
+    mutant = _tower_reprs(_label_mutant(old, new))
+    assert len(rule) == 287
+    assert sum(rule[name] != mutant[name] for name in rule) == moved
+
+
 def test_positivity_table_for_the_two_step_symmetric_model():
     expected = {1: "Fano", 2: "Fano", 3: "Fano", 4: "Fano", 5: "Fano", 6: "Fano",
                 7: "WeakFano", 8: "LogFanoNumerical", 9: "LogFanoNumerical",
