@@ -103,8 +103,13 @@ class RankCensus(_Record):
 # matrix, not q^s - 1.  The odd-q kernel returns that count; the split reads
 # each rank off it by table lookup and the census counts each rank's value
 # directly.  The F_2 kernel keeps the count bit-sliced, one int per binary
-# digit.  The split reads both engines' flags as int bit masks, bit t for
-# matrix lo + t.
+# digit.  Both kernels count in blocks: block p holds the combinations whose
+# last line is p, so it reads lines 0..p only.  A census walks rows, row 0 in
+# the lowest digits, so the rows above the last repeat every q^(their
+# positions) matrices; where the first chunk holds that period, the census
+# counts their blocks once, on the first period matrices, and each chunk
+# starts from those counts and walks only the last row's block.  The split
+# reads both engines' flags as int bit masks, bit t for matrix lo + t.
 
 
 def _positions(a: int, b: int, symmetric: bool):
@@ -146,27 +151,36 @@ def _f2_walk(a: int, b: int, symmetric: bool):
         yield high << c, n, entries
 
 
-def _f2_kernels(lines, n: int) -> list[int]:
+def _f2_kernels(lines, n: int, counter=None, first: int = 0) -> list[int]:
     """Kernel sizes of the n matrices spanned by ``lines`` (s lists of ints, as
     ``_f2_walk`` holds them), bit-sliced: bit t of ``counter[j]`` is set when
     matrix t has a kernel of 2^j combinations, that is, rank s - j.
 
-    Walks the 2^s combinations of the lines in Gray-code order, one line
-    XORed in per step, and adds the mask of the matrices where the
-    combination is zero into a counter of s + 1 ints by ripple carry.  A
-    kernel is a subspace, so its size is a power of two and each matrix has
-    exactly one counter bit set.
+    Counts the zero combinations of the lines into a counter of s + 1 ints
+    by ripple carry, starting from the empty combination, which is zero.
+    Block p holds the combinations whose last line is p: it starts from line
+    p and runs the Gray walk over lines 0..p-1, one line XORed in per step.
+    A kernel is a subspace, so its size is a power of two and each matrix has
+    exactly one counter bit set.  Given ``counter`` (the counts of blocks
+    0..first-1) and ``first``, only blocks first..s-1 are walked, added into
+    it; block p reads lines 0..p only.
     """
     ones = (1 << n) - 1
-    combo = None  # the empty combination, which is zero
-    counter = [ones] + [0] * len(lines)
-    for i in _gray_steps(2, len(lines)):
-        combo = list(map(xor, combo, lines[i])) if combo else lines[i]
-        carry = ones ^ reduce(or_, combo)
+    if counter is None:
+        counter = [ones] + [0] * len(lines)
+
+    def add(carry):
         for j, bits in enumerate(counter):
             if not carry:
                 break
             counter[j], carry = bits ^ carry, bits & carry
+
+    for p in range(first, len(lines)):
+        combo = lines[p]
+        add(ones ^ reduce(or_, combo))
+        for i in _gray_steps(2, p):
+            combo = list(map(xor, combo, lines[i]))
+            add(ones ^ reduce(or_, combo))
     return counter
 
 
@@ -219,13 +233,30 @@ def _matrix(index: int, q: int, a: int, b: int, symmetric: bool) -> list[list[in
 
 def rank_census(a: int, b: int, q: int, symmetric: bool = False) -> RankCensus:
     """The body of :func:`completeforms.determinantal.rank_census`: walks the
-    shorter side's rows, taking a tall format as its transpose."""
+    shorter side's rows, taking a tall format as its transpose, and counts
+    the blocks of the rows above the last once where a chunk holds their
+    period."""
     _census_preconditions(a, b, q, symmetric)
     s, l = min(a, b), max(a, b)
     if q == 2:
+        # the rows above the last are the low bits of the index, so they repeat
+        # every `period` matrices; where a chunk holds a period, their blocks
+        # are counted once, on the first period matrices, tiled over a chunk,
+        # and every chunk starts from those counts; else the period is the
+        # chunk, and each chunk counts every block
+        period = 1 << len(_positions(s - 1, l, symmetric))
         tallies = [0] * (s + 1)
-        for _, n, entries in _f2_walk(s, l, symmetric):
-            for j, size in enumerate(_f2_kernels(entries, n)):
+        above = None
+        for lo, n, entries in _f2_walk(s, l, symmetric):
+            if lo == 0 and period <= n:
+                above = _f2_kernels([[e & (1 << period) - 1 for e in row] for row in entries[:-1]], period)
+                width = period
+                while width < n:
+                    above = [size | size << width for size in above]
+                    width <<= 1
+                above.append(0)
+            start = (None, 0) if above is None else (list(above), s - 1)
+            for j, size in enumerate(_f2_kernels(entries, n, *start)):
                 tallies[s - j] += size.bit_count()
     else:
         from . import _odd_q

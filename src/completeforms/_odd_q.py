@@ -11,7 +11,10 @@ running combination and its temporaries) stays in one core's L2 cache: at
 2^18 the digits of a 3x4/F_3 chunk alone took 2.1 MB, and a census ran
 slower.  One kernel, ``_kernel_sizes``, counts each matrix's normalised
 kernel vectors; the split reads ranks off it by table lookup and the census
-tallies them straight from the counts.
+tallies them straight from the counts.  The kernel counts in blocks, one per
+line, and the census counts the blocks of the rows above the last row once
+per walk where the first chunk holds their period; every chunk then walks
+only the last row's block.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ def _walk(q: int, a: int, b: int, symmetric: bool):
         yield first * block, digits[..., :n]
 
 
-def _kernel_sizes(lines: np.ndarray, q: int) -> np.ndarray:
+def _kernel_sizes(lines: np.ndarray, q: int, kernel=None, first: int = 0) -> np.ndarray:
     """Normalised kernel vectors of each matrix spanned by ``lines`` (first
     axis: the s lines), over odd q: (q^(s-r) - 1)/(q - 1) for a matrix of rank r.
 
@@ -81,16 +84,18 @@ def _kernel_sizes(lines: np.ndarray, q: int) -> np.ndarray:
     at p.  The s blocks make (q^s - 1)/(q - 1) zero tests, against q^s - 1
     for every combination.  A combination is zero where the bitwise OR of
     its digits over the line is, reduced into one buffer per call; testing
-    each digit (``combo.any``) would first cast every digit to bool.
+    each digit (``combo.any``) would first cast every digit to bool.  Given
+    ``kernel`` (the counts of blocks 0..first-1) and ``first``, only blocks
+    first..s-1 are walked, added into it; block p reads lines 0..p only.
     """
     s, n = len(lines), lines.shape[-1]
-    kernel = np.zeros(n, dtype=np.min_scalar_type((q**s - 1) // (q - 1)))
+    if kernel is None:
+        kernel = np.zeros(n, dtype=np.min_scalar_type((q**s - 1) // (q - 1)))
     nonzero = np.empty(n, dtype=lines.dtype)
-    steps = _gray_steps(q, s - 1)
-    for p in range(s):
+    for p in range(first, s):
         combo = lines[p].copy()
         kernel += np.bitwise_or.reduce(combo, axis=0, out=nonzero) == 0
-        for i in steps[: q**p - 1]:
+        for i in _gray_steps(q, p):
             combo += lines[i]
             # unsigned: combo - q wraps above combo exactly when combo < q
             np.minimum(combo, combo - q, out=combo)
@@ -134,9 +139,21 @@ def _rank_tallies(q: int, a: int, b: int, symmetric: bool) -> list[int]:
     no such value would fall out of every tally, so each chunk's tallies
     must add up to its matrices.
     """
+    # the rows above the last are the low digits of the index, so they repeat
+    # every `period` matrices; where the first chunk holds a period, their
+    # blocks are counted once, on its first period matrices, and every chunk
+    # starts from those counts, turned to its first matrix and tiled over it;
+    # else the period is the chunk, and each chunk counts every block
+    period = q ** len(_positions(a - 1, b, symmetric))
     tallies = [0] * (a + 1)
+    above = None
     for lo, digits in _walk(q, a, b, symmetric):
-        kernel = _kernel_sizes(digits, q)
+        n = digits.shape[-1]
+        if lo == 0 and period <= n:
+            dtype = np.min_scalar_type((q**a - 1) // (q - 1))
+            above = _kernel_sizes(digits[:-1, :, :period], q, np.zeros(period, dtype))
+        start = (None, 0) if above is None else (np.tile(np.roll(above, -lo), -(-n // period))[:n], a - 1)
+        kernel = _kernel_sizes(digits, q, *start)
         counts = [np.count_nonzero(kernel == (q**j - 1) // (q - 1)) for j in range(a, -1, -1)]
         if sum(counts) != kernel.size:
             raise InternalInconsistency(

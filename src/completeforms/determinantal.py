@@ -8,15 +8,19 @@ the base-q digits of the matrix index, so that the low digits are decoded
 once per walk.  Over F_2 a chunk is bit-sliced on Python ints, one int per entry
 position whose bit t is that entry of the chunk's t-th matrix; over odd q it
 is a numpy digit array.  Each engine has one rank kernel: it walks
-combinations of the s lines on a matrix's shorter side in Gray-code order,
-one line added per step (over F_2 an XOR of ints), and reads the rank off
-the number of zero combinations, which over F_2 a bit-sliced counter holds
-and a popcount tallies.  Over odd q the kernel walks only the normalised
+combinations of the s lines on a matrix's shorter side in blocks, block p
+those whose last line is p, each in Gray-code order from line p, one line
+added per step (over F_2 an XOR of ints), and reads the rank off the number
+of zero combinations, which over F_2 a bit-sliced counter holds and a
+popcount tallies.  Over odd q the kernel walks only the normalised
 combinations, whose last nonzero coefficient is 1: one per line through the
 origin, so (q^s - 1)/(q - 1) of them, and a rank-r matrix has
 (q^(s-r) - 1)/(q - 1) zero ones.  A census of a tall format walks its
 transpose, which has the same ranks, so it always ranks rows; the lemma
-checks, which must keep each matrix's index, rank columns too.
+checks, which must keep each matrix's index, rank columns too.  The rows
+above a census's last row are the low digits of the index, so where the
+first chunk holds their period the census counts their blocks once and
+each chunk walks only the last row's block.
 Both lemma checks are one walk: dependent first rows or columns always make
 the leading minor vanish, so the rank-minor lemma is the forward half of the
 component split.  All enumeration is bounded by ``ENUMERATION_BUDGET`` matrices,

@@ -12,18 +12,26 @@ The main consumers are the symbolic minors of :func:`minor_det`, built by
 the Leibniz formula (a k x k minor has k! terms, hence the 5x5 cap), and the
 tangent-cone comparison :func:`verify_tangent_cone`, which shifts a batch of
 minors to a distinguished point and compares each lowest-degree homogeneous
-part against the complementary minor of the residual block.  It builds both
-minors of a pair through the Leibniz routine behind :func:`minor_det`'s
-checks, since its own index sets are sorted and distinct by construction.
+part against the complementary minor of the residual block.  Its index sets
+are sorted and distinct by construction, so it skips :func:`minor_det`'s
+checks: it builds each complementary minor through the Leibniz routine
+behind them, and reads each shifted minor's leading form off that minor's
+Leibniz terms as they are generated, without building the minor.
 
 Both walk many terms, so the inner loops avoid repeated work.  The Leibniz
 formula reads one sign table per minor size, each permutation of
-``range(size)`` with its sign, built at import and mapped through the
-column set of every minor of that size.  A general minor's rows ascend and are
-distinct, so each of its monomials is sorted as built and no two coincide:
-its terms are built directly, with two shared coefficients +1 and -1, and
-sorted once; only a symmetric minor, where z(i,j) and z(j,i) merge, counts
-its powers.  :meth:`SparsePoly.shift` expands a monomial in one pass:
+``range(size)`` with its sign, built at import in lexicographic order and
+mapped through the column set of every minor of that size.  A general
+minor's rows ascend and are distinct, so each of its monomials is sorted as
+built, no two coincide, and its terms come out in sorted order: they are
+built directly, with two shared coefficients +1 and -1, and not sorted
+again; only a symmetric minor, where z(i,j) and z(j,i) merge, counts its
+powers.
+The tangent-cone walk looks up each cell of a shifted minor once, its
+variable and its shift, and keeps only the Leibniz terms of least degree
+after the shift, those with the most shifted cells, each summed at its
+unshifted variables; it sorts that level alone, and calls
+:func:`shift_and_leading_form` only when the level cancels.  :meth:`SparsePoly.shift` expands a monomial in one pass:
 unshifted variables are copied as they are, the binomial factors
 C(e, t) s^(e-t) of a shifted variable are computed once per exponent (as
 ints when s is integral), a factor of 1 is not multiplied in, each
@@ -45,7 +53,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import DimensionMismatch, IndexOutOfRange, TooLarge
 from .lattice import _Record, _coerce_fraction, _require_int
@@ -371,24 +379,30 @@ def _leibniz(rows, cols, symmetric: bool) -> SparsePoly:
     signed = _SIGNED_PERMUTATIONS[len(rows)]
     if not symmetric:
         # the rows ascend and are distinct, so each Leibniz monomial is sorted
-        # as built and no two permutations give the same one
+        # as built and no two permutations give the same one; the sign table
+        # is in lexicographic order, so the terms are built sorted too
         grid = [[((i, j), 1) for j in cols] for i in rows]
         terms = [(tuple(map(list.__getitem__, grid, perm)), _SIGNS[sign]) for perm, sign in signed]
-        return SparsePoly(tuple(sorted(terms)))
+        return SparsePoly(tuple(terms))
     # grid[a][b] names the entry in row rows[a] and column cols[b]; an entry
     # and its transpose are one variable, so a monomial takes it at most twice
     grid = [[(j, i) if i > j else (i, j) for j in cols] for i in rows]
     terms: dict[Monomial, int] = {}
     for perm, sign in signed:
-        powers: list = []
-        for v in sorted(map(list.__getitem__, grid, perm)):
-            if powers and powers[-1][0] == v:
-                powers[-1] = (v, 2)
-            else:
-                powers.append((v, 1))
-        mono = tuple(powers)
+        mono = _merged(sorted(map(list.__getitem__, grid, perm)))
         terms[mono] = terms.get(mono, 0) + sign
     return _in_mode(SparsePoly(tuple((m, Fraction(c)) for m, c in sorted(terms.items()) if c)), True)
+
+
+def _merged(variables) -> Monomial:
+    """The monomial of sorted symmetric variables, each at most twice."""
+    powers: list = []
+    for v in variables:
+        if powers and powers[-1][0] == v:
+            powers[-1] = (v, 2)
+        else:
+            powers.append((v, 1))
+    return tuple(powers)
 
 
 def shift_and_leading_form(p: SparsePoly, shifts: dict) -> SparsePoly:
@@ -431,6 +445,42 @@ def shift_and_leading_form(p: SparsePoly, shifts: dict) -> SparsePoly:
         return p._like(terms)
     # a shift is invertible, so the full expansion of a nonzero p is nonzero
     return p.shift(shifts).leading_form()
+
+
+def _shifted_minor_lead(rows, cols, symmetric: bool, moved: dict, shifts: dict) -> SparsePoly:
+    """``shift_and_leading_form(_leibniz(rows, cols, symmetric), shifts)``, read
+    off the minor's Leibniz terms as they are generated, without building it;
+    ``moved`` is ``shifts`` as ``SparsePoly._moved`` reads them in this mode.
+
+    Each cell of the minor carries, looked up once, whether it is shifted,
+    its shift (1 if not) and its variable (None if shifted), as a monomial
+    factor in general mode.  After the shift a term's least degree is its
+    number of unshifted cells, and its part of that degree is its sign times
+    the shifts of its other cells, at its unshifted variables.  Only the
+    terms of least degree are kept and summed; in symmetric mode their
+    variables are sorted first, so that mirrored ones merge.  Only when that
+    level cancels is the minor built and its shift expanded.
+    """
+    variables = [[(j, i) if symmetric and i > j else (i, j) for j in cols] for i in rows]
+    unshifted = [[v not in moved for v in row] for row in variables]
+    factors = [[moved.get(v, 1) for v in row] for row in variables]
+    cells = [[None if v in moved else v if symmetric else (v, 1) for v in row] for row in variables]
+    low = len(rows) + 1
+    level: dict = {}
+    for perm, sign in _SIGNED_PERMUTATIONS[len(rows)]:
+        degree = sum(map(list.__getitem__, unshifted, perm))
+        if degree > low:
+            continue
+        if degree < low:
+            low, level = degree, {}
+        fixed = tuple(filter(None, map(list.__getitem__, cells, perm)))
+        if symmetric:
+            fixed = _merged(sorted(fixed))
+        level[fixed] = level.get(fixed, 0) + sign * prod(map(list.__getitem__, factors, perm))
+    terms = [(m, _SIGNS[c] if c in _SIGNS else Fraction(c)) for m, c in sorted(level.items()) if c]
+    if not terms:
+        return shift_and_leading_form(_leibniz(rows, cols, symmetric), shifts)
+    return _in_mode(SparsePoly(tuple(terms)), symmetric)
 
 
 def _equal_up_to_sign(terms, other) -> bool:
@@ -492,10 +542,11 @@ def verify_tangent_cone(
         for r in (combinations(range(k, n + 1), extra) if walked else ())
         for c in combinations(range(k, m + 1), extra)
     )
+    moved = _in_mode(SparsePoly.zero(), symmetric)._moved(shifts)
     for extra_rows, extra_cols in pairs:
         rows = prefix + extra_rows
         cols = prefix + extra_cols
-        lead = shift_and_leading_form(_leibniz(rows, cols, symmetric), shifts)
+        lead = _shifted_minor_lead(rows, cols, symmetric, moved, shifts)
         expected = _leibniz(extra_rows, extra_cols, symmetric)
         if not _equal_up_to_sign(lead.terms, expected.terms):
             counterexample = {

@@ -5,9 +5,11 @@ a stub: it prints two lines and a final JSON line like the real runner, and
 writes a ``result.json`` with a digest, six cases and two passes of case
 and reference times.  The change commit's stub reports a lower ``pass_ref``
 and cheaper cases, so the summary must find it better in every pair and
-list the five cases that moved.
+list the five cases that moved, with the verdict ``gain``; run the other
+way round, the verdict is ``worse``.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -106,9 +108,10 @@ def test_the_pair_runner_alternates_sides_and_records_every_run(stub_repo):
     for words in pass_ref:
         assert words[1:6] == ["parent", "2", "change", "1.5", "(-25.0%)"]
         assert words[7:9] == ["IQR", "0"]
-        assert words[-6:] == ["better", "in", "2/2", "shift", "beyond", "IQR"]
+        assert words[-7:] == ["better", "in", "2/2", "shift", "beyond", "IQR", "gain"]
     # equal values are not a win, and no shift beyond an IQR of 0
-    assert all(line.endswith("change better in 0/2") for line in summary if line.split()[0] == "peak_rss_mib")
+    assert all(line.endswith("change better in 0/2  unresolved")
+               for line in summary if line.split()[0] == "peak_rss_mib")
     # the five cases that moved most, largest first; #5 did not move
     headers = [i for i, line in enumerate(summary) if line == "  cases that moved most, median ref:"]
     assert len(headers) == 4
@@ -134,3 +137,39 @@ def test_a_failing_run_is_recorded_and_counted(stub_repo):
     assert runs[1]["printed"] == ["broken"]
     assert runs[1]["case_ref"] is None
     assert "catalog seed 7: 2 runs, 1 failed or incorrect" in done.stdout.splitlines()
+
+
+def test_a_slower_change_is_reported_worse(stub_repo):
+    repo, parent, change = stub_repo
+    done = subprocess.run(
+        [sys.executable, str(TOOL), change, parent, "--label", "w", "--workloads", "verify",
+         "--pairs", "1", "--seconds", "0.5"],
+        cwd=repo, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    verdicts = {line.split()[0]: line.split()[-1] for line in done.stdout.splitlines() if "change better in" in line}
+    assert verdicts == {"pass_ref": "worse", "peak_rss_mib": "unresolved"}
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("benchpairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "wins, pairs, shift, iqr, lower, want",
+    [
+        (9, 10, -0.5, 0.1, True, "gain"),  # one pair lost or tied still gains
+        (8, 10, -0.5, 0.1, True, "unresolved"),  # two ties count for neither side
+        (10, 10, -0.1, 0.1, True, "unresolved"),  # a shift inside the IQR
+        (10, 10, 0.5, 0.1, True, "worse"),
+        (0, 10, 0.5, 0.1, True, "worse"),
+        (10, 10, 0.5, 0.1, False, "gain"),  # a metric where higher is better
+        (9, 10, -0.5, 0.1, False, "worse"),
+        (0, 0, -0.5, 0.1, True, "unresolved"),  # no pair to win
+    ],
+)
+def test_the_verdict_needs_nine_pairs_in_ten_and_a_shift_beyond_the_iqr(wins, pairs, shift, iqr, lower, want):
+    assert load_tool().verdict(wins, pairs, shift, iqr, lower) == want

@@ -8,6 +8,7 @@ are pinned by hand-computed classical values and by the three cross-identities
 that specialize them.
 """
 
+import inspect
 from fractions import Fraction
 from functools import cache
 from math import comb, isqrt, prod
@@ -774,9 +775,76 @@ def test_large_fields_match_closed_forms(a, b, q, symmetric):
         assert census == {r: rank_count_closed_form(a, b, r, q) for r in range(min(a, b) + 1)}
 
 
+# A census counts the blocks of the rows above the last (the combinations
+# whose last line is not the last row) once, on the first `period` matrices,
+# where the first chunk holds a period, and starts every chunk from those
+# counts: one more kernel call than chunks.  Where it does not (a chunk
+# smaller than the period), every chunk counts every block: one call a chunk.
+# (a, b, q, symmetric, chunk or None for the real one, whether a period fits)
+CENSUS_PERIODS = [
+    # F_2: 2^15 of the 2^16 in a chunk, and 2^18 past it; 2^8 past a chunk of 2^7
+    (4, 5, 2, False, None, True), (5, 4, 2, False, None, True), (4, 6, 2, False, None, False),
+    (3, 4, 2, False, 2**7, False), (4, 4, 2, True, None, True), (4, 4, 2, True, 2**8, False),
+    (5, 5, 2, True, None, True),
+    # s = 1: nothing above the last row, a period of one matrix
+    (1, 7, 2, False, None, True), (7, 1, 2, False, 2**3, True),
+    # odd q: 3^8 in chunks of 3^10; 27 in chunks of 39, which start off the period
+    (3, 4, 3, False, None, True), (2, 3, 3, False, 40, True), (3, 2, 3, False, 9, False),
+    (4, 4, 3, True, None, True), (2, 2, 3, True, None, True), (3, 3, 5, True, None, True),
+    (3, 3, 5, True, 1000, False), (1, 4, 5, False, None, True), (4, 1, 5, False, 100, True),
+]
+
+
+def census_closed_form(a, b, q, symmetric):
+    if symmetric:
+        return {r: symmetric_rank_count_closed_form(a, r, q) for r in range(a + 1)}
+    return {r: rank_count_closed_form(a, b, r, q) for r in range(min(a, b) + 1)}
+
+
+@pytest.mark.parametrize("a,b,q,symmetric,chunk,fits", CENSUS_PERIODS)
+def test_a_census_counts_the_rows_above_the_last_once_where_a_chunk_holds_their_period(
+    a, b, q, symmetric, chunk, fits, monkeypatch
+):
+    if chunk is not None:
+        monkeypatch.setattr(_enumeration, "_CHUNK", chunk)
+    s, l = min(a, b), max(a, b)
+    chunks = walked_chunks(q, s, l, symmetric)
+    above = s * (s + 1) // 2 - 1 if symmetric else (s - 1) * l
+    assert (q**above <= chunks[0][1]) == fits
+    module, kernel = (_enumeration, "_f2_kernels") if q == 2 else (_odd_q, "_kernel_sizes")
+    calls = counted_calls(monkeypatch, module, kernel)
+    assert rank_census(a, b, q, symmetric).as_dict() == census_closed_form(a, b, q, symmetric)
+    assert calls[0] == len(chunks) + fits
+
+
+def census_mutant(module, name, old, new):
+    """``module.name`` with its one ``old`` replaced by ``new``."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+def test_a_census_mutant_that_drops_the_hoisted_counts_fails(monkeypatch):
+    # over F_2 the counts of the first period matrices not tiled over the
+    # chunk; over odd q the counts not turned to a chunk's first matrix
+    tiled = census_mutant(_enumeration, "rank_census", "size | size << width", "size")
+    assert tiled(4, 5, 2).as_dict() != census_closed_form(4, 5, 2, False)
+    assert tiled(1, 7, 2).as_dict() != census_closed_form(1, 7, 2, False)
+    turned = census_mutant(_odd_q, "_rank_tallies", "np.roll(above, -lo)", "above")
+    monkeypatch.setattr(_enumeration, "_CHUNK", 40)
+    want = census_closed_form(2, 3, 3, False)
+    assert dict(enumerate(_odd_q._rank_tallies(3, 2, 3, False))) == want
+    with pytest.raises(InternalInconsistency):
+        turned(3, 2, 3, False)
+
+
 def test_a_kernel_count_that_is_no_rank_stops_the_census(monkeypatch):
     # over F_3 two lines have 0, 1 or 4 normalised kernel vectors, never 2;
-    # a count that matches no rank must not drop out of the tallies unseen
-    monkeypatch.setattr(_odd_q, "_kernel_sizes", lambda lines, q: np.full(lines.shape[-1], 2))
+    # a count that matches no rank must not drop out of the tallies unseen;
+    # the census calls the kernel twice, for the rows above the last and then,
+    # from those counts, for the last row's block, and each call reads 2
+    monkeypatch.setattr(_odd_q, "_kernel_sizes", lambda lines, q, *start: np.full(lines.shape[-1], 2))
     with pytest.raises(InternalInconsistency, match="sum to 0, not to their 81"):
         rank_census(2, 2, 3)

@@ -9,6 +9,7 @@ direction vector, for every direction.
 """
 
 import hashlib
+import inspect
 import itertools
 import math
 import random
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from completeforms import cli
+from completeforms import cli, polynomials
 from completeforms.errors import DimensionMismatch, IndexOutOfRange, TooLarge
 from completeforms.lattice import IntegerMatrix
 from completeforms.polynomials import (
@@ -188,6 +189,21 @@ def test_the_sign_table_holds_every_permutation_with_its_cycle_sign(size):
     for perm, sign in table:
         assert sorted(perm) == list(range(size))
         assert sign == (-1) ** (size - cycle_count(perm))
+
+
+@pytest.mark.parametrize("size", range(MAX_MINOR_SIZE + 1))
+def test_a_general_minor_is_built_sorted_from_the_lexicographic_sign_table(size):
+    # _leibniz builds a general minor's terms in sign-table order and sorts
+    # nothing: the table is lexicographic, so the terms come out sorted
+    perms = [perm for perm, _ in _SIGNED_PERMUTATIONS[size]]
+    assert perms == sorted(perms) == list(itertools.permutations(range(size)))
+    rng = random.Random(size)
+    for _ in range(5):
+        rows = sorted(rng.sample(range(7), size))
+        cols = sorted(rng.sample(range(7), size))
+        terms = polynomials._leibniz(rows, cols, False).terms
+        assert list(terms) == sorted(terms)
+        assert len({mono for mono, _ in terms}) == len(terms)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -368,6 +384,113 @@ def test_leading_forms_at_the_rank_3_and_4_templates_match_the_full_shift(symmet
                     assert lead.terms == p.shift(template).leading_form().terms
                     assert lead._symmetric == symmetric
                     assert all(type(c) is Fraction for _, c in lead.terms)
+
+
+def walked_lead(rows, cols, symmetric, shifts):
+    """The leading form the tangent walk reads off the minor on rows and cols."""
+    moved = polynomials._in_mode(SparsePoly.zero(), symmetric)._moved(shifts)
+    return polynomials._shifted_minor_lead(rows, cols, symmetric, moved, shifts)
+
+
+def every_template_minor(symmetric):
+    """(rows, cols, template) for every minor of a generic 6 x 6 matrix, which
+    holds every minor with n, m <= 5, at each rank-k template, k = 1..5."""
+    for k in range(1, 6):
+        template = {(i, i): 1 for i in range(k)}
+        for size in range(1, MAX_MINOR_SIZE + 1):
+            for rows in itertools.combinations(range(6), size):
+                for cols in itertools.combinations(range(6), size):
+                    yield rows, cols, template
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_the_tangent_walk_reads_every_template_minor_as_the_full_shift(symmetric):
+    checked = 0
+    for rows, cols, template in every_template_minor(symmetric):
+        lead = walked_lead(rows, cols, symmetric, template)
+        assert lead.terms == minor_det(5, 5, rows, cols, symmetric).shift(template).leading_form().terms
+        assert lead._symmetric == symmetric
+        assert all(type(c) is Fraction for _, c in lead.terms)
+        checked += 1
+    assert checked == 5 * sum(math.comb(6, size) ** 2 for size in range(1, 6)) == 4610
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_tangent_walk_reads_rational_and_mirrored_shifts_as_the_full_shift(seed):
+    # shifts off the diagonal, negative, zero and not integral; in symmetric
+    # mode a key below the diagonal names its mirror, and a shifted variable
+    # met twice in one term enters squared
+    rng = random.Random(seed)
+    values = [Fraction(1, 2), Fraction(-3, 2), 2, -1, 1, 0]
+    for _ in range(60):
+        symmetric = rng.random() < 0.5
+        size = rng.randint(1, 5)
+        rows = sorted(rng.sample(range(6), size))
+        cols = rows if symmetric and rng.random() < 0.5 else sorted(rng.sample(range(6), size))
+        shifts = {(rng.choice(rows), rng.choice(cols)): rng.choice(values) for _ in range(rng.randint(1, 4))}
+        if symmetric:
+            shifts = {(i, j): c for (i, j), c in shifts.items() if (j, i) not in shifts or i <= j}
+        lead = walked_lead(rows, cols, symmetric, shifts)
+        assert lead == minor_det(5, 5, rows, cols, symmetric).shift(shifts).leading_form()
+        assert lead._symmetric == symmetric
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_a_tangent_walk_level_that_cancels_falls_back_to_the_full_shift(symmetric, monkeypatch):
+    # every entry of a 2 x 2 minor shifted by 1: the constant level 1 - 1
+    # cancels, and the leading form is the linear level
+    calls = [0]
+    real = polynomials.shift_and_leading_form
+
+    def counting(p, shifts):
+        calls[0] += 1
+        return real(p, shifts)
+
+    monkeypatch.setattr(polynomials, "shift_and_leading_form", counting)
+    shifts = {(i, j): 1 for i in (0, 1) for j in (0, 1)}
+    lead = walked_lead((0, 1), (0, 1), symmetric, shifts)
+    assert calls[0] == 1
+    assert lead == minor_det(1, 1, (0, 1), (0, 1), symmetric).shift(shifts).leading_form()
+    assert lead.degree() == 1
+    calls[0] = 0
+    assert verify_tangent_cone(5, 5, 4, 1).passed
+    assert calls[0] == 0
+
+
+def walk_mutant(old, new):
+    """``polynomials._shifted_minor_lead`` with its one ``old`` replaced by ``new``."""
+    source = inspect.getsource(polynomials._shifted_minor_lead)
+    assert source.count(old) == 1
+    namespace = dict(vars(polynomials))
+    exec(compile(source.replace(old, new), polynomials.__file__, "exec"), namespace)
+    return namespace["_shifted_minor_lead"]
+
+
+@pytest.mark.parametrize(
+    "old, new, symmetric, moved",
+    [
+        # the unshifted variables of a symmetric term left in row order, so
+        # that one monomial is summed under several keys
+        ("_merged(sorted(fixed))", "_merged(fixed)", True, 21),
+        # a term's shifted cells read as 1, whatever their shift
+        ("sign * prod(map(list.__getitem__, factors, perm))", "sign", False, 18),
+    ],
+)
+def test_a_mutant_of_the_tangent_walk_is_caught(old, new, symmetric, moved):
+    """Of the 52 minors of size 2 and 3 of a generic 4 x 4 matrix, shifted by
+    1 at z00 in symmetric mode and by 2 at z00 and 1 at z11 in general mode,
+    the two mutants get 21 and 18 wrong."""
+    mutant = walk_mutant(old, new)
+    shifts = {(0, 0): 2, (1, 1): 1} if not symmetric else {(0, 0): 1}
+    moved_shifts = polynomials._in_mode(SparsePoly.zero(), symmetric)._moved(shifts)
+    leads = [
+        (mutant(rows, cols, symmetric, moved_shifts, shifts), minor_det(3, 3, rows, cols, symmetric))
+        for size in (2, 3)
+        for rows in itertools.combinations(range(4), size)
+        for cols in itertools.combinations(range(4), size)
+    ]
+    assert len(leads) == 52
+    assert sum(lead != p.shift(shifts).leading_form() for lead, p in leads) == moved
 
 
 def test_leading_form_of_shifted_three_minor():

@@ -13,9 +13,11 @@ the current directory as ``groups`` of ``runs``, each with the lines the
 runner printed, its final JSON line, its output digests, each case's median
 cost in reference units and its exit code (and the tail of its stderr if it
 failed).  Then, for every end-to-end metric, it prints the median of each
-side, the parent's interquartile range and in how many pairs the change was
-better, and the five cases whose median cost moved most.  Standard library
-only.
+side, the parent's interquartile range, in how many pairs the change was
+better and a verdict: ``gain`` (better in at least 9 of 10 pairs, ties
+counting for neither side, and the median beyond the parent's IQR),
+``worse`` (the median beyond it the other way) or ``unresolved``; and the
+five cases whose median cost moved most.  Standard library only.
 """
 
 from __future__ import annotations
@@ -134,9 +136,21 @@ def directions(checkout: Path) -> dict:
     return {metric["name"]: metric.get("better", "lower") for metric in declared}
 
 
+def verdict(wins: int, pairs: int, shift: float, iqr: float, lower: bool) -> str:
+    """``gain`` where the change was better in at least 9 of 10 pairs (a tie
+    is a win for neither side) and its median moved beyond the parent's IQR
+    in the better direction, ``worse`` where the median moved beyond it in the
+    other direction, else ``unresolved``."""
+    if abs(shift) <= iqr:
+        return "unresolved"
+    if (shift < 0) != lower:
+        return "worse"
+    return "gain" if pairs and 10 * wins >= 9 * pairs else "unresolved"
+
+
 def summarize(group: dict, better: dict) -> list[str]:
-    """One line per end-to-end metric: each side's median, the parent's IQR
-    and the pairs in which the change was better."""
+    """One line per end-to-end metric: each side's median, the parent's IQR,
+    the pairs in which the change was better and the verdict."""
     values = {}
     for run in group["runs"]:
         metrics = (run["result"] or {}).get("metrics", {})
@@ -158,9 +172,10 @@ def summarize(group: dict, better: dict) -> list[str]:
         quartiles = statistics.quantiles(kept["parent"], n=4) if len(kept["parent"]) > 1 else [medians["parent"]] * 3
         iqr = quartiles[2] - quartiles[0]
         shift = medians["change"] - medians["parent"]
-        lines.append("  %-14s parent %.6g  change %.6g  (%+.1f%%)  parent IQR %.6g  change better in %d/%d%s" % (
-            name, medians["parent"], medians["change"], 100 * shift / medians["parent"] if medians["parent"] else 0.0,
-            iqr, wins, len(paired), "  shift beyond IQR" if abs(shift) > iqr else ""))
+        lines.append("  %-14s parent %.6g  change %.6g  (%+.1f%%)  parent IQR %.6g  change better in %d/%d%s  %s" % (
+            name, medians["parent"], medians["change"],
+            100 * shift / medians["parent"] if medians["parent"] else 0.0, iqr, wins, len(paired),
+            "  shift beyond IQR" if abs(shift) > iqr else "", verdict(wins, len(paired), shift, iqr, lower)))
     lines += moved_cases(group)
     digests = {side: sorted({d for run in group["runs"] if run["side"] == side for d in run["digests"] or ()})
                for side in SIDES}
