@@ -240,15 +240,15 @@ def rank_census(a: int, b: int, q: int, symmetric: bool = False) -> RankCensus:
     s, l = min(a, b), max(a, b)
     if q == 2:
         # the rows above the last are the low bits of the index, so they repeat
-        # every `period` matrices; where a chunk holds a period, their blocks
-        # are counted once, on the first period matrices, tiled over a chunk,
-        # and every chunk starts from those counts; else the period is the
-        # chunk, and each chunk counts every block
+        # every `period` matrices; where there are such rows and a chunk holds
+        # a period, their blocks are counted once, on the first period
+        # matrices, tiled over a chunk, and every chunk starts from those
+        # counts; else each chunk counts every block
         period = 1 << len(_positions(s - 1, l, symmetric))
         tallies = [0] * (s + 1)
         above = None
         for lo, n, entries in _f2_walk(s, l, symmetric):
-            if lo == 0 and period <= n:
+            if lo == 0 and 1 < period <= n:
                 above = _f2_kernels([[e & (1 << period) - 1 for e in row] for row in entries[:-1]], period)
                 width = period
                 while width < n:

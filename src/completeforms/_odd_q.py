@@ -140,16 +140,16 @@ def _rank_tallies(q: int, a: int, b: int, symmetric: bool) -> list[int]:
     must add up to its matrices.
     """
     # the rows above the last are the low digits of the index, so they repeat
-    # every `period` matrices; where the first chunk holds a period, their
-    # blocks are counted once, on its first period matrices, and every chunk
-    # starts from those counts, turned to its first matrix and tiled over it;
-    # else the period is the chunk, and each chunk counts every block
+    # every `period` matrices; where there are such rows and the first chunk
+    # holds a period, their blocks are counted once, on its first period
+    # matrices, and every chunk starts from those counts, turned to its first
+    # matrix and tiled over it; else each chunk counts every block
     period = q ** len(_positions(a - 1, b, symmetric))
     tallies = [0] * (a + 1)
     above = None
     for lo, digits in _walk(q, a, b, symmetric):
         n = digits.shape[-1]
-        if lo == 0 and period <= n:
+        if lo == 0 and 1 < period <= n:
             dtype = np.min_scalar_type((q**a - 1) // (q - 1))
             above = _kernel_sizes(digits[:-1, :, :period], q, np.zeros(period, dtype))
         start = (None, 0) if above is None else (np.tile(np.roll(above, -lo), -(-n // period))[:n], a - 1)

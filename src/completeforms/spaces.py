@@ -23,8 +23,8 @@ asking about an equal kind the same frozen model.
 
 Coordinates exist where a model builder records a basis: a mapping space's
 by hand, a tower's by one fibration rule, which writes its basis, colors and
--K.  A tower's rank and its boundary, color, effective and nef labels come
-from one label rule, which reads the tower's shape alone.  Every other kind
+-K.  A tower's rank, labels and stated chamber count come from one label
+rule; both rules read one record of the tower's shape.  Every other kind
 still builds a model, it just answers ``CoordinatesUnknown``/``OutOfScope``
 for the coordinate-dependent queries.
 
@@ -32,21 +32,21 @@ Every complete-form space is a blow-up tower over a secant variety of a
 Segre or Veronese embedding: ``C`` and ``Q`` are the full towers, which
 ``secS`` and ``secV`` name again with k = h-1 (or k = n-1 at h = n+1 over
 square forms, the last center being a divisor).  One model builder serves
-``C`` and ``secS``, another ``Q`` and ``secV``, so both names of a full tower
-give the same answers, but for the orbit Picard group, which only ``C`` and
-``Q`` record.  Every degree-two mapping space either coincides with a form
-space (its *twin*: ``mbar-p`` with ``secV(n,3;k=1)``, ``mbar-pxp`` with
-``C(n,m,2)``) or double-covers one (its *cover*: ``mbar-gr`` over
-``secV(n,4;k=2)``).  So a kind is a handful of facts, held in one entry of
-the private kind table ``_KINDS``: its command line name, the model builder,
-the secant variety (which gives the dimension, see
-:mod:`completeforms.secants`), the automorphism rule and the orbit Picard
-relations, or else the twin that supplies the secant and automorphisms and
-its rank, chamber count and labels, the cover, and the two values the one
+every tower, so both names of a full tower give the same answers, but for
+the orbit Picard group, which only ``C`` and ``Q`` record.  Every degree-two
+mapping space either coincides with a form space (its *twin*: ``mbar-p``
+with ``secV(n,3;k=1)``, ``mbar-pxp`` with ``C(n,m,2)``) or double-covers
+one (its *cover*: ``mbar-gr`` over ``secV(n,4;k=2)``).  So a kind is a
+handful of facts, held in one entry of the private kind table ``_KINDS``:
+its command line name, the model builder, the secant variety (which gives
+the dimension, see :mod:`completeforms.secants`) and the orbit Picard
+relations, or else the twin that supplies the secant and its automorphisms,
+rank, chamber count and labels, the cover, and the two values the one
 parameter rule reads (the lowest ``n`` and an admitted degenerate tuple).
 The parameter letters are the kind's dataclass fields.  Everything else a
-kind knows, such as its comparison dictionary, is written by its model
-builder.  Adding a kind means adding its dataclass and one table entry.
+kind knows, such as its automorphisms and comparison dictionary, is written
+by its model builder.  Adding a kind means adding its dataclass and one
+table entry.
 """
 
 from __future__ import annotations
@@ -418,61 +418,60 @@ class SpaceModel(_Record):
         }
 
 
-# -- towers: which name is the full tower, its automorphisms and orbit ------
+# -- towers: the shape every tower rule reads, automorphisms and orbit -----
 
 
-def _tower(kind) -> Tuple[int, int, int, int, bool]:
-    """A tower's n, m (n over symmetric forms), h, steps k, and whether it is full.
+class _Tower(NamedTuple):
+    """A tower's shape, which every tower rule reads: k of the h-1 blow-ups of
+    the rank <= h forms among (n+1) x (m+1) matrices, or symmetric ones (m = n).
 
-    A full tower takes all h-1 steps, or at h = n+1 over square forms the
-    first n-1, as the last center is the determinant divisor.  The admitted
-    secV(1,3;k=1) blows the plane up along a conic divisor: it is Q(1,2), so
-    h is read as at most n+1.
+    ``divisor`` is the index of the center that is the determinant divisor:
+    n at h = n+1 over square or symmetric forms, else None.  Blowing it up
+    changes nothing, so it is not among the centers ``blown_up``, and a
+    ``full`` tower blows up every other center.  A ``plucker`` tower (pairs
+    with h <= n) has the Plucker classes H1, H2 of G(h,n+1) x G(h,m+1).
     """
 
+    symmetric: bool
+    n: int
+    m: int
+    h: int
+    k: int
+    full: bool
+    plucker: bool
+    blown_up: Tuple[int, ...]
+    divisor: Optional[int]
+
+
+def _tower(kind) -> _Tower:
+    """The shape of a C, Q, secS or secV kind.  The admitted secV(1,3;k=1)
+    blows the plane up along a conic divisor: it is Q(1,2), so h is read as
+    at most n+1."""
+
+    symmetric = not hasattr(kind, "m")
     n, h = kind.n, min(kind.h, kind.n + 1)
     m, k = getattr(kind, "m", n), getattr(kind, "k", h - 1)
-    return n, m, h, k, k == h - 1 or (h == n + 1 == m + 1 and k == n - 1)
+    divisor = h - 1 if h == n + 1 and n == m else None
+    blown_up = tuple(j for j in range(1, k + 1) if j != divisor)
+    full = k >= h - 1 - (divisor is not None)
+    return _Tower(symmetric, n, m, h, k, full, not symmetric and h <= n, blown_up, divisor)
 
 
-def _two_factor_group(n: int, m: int) -> GroupDescriptor:
-    if n < m:
-        return GroupProduct(PGL(n + 1), PGL(m + 1))
-    return SemidirectLeft(SwapGroup(), GroupProduct(PGL(n + 1), PGL(n + 1)))
-
-
-def _pair_automorphisms(kind) -> Optional[GroupDescriptor]:
-    """Collineation towers, full or partial."""
-    n, m, h, _, full = _tower(kind)
-    # h == n+1: the ambient is a projective space of matrices.  No partial
-    # tower is recorded there, and over square matrices the full tower
-    # carries the transpose swap.
-    if h > n and not full:
+def _tower_automorphisms(tower: _Tower) -> Optional[GroupDescriptor]:
+    """At h = n+1 the ambient is a projective space of forms: no partial tower
+    is recorded there, and where the last center is the determinant divisor
+    the full tower carries the transpose swap (at n = 1 it is P^3 or P^2)."""
+    n, m = tower.n, tower.m
+    group = PGL(n + 1) if tower.symmetric else GroupProduct(PGL(n + 1), PGL(m + 1))
+    if not tower.symmetric and n == m:  # the transpose exchanges the two sides
+        group = SemidirectLeft(SwapGroup(), group)
+    if tower.h > n and not tower.full:
         return None
-    if h > n and n == m:
-        return PGL(4) if n == 1 else SemidirectRight(_two_factor_group(n, n), SwapGroup())
-    return _two_factor_group(n, m)
-
-
-def _symmetric_automorphisms(kind) -> Optional[GroupDescriptor]:
-    """Quadric towers, full or partial."""
-    n, _, h, _, full = _tower(kind)
-    if h <= n:
-        return PGL(n + 1)
-    if not full:
-        return None
+    if tower.divisor is None:
+        return group
     if n == 1:
-        return PGL(3)
-    return SemidirectRight(PGL(n + 1), SwapGroup())
-
-
-def _kontsevich_gr_automorphisms(kind: KontsevichGr) -> GroupDescriptor:
-    n = kind.n
-    if n == 2:
-        return SemidirectRight(PGL(3), SwapGroup())
-    if n == 3:
-        return SemidirectLeft(SwapGroup(), SemidirectLeft(SwapGroup(), PGL(4)))
-    return SemidirectLeft(SwapGroup(), PGL(n + 1))
+        return PGL(3 if tower.symmetric else 4)
+    return SemidirectRight(group, SwapGroup())
 
 
 # Relations of the dense orbit's Picard group (see orbit_picard_group): the
@@ -492,57 +491,56 @@ def _symmetric_orbit(kind: Quadrics) -> list:
 # A builder returns only what varies between spaces: ``rank``, ``boundary``,
 # and where known ``colors``, ``eff``/``nef``/``mov`` generator labels, a
 # ``basis`` (whose classes are the unit vectors) with the coordinates of the
-# other classes in ``table``, ``minus_k`` coordinates and the ``stated``
-# chamber count.  It gives ``dimension`` only where the secant range has
+# other classes in ``table``, ``minus_k`` coordinates, the ``stated``
+# chamber count and the ``automorphisms``.  It gives ``dimension`` only where the secant range has
 # ended; :func:`build_model` assembles the rest.  The mapping-space builders
 # add the ``dictionary`` rule: (class, twin class label) pairs for an
 # isomorphism, (cover class, coefficient, class) triples for a pullback.  A
 # twin's builder writes only ``basis``, ``table``, ``minus_k`` and
-# ``dictionary``; the rest is its form space's, renamed by the dictionary
-# (:func:`_spec`).
+# ``dictionary``; the rest is read off its form space's shape and renamed by
+# the dictionary (:func:`_spec`).
 #
-# One builder serves each tower family, C and secS over pairs, Q and secV
-# over symmetric forms.  Two rules write what a tower's shape decides: its
-# rank and its boundary, color, eff and nef labels come from
-# :func:`_tower_labels`, and where it has coordinates, its basis, every
-# ``D<i>`` and top ``E<i>`` class and its -K from :func:`_fibration_tower`,
-# which a builder calls wherever it states a chamber count.  So a tower
-# branch writes only its ``stated`` count, its ``mov`` labels and the moving
-# class ``P``.
+# One builder, :func:`_tower_model`, serves every tower: C and secS over
+# pairs, Q and secV over symmetric forms.  It reads the tower's shape once
+# (:func:`_tower`) and hands it to two rules.  The label rule,
+# :func:`_tower_labels`, writes the rank, the boundary, color, eff, nef and
+# mov labels and the stated chamber count; the fibration rule,
+# :func:`_fibration_tower`, writes the basis, every ``D<i>`` and top ``E<i>``
+# class and -K wherever a count is stated.  So the builder writes only the
+# automorphisms, the moving class ``P`` and the dimension of the plane
+# secV(1,3;k=1).
 
 
-def _fibration_tower(
-    symmetric: bool, n: int, m: int, h: int, k: int, table: Optional[dict] = None
-) -> dict:
+def _fibration_tower(tower: _Tower, table: Optional[dict] = None) -> dict:
     """The ``basis``, class ``table`` and ``minus_k`` of a tower: the fibration rule.
 
-    The tower takes k of the h-1 blow-ups of the rank <= h forms (m = n over
-    symmetric forms).  Its full tower fibres over G(h,n+1) x G(h,m+1) (over
-    G(h,n+1) for symmetric forms) with fibre the full tower of h x h forms
-    (Vainsencher 1984; Thaddeus 1999).  The basis is the pulled-back Plucker
-    classes H1, H2 (H over symmetric forms, the first color D1 over pairs at
-    h = n+1), then E_j for each center but the determinant divisor (j = n
-    over square or symmetric forms), whose E_j is the color D_{j+1}.  Over
-    pairs with h <= n, D_h = H1 + H2 (the h x h minors are the Plucker
-    coordinates of image and coimage) and inverting E_j = 2*D_j - D_{j-1} -
-    D_{j+1} gives D_i = (i/h)*D_h + sum_j min(i,j)*(h-max(i,j))/h * E_j;
-    otherwise the i x i minors vanish to order i-j along the rank-j forms,
-    so D_i = i*D1 - sum_{j<i} (i-j)*E_j.  Then -K = r*D1 - sum_j (c_j-1)*E_j
-    + G, with r the dimension of the h x h forms and c_j the codimension of
-    their rank-j forms (Hartshorne, Exercises II.8.5 and III.8.4), and G =
-    (n+1-h)*H1 + (m+1-h)*H2 over pairs (H1 = 0 and H2 = D_{n+1} at h = n+1),
-    (n-h)*D_h/2 over symmetric forms (0 at h = n+1).  A partial tower drops
-    the E_j, j > k: its -K is the pushforward.  The ``table`` is the top
-    class, the builder's own ``table`` and the colors D_1..D_h, of which
-    C(n,m,1), with no boundary, writes none.
+    The full tower fibres over G(h,n+1) x G(h,m+1) (over G(h,n+1) for
+    symmetric forms) with fibre the full tower of h x h forms (Vainsencher
+    1984; Thaddeus 1999).  The basis is the pulled-back Plucker classes H1,
+    H2 (H over symmetric forms, the first color D1 over pairs at h = n+1),
+    then E_j for each center blown up; the determinant divisor's E_j is the
+    color D_{j+1}.  Over pairs with h <= n, D_h = H1 + H2 (the h x h minors
+    are the Plucker coordinates of image and coimage) and inverting E_j =
+    2*D_j - D_{j-1} - D_{j+1} gives D_i = (i/h)*D_h + sum_j
+    min(i,j)*(h-max(i,j))/h * E_j; otherwise the i x i minors vanish to order
+    i-j along the rank-j forms, so D_i = i*D1 - sum_{j<i} (i-j)*E_j.  Then
+    -K = r*D1 - sum_j (c_j-1)*E_j + G, with r the dimension of the h x h
+    forms and c_j the codimension of their rank-j forms (Hartshorne,
+    Exercises II.8.5 and III.8.4), and G = (n+1-h)*H1 + (m+1-h)*H2 over
+    pairs (H1 = 0 and H2 = D_{n+1} at h = n+1), (n-h)*D_h/2 over symmetric
+    forms (0 at h = n+1).  A partial tower drops the E_j, j > k: its -K is
+    the pushforward.  The ``table`` is the top class, the builder's own
+    ``table`` and the colors D_1..D_h, of which C(n,m,1), with no boundary,
+    writes none.
     """
+
+    symmetric, n, m, h, k = tower.symmetric, tower.n, tower.m, tower.h, tower.k
+    plucker, blown_up = tower.plucker, tower.blown_up
 
     def codim(j: int) -> int:  # of the rank-j forms among h x h forms
         return (h - j) * (h - j + 1) // 2 if symmetric else (h - j) ** 2
 
-    plucker = not symmetric and h <= n
     first = ("H1", "H2") if plucker else ("H",) if symmetric else ("D1",)
-    blown_up = [j for j in range(1, k + 1) if not j == n == m]
     basis = first + tuple("E%d" % j for j in blown_up)
 
     den = 2 * h  # every class times den is integral, so the sums stay in ints
@@ -573,64 +571,70 @@ def _fibration_tower(
     return dict(basis=basis, table=classes, minus_k=exact(minus_k))
 
 
-def _tower_labels(symmetric: bool, n: int, m: int, h: int, k: int, full: bool) -> dict:
-    """The ``rank`` and ``boundary`` of a tower and, where known, its ``colors``,
-    ``eff`` and ``nef`` labels: the label rule.
+# Stated chamber counts by (symmetric, plucker, h, centers blown up): the count
+# and the moving cone's generators beyond the nef cone's (None: unrecorded).
+_STATED = {
+    (False, True, 1, 0): (1, ()),  # C(n,m,1)
+    (False, True, 2, 1): (3, ()),  # C(n,m,2), n >= 2
+    (False, False, 2, 0): (1, None),  # C(1,1,2), which is P^3
+    (False, False, 2, 1): (2, None),  # C(1,m,2), m >= 2, over P^{2m+1}
+    (True, False, 2, 0): (1, None),  # Q(1,2), which is P^2
+    (True, False, 3, 1): (3, None),  # secV(n,3;1), and Q(2,3) over P^5
+    (True, False, 3, 2): (5, ()),  # Q(n,3), n >= 3
+    (True, False, 4, 2): (9, ("P",)),  # secV(n,4;2), and Q(3,4) over P^9
+}
+
+
+def _tower_labels(tower: _Tower) -> dict:
+    """The label rule: a tower's ``rank`` and ``boundary`` and, where known,
+    its ``colors``, ``eff``, ``nef`` and ``mov`` labels and ``stated`` count.
 
     The rank counts the basis of :func:`_fibration_tower`, and the boundary
-    is E_1..E_k.  A full tower has labels, and so have the partial
-    secV(n,3;1) and secV(n,4;2).  The colors are the lower colors D_1..D_{h-1}
-    and the top: the Plucker classes H1, H2 over pairs with h <= n, nothing
-    where D_h is the determinant divisor (every center blown up, h = n+1 over
-    square or symmetric forms), else D_h.  The effective cone is spanned by
-    the boundary and the top; the nef cone by the colors, less the top D_h
-    of a partial tower.
+    is E_1..E_k.  A full tower has labels, and so has every tower with a
+    stated count.  The colors are the lower colors D_1..D_{h-1} and the top:
+    the Plucker classes H1, H2 over pairs with h <= n, nothing where the
+    determinant divisor D_h is blown up, else D_h.  The effective cone is
+    spanned by the boundary and the top; the nef cone by the colors, less the
+    top D_h of a partial tower.
     """
 
-    plucker = not symmetric and h <= n
-    blown_up = [j for j in range(1, k + 1) if not j == n == m]
+    h, k, plucker = tower.h, tower.k, tower.plucker
     boundary = _labels("E", k)
-    spec = dict(rank=(2 if plucker else 1) + len(blown_up), boundary=boundary)
-    if full or symmetric and (h, k) in ((3, 1), (4, 2)):
+    spec = dict(rank=(2 if plucker else 1) + len(tower.blown_up), boundary=boundary)
+    stated = _STATED.get((tower.symmetric, plucker, h, len(tower.blown_up)))
+    if tower.full or stated:
         lower = _labels("D", h - 1)
-        top = ("H1", "H2") if plucker else () if k >= h - 1 == n == m else ("D%d" % h,)
+        top = ("H1", "H2") if plucker else () if k == tower.divisor else ("D%d" % h,)
         spec.update(
             colors=top + lower if plucker else lower + top,
             eff=boundary + top,
             nef=lower + top if plucker or k == h - 1 else lower,
         )
+    if stated:
+        count, moving = stated
+        spec.update(stated=count)
+        if moving is not None:
+            spec.update(mov=spec["nef"] + moving)
     return spec
 
 
-def _pair_tower_model(kind) -> dict:
-    n, m, h, k, full = _tower(kind)
-    spec = _tower_labels(False, n, m, h, k, full)
-    if h <= min(n, 2):  # C(n,m,1) and C(n,m,2)
-        spec.update(mov=spec["nef"], stated=(1, 3)[h - 1])
-    elif h == n + 1 == 2:  # C(1,m,2), over P^{2m+1}
-        spec.update(stated=2 if m > 1 else 1)
-    if "stated" in spec:
-        spec.update(_fibration_tower(False, n, m, h, k))
-    return spec
+def _tower_spec(kind) -> Tuple[_Tower, dict]:
+    """A tower's shape and what is read off it without coordinates: the label
+    rule's spec, the automorphisms and the dimension past the secant range."""
 
-
-def _symmetric_tower_model(kind) -> dict:
-    n, _, h, k, full = _tower(kind)
-    spec = _tower_labels(True, n, n, h, k, full)
-    if full and h == n + 1 <= 4:  # Q(1,2), Q(2,3) and Q(3,4), over P^2, P^5 and P^9
-        spec.update(stated=(1, 3, 9)[n - 1])
-    elif (h, k) == (3, 2):  # Q(n,3), n >= 3
-        spec.update(mov=spec["nef"], stated=5)
-    elif (h, k) in ((3, 1), (4, 2)):  # the partial secV(n,3;1) and secV(n,4;2)
-        spec.update(stated=3 if h == 3 else 9)
-    if kind.h > h:  # secV(1,3;k=1) lies past the secant range: it is the plane
+    tower = _tower(kind)
+    spec = _tower_labels(tower)
+    spec.update(automorphisms=_tower_automorphisms(tower))
+    if kind.h > tower.h:  # secV(1,3;k=1) lies past the secant range: it is the plane
         spec.update(dimension=2)
-    if "stated" in spec:
-        table = None
-        if h == 4:  # Q(3,4) and secV(n,4;2) keep their moving class P
-            spec.update(mov=spec["nef"] + ("P",))
-            table = {"P": _vec(6, -3, -2)}
-        spec.update(_fibration_tower(True, n, n, h, k, table))
+    return tower, spec
+
+
+def _tower_model(kind) -> dict:
+    tower, spec = _tower_spec(kind)
+    if "stated" in spec:  # Q(3,4) and secV(n,4;2) keep their moving class P
+        table = {"P": _vec(6, -3, -2)} if "P" in spec.get("mov", ()) else None
+        spec.update(_fibration_tower(tower, table))
     return spec
 
 
@@ -679,7 +683,8 @@ def _kontsevich_pxp_model(kind: KontsevichPxP) -> dict:
 def _kontsevich_gr_model(kind: KontsevichGr) -> dict:
     n = kind.n
     if n == 2:  # h = 4 > n+1 is past the Veronese secants, so give the dimension
-        return dict(dimension=5, rank=2, boundary=("Delta",))
+        group = SemidirectRight(PGL(3), SwapGroup())
+        return dict(dimension=5, rank=2, boundary=("Delta",), automorphisms=group)
     quarter = Fraction(1, 4)
     half = Fraction(1, 2)
     # Ddeg is pinned by pulling the fourth tangency class back along the
@@ -702,6 +707,9 @@ def _kontsevich_gr_model(kind: KontsevichGr) -> dict:
         if n >= 4
         else None,
         stated=9,
+        automorphisms=SemidirectLeft(
+            SwapGroup(), SemidirectLeft(SwapGroup(), PGL(4)) if n == 3 else PGL(n + 1)
+        ),
         # the pullback of each class of the cover: a multiple of a class here
         dictionary=(
             ("H", 1, "Hs11"),
@@ -722,10 +730,9 @@ def _kontsevich_gr_model(kind: KontsevichGr) -> dict:
 class _Kind(NamedTuple):
     """What the catalog records about one kind of space.
 
-    ``secant(kind)`` is the secant variety the space blows up,
-    ``automorphisms(kind)`` its automorphism group (None where unrecorded)
-    and ``orbit(kind)`` the relations of its dense orbit's Picard group (for
-    C and Q only).  A mapping-space kind isomorphic to a form space names
+    ``secant(kind)`` is the secant variety the space blows up and
+    ``orbit(kind)`` the relations of its dense orbit's Picard group (for C
+    and Q only).  A mapping-space kind isomorphic to a form space names
     that space as its ``twin`` and takes the twin's secant, automorphisms,
     rank, chamber count and labels instead (see :func:`_spec`).  A kind that
     double-covers a form space names it as its ``cover``: its chambers and
@@ -738,7 +745,6 @@ class _Kind(NamedTuple):
     cli_name: str
     model: Callable[[SpaceKind], dict]
     secant: Optional[Callable[[SpaceKind], SecantInvariants]] = None
-    automorphisms: Optional[Callable[[SpaceKind], Optional[GroupDescriptor]]] = None
     orbit: Optional[Callable[[SpaceKind], list]] = None
     twin: Optional[Callable[[SpaceKind], SpaceKind]] = None
     cover: Optional[Callable[[SpaceKind], SpaceKind]] = None
@@ -746,17 +752,9 @@ class _Kind(NamedTuple):
     admitted: Optional[Tuple[int, ...]] = None
 
 
-# the two tower families: a builder, the secant blown up, the automorphisms
-_PAIR_TOWER = (
-    _pair_tower_model,
-    lambda s: segre_secant_invariants(s.n, s.m, s.h),
-    _pair_automorphisms,
-)
-_SYMMETRIC_TOWER = (
-    _symmetric_tower_model,
-    lambda s: veronese_secant_invariants(s.n, s.h),
-    _symmetric_automorphisms,
-)
+# the two tower families: the one builder and the secant blown up
+_PAIR_TOWER = (_tower_model, lambda s: segre_secant_invariants(s.n, s.m, s.h))
+_SYMMETRIC_TOWER = (_tower_model, lambda s: veronese_secant_invariants(s.n, s.h))
 
 _KINDS: Dict[type, _Kind] = {
     Collineations: _Kind("C", *_PAIR_TOWER, orbit=_pair_orbit),
@@ -773,7 +771,6 @@ _KINDS: Dict[type, _Kind] = {
         "mbar-gr",
         _kontsevich_gr_model,
         lambda s: veronese_secant_invariants(s.n, 4),
-        _kontsevich_gr_automorphisms,
         cover=lambda s: VeroneseBlowup(s.n, 4, 2),
         lowest_n=2,
     ),
@@ -791,22 +788,23 @@ def _coordinates(spec: dict) -> Dict[str, Tuple[Fraction, ...]]:
 
 
 def _spec(kind: SpaceKind) -> dict:
-    """The builder's spec, for a twin completed from its form space's spec.
+    """The builder's spec, for a twin completed from its form space's shape.
 
-    A twin takes the form space's ``dimension``, ``rank`` and ``stated`` as
-    they are, and its boundary, color and cone-generator labels renamed by
-    the twin's dictionary rule: each form-space label becomes the twin class
-    mapped to it, a target such as ``(1/2)*D3`` read as ``D3``.
+    A twin takes what :func:`_tower_spec` reads off its form space's shape,
+    without coordinates: ``dimension``, ``rank``, ``stated`` and
+    ``automorphisms`` as they are, and the boundary, color and cone-generator
+    labels renamed by the twin's dictionary rule: each form-space label
+    becomes the twin class mapped to it, ``(1/2)*D3`` read as ``D3``.
     """
 
     entry = _entry(kind)
     spec = entry.model(kind)
     if entry.twin is None:
         return spec
-    form = entry.twin(kind)
-    shared = _entry(form).model(form)
+    shared = _tower_spec(entry.twin(kind))[1]
     name = {dst.rpartition("*")[2]: src for src, dst in spec["dictionary"]}
-    spec.update((key, shared[key]) for key in ("dimension", "rank", "stated") if key in shared)
+    kept = ("dimension", "rank", "stated", "automorphisms")
+    spec.update((key, shared[key]) for key in kept if key in shared)
     spec.update(
         (key, tuple(name[label] for label in shared[key]))
         for key in ("boundary", "colors", "eff", "nef", "mov")
@@ -872,7 +870,7 @@ def _model(kind: SpaceKind) -> Tuple[SpaceModel, Optional[tuple]]:
         mov_generators=spec.get("mov"),
         anticanonical=DivisorClass("-K", minus_k) if minus_k is not None else None,
         stated_chamber_count=spec.get("stated"),
-        automorphisms=entry.automorphisms(form),
+        automorphisms=spec.get("automorphisms"),
     )
     return model, spec.get("dictionary")
 

@@ -22,12 +22,13 @@ values count as an int and which as a rational is decided in ``lattice``
 alone, by its int rule and its rational rule; the eighth lint keeps every
 other module from testing a value against ``bool`` or ``float`` itself.
 The form-space color classes ``D<i>`` are written by one rule,
-``spaces._fibration_tower``; the ninth lint keeps the five model builders
-(one for the C and secS towers, one for the Q and secV towers, one per
-mapping space) from writing any themselves.  A mapping space isomorphic
-to a form space (its twin) is that space renamed, so its builder writes
-only its class coordinates, -K and dictionary, and ``spaces`` takes the
-rest from the form space's builder; the tenth lint keeps the twin builders
+``spaces._fibration_tower``; the ninth lint keeps the four model builders
+(one for every tower, C, secS, Q and secV, with the shape half it shares
+with the twins, and one per mapping space) from writing any themselves.  A
+mapping space isomorphic to a form space (its twin) is that space renamed,
+so its builder writes only its class coordinates, -K and dictionary, and
+``spaces`` reads the rest off the form space's shape with the label rule,
+without running the fibration rule; the tenth lint keeps the twin builders
 from restating any of it.  Every
 record is a dataclass over ``lattice._Record``, declared with no generated
 method, because generating six methods for each of two dozen frozen
@@ -53,10 +54,12 @@ process, so the fourteenth lint keeps every ``functools`` memo a bounded
 of each (d - 1)-subset it has already computed for its hyperplanes, so the
 fifteenth lint keeps ``_chamber_complex`` calling ``cone_from_rays`` once,
 for the support.  A tower's basis, -K, colors and top boundary class are
-written by one fibration rule, and its rank and its boundary, color,
-effective and nef labels by one label rule; only the two tower builders call
-either rule, and the sixteenth lint keeps them from writing any of it
-themselves.
+written by one fibration rule, and its rank, its boundary, color, effective,
+nef and moving labels and its stated chamber count by one label rule; both
+read the one shape record of ``spaces._tower``.  Only the tower builder
+calls the fibration rule, and only its shape half, which ``_spec`` also
+calls for a twin, calls the label rule; the sixteenth lint keeps the two
+halves from writing any of it themselves.
 """
 
 import ast
@@ -288,7 +291,7 @@ def test_only_lattice_tests_a_value_against_bool_or_float():
 
 
 def test_model_builders_leave_the_colors_to_the_color_rule():
-    builders = {entry.model.__name__ for entry in spaces._KINDS.values()}
+    builders = {entry.model.__name__ for entry in spaces._KINDS.values()} | {"_tower_spec"}
     found = []
     for builder in ast.parse(Path(spaces.__file__).read_text(encoding="utf-8")).body:
         if not (isinstance(builder, ast.FunctionDef) and builder.name in builders):
@@ -300,13 +303,14 @@ def test_model_builders_leave_the_colors_to_the_color_rule():
             for key in node.keys
             if isinstance(key, ast.Constant) and re.fullmatch(r"D\d+", str(key.value))
         ]
-    assert len(builders) == 5
+    assert len(builders) == 5  # four builders and the tower builder's shape half
     assert found == []
 
 
 def test_twin_builders_restate_nothing_of_their_form_space():
     builders = {entry.model.__name__ for entry in spaces._KINDS.values() if entry.twin is not None}
-    restated = {"dimension", "rank", "stated", "boundary", "colors", "eff", "nef", "mov"}
+    restated = {"dimension", "rank", "stated", "automorphisms", "boundary", "colors", "eff", "nef",
+                "mov"}
 
     def written_keys(node):
         if isinstance(node, ast.Call):
@@ -521,27 +525,35 @@ def test_the_chamber_complex_enumerates_only_its_support():
 
 
 def test_tower_builders_leave_minus_k_and_the_top_class_to_the_rules(monkeypatch):
-    """A tower builder writes no basis, no -K, no ``D<i>`` or ``E<i>``
-    coordinate and no rank or label: the first come from ``_fibration_tower``
-    and the rank, boundary, colors, eff and nef labels from ``_tower_labels``,
-    and only the two tower builders call either rule.  Read off the source,
-    neither builder writes a ``basis``, ``minus_k``, ``table``, ``rank``,
-    ``boundary``, ``colors``, ``eff`` or ``nef`` key, or a ``D<i>`` or
-    ``E<i>`` key, anywhere; built, every tower name with n, m <= 8 (so
-    h <= 9) takes its basis, -K and class table from the rule, here replaced
-    by markers, or has no coordinates, and the names that take them are the
-    140 with coordinates."""
-    builders = {"_pair_tower_model", "_symmetric_tower_model"}
+    """The tower builder writes no basis, no -K, no ``D<i>`` or ``E<i>``
+    coordinate and no rank, label or stated count: the first come from
+    ``_fibration_tower``, which only the builder calls, and the rank, the
+    boundary, colors, eff, nef and mov labels and the stated count from
+    ``_tower_labels``, which only its shape half ``_tower_spec`` calls, as
+    ``_spec`` does for a twin.  Read off the source, neither half writes a
+    ``basis``, ``minus_k``, ``table``, ``rank``, ``boundary``, ``colors``,
+    ``eff``, ``nef``, ``mov`` or ``stated`` key, or a ``D<i>`` or ``E<i>``
+    key, anywhere; built, every tower name with n, m <= 8 (so h <= 9) takes
+    its basis, -K and class table from the rule, here replaced by markers,
+    or has no coordinates, and the names that take them are the 140 with
+    coordinates."""
+    builders = {"_tower_model", "_tower_spec"}
     tree = ast.parse(Path(spaces.__file__).read_text(encoding="utf-8"))
-    for rule in ("_fibration_tower", "_tower_labels"):
-        callers = {
+    callers = {
+        rule: {
             builder.name
             for builder in tree.body
             if isinstance(builder, ast.FunctionDef)
             for node in ast.walk(builder)
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == rule
         }
-        assert callers == builders, rule
+        for rule in ("_fibration_tower", "_tower_labels", "_tower_spec")
+    }
+    assert callers == {
+        "_fibration_tower": {"_tower_model"},
+        "_tower_labels": {"_tower_spec"},
+        "_tower_spec": {"_tower_model", "_spec"},
+    }
 
     def written(node):
         if isinstance(node, ast.keyword):
@@ -558,7 +570,8 @@ def test_tower_builders_leave_minus_k_and_the_top_class_to_the_rules(monkeypatch
         if isinstance(builder, ast.FunctionDef) and builder.name in builders
         for node in ast.walk(builder)
         for key in written(node)
-        if key in ("basis", "minus_k", "table", "rank", "boundary", "colors", "eff", "nef")
+        if key in ("basis", "minus_k", "table", "rank", "boundary", "colors", "eff", "nef", "mov",
+                   "stated")
         or re.fullmatch(r"[DE]\d+", str(key))
     ]
     assert found == []

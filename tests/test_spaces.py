@@ -152,6 +152,23 @@ def test_mapping_space_dimensions_match_their_form_space_twins():
         )
 
 
+def test_building_a_twin_runs_no_fibration_rule(monkeypatch):
+    """A twin reads its rank, labels, stated count and dimension off its form
+    space's shape and writes its own coordinates, so building every mbar-p(n)
+    and mbar-pxp(n,m) with n <= m <= 8 unmemoised never calls the fibration
+    rule; building a form space with coordinates calls it once."""
+    calls = []
+    rule = spaces._fibration_tower
+    monkeypatch.setattr(spaces, "_fibration_tower", lambda *args: calls.append(args) or rule(*args))
+    twins = [KontsevichP(n) for n in range(1, 9)]
+    twins += [KontsevichPxP(n, m) for n in range(1, 9) for m in range(n, 9)]
+    for kind in twins:
+        assert spaces._model.__wrapped__(kind)[0].has_coordinates, spaces.space_name(kind)
+    assert len(twins) == 44 and calls == []
+    spaces._model.__wrapped__(Collineations(2, 3, 2))
+    assert len(calls) == 1
+
+
 # the secant variety of each kind's form space, written out per kind
 FORM_SECANTS = {
     Collineations: lambda s: segre_secant_invariants(s.n, s.m, s.h),
@@ -605,11 +622,9 @@ def test_the_catalog_towers_over_projective_space_match_the_wonderful_oracle(kin
 def _towers_over_projective_space():
     """Every full tower over P^N with n <= 8 and n <= m <= 9, coordinates or
     not, with its full C or Q name and what the fibration rule writes for it."""
-    rule = spaces._fibration_tower
     for n in range(1, 9):
-        yield Quadrics(n, n + 1), rule(True, n, n, n + 1, n)
-        for m in range(n, 10):
-            yield Collineations(n, m, n + 1), rule(False, n, m, n + 1, n)
+        for kind in [Quadrics(n, n + 1)] + [Collineations(n, m, n + 1) for m in range(n, 10)]:
+            yield kind, spaces._fibration_tower(spaces._tower(kind))
 
 
 def test_the_discrepancy_rule_matches_the_wonderful_oracle():
@@ -633,7 +648,9 @@ def test_the_rule_writes_one_basis_class_per_picard_rank():
 # The tables the towers with h <= n were written from by hand before the
 # fibration rule wrote them, kept as its reference: (symmetric, h, k, lowest
 # n) -> the basis, -K as a function of n and m, and the classes written
-# beside the basis.
+# beside the basis.  The rule reads each case's shape off its kind: a secV
+# name over symmetric forms, a secS name over pairs (C(n,m,1), taking no
+# step, has only its C name).
 HALF = Fraction(1, 2)
 REFERENCE_TOWERS = {
     (False, 1, 0, 1): (("H1", "H2"), lambda n, m: F(n + 1, m + 1), {}),  # C(n,m,1)
@@ -660,15 +677,22 @@ REFERENCE_TOWERS = {
 }
 
 
+def _reference_kind(symmetric, h, k, n, m):
+    if symmetric:
+        return VeroneseBlowup(n, h, k)
+    return SegreBlowup(n, m, h, k) if k else Collineations(n, m, h)
+
+
 def _off_the_reference(rule):
     """The (case, n, m) whose basis, -K or classes ``rule`` writes otherwise
-    than the reference tables, for n <= 20 and n <= m <= n+2; and the count
-    of cases checked."""
+    than the reference tables, for n <= 20 and n <= m <= n+2, given the
+    shape ``spaces._tower`` reads off each case's kind; and the count of
+    cases checked."""
     off, checked = [], 0
     for (symmetric, h, k, lowest), (basis, minus_k, table) in REFERENCE_TOWERS.items():
         for n in range(lowest, 21):
             for m in [n] if symmetric else range(n, n + 3):
-                written = rule(symmetric, n, m, h, k)
+                written = rule(spaces._tower(_reference_kind(symmetric, h, k, n, m)))
                 if (written["basis"], written["minus_k"], written["table"]) != (
                     basis, minus_k(n, m), table
                 ):
@@ -681,13 +705,13 @@ def test_the_fibration_rule_writes_the_reference_tables():
     assert _off_the_reference(spaces._fibration_tower) == ([], 170)
 
 
-def _mutant(old, new):
-    """``spaces._fibration_tower`` with its one ``old`` replaced by ``new``."""
-    source = inspect.getsource(spaces._fibration_tower)
+def _mutant(old, new, name="_fibration_tower"):
+    """``spaces.<name>`` with its one ``old`` replaced by ``new``."""
+    source = inspect.getsource(getattr(spaces, name))
     assert source.count(old) == 1
     namespace = dict(vars(spaces))
     exec(compile(source.replace(old, new), spaces.__file__, "exec"), namespace)
-    return namespace["_fibration_tower"]
+    return namespace[name]
 
 
 @pytest.mark.parametrize(
@@ -707,12 +731,14 @@ def test_a_mutant_of_the_fibration_rule_is_caught(old, new, off):
     assert len(_off_the_reference(_mutant(old, new))[0]) == off
 
 
-def _tower_reprs(tower_labels) -> dict:
+def _tower_reprs(**rules) -> dict:
     """The repr of every tower model with n, m <= 6, built unmemoised with
-    ``tower_labels`` as the label rule, keyed by name."""
+    each of ``rules`` in place of the ``spaces`` function it names, keyed by
+    name."""
     reprs = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spaces, "_tower_labels", tower_labels)
+        for name, rule in rules.items():
+            patch.setattr(spaces, name, rule)
         for cls in (Collineations, Quadrics, SegreBlowup, VeroneseBlowup):
             letters = [field.name for field in dataclasses.fields(cls)]
             for values in itertools.product(range(8), repeat=len(letters)):
@@ -727,22 +753,13 @@ def _tower_reprs(tower_labels) -> dict:
     return reprs
 
 
-def _label_mutant(old, new):
-    """``spaces._tower_labels`` with its one ``old`` replaced by ``new``."""
-    source = inspect.getsource(spaces._tower_labels)
-    assert source.count(old) == 1
-    namespace = dict(vars(spaces))
-    exec(compile(source.replace(old, new), spaces.__file__, "exec"), namespace)
-    return namespace["_tower_labels"]
-
-
 @pytest.mark.parametrize(
     "old, new, moved",
     [
         # nef keeps the top color D_h in a partial tower
         ("lower + top if plucker or k == h - 1 else lower", "lower + top", 17),
         # D_h is a color even where it is the determinant divisor
-        ('() if k >= h - 1 == n == m else ("D%d" % h,)', '("D%d" % h,)', 25),
+        ('() if k == tower.divisor else ("D%d" % h,)', '("D%d" % h,)', 25),
         # the pair colors in the symmetric order, the Plucker classes last
         ("top + lower if plucker else lower + top", "lower + top", 70),
     ],
@@ -752,10 +769,26 @@ def test_a_mutant_of_the_label_rule_is_caught(old, new, moved):
     with n, m <= 6: the 17 partial towers with labels, the 25 whose last
     center is the determinant divisor (secV(1,3;k=1) among them) and the 70
     full pair towers with 2 <= h <= n."""
-    rule = _tower_reprs(spaces._tower_labels)
-    mutant = _tower_reprs(_label_mutant(old, new))
+    rule = _tower_reprs()
+    mutant = _tower_reprs(_tower_labels=_mutant(old, new, "_tower_labels"))
     assert len(rule) == 287
     assert sum(rule[name] != mutant[name] for name in rule) == moved
+
+
+def test_a_mutant_of_the_determinant_divisor_is_caught():
+    """Reading the last center as the determinant divisor over every square
+    or symmetric form, not only at h = n+1, puts the top E_j of Q(n,3) and
+    C(n,n,2) out of the basis: the fibration rule leaves the reference tables
+    on those 37 cases, and each of the 112 square or symmetric tower models
+    with h <= n <= 6 changes."""
+    mutant = _mutant("h - 1 if h == n + 1 and n == m else None", "h - 1 if n == m else None", "_tower")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spaces, "_tower", mutant)
+        off, checked = _off_the_reference(spaces._fibration_tower)
+    assert checked == 170 and len(off) == 37
+    rule = _tower_reprs()
+    moved = _tower_reprs(_tower=mutant)
+    assert sum(rule[name] != moved[name] for name in rule) == 112
 
 
 def test_positivity_table_for_the_two_step_symmetric_model():
