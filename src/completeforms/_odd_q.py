@@ -9,12 +9,14 @@ that loading the public module pays for numpy up front.  A chunk here is a
 2^16 matrices, is chosen so a chunk's working set (its uint8 digits, the
 running combination and its temporaries) stays in one core's L2 cache: at
 2^18 the digits of a 3x4/F_3 chunk alone took 2.1 MB, and a census ran
-slower.  One kernel, ``_kernel_sizes``, counts each matrix's normalised
-kernel vectors; the split reads ranks off it by table lookup and the census
-tallies them straight from the counts.  The kernel counts in blocks, one per
-line, and the census counts the blocks of the rows above the last row once
-per walk where the first chunk holds their period; every chunk then walks
-only the last row's block.
+slower.  The low digits are the same in every chunk, so the walk writes
+them once, each row by doubling its first period, and a mirrored symmetric
+cell copies its finished row.  One kernel, ``_kernel_sizes``, counts each
+matrix's normalised kernel vectors; the split reads ranks off it by table
+lookup and the census tallies them straight from the counts.  The kernel
+counts in blocks, one per line, and the census counts the blocks of the rows
+above the last row once per walk where the first chunk holds their period;
+every chunk then walks only the last row's block.
 """
 
 from __future__ import annotations
@@ -37,9 +39,12 @@ def _walk(q: int, a: int, b: int, symmetric: bool):
     run of up to ``_CHUNK // q^c`` blocks of q^c consecutive matrices, for
     the largest c that cuts the walk into no more chunks than pieces of
     ``_CHUNK`` would.  Every block has the same c low digits, so they are
-    written once per walk into one buffer, and a chunk rewrites only the
-    higher digits that changed, one value per block.  ``digits`` is that
-    buffer, overwritten by the next chunk.
+    written once per walk into one buffer: digit p repeats every q^(p+1)
+    entries and the row length is a multiple of that, so one period is
+    written and the filled prefix copied onto the rest of the row, doubling
+    it, and a mirrored symmetric cell copies the finished row.  A chunk
+    rewrites only the higher digits that changed, one value per block.
+    ``digits`` is that buffer, overwritten by the next chunk.
     """
     chunk = _enumeration._CHUNK
     cells = [{(i, j), (j, i)} if symmetric else {(i, j)} for i, j in _positions(a, b, symmetric)]
@@ -51,10 +56,17 @@ def _walk(q: int, a: int, b: int, symmetric: bool):
     block, blocks = q**c, q ** (npos - c)
     run = min(chunk // block, blocks)
     # uint8 holds the sum of two digits for q <= 127, which _ranks relies on
-    digits = np.zeros((a, b, run * block), dtype=np.min_scalar_type(2 * (q - 1)))
+    length = run * block
+    digits = np.zeros((a, b, length), dtype=np.min_scalar_type(2 * (q - 1)))
     for p in range(c):
-        for i, j in cells[p]:
-            digits[i, j].reshape(-1, q, q**p)[:] = np.arange(q)[:, None]
+        (i, j), *mirror = cells[p]
+        row, filled = digits[i, j], q ** (p + 1)
+        row[:filled] = np.arange(q).repeat(q**p)
+        while filled < length:
+            row[filled : 2 * filled] = row[: min(filled, length - filled)]
+            filled *= 2
+        for i, j in mirror:
+            digits[i, j] = row
     held = np.zeros((npos - c, run), dtype=np.uint32)  # the digits from c up, per block
     for first in range(0, blocks, run):
         count = min(run, blocks - first)

@@ -36,7 +36,8 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from collections import namedtuple
+from typing import Callable, Dict, Optional, Tuple
 
 from . import secants, spaces
 from .errors import CoordinatesUnknown, OutOfScope
@@ -64,13 +65,8 @@ def _tangent_cone(a: argparse.Namespace) -> VerificationReport:
     return polynomials.verify_tangent_cone(a.n, a.m, a.h, a.k, symmetric=a.symmetric)
 
 
-class _Check(NamedTuple):
-    """One ``verify --check``: the flags it takes, and its runner."""
-
-    params: Tuple[str, ...]
-    takes_symmetric: bool
-    run: Callable[[argparse.Namespace], VerificationReport]
-
+_Check = namedtuple("_Check", "params takes_symmetric run")
+_Check.__doc__ = """One ``verify --check``: the flags it takes, and its runner."""
 
 _CHECKS = {
     "rank-lemma": _Check(

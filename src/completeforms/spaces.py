@@ -52,11 +52,12 @@ table entry.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .cones import ChamberDecomposition, RationalCone, cone_from_rays, gkz_decomposition
 from .errors import CoordinatesUnknown, InternalInconsistency, OutOfScope
@@ -421,26 +422,16 @@ class SpaceModel(_Record):
 # -- towers: the shape every tower rule reads, automorphisms and orbit -----
 
 
-class _Tower(NamedTuple):
-    """A tower's shape, which every tower rule reads: k of the h-1 blow-ups of
-    the rank <= h forms among (n+1) x (m+1) matrices, or symmetric ones (m = n).
+_Tower = namedtuple("_Tower", "symmetric n m h k full plucker blown_up divisor")
+_Tower.__doc__ = """A tower's shape, which every tower rule reads: k of the h-1 blow-ups of
+the rank <= h forms among (n+1) x (m+1) matrices, or symmetric ones (m = n).
 
-    ``divisor`` is the index of the center that is the determinant divisor:
-    n at h = n+1 over square or symmetric forms, else None.  Blowing it up
-    changes nothing, so it is not among the centers ``blown_up``, and a
-    ``full`` tower blows up every other center.  A ``plucker`` tower (pairs
-    with h <= n) has the Plucker classes H1, H2 of G(h,n+1) x G(h,m+1).
-    """
-
-    symmetric: bool
-    n: int
-    m: int
-    h: int
-    k: int
-    full: bool
-    plucker: bool
-    blown_up: Tuple[int, ...]
-    divisor: Optional[int]
+``divisor`` is the index of the center that is the determinant divisor:
+n at h = n+1 over square or symmetric forms, else None.  Blowing it up
+changes nothing, so it is not among the centers ``blown_up``, and a
+``full`` tower blows up every other center.  A ``plucker`` tower (pairs
+with h <= n) has the Plucker classes H1, H2 of G(h,n+1) x G(h,m+1).
+"""
 
 
 def _tower(kind) -> _Tower:
@@ -727,29 +718,24 @@ def _kontsevich_gr_model(kind: KontsevichGr) -> dict:
 # -- the kind table ---------------------------------------------------------
 
 
-class _Kind(NamedTuple):
-    """What the catalog records about one kind of space.
+_Kind = namedtuple(
+    "_Kind",
+    "cli_name model secant orbit twin cover lowest_n admitted",
+    defaults=(None, None, None, None, 1, None),
+)
+_Kind.__doc__ = """What the catalog records about one kind of space.
 
-    ``secant(kind)`` is the secant variety the space blows up and
-    ``orbit(kind)`` the relations of its dense orbit's Picard group (for C
-    and Q only).  A mapping-space kind isomorphic to a form space names
-    that space as its ``twin`` and takes the twin's secant, automorphisms,
-    rank, chamber count and labels instead (see :func:`_spec`).  A kind that
-    double-covers a form space names it as its ``cover``: its chambers and
-    positivity are known only through the cover, and its comparison
-    dictionary is the pullback from it.  The parameter letters are the
-    kind's dataclass fields, checked by one rule (:func:`_check_parameters`)
-    that reads ``lowest_n`` and lets the ``admitted`` tuple pass.
-    """
-
-    cli_name: str
-    model: Callable[[SpaceKind], dict]
-    secant: Optional[Callable[[SpaceKind], SecantInvariants]] = None
-    orbit: Optional[Callable[[SpaceKind], list]] = None
-    twin: Optional[Callable[[SpaceKind], SpaceKind]] = None
-    cover: Optional[Callable[[SpaceKind], SpaceKind]] = None
-    lowest_n: int = 1
-    admitted: Optional[Tuple[int, ...]] = None
+``secant(kind)`` is the secant variety the space blows up and
+``orbit(kind)`` the relations of its dense orbit's Picard group (for C
+and Q only).  A mapping-space kind isomorphic to a form space names
+that space as its ``twin`` and takes the twin's secant, automorphisms,
+rank, chamber count and labels instead (see :func:`_spec`).  A kind that
+double-covers a form space names it as its ``cover``: its chambers and
+positivity are known only through the cover, and its comparison
+dictionary is the pullback from it.  The parameter letters are the
+kind's dataclass fields, checked by one rule (:func:`_check_parameters`)
+that reads ``lowest_n`` and lets the ``admitted`` tuple pass.
+"""
 
 
 # the two tower families: the one builder and the secant blown up

@@ -6,7 +6,8 @@ writes a ``result.json`` with a digest, six cases and two passes of case
 and reference times.  The change commit's stub reports a lower ``pass_ref``
 and cheaper cases, so the summary must find it better in every pair and
 list the five cases that moved, with the verdict ``gain``; run the other
-way round, the verdict is ``worse``.
+way round, the verdict is ``worse``.  A failed run, or digests that differ
+between the sides, make the runner exit with 1.
 """
 
 import importlib.util
@@ -131,12 +132,27 @@ def test_a_failing_run_is_recorded_and_counted(stub_repo):
          "--pairs", "1", "--seconds", "0.5"],
         cwd=repo, capture_output=True, text=True,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 1, done.stderr
     runs = json.loads((repo / "BENCH_f.json").read_text())["groups"][0]["runs"]
     assert [(r["side"], r["returncode"], r["result"]) for r in runs][1] == ("change", 3, None)
     assert runs[1]["printed"] == ["broken"]
     assert runs[1]["case_ref"] is None
     assert "catalog seed 7: 2 runs, 1 failed or incorrect" in done.stdout.splitlines()
+
+
+def test_differing_digests_fail_the_comparison(stub_repo):
+    repo, parent, change = stub_repo
+    (repo / "perfbench" / "run.py").write_text(STUB.replace('"d-" + args.seed', '"e-" + args.seed'))
+    other = commit(repo, 1.5)
+    done = subprocess.run(
+        [sys.executable, str(TOOL), parent, other, "--label", "d", "--workloads", "verify",
+         "--pairs", "1", "--seconds", "0.5"],
+        cwd=repo, capture_output=True, text=True,
+    )
+    assert done.returncode == 1, done.stderr
+    summary = done.stdout.splitlines()
+    assert "verify seed 7: 2 runs, 0 failed or incorrect" in summary
+    assert "  digests DIFFER: {'parent': ['d-7'], 'change': ['e-7']}" in summary
 
 
 def test_a_slower_change_is_reported_worse(stub_repo):

@@ -703,6 +703,11 @@ def test_a_split_walks_each_distinct_slice_once_per_chunk(a, b, q, symmetric, mo
         pytest.param(2, 2, 3, True, 9, id="2-2-3-True"),  # c = 2, one block per chunk
         (2, 2, 5, False, 75),  # c = 2, runs of 3 blocks
         (2, 2, 5, True, 15),  # c = 1, runs of 3 blocks
+        # symmetric, with mirrored cells among the low digits, each copied
+        # from its finished row: (0, 1) and (0, 2) at c = 4, (1, 2) too at c = 5
+        (3, 3, 3, True, 81),  # c = 4, one block per chunk
+        (3, 3, 3, True, 243),  # c = 5, one block per chunk
+        (3, 3, 5, True, 75),  # c = 2, runs of 3 blocks
         (1, 2, 131, False, 262),  # c = 1, runs of 2 blocks
         (1, 2, 131, False, 50),  # c = 0
         (1, 1, 131, True, 50),  # c = 0

@@ -386,10 +386,11 @@ def test_leading_forms_at_the_rank_3_and_4_templates_match_the_full_shift(symmet
                     assert all(type(c) is Fraction for _, c in lead.terms)
 
 
-def walked_lead(rows, cols, symmetric, shifts):
-    """The leading form the tangent walk reads off the minor on rows and cols."""
+def walked_lead(rows, cols, symmetric, shifts, levels=None, walk=polynomials._shifted_minor_lead):
+    """The leading form the tangent walk reads off the minor on rows and cols,
+    with its own levels unless ``levels`` is given."""
     moved = polynomials._in_mode(SparsePoly.zero(), symmetric)._moved(shifts)
-    return polynomials._shifted_minor_lead(rows, cols, symmetric, moved, shifts)
+    return walk(rows, cols, symmetric, moved, shifts, {} if levels is None else levels)
 
 
 def every_template_minor(symmetric):
@@ -413,6 +414,50 @@ def test_the_tangent_walk_reads_every_template_minor_as_the_full_shift(symmetric
         assert all(type(c) is Fraction for _, c in lead.terms)
         checked += 1
     assert checked == 5 * sum(math.comb(6, size) ** 2 for size in range(1, 6)) == 4610
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_one_level_table_serves_every_template_minor(symmetric):
+    # the 4,610 minors share one table of levels, keyed by which cells are
+    # shifted: 122 patterns over the five sizes and five templates
+    levels = {}
+    for rows, cols, template in every_template_minor(symmetric):
+        lead = walked_lead(rows, cols, symmetric, template, levels)
+        assert lead.terms == minor_det(5, 5, rows, cols, symmetric).shift(template).leading_form().terms
+    assert len(levels) == 122
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_a_level_keyed_by_the_minor_size_alone_is_caught(symmetric):
+    # the first minor of each size would set the level of every later one
+    mutant = walk_mutant(
+        ("levels.get(pattern)", "levels.get(len(pattern))"), ("levels[pattern] =", "levels[len(pattern)] =")
+    )
+    levels = {}
+    wrong = sum(
+        walked_lead(rows, cols, symmetric, template, levels, walk=mutant).terms
+        != minor_det(5, 5, rows, cols, symmetric).shift(template).leading_form().terms
+        for rows, cols, template in every_template_minor(symmetric)
+    )
+    assert sorted(levels) == [1, 2, 3, 4, 5]
+    assert wrong == 3426
+
+
+def test_the_tangent_cone_anchor_finds_its_level_once(monkeypatch):
+    # the anchor's 25 minors of size 5 all have z00 alone shifted, so the
+    # sign table of size 5 is read once; the 25 complementary 4 x 4 minors
+    # each read the table of size 4
+    read = []
+
+    class CountedTables(tuple):
+        def __getitem__(self, size):
+            read.append(size)
+            return tuple.__getitem__(self, size)
+
+    monkeypatch.setattr(polynomials, "_SIGNED_PERMUTATIONS", CountedTables(_SIGNED_PERMUTATIONS))
+    assert verify_tangent_cone(5, 5, 4, 1).counts == {"minors_checked": 25}
+    assert read.count(5) == 1
+    assert read.count(4) == 25
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -457,12 +502,15 @@ def test_a_tangent_walk_level_that_cancels_falls_back_to_the_full_shift(symmetri
     assert calls[0] == 0
 
 
-def walk_mutant(old, new):
-    """``polynomials._shifted_minor_lead`` with its one ``old`` replaced by ``new``."""
+def walk_mutant(*edits):
+    """``polynomials._shifted_minor_lead`` with each ``(old, new)`` of ``edits``
+    applied, every ``old`` found once."""
     source = inspect.getsource(polynomials._shifted_minor_lead)
-    assert source.count(old) == 1
+    for old, new in edits:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
     namespace = dict(vars(polynomials))
-    exec(compile(source.replace(old, new), polynomials.__file__, "exec"), namespace)
+    exec(compile(source, polynomials.__file__, "exec"), namespace)
     return namespace["_shifted_minor_lead"]
 
 
@@ -480,11 +528,10 @@ def test_a_mutant_of_the_tangent_walk_is_caught(old, new, symmetric, moved):
     """Of the 52 minors of size 2 and 3 of a generic 4 x 4 matrix, shifted by
     1 at z00 in symmetric mode and by 2 at z00 and 1 at z11 in general mode,
     the two mutants get 21 and 18 wrong."""
-    mutant = walk_mutant(old, new)
+    mutant = walk_mutant((old, new))
     shifts = {(0, 0): 2, (1, 1): 1} if not symmetric else {(0, 0): 1}
-    moved_shifts = polynomials._in_mode(SparsePoly.zero(), symmetric)._moved(shifts)
     leads = [
-        (mutant(rows, cols, symmetric, moved_shifts, shifts), minor_det(3, 3, rows, cols, symmetric))
+        (walked_lead(rows, cols, symmetric, shifts, walk=mutant), minor_det(3, 3, rows, cols, symmetric))
         for size in (2, 3)
         for rows in itertools.combinations(range(4), size)
         for cols in itertools.combinations(range(4), size)

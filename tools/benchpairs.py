@@ -17,7 +17,9 @@ side, the parent's interquartile range, in how many pairs the change was
 better and a verdict: ``gain`` (better in at least 9 of 10 pairs, ties
 counting for neither side, and the median beyond the parent's IQR),
 ``worse`` (the median beyond it the other way) or ``unresolved``; and the
-five cases whose median cost moved most.  Standard library only.
+five cases whose median cost moved most.  It exits with 1 when a run failed
+or was incorrect, or the two sides' output digests differ in some group,
+and with 0 otherwise.  Standard library only.
 """
 
 from __future__ import annotations
@@ -148,9 +150,10 @@ def verdict(wins: int, pairs: int, shift: float, iqr: float, lower: bool) -> str
     return "gain" if pairs and 10 * wins >= 9 * pairs else "unresolved"
 
 
-def summarize(group: dict, better: dict) -> list[str]:
+def summarize(group: dict, better: dict) -> tuple[list[str], bool]:
     """One line per end-to-end metric: each side's median, the parent's IQR,
-    the pairs in which the change was better and the verdict."""
+    the pairs in which the change was better and the verdict; and whether
+    every run was correct and the two sides' digests are equal."""
     values = {}
     for run in group["runs"]:
         metrics = (run["result"] or {}).get("metrics", {})
@@ -179,8 +182,9 @@ def summarize(group: dict, better: dict) -> list[str]:
     lines += moved_cases(group)
     digests = {side: sorted({d for run in group["runs"] if run["side"] == side for d in run["digests"] or ()})
                for side in SIDES}
-    lines.append("  digests %s" % ("equal" if digests["parent"] == digests["change"] else "DIFFER: %r" % digests))
-    return lines
+    equal = digests["parent"] == digests["change"]
+    lines.append("  digests %s" % ("equal" if equal else "DIFFER: %r" % digests))
+    return lines, equal and not failed
 
 
 def moved_cases(group: dict) -> list[str]:
@@ -243,9 +247,12 @@ def main(argv=None) -> int:
     print("%s: parent %s, change %s, %s, Python %s, %d CPUs" % (
         out, record["parent"]["commit"][:7], record["change"]["commit"][:7], platform.machine(),
         platform.python_version(), record["nproc"] or 0))
+    status = 0
     for group in record["groups"]:
-        print("\n".join(summarize(group, better)))
-    return 0
+        lines, agreed = summarize(group, better)
+        print("\n".join(lines))
+        status |= not agreed
+    return status
 
 
 if __name__ == "__main__":
