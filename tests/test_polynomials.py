@@ -406,24 +406,17 @@ def every_template_minor(symmetric):
 
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_the_tangent_walk_reads_every_template_minor_as_the_full_shift(symmetric):
+    # the minors share one table of levels, keyed by which cells are
+    # shifted: 122 patterns over the five sizes and five templates
+    levels = {}
     checked = 0
     for rows, cols, template in every_template_minor(symmetric):
-        lead = walked_lead(rows, cols, symmetric, template)
+        lead = walked_lead(rows, cols, symmetric, template, levels)
         assert lead.terms == minor_det(5, 5, rows, cols, symmetric).shift(template).leading_form().terms
         assert lead._symmetric == symmetric
         assert all(type(c) is Fraction for _, c in lead.terms)
         checked += 1
     assert checked == 5 * sum(math.comb(6, size) ** 2 for size in range(1, 6)) == 4610
-
-
-@pytest.mark.parametrize("symmetric", [False, True])
-def test_one_level_table_serves_every_template_minor(symmetric):
-    # the 4,610 minors share one table of levels, keyed by which cells are
-    # shifted: 122 patterns over the five sizes and five templates
-    levels = {}
-    for rows, cols, template in every_template_minor(symmetric):
-        lead = walked_lead(rows, cols, symmetric, template, levels)
-        assert lead.terms == minor_det(5, 5, rows, cols, symmetric).shift(template).leading_form().terms
     assert len(levels) == 122
 
 
